@@ -7,6 +7,7 @@ import math
 from .kmers import mix64
 
 _MASK64 = (1 << 64) - 1
+_SALT = 0xA5A5A5A5A5A5A5A5
 
 
 def optimal_bits(n: int, fp: float) -> int:
@@ -41,12 +42,15 @@ class BloomFilter:
         m = optimal_bits(expected, fp)
         return cls(m, optimal_hashes(m, expected))
 
-    def _positions(self, code: int):
-        h1 = mix64(code)
-        h2 = mix64(code ^ 0xA5A5A5A5A5A5A5A5) | 1
+    def _positions(self, code: int) -> list[int]:
         m = self.n_bits
-        for i in range(self.n_hashes):
-            yield ((h1 + i * h2) & _MASK64) % m
+        h = mix64(code)
+        h2 = mix64(code ^ _SALT) | 1
+        out = []
+        for _ in range(self.n_hashes):
+            out.append((h & _MASK64) % m)
+            h += h2
+        return out
 
     def add(self, code: int) -> None:
         bits = self._bits
@@ -55,7 +59,30 @@ class BloomFilter:
 
     def __contains__(self, code: int) -> bool:
         bits = self._bits
-        return all(bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(code))
+        m = self.n_bits
+        h = mix64(code)
+        h2 = mix64(code ^ _SALT) | 1
+        for _ in range(self.n_hashes):
+            pos = (h & _MASK64) % m
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
+            h += h2
+        return True
+
+    def add_or_promote(self, code: int, repeats: "BloomFilter") -> None:
+        """Set code's probes in `repeats` if all are already set here, else
+        set them here: `repeats.add(code) if code in self else self.add(code)`
+        with the probes computed once. Both filters must share n_bits and
+        n_hashes."""
+        positions = self._positions(code)
+        bits = self._bits
+        for pos in positions:
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                break
+        else:
+            bits = repeats._bits
+        for pos in positions:
+            bits[pos >> 3] |= 1 << (pos & 7)
 
     def to_bytes(self) -> bytes:
         return bytes(self._bits)

@@ -219,7 +219,7 @@ def cmd_trace(args) -> int:
     kv = cfg.load_kv(args.config) if args.config else {}
     cfg.check_keys(kv, _TRACE_KEYS)
     input_path = Path(args.input or kv.get("input", ""))
-    if not input_path or not input_path.exists():
+    if not input_path.is_file():
         print(f"error: trace input not found: {input_path}", file=sys.stderr)
         return EXIT_USAGE
     fmt = cfg.get_str(kv, "format", args.format, choices={"csv", "blktrace"})

@@ -526,12 +526,3 @@ class FabricEngine:
                 t0 = edge
                 b += 1
         return [(i * bucket_s, acc[i] / bucket_s) for i in range(n_buckets)]
-
-
-def stats_csv(engine: FabricEngine, devices: list[VirtualDevice], bucket_s: float = 0.01) -> str:
-    """CSV export: bucket_start_us,device_id,bytes_per_s."""
-    lines = ["bucket_start_us,device_id,bytes_per_s"]
-    for dev in devices:
-        for t, bw in engine.device_stats(dev, bucket_s):
-            lines.append(f"{t * 1e6:.0f},{dev.id},{bw:.0f}")
-    return "\n".join(lines) + "\n"

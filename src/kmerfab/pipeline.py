@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -117,7 +118,10 @@ class Checkpoints:
             "cursor": self.store.append_cursor,
             "stages": {name: vars(h) for name, h in self._stages.items()},
         }
-        self.path.write_text(json.dumps(doc, indent=1, sort_keys=True))
+        # a killed writer leaves the old manifest or the new one, never a torn one
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
+        os.replace(tmp, self.path)
 
 
 @dataclass

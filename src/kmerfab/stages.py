@@ -39,10 +39,7 @@ class PruneFilter:
         self.seen_multi = BloomFilter.with_capacity(expected, target_fp)
 
     def insert_occurrence(self, code: int) -> None:
-        if code in self.seen_once:
-            self.seen_multi.add(code)
-        else:
-            self.seen_once.add(code)
+        self.seen_once.add_or_promote(code, self.seen_multi)
 
     def __contains__(self, code: int) -> bool:
         return code in self.seen_multi
@@ -135,9 +132,9 @@ def count(
     for read in reads:
         t_idx = 1 if read.origin is Origin.TUMORAL else 0
         for code in canonical_codes(read.bases, k):
-            if code not in prune_filter:
-                continue
             if partitions > 1 and partition_of(code, partitions) != partition_id:
+                continue
+            if code not in prune_filter:
                 continue
             counts = entries.get(code)
             if counts is None:

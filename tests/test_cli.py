@@ -148,7 +148,8 @@ def test_trace_subcommand_on_pipeline_trace(toy_inputs, capsys):
 
 
 def test_trace_missing_input(tmp_path, capsys):
-    assert main(["trace", "--input", str(tmp_path / "nope.csv")]) == 2
+    for path in (str(tmp_path / "nope.csv"), ""):
+        assert main(["trace", "--input", path]) == 2
 
 
 def test_scenario_unknown_key(tmp_path, capsys):

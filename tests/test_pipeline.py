@@ -1,5 +1,7 @@
 """Pipeline driver: stage composition, invariances, checkpoint semantics."""
 
+import os
+
 import pytest
 
 from kmerfab.fabric import FabricEngine, FileBacking, Namespace, VirtualDevice
@@ -108,6 +110,32 @@ def test_deleting_group_checkpoint_reruns_only_group(tmp_path, small_instance):
     assert "merge" in second.skipped and "prune" in second.skipped
     assert "group" not in second.skipped
     assert [g.seed for g in second.groups] == [g.seed for g in first.groups]
+
+
+def test_manifest_survives_interrupted_persist(tmp_path, small_instance, monkeypatch):
+    normal, tumoral = small_instance
+    cfg = PipelineConfig(k=K, partitions=1)
+    fingerprint = cfg.fingerprint(normal, tumoral)
+    manifest = tmp_path / "manifest.json"
+    store = make_store(tmp_path / "dev.dat")
+    cp = Checkpoints(store, fingerprint, manifest)
+    first = run_pipeline(normal, tumoral, cfg, store, cp)
+    before = manifest.read_bytes()
+
+    def killed(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(OSError):
+        cp.delete("group")
+    monkeypatch.undo()
+
+    assert manifest.read_bytes() == before
+    store2 = make_store(tmp_path / "dev.dat")
+    second = run_pipeline(normal, tumoral, cfg, store2,
+                          Checkpoints(store2, fingerprint, manifest))
+    assert "group" in second.skipped and "merge" in second.skipped
+    assert second.index.to_bytes() == first.index.to_bytes()
 
 
 def test_fingerprint_mismatch_discards_checkpoints(tmp_path, small_instance):

@@ -1,15 +1,17 @@
 """Stage operations against the brute-force oracle."""
 
+import hashlib
 import random
 
 import pytest
 
 from kmerfab.fabric import FabricEngine, Namespace, VirtualDevice
-from kmerfab.kmers import Origin, Read, decode, encode
+from kmerfab.kmers import Origin, Read, canonical_codes, decode, encode, partition_of
 from kmerfab.spill import SpillStore
 from kmerfab.stages import (
     CandidateIndex,
     FrequencyTable,
+    PruneFilter,
     StageError,
     count,
     filter_candidates,
@@ -91,6 +93,25 @@ def test_prune_fp_rate_bounded():
     assert total_fp / total_singles <= 1.5 * target
 
 
+def test_prune_insert_matches_two_query_reference():
+    """The fused insert sets the same bits as `in seen_once` then `.add`, and
+    the layout matches the one earlier prune checkpoints were written with."""
+    rng = random.Random(7)
+    pool = [rng.getrandbits(2 * K) for _ in range(3000)]
+    codes = [rng.choice(pool) for _ in range(9000)]
+    fused = PruneFilter(K, 0.01, len(codes))
+    ref = PruneFilter(K, 0.01, len(codes))
+    for code in codes:
+        fused.insert_occurrence(code)
+        if code in ref.seen_once:
+            ref.seen_multi.add(code)
+        else:
+            ref.seen_once.add(code)
+    assert fused.to_bytes() == ref.to_bytes()
+    assert hashlib.sha256(fused.to_bytes()).hexdigest() == (
+        "1bc48acb41812f05152de4133d2fed580f806b0f814378535df3b46226a3c98e")
+
+
 # -- count ---------------------------------------------------------------
 
 
@@ -145,6 +166,24 @@ def test_count_partitions_combine_to_whole():
     runs = count(iter_both(normal, tumoral), _PassFilter(), 0, 1,
                  FrequencyTable(), store2, K)
     assert combined == merge_runs(runs, store2).as_dict()
+
+
+class _CountingPrune(PruneFilter):
+    probes = 0
+
+    def __contains__(self, code):
+        self.probes += 1
+        return super().__contains__(code)
+
+
+def test_count_probes_prune_filter_only_in_own_partition():
+    normal, tumoral = random_instance(seed=9, n_reads=120)
+    pf = _CountingPrune.from_bytes(prune(normal, tumoral, K, 0.01).to_bytes())
+    codes = [c for r in iter_both(normal, tumoral) for c in canonical_codes(r.bases, K)]
+    for p in range(4):
+        pf.probes = 0
+        count(iter_both(normal, tumoral), pf, p, 4, FrequencyTable(), make_store(), K)
+        assert pf.probes == sum(partition_of(c, 4) == p for c in codes)
 
 
 def test_count_requires_empty_table():
