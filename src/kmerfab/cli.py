@@ -15,6 +15,7 @@ from . import traceanalysis
 from .fabric import (
     ATTACH_FABRIC,
     ATTACH_LOCAL,
+    CompositionError,
     FabricEngine,
     FileBacking,
     Namespace,
@@ -24,6 +25,7 @@ from .kmers import Origin, ParseError, parse_reads
 from .orchestrator import (
     AllocationPlan,
     HostModel,
+    PlanError,
     PoolConfig,
     WorkloadModel,
     compare_strategies,
@@ -277,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except (cfg.ConfigError, ParseError, ValueError) as exc:
+    except (cfg.ConfigError, ParseError, ValueError, PlanError, CompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # runtime failures keep the stage/instance name

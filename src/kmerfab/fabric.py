@@ -4,8 +4,10 @@ Virtual devices expose sequential-write bandwidth and real byte storage;
 they can be striped into a RAID0-style composition or partitioned into
 namespaces that clients treat as exclusive devices. A discrete-event engine
 arbitrates concurrent requests: each physical device splits an efficiency-
-scaled bandwidth equally among its active requests, recomputing shares at
-every arrival and departure (piecewise-constant service).
+scaled bandwidth equally among its active requests (processor sharing). One
+virtual clock per device counts the service each active request has had, so
+a request finishes when the clock reaches its finish tag and only the
+earliest tag per device is ever a pending event.
 
 The efficiency factor is keyed on the number of attached sharers (clients
 with an open attachment window on the device), which is what makes bursts
@@ -16,7 +18,8 @@ requests do not overlap in time.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 KIND_WRITE = "write"
@@ -25,8 +28,6 @@ KIND_READ = "read"
 DEFAULT_BW = 2_000_000_000  # 2 GB/s sequential write
 DEFAULT_STRIPE = 128 * 1024
 DEFAULT_FABRIC_LATENCY = 15e-6
-
-_COMPLETION_EPS = 0.5  # bytes
 
 
 class FabricError(Exception):
@@ -70,9 +71,6 @@ class EfficiencyCurve:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EfficiencyCurve) and self.values == other.values
-
-
-DEFAULT_CURVE = EfficiencyCurve([1.0, 1.0, 0.97, 0.88, 0.80])
 
 
 class MemoryBacking:
@@ -127,7 +125,7 @@ class VirtualDevice:
         self.id = device_id
         self.max_seq_write_bw = float(max_seq_write_bw)
         self.capacity = int(capacity)
-        self.efficiency_curve = efficiency_curve or DEFAULT_CURVE
+        self.efficiency_curve = efficiency_curve or EfficiencyCurve([1.0])
         self.fabric_latency = fabric_latency
         self.backing = backing if backing is not None else MemoryBacking()
 
@@ -286,18 +284,6 @@ class IoCompletion:
         return self.length / dt if dt > 0 else float("inf")
 
 
-class _Flow:
-    __slots__ = ("device_state", "remaining", "rate", "request", "version", "seq")
-
-    def __init__(self, device_state, remaining, request, seq):
-        self.device_state = device_state
-        self.remaining = float(remaining)
-        self.rate = 0.0
-        self.request = request
-        self.version = 0
-        self.seq = seq
-
-
 class _Request:
     __slots__ = ("rid", "namespace", "kind", "start", "length", "issue_time",
                  "flows_left", "served", "on_complete")
@@ -315,14 +301,24 @@ class _Request:
 
 
 class _DeviceState:
-    __slots__ = ("device", "flows", "sharers", "last_update", "segments")
+    """Processor sharing in virtual time: every active flow has received
+    vtime bytes of service since the device last went idle, so a flow
+    finishes when vtime reaches its tag (vtime at arrival + its bytes)."""
+
+    __slots__ = ("device", "flows", "sharers", "last_update", "vtime", "rate", "segments")
 
     def __init__(self, device: VirtualDevice):
         self.device = device
-        self.flows: list[_Flow] = []
+        # min-heap of (tag, seq, vtime at arrival, request)
+        self.flows: list[tuple[float, int, float, _Request]] = []
         self.sharers: dict[int, int] = {}  # client key -> refcount (attachments)
         self.last_update = 0.0
+        self.vtime = 0.0
+        self.rate = 0.0  # bytes/s granted to each active flow
         self.segments: list[tuple[float, float, float]] = []  # (t0, t1, bytes/s)
+
+    def next_finish(self) -> float:
+        return self.last_update + (self.flows[0][0] - self.vtime) / self.rate
 
 
 class FabricEngine:
@@ -376,28 +372,16 @@ class FabricEngine:
     def _advance_device(self, st: _DeviceState) -> None:
         dt = self.now - st.last_update
         if dt > 0 and st.flows:
-            aggregate = 0.0
-            for fl in st.flows:
-                moved = fl.rate * dt
-                fl.remaining -= moved
-                fl.request.served += moved
-                aggregate += fl.rate
+            st.vtime += st.rate * dt
             if self._stats:
-                st.segments.append((st.last_update, self.now, aggregate))
+                st.segments.append((st.last_update, self.now, st.rate * len(st.flows)))
         st.last_update = self.now
 
     def _recompute(self, st: _DeviceState) -> None:
         n = len(st.flows)
-        if n == 0:
-            return
-        eff = st.device.efficiency_curve(max(1, len(st.sharers)))
-        rate = eff * st.device.max_seq_write_bw / n
-        for fl in st.flows:
-            fl.rate = rate
-            fl.version += 1
-            finish = self.now + max(0.0, fl.remaining) / rate
-            self._seq += 1
-            heapq.heappush(self._heap, (finish, self._seq, (fl, fl.version)))
+        if n:
+            eff = st.device.efficiency_curve(max(1, len(st.sharers)))
+            st.rate = eff * st.device.max_seq_write_bw / n
 
     def submit(
         self,
@@ -440,19 +424,18 @@ class FabricEngine:
                 # lazy sharer window: opens on first traffic, closes on detach
                 st.sharers[client_key] = 1
             self._seq += 1
-            st.flows.append(_Flow(st, nbytes, req, self._seq))
+            heapq.heappush(st.flows, (st.vtime + nbytes, self._seq, st.vtime, req))
             self._recompute(st)
 
-    def _finish_flow(self, fl: _Flow) -> None:
-        st = fl.device_state
+    def _finish_head(self, st: _DeviceState) -> None:
         self._advance_device(st)
-        fl.request.served += fl.remaining  # signed float-dust correction
-        fl.remaining = 0.0
-        st.flows.remove(fl)
+        _, _, arrival_vtime, req = heapq.heappop(st.flows)
+        req.served += st.vtime - arrival_vtime
+        if not st.flows:
+            st.vtime = 0.0  # idle: restart the clock to keep it small
         self._recompute(st)
-        fl.request.flows_left -= 1
-        if fl.request.flows_left == 0:
-            req = fl.request
+        req.flows_left -= 1
+        if req.flows_left == 0:
             comp = IoCompletion(req.rid, req.namespace, req.kind, req.start,
                                 req.length, req.issue_time, self.now, req.served)
             self.completions.append(comp)
@@ -461,22 +444,22 @@ class FabricEngine:
 
     def run(self, until: float | None = None) -> float:
         """Drain events (optionally up to a time); returns the final clock."""
-        while self._heap:
-            when, _, payload = self._heap[0]
-            if until is not None and when > until:
+        while True:
+            when, busy = math.inf, None
+            for st in self._states.values():
+                if st.flows:
+                    t = st.next_finish()
+                    if t < when:
+                        when, busy = t, st
+            if self._heap and self._heap[0][0] <= when:
+                when, busy = self._heap[0][0], None
+            if when == math.inf or (until is not None and when > until):
                 break
-            heapq.heappop(self._heap)
             self.now = max(self.now, when)
-            if isinstance(payload, tuple):
-                fl, version = payload
-                if fl.version != version or fl not in fl.device_state.flows:
-                    continue  # stale prediction
-                self._advance_device(fl.device_state)
-                if fl.remaining > _COMPLETION_EPS:
-                    continue  # rate changed since prediction; a newer event exists
-                self._finish_flow(fl)
+            if busy is None:
+                heapq.heappop(self._heap)[2]()
             else:
-                payload()
+                self._finish_head(busy)
         if until is not None and self.now < until:
             self.now = until
         return self.now

@@ -110,8 +110,7 @@ class PoolConfig:
     })
 
     def curve_for(self, width: int) -> EfficiencyCurve:
-        values = self.curves.get(width) or self.curves.get(1) or [1.0]
-        return EfficiencyCurve(values)
+        return EfficiencyCurve(self.curves[width])
 
     def build_devices(self, ids: list[int], width: int) -> list[VirtualDevice]:
         curve = self.curve_for(width)
@@ -168,6 +167,11 @@ def plan(strategy: str, n_instances: int, pool: PoolConfig, n_hosts: int,
         instance_target = [0] + [1] * (n_instances - 1)
     else:
         raise PlanError(f"unknown strategy {strategy!r}")
+    for target in targets:
+        width = len(target.device_ids)
+        if width not in pool.curves:
+            raise PlanError(f"no efficiency curve for width {width} "
+                            f"(set efficiency.width{width})")
     # one instance per host while hosts remain; co-locate round-robin beyond
     instance_host = [i % n_hosts for i in range(n_instances)]
     return AllocationPlan(strategy, n_instances, targets, instance_target,
@@ -409,29 +413,3 @@ def compare_strategies(
             for r in range(repeats)
         ]
     return StrategyReport(n_instances, repeats, results)
-
-
-def sharing_sweep(
-    width: int,
-    n_values: list[int],
-    pool: PoolConfig,
-    repeats: int = 6,
-    workload: WorkloadModel | None = None,
-    attachment: str = ATTACH_FABRIC,
-    base_seed: int = 1,
-) -> dict[int, float]:
-    """Mean completion vs instance count on one device or a composition,
-    one instance per host (no memory interference)."""
-    workload = workload or WorkloadModel()
-    host = HostModel()  # separate hosts: never oversubscribed
-    out = {}
-    strategy = STRATEGY_SINGLE if width == 1 else STRATEGY_COMPOSED
-    for n in n_values:
-        alloc = plan(strategy, n, pool, n_hosts=n, composed_width=width)
-        means = [
-            simulate(alloc, workload, pool, host, seed=base_seed + r,
-                     attachment=attachment).mean
-            for r in range(repeats)
-        ]
-        out[n] = statistics.fmean(means)
-    return out

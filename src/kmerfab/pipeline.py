@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .kmers import MAX_K, Read
-from .spill import BlobHandle, SpillStore, decode_run, encode_run
+from .spill import BlobHandle, CorruptionError, SpillStore, decode_run, encode_run
 from .stages import (
     CandidateIndex,
     FrequencyTable,
@@ -81,7 +81,9 @@ class Checkpoints:
     """Stage-output directory over a spill store.
 
     The manifest can be persisted as JSON so a later process run resumes;
-    a fingerprint mismatch discards all recorded stages.
+    a fingerprint mismatch or an unreadable manifest discards all recorded
+    stages, and a stage whose blob fails its header or CRC check is dropped.
+    Either way the pipeline recomputes what is missing.
     """
 
     def __init__(self, store: SpillStore, fingerprint: str, path: Path | None = None):
@@ -90,21 +92,28 @@ class Checkpoints:
         self.path = path
         self._stages: dict[str, BlobHandle] = {}
         if path is not None and path.exists():
-            raw = json.loads(path.read_text())
-            if raw.get("fingerprint") == fingerprint:
-                for name, h in raw["stages"].items():
-                    self._stages[name] = BlobHandle(**h)
-                store.append_cursor = max(store.append_cursor, raw.get("cursor", 0))
-
-    def has(self, stage: str) -> bool:
-        return stage in self._stages
+            try:
+                raw = json.loads(path.read_text())
+                if raw.get("fingerprint") == fingerprint:
+                    self._stages = {name: BlobHandle(**h) for name, h in raw["stages"].items()}
+                    store.append_cursor = max(store.append_cursor, int(raw.get("cursor", 0)))
+            except (ValueError, KeyError, TypeError, AttributeError):
+                self._stages = {}
 
     def save(self, stage: str, payload: bytes) -> None:
         self._stages[stage] = self.store.append_blob(payload)
         self._persist()
 
-    def load(self, stage: str) -> bytes:
-        return self.store.read_blob(self._stages[stage])
+    def load(self, stage: str) -> bytes | None:
+        """The stage's payload, or None when it is absent or damaged."""
+        handle = self._stages.get(stage)
+        if handle is None:
+            return None
+        try:
+            return self.store.read_blob(handle)
+        except CorruptionError:
+            del self._stages[stage]
+            return None
 
     def delete(self, stage: str) -> None:
         self._stages.pop(stage, None)
@@ -156,29 +165,33 @@ def run_pipeline(
         result.stage_seconds[stage] = time.perf_counter() - t0
         return out
 
-    if cp.has("prune"):
-        pf = timed("prune", lambda: PruneFilter.from_bytes(cp.load("prune")))
+    blob = cp.load("prune")
+    if blob is not None:
+        pf = timed("prune", lambda: PruneFilter.from_bytes(blob))
         result.skipped.add("prune")
     else:
         pf = timed("prune", lambda: prune(normal, tumoral, config.k, config.prune_fp))
         cp.save("prune", pf.to_bytes())
 
-    if cp.has("merge"):
-        index = timed("merge", lambda: CandidateIndex.from_bytes(cp.load("merge")))
+    blob = cp.load("merge")
+    if blob is not None:
+        index = timed("merge", lambda: CandidateIndex.from_bytes(blob))
         result.skipped.update({"count", "filter", "merge"})
     else:
         part_indexes: list[CandidateIndex] = []
         for p in range(config.partitions):
             filter_key = f"filter.p{p}"
             count_key = f"count.p{p}"
-            if cp.has(filter_key):
+            blob = cp.load(filter_key)
+            if blob is not None:
                 part_indexes.append(
-                    timed(filter_key, lambda: CandidateIndex.from_bytes(cp.load(filter_key)))
+                    timed(filter_key, lambda: CandidateIndex.from_bytes(blob))
                 )
                 result.skipped.add(filter_key)
                 continue
-            if cp.has(count_key):
-                rows = decode_run(cp.load(count_key))
+            blob = cp.load(count_key)
+            if blob is not None:
+                rows = decode_run(blob)
                 table = FrequencyTable()
                 table.entries = {code: [n, t] for code, n, t in rows}
                 result.skipped.add(count_key)
@@ -205,8 +218,9 @@ def run_pipeline(
         index = timed("merge", run_merge)
         cp.save("merge", index.to_bytes())
 
-    if cp.has("group"):
-        groups = timed("group", lambda: groups_from_bytes(cp.load("group")))
+    blob = cp.load("group")
+    if blob is not None:
+        groups = timed("group", lambda: groups_from_bytes(blob))
         result.skipped.add("group")
     else:
         groups = timed("group", lambda: group(index, config.min_candidates))

@@ -13,6 +13,7 @@ import zlib
 from dataclasses import dataclass
 
 from .fabric import CapacityError, FabricEngine, Namespace, KIND_READ, KIND_WRITE
+from .traceanalysis import IoRecord
 
 DEFAULT_CHUNK = 8 * 1024 * 1024
 
@@ -46,14 +47,6 @@ class BlobHandle:
     length: int
     payload_length: int
     checksum: int
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    time_us: float
-    kind: str
-    start: int
-    length: int
 
 
 def encode_run(entries: list[tuple[int, int, int]]) -> bytes:
@@ -102,7 +95,7 @@ class SpillStore:
         self.append_cursor = 0
         self.run_directory: list[RunHandle] = []
         self._tracing = tracing
-        self._trace: list[TraceRecord] = []
+        self._trace: list[IoRecord] = []
         self._clock = 0.0
 
     @property
@@ -120,7 +113,7 @@ class SpillStore:
         comp = done[0]
         self._clock = comp.finish_time
         if self._tracing:
-            self._trace.append(TraceRecord(comp.issue_time * 1e6, kind, start, length))
+            self._trace.append(IoRecord(comp.issue_time, kind, start, length))
 
     def _append(self, data: bytes) -> int:
         """Write data as chunked sequential requests; returns start address."""
@@ -180,6 +173,8 @@ class SpillStore:
 
     def read_blob(self, handle: BlobHandle) -> bytes:
         data = self._read(handle.start_address, handle.length)
+        if len(data) < HEADER_SIZE:
+            raise CorruptionError("blob shorter than header")
         magic, version, _, size, checksum = _HEADER.unpack_from(data)
         if magic != BLOB_MAGIC or version != 1:
             raise CorruptionError("bad blob header")
@@ -188,7 +183,7 @@ class SpillStore:
             raise CorruptionError("blob checksum mismatch")
         return payload
 
-    def io_trace(self) -> list[TraceRecord]:
+    def io_trace(self) -> list[IoRecord]:
         if not self._tracing:
             raise RuntimeError("tracing was disabled at store creation")
         return list(self._trace)
@@ -196,5 +191,5 @@ class SpillStore:
     def trace_csv(self) -> str:
         lines = ["time_us,kind,start,length"]
         for rec in self.io_trace():
-            lines.append(f"{rec.time_us:.3f},{rec.kind},{rec.start},{rec.length}")
+            lines.append(f"{rec.time * 1e6:.3f},{rec.kind},{rec.start},{rec.length}")
         return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 SECTOR = 512
 DEFAULT_STREAM_LIMIT = 64
@@ -104,8 +104,3 @@ def parse_blktrace(lines: Iterable[str]) -> list[IoRecord]:
             continue
         out.append(IoRecord(float(t), kind, int(sector) * SECTOR, int(sectors) * SECTOR))
     return out
-
-
-def records_from_store_trace(trace: Sequence) -> list[IoRecord]:
-    """Adapt spill.TraceRecord rows (time_us) to IoRecord (seconds)."""
-    return [IoRecord(r.time_us / 1e6, r.kind, r.start, r.length) for r in trace]

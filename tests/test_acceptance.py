@@ -36,7 +36,7 @@ from kmerfab.orchestrator import (
 )
 from kmerfab.pipeline import PipelineConfig, run_pipeline
 from kmerfab.spill import SpillStore
-from kmerfab.traceanalysis import IoRecord, classify, records_from_store_trace
+from kmerfab.traceanalysis import IoRecord, classify
 from conftest import random_instance
 from oracle import candidate_view, exact_counts, expected_groups
 
@@ -159,7 +159,7 @@ def test_criterion_4_sequentiality():
     normal, tumoral = random_instance(seed=404, n_reads=200)
     store = fresh_store(chunk=1 << 14)
     run_pipe(normal, tumoral, partitions=2, capacity=64, store=store)
-    pipeline_report = classify(records_from_store_trace(store.io_trace()))
+    pipeline_report = classify(store.io_trace())
 
     trace = []
     a, b = 0, 1 << 40

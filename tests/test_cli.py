@@ -108,6 +108,37 @@ def test_rerun_with_checkpoints_fast_and_identical(toy_inputs):
     assert (out / "groups.csv").read_bytes() == groups_first
 
 
+@pytest.mark.parametrize("damage", ["truncate_manifest", "delete_device"])
+def test_rerun_recomputes_damaged_checkpoints(toy_inputs, damage):
+    out = toy_inputs / "out"
+    cfg = run_config(toy_inputs)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    first = {name: (out / name).read_bytes() for name in ("index.bin", "groups.csv")}
+    if damage == "truncate_manifest":
+        manifest = out / "checkpoints.json"
+        manifest.write_bytes(manifest.read_bytes()[:40])
+    else:
+        (out / "device0.dat").unlink()
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    for name, data in first.items():
+        assert (out / name).read_bytes() == data
+    # the recomputed stages were checkpointed again
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    for name, data in first.items():
+        assert (out / name).read_bytes() == data
+
+
+@pytest.mark.parametrize("extra", [
+    {"hosts": 0},
+    {"strategy": "composed_shared", "stripe_size": 0},
+    {"strategy": "composed_shared", "composed_width": 4, "devices": 4, "instances": 4},
+], ids=["no_hosts", "zero_stripe", "uncalibrated_width"])
+def test_simulate_plan_errors_exit_2(tmp_path, capsys, extra):
+    cfg = scenario_config(tmp_path, **extra)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_simulate_deterministic_csv(tmp_path):
     cfg = scenario_config(tmp_path)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmerfab.fabric import (
     ATTACH_FABRIC,
@@ -21,10 +23,12 @@ from kmerfab.fabric import (
 
 GB = 1_000_000_000
 TB = 1_000_000_000_000
+# the arbitration tests below are hand-integrated against this curve
+CURVE = EfficiencyCurve([1.0, 1.0, 0.97, 0.88, 0.80])
 
 
-def device(i=0, capacity=4 * TB, **kw):
-    return VirtualDevice(i, capacity=capacity, **kw)
+def device(i=0, capacity=4 * TB, efficiency_curve=CURVE, **kw):
+    return VirtualDevice(i, capacity=capacity, efficiency_curve=efficiency_curve, **kw)
 
 
 def ns_of(parent, size=None, attachment=ATTACH_LOCAL):
@@ -249,7 +253,7 @@ def test_detach_restores_efficiency():
     done = []
     engine.submit(spaces[0], KIND_WRITE, 0, GB, client=clients[0], on_complete=done.append)
     engine.run()
-    # four sharers attached: e(4) = 0.88 with the default curve
+    # four sharers attached: e(4) = 0.88 on CURVE
     assert done[0].served_bw == pytest.approx(0.88 * 2 * GB, rel=1e-9)
     for ns, cl in zip(spaces[1:], clients[1:]):
         engine.detach(ns, cl)
@@ -274,6 +278,65 @@ def test_determinism_identical_completions():
         return [(c.request_id, c.finish_time) for c in run_writes(engine, jobs)]
 
     assert run_once() == run_once()
+
+
+def test_flow_far_from_float_exact_still_completes():
+    # at 2**53 bytes a per-flow float countdown ends a few bytes short of
+    # zero; the virtual clock pops the head flow at its tag regardless
+    dev = VirtualDevice(0, capacity=1 << 62)
+    a, b = partition_namespaces(dev, [1 << 60, 1 << 60])
+    engine = FabricEngine()
+    done = []
+    engine.submit(a, KIND_WRITE, 0, 2**53 + 12297, client="a", on_complete=done.append)
+    engine.submit(b, KIND_WRITE, 0, 2**40, when=1000.0, client="b", on_complete=done.append)
+    engine.run()
+    assert sorted(c.request_id for c in done) == [1, 2]
+    assert max(c.finish_time for c in done) == pytest.approx(
+        (2**53 + 12297 + 2**40) / (2 * GB), rel=1e-9)
+
+
+_client = st.integers(0, 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    width=st.integers(1, 3),
+    stripe=st.sampled_from([4096, 128 * 1024]),
+    attachment=st.sampled_from([ATTACH_LOCAL, ATTACH_FABRIC]),
+    jobs=st.lists(st.tuples(_client, st.integers(1, 1 << 26), st.floats(0.0, 0.2)),
+                  min_size=1, max_size=25),
+    attached=st.sets(_client),
+    detaches=st.lists(st.tuples(_client, st.floats(0.0, 0.2)), max_size=4),
+)
+def test_engine_properties(width, stripe, attachment, jobs, attached, detaches):
+    def run_once():
+        devs = [device(i) for i in range(width)]
+        parent = devs[0] if width == 1 else compose(devs, stripe_size=stripe)
+        spaces = partition_namespaces(parent, [parent.capacity // 4] * 4,
+                                      attachment=attachment)
+        engine = FabricEngine()
+        for c in attached:
+            engine.attach(spaces[c], c)
+        for c, when in detaches:
+            engine.schedule(when, lambda c=c: engine.detach(spaces[c], c))
+        cursors = [0] * 4
+        done = []
+        for c, size, when in jobs:
+            engine.submit(spaces[c], KIND_WRITE, cursors[c], size, when=when,
+                          client=c, on_complete=done.append)
+            cursors[c] += size
+        engine.run()
+        return parent, done
+
+    parent, done = run_once()
+    assert sorted(c.request_id for c in done) == list(range(1, len(jobs) + 1))
+    for c in done:
+        assert abs(c.served_bytes - c.length) <= 1.0
+        # never faster than the whole parent's bandwidth (float slack only)
+        assert c.finish_time - c.issue_time >= c.length / parent.max_seq_write_bw - 1e-12
+    _, again = run_once()
+    assert ([(c.request_id, c.finish_time) for c in done]
+            == [(c.request_id, c.finish_time) for c in again])
 
 
 # -- stats --------------------------------------------------------------------

@@ -16,7 +16,6 @@ from kmerfab.orchestrator import (
     WorkloadModel,
     compare_strategies,
     plan,
-    sharing_sweep,
     simulate,
 )
 
@@ -71,6 +70,15 @@ def test_plan_errors():
         plan("mystery", 1, PoolConfig(), n_hosts=1)
     with pytest.raises(PlanError):
         plan(STRATEGY_SINGLE, 0, PoolConfig(), n_hosts=1)
+
+
+def test_plan_rejects_width_without_curve():
+    # no silent fall back to the width-1 curve
+    pool = PoolConfig(n_devices=4)
+    with pytest.raises(PlanError, match="efficiency.width4"):
+        plan(STRATEGY_COMPOSED, 4, pool, n_hosts=4, composed_width=4)
+    pool.curves[4] = [1.0]
+    assert plan(STRATEGY_COMPOSED, 4, pool, n_hosts=4, composed_width=4).targets
 
 
 # -- host memory model ----------------------------------------------------
@@ -199,13 +207,6 @@ def test_compare_strategies_report():
     assert "verdict" in report.summary()
     with pytest.raises(ValueError):
         compare_strategies(5, PoolConfig(), 6, repeats=2, workload=workload)
-
-
-def test_sharing_sweep_shape():
-    means = sharing_sweep(1, [1, 2], PoolConfig(), repeats=3,
-                          workload=small_workload())
-    assert set(means) == {1, 2}
-    assert means[2] >= means[1] * 0.99
 
 
 def test_single_instance_same_across_strategies():

@@ -16,7 +16,7 @@ from kmerfab.stages import (
     merge_runs,
     prune,
 )
-from kmerfab.traceanalysis import classify, records_from_store_trace
+from kmerfab.traceanalysis import classify
 from conftest import random_instance
 
 K = 15
@@ -71,7 +71,7 @@ def test_spill_trace_is_append_sequential(small_instance):
     normal, tumoral = small_instance
     store = make_store(chunk=1 << 14)
     run(normal, tumoral, partitions=2, capacity_limit=64, store=store)
-    report = classify(records_from_store_trace(store.io_trace()))
+    report = classify(store.io_trace())
     assert report.total_writes > 10
     assert report.sequential_append_aware >= 0.85
 

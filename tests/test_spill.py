@@ -111,7 +111,7 @@ def test_trace_write_records_in_order():
     assert len(trace) == 3
     assert all(rec.kind == "write" for rec in trace)
     assert [rec.start for rec in trace] == sorted(rec.start for rec in trace)
-    times = [rec.time_us for rec in trace]
+    times = [rec.time for rec in trace]
     assert times == sorted(times)
 
 
