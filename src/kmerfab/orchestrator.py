@@ -345,6 +345,7 @@ class StrategyReport:
     n_instances: int
     repeats: int
     results: dict[str, list[SimResult]]
+    composed_width: int
 
     def mean(self, strategy: str) -> float:
         return statistics.fmean(r.mean for r in self.results[strategy])
@@ -353,7 +354,7 @@ class StrategyReport:
         return statistics.fmean(r.completion_s[instance] for r in self.results[strategy])
 
     def verdicts(self) -> dict[str, bool]:
-        composed = f"{STRATEGY_COMPOSED}(2)"
+        composed = f"{STRATEGY_COMPOSED}({self.composed_width})"
         out = {}
         if composed in self.results and STRATEGY_SINGLE in self.results:
             out["composed_beats_single"] = self.mean(composed) < self.mean(STRATEGY_SINGLE)
@@ -412,4 +413,4 @@ def compare_strategies(
             simulate(alloc, workload, pool, host, seed=base_seed + r, attachment=attachment)
             for r in range(repeats)
         ]
-    return StrategyReport(n_instances, repeats, results)
+    return StrategyReport(n_instances, repeats, results, composed_width)

@@ -22,13 +22,13 @@ from .stages import (
     FrequencyTable,
     GroupResult,
     PruneFilter,
+    ReadCodes,
     StageError,
     count,
     filter_candidates,
     group,
     groups_from_bytes,
     groups_to_bytes,
-    iter_both,
     merge_indexes,
     merge_runs,
     prune,
@@ -165,12 +165,22 @@ def run_pipeline(
         result.stage_seconds[stage] = time.perf_counter() - t0
         return out
 
+    # each read's codes, extracted by the first stage that is not checkpointed
+    codes: ReadCodes | None = None
+
+    def read_codes(partitions: int) -> ReadCodes:
+        nonlocal codes
+        if codes is None:
+            codes = ReadCodes(normal, tumoral, config.k)
+        codes.split(partitions)
+        return codes
+
     blob = cp.load("prune")
     if blob is not None:
         pf = timed("prune", lambda: PruneFilter.from_bytes(blob))
         result.skipped.add("prune")
     else:
-        pf = timed("prune", lambda: prune(normal, tumoral, config.k, config.prune_fp))
+        pf = timed("prune", lambda: prune(read_codes(1), config.prune_fp))
         cp.save("prune", pf.to_bytes())
 
     blob = cp.load("merge")
@@ -199,16 +209,16 @@ def run_pipeline(
             else:
                 def run_count(p=p):
                     working = FrequencyTable(config.capacity_limit)
-                    runs = count(iter_both(normal, tumoral), pf, p,
-                                 config.partitions, working, store, config.k)
+                    runs = count(read_codes(config.partitions), pf, p, working, store)
                     return merge_runs(runs, store), len(runs)
                 table, n_runs = timed(count_key, run_count)
                 result.runs_per_partition.append(n_runs)
                 cp.save(count_key, encode_run(table.sorted_rows()))
             idx_p = timed(filter_key, lambda: filter_candidates(
-                table, iter_both(normal, tumoral), config.tau_t, config.tau_n, config.k))
+                table, read_codes(config.partitions), p, config.tau_t, config.tau_n))
             cp.save(filter_key, idx_p.to_bytes())
             part_indexes.append(idx_p)
+            codes.release(p)
 
         def run_merge():
             merged = part_indexes[0]
@@ -217,6 +227,7 @@ def run_pipeline(
             return merged
         index = timed("merge", run_merge)
         cp.save("merge", index.to_bytes())
+    codes = None  # also frees a store only prune used; group extracts its own reads
 
     blob = cp.load("group")
     if blob is not None:

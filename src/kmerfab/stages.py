@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -22,6 +23,73 @@ from .spill import RunHandle, SpillStore, encode_run
 
 class StageError(Exception):
     pass
+
+
+# --------------------------------------------------------------------------
+# Read codes
+
+
+class ReadCodes:
+    """Every read's canonical codes, extracted once per run, 8 bytes a window.
+
+    `codes[p]` holds partition p's codes read by read, normal reads first and
+    then tumoral, each in input order; read i's slice of it ends at
+    `ends[p][i]`. Extraction leaves one partition in window order, which is
+    what prune consumes; `split` then buckets the codes by `partition_of`
+    once, for every count and filter pass, and `release` frees a bucket
+    after its last pass.
+    """
+
+    def __init__(self, normal: list[Read], tumoral: list[Read], k: int):
+        self.k = k
+        self.reads = [*normal, *tumoral]
+        self.n_normal = len(normal)
+        codes = array("Q")
+        ends = array("Q")
+        for read in self.reads:
+            codes.extend(canonical_codes(read.bases, k))
+            ends.append(len(codes))
+        self.codes = [codes]
+        self.ends = [ends]
+
+    def split(self, partitions: int) -> None:
+        """Bucket the window-order codes into `partitions` stores; a no-op
+        once split that way."""
+        if partitions == len(self.codes):
+            return
+        if len(self.codes) != 1:
+            raise StageError(f"codes already split into {len(self.codes)} partitions")
+        flat = self.codes[0]
+        codes = [array("Q") for _ in range(partitions)]
+        ends = [array("Q") for _ in range(partitions)]
+        appends = [part.append for part in codes]
+        start = 0
+        for end in self.ends[0]:
+            for code in flat[start:end]:
+                appends[partition_of(code, partitions)](code)
+            start = end
+            for part, part_ends in zip(codes, ends):
+                part_ends.append(len(part))
+        self.codes = codes
+        self.ends = ends
+
+    def release(self, partition_id: int) -> None:
+        """Free partition `partition_id`'s codes once no pass reads them."""
+        self.codes[partition_id] = self.ends[partition_id] = None
+
+    def origin_spans(self, partition_id: int) -> tuple[memoryview, memoryview]:
+        """Partition `partition_id`'s normal codes, then its tumoral codes."""
+        view = memoryview(self.codes[partition_id])
+        cut = self.ends[partition_id][self.n_normal - 1] if self.n_normal else 0
+        return view[:cut], view[cut:]
+
+    def read_spans(self, partition_id: int) -> Iterator[tuple[Read, memoryview]]:
+        """Each read with its codes in partition `partition_id`."""
+        view = memoryview(self.codes[partition_id])
+        start = 0
+        for read, end in zip(self.reads, self.ends[partition_id]):
+            yield read, view[start:end]
+            start = end
 
 
 # --------------------------------------------------------------------------
@@ -71,19 +139,15 @@ def total_windows(reads: Iterable[Read], k: int) -> int:
     return sum(max(0, r.length - k + 1) for r in reads)
 
 
-def prune(reads_normal: Iterable[Read], reads_tumoral: Iterable[Read],
-          k: int, target_fp: float) -> PruneFilter:
-    """One pass over both inputs; sizing estimate is the total window count."""
-    normal = list(reads_normal)
-    tumoral = list(reads_tumoral)
-    expected = total_windows(normal, k) + total_windows(tumoral, k)
-    pf = PruneFilter(k, target_fp, expected)
-    for read in normal:
-        for code in canonical_codes(read.bases, k):
-            pf.insert_occurrence(code)
-    for read in tumoral:
-        for code in canonical_codes(read.bases, k):
-            pf.insert_occurrence(code)
+def prune(codes: ReadCodes, target_fp: float) -> PruneFilter:
+    """One pass over every window in read order, so before `codes.split`;
+    sizing estimate is the total window count."""
+    if len(codes.codes) != 1:
+        raise StageError("prune needs the codes in window order, before the split")
+    pf = PruneFilter(codes.k, target_fp, total_windows(codes.reads, codes.k))
+    insert = pf.insert_occurrence
+    for code in codes.codes[0]:
+        insert(code)
     return pf
 
 
@@ -111,13 +175,11 @@ class FrequencyTable:
 
 
 def count(
-    reads: Iterable[Read],
+    codes: ReadCodes,
     prune_filter: PruneFilter,
     partition_id: int,
-    partitions: int,
     table: FrequencyTable,
     store: SpillStore,
-    k: int,
 ) -> list[RunHandle]:
     """Count pruned k-mers of one partition, spilling sorted runs when full.
 
@@ -129,11 +191,8 @@ def count(
     runs: list[RunHandle] = []
     entries = table.entries
     cap = table.capacity_limit
-    for read in reads:
-        t_idx = 1 if read.origin is Origin.TUMORAL else 0
-        for code in canonical_codes(read.bases, k):
-            if partitions > 1 and partition_of(code, partitions) != partition_id:
-                continue
+    for t_idx, span in enumerate(codes.origin_spans(partition_id)):
+        for code in span:
             if code not in prune_filter:
                 continue
             counts = entries.get(code)
@@ -252,25 +311,28 @@ def is_imbalanced(n_count: int, t_count: int, tau_t: int, tau_n: int) -> bool:
 
 def filter_candidates(
     table: FrequencyTable,
-    reads: Iterable[Read],
+    codes: ReadCodes,
+    partition_id: int,
     tau_t: int,
     tau_n: int,
-    k: int,
 ) -> CandidateIndex:
-    """Select imbalanced k-mers, then index every read containing one."""
+    """Select imbalanced k-mers, then index every read containing one.
+
+    The table holds partition `partition_id`'s codes, so each read is
+    intersected with its codes in that partition only."""
     if tau_t < 1:
         raise ValueError("tau_t must be >= 1")
     if tau_n < 0:
         raise ValueError("tau_n must be >= 0")
-    index = CandidateIndex(k)
+    index = CandidateIndex(codes.k)
     for code, (n, t) in table.as_dict().items():
         if is_imbalanced(n, t, tau_t, tau_n):
             index.candidates[code] = CandidateEntry(n, t)
     if not index.candidates:
         return index
     candidates = index.candidates
-    for read in reads:
-        hits = {c for c in canonical_codes(read.bases, k) if c in candidates}
+    for read, span in codes.read_spans(partition_id):
+        hits = candidates.keys() & span
         if not hits:
             continue
         index.add_read(read)
@@ -394,8 +456,3 @@ def groups_from_bytes(data: bytes) -> list[GroupResult]:
             codes.add(c)
         out.append(GroupResult(seed, members, codes))
     return out
-
-
-def iter_both(normal: Iterable[Read], tumoral: Iterable[Read]) -> Iterator[Read]:
-    yield from normal
-    yield from tumoral

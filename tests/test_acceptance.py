@@ -138,8 +138,8 @@ def test_criterion_3_prune_soundness(pipeline_batch):
     singles = 0
     false_positives = 0
     for normal, tumoral, _, counts in batch:
-        from kmerfab.stages import prune
-        pf = prune(normal, tumoral, K, PRUNE_FP)
+        from kmerfab.stages import ReadCodes, prune
+        pf = prune(ReadCodes(normal, tumoral, K), PRUNE_FP)
         for s, (n, t) in counts.items():
             code = encode(s)
             if n + t >= 2:

@@ -1,10 +1,12 @@
 """CLI subcommands, exit codes, artifact reproducibility."""
 
+import json
 import time
 
 import pytest
 
 from kmerfab.cli import main
+from kmerfab.spill import HEADER_SIZE
 from conftest import random_instance
 
 
@@ -108,22 +110,55 @@ def test_rerun_with_checkpoints_fast_and_identical(toy_inputs):
     assert (out / "groups.csv").read_bytes() == groups_first
 
 
-@pytest.mark.parametrize("damage", ["truncate_manifest", "delete_device"])
+@pytest.mark.parametrize("damage", ["truncate_manifest", "delete_device",
+                                    "truncate_device", "flip_blob_byte"])
 def test_rerun_recomputes_damaged_checkpoints(toy_inputs, damage):
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     first = {name: (out / name).read_bytes() for name in ("index.bin", "groups.csv")}
+    manifest = out / "checkpoints.json"
+    device = out / "device0.dat"
     if damage == "truncate_manifest":
-        manifest = out / "checkpoints.json"
         manifest.write_bytes(manifest.read_bytes()[:40])
+    elif damage == "delete_device":
+        device.unlink()
+    elif damage == "truncate_device":
+        data = device.read_bytes()
+        device.write_bytes(data[:len(data) // 2])
     else:
-        (out / "device0.dat").unlink()
+        handle = json.loads(manifest.read_text())["stages"]["prune"]
+        data = bytearray(device.read_bytes())
+        data[handle["start_address"] + HEADER_SIZE + handle["payload_length"] // 2] ^= 0xFF
+        device.write_bytes(bytes(data))
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     for name, data in first.items():
         assert (out / name).read_bytes() == data
     # the recomputed stages were checkpointed again
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    for name, data in first.items():
+        assert (out / name).read_bytes() == data
+
+
+def test_rerun_after_kill_between_count_and_filter(toy_inputs, capsys):
+    out = toy_inputs / "out"
+    cfg = run_config(toy_inputs)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    first = {name: (out / name).read_bytes() for name in ("index.bin", "groups.csv")}
+    # the manifest a run killed after saving count.p1 leaves behind
+    manifest = out / "checkpoints.json"
+    doc = json.loads(manifest.read_text())
+    for stage in ("filter.p1", "merge", "group"):
+        del doc["stages"][stage]
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    stages = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("stage "))
+    assert stages["stage filter.p0"].endswith("(checkpoint)")
+    assert "stage count.p1" not in stages  # loaded, not counted again
+    assert not stages["stage filter.p1"].endswith("(checkpoint)")
     for name, data in first.items():
         assert (out / name).read_bytes() == data
 

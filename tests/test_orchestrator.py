@@ -209,6 +209,15 @@ def test_compare_strategies_report():
         compare_strategies(5, PoolConfig(), 6, repeats=2, workload=workload)
 
 
+def test_compare_verdicts_key_on_compared_width():
+    report = compare_strategies(4, PoolConfig(), n_hosts=4, repeats=3,
+                                workload=small_workload(), host=small_host(),
+                                composed_width=3)
+    assert f"{STRATEGY_COMPOSED}(3)" in report.results
+    assert set(report.verdicts()) == {"composed_beats_single", "dedicated_no_gain"}
+    assert "verdict composed_beats_single" in report.summary()
+
+
 def test_single_instance_same_across_strategies():
     # any strategy with one device and one instance gives identical times
     workload = small_workload()

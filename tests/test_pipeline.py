@@ -4,15 +4,17 @@ import os
 
 import pytest
 
+from kmerfab import stages
 from kmerfab.fabric import FabricEngine, FileBacking, Namespace, VirtualDevice
+from kmerfab.kmers import Origin, canonical_codes
 from kmerfab.pipeline import Checkpoints, PipelineConfig, PipelineResult, run_pipeline
 from kmerfab.spill import SpillStore
 from kmerfab.stages import (
     FrequencyTable,
+    ReadCodes,
     count,
     filter_candidates,
     group,
-    iter_both,
     merge_runs,
     prune,
 )
@@ -39,10 +41,11 @@ def test_matches_manual_stage_composition(small_instance):
     result = run(normal, tumoral)
 
     store = make_store()
-    pf = prune(normal, tumoral, K, 0.01)
-    runs = count(iter_both(normal, tumoral), pf, 0, 1, FrequencyTable(), store, K)
+    codes = ReadCodes(normal, tumoral, K)
+    pf = prune(codes, 0.01)
+    runs = count(codes, pf, 0, FrequencyTable(), store)
     table = merge_runs(runs, store)
-    idx = filter_candidates(table, iter_both(normal, tumoral), 4, 1, K)
+    idx = filter_candidates(table, codes, 0, 4, 1)
     groups = group(idx, 3)
 
     assert result.index.to_bytes() == idx.to_bytes()
@@ -136,6 +139,35 @@ def test_manifest_survives_interrupted_persist(tmp_path, small_instance, monkeyp
                           Checkpoints(store2, fingerprint, manifest))
     assert "group" in second.skipped and "merge" in second.skipped
     assert second.index.to_bytes() == first.index.to_bytes()
+
+
+def test_each_window_extracted_once_per_run(tmp_path, small_instance, monkeypatch):
+    normal, tumoral = small_instance
+    cfg = PipelineConfig(k=K, partitions=4, capacity_limit=64)
+    fingerprint = cfg.fingerprint(normal, tumoral)
+    extracted = []
+
+    def counting(bases, k):
+        codes = canonical_codes(bases, k)
+        extracted.append(len(codes))
+        return codes
+
+    monkeypatch.setattr(stages, "canonical_codes", counting)
+    store = make_store(tmp_path / "dev.dat")
+    first = run_pipeline(normal, tumoral, cfg, store,
+                         Checkpoints(store, fingerprint, tmp_path / "m.json"))
+    input_windows = sum(len(canonical_codes(r.bases, K)) for r in [*normal, *tumoral])
+    group_windows = sum(len(canonical_codes(bases, K))
+                        for origin, _, bases in first.index.read_store
+                        if origin is Origin.TUMORAL)
+    assert input_windows <= sum(extracted) <= input_windows + group_windows
+
+    extracted.clear()
+    store2 = make_store(tmp_path / "dev.dat")
+    second = run_pipeline(normal, tumoral, cfg, store2,
+                          Checkpoints(store2, fingerprint, tmp_path / "m.json"))
+    assert {"prune", "merge", "group"} <= second.skipped
+    assert extracted == []
 
 
 def test_fingerprint_mismatch_discards_checkpoints(tmp_path, small_instance):

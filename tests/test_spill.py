@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kmerfab.fabric import CapacityError, FabricEngine, Namespace, VirtualDevice
 from kmerfab.spill import (
@@ -162,3 +164,28 @@ def test_large_roundtrip_lossless():
     )
     h = store.flush_table(table(rows))
     assert store.read_run(h) == rows
+
+
+_ROWS = st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1),
+                           st.integers(0, 2**32 - 1)), max_size=50)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_ROWS)
+def test_run_codec_roundtrip(rows):
+    data = encode_run(rows)
+    assert len(data) == HEADER_SIZE + len(rows) * 16
+    assert decode_run(data) == rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(payloads=st.lists(st.binary(max_size=300), min_size=1, max_size=4),
+       chunk=st.sampled_from([16, 4096]))
+@example(payloads=[b""], chunk=16)
+def test_blob_codec_roundtrip(payloads, chunk):
+    store = make_store(size=1 << 20, chunk=chunk)
+    handles = [store.append_blob(p) for p in payloads]
+    assert store.append_cursor == sum(HEADER_SIZE + len(p) for p in payloads)
+    for payload, handle in zip(payloads, handles):
+        assert handle.payload_length == len(payload)
+        assert store.read_blob(handle) == payload

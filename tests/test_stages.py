@@ -12,12 +12,12 @@ from kmerfab.stages import (
     CandidateIndex,
     FrequencyTable,
     PruneFilter,
+    ReadCodes,
     StageError,
     count,
     filter_candidates,
     group,
     is_imbalanced,
-    iter_both,
     merge_indexes,
     merge_runs,
     prune,
@@ -37,9 +37,8 @@ def make_store(chunk=1 << 20):
 def exact_table(normal, tumoral, k=K):
     """No-prune, no-partition frequency table for oracle comparisons."""
     table = FrequencyTable()
-    for read in iter_both(normal, tumoral):
+    for read in [*normal, *tumoral]:
         idx = 1 if read.origin is Origin.TUMORAL else 0
-        from kmerfab.kmers import canonical_codes
         for code in canonical_codes(read.bases, k):
             table.entries.setdefault(code, [0, 0])[idx] += 1
     return table
@@ -50,12 +49,39 @@ class _PassFilter:
         return True
 
 
+# -- read codes ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("partitions", [1, 3])
+def test_read_codes_split_keeps_each_reads_window_order(partitions):
+    normal, tumoral = random_instance(seed=1, n_reads=60)
+    codes = ReadCodes(normal, tumoral, K)
+    codes.split(partitions)
+    for p in range(partitions):
+        expect = [(r, [c for c in canonical_codes(r.bases, K)
+                       if partition_of(c, partitions) == p]) for r in [*normal, *tumoral]]
+        assert [(r, list(span)) for r, span in codes.read_spans(p)] == expect
+        normal_span, tumoral_span = codes.origin_spans(p)
+        assert list(normal_span) == [c for _, cs in expect[:len(normal)] for c in cs]
+        assert list(tumoral_span) == [c for _, cs in expect[len(normal):] for c in cs]
+
+
+def test_read_codes_split_once():
+    normal, tumoral = random_instance(seed=1, n_reads=20)
+    codes = ReadCodes(normal, tumoral, K)
+    codes.split(2)
+    with pytest.raises(StageError):
+        prune(codes, 0.01)  # prune needs window order
+    with pytest.raises(StageError):
+        codes.split(3)
+
+
 # -- prune ---------------------------------------------------------------
 
 
 def test_prune_single_occurrence_not_contained():
     normal = [Read(0, Origin.NORMAL, "ACGTACGTACGTACGTAC")]
-    pf = prune(normal, [], K, 0.01)
+    pf = prune(ReadCodes(normal, [], K), 0.01)
     # every window occurs once (shared prefix windows of this read are unique)
     counts = exact_counts(normal, [], K)
     singles = [s for s, (n, t) in counts.items() if n + t == 1]
@@ -65,7 +91,7 @@ def test_prune_single_occurrence_not_contained():
 
 def test_prune_no_false_negatives():
     normal, tumoral = random_instance(seed=2, n_reads=200)
-    pf = prune(normal, tumoral, K, 0.01)
+    pf = prune(ReadCodes(normal, tumoral, K), 0.01)
     counts = exact_counts(normal, tumoral, K)
     for s, (n, t) in counts.items():
         if n + t >= 2:
@@ -74,7 +100,7 @@ def test_prune_no_false_negatives():
 
 def test_prune_triple_occurrence_guaranteed():
     reads = [Read(i, Origin.NORMAL, "ACGTACGTACGTACG") for i in range(3)]
-    pf = prune(reads, [], K, 0.01)
+    pf = prune(ReadCodes(reads, [], K), 0.01)
     assert encode("ACGTACGTACGTACG") in pf
 
 
@@ -84,7 +110,7 @@ def test_prune_fp_rate_bounded():
     total_fp = 0
     for seed in range(8):
         normal, tumoral = random_instance(seed=100 + seed, n_reads=300)
-        pf = prune(normal, tumoral, K, target)
+        pf = prune(ReadCodes(normal, tumoral, K), target)
         counts = exact_counts(normal, tumoral, K)
         singles = [s for s, (n, t) in counts.items() if n + t == 1]
         total_singles += len(singles)
@@ -118,8 +144,8 @@ def test_prune_insert_matches_two_query_reference():
 def test_count_unbounded_single_run():
     normal, tumoral = random_instance(seed=3, n_reads=120)
     store = make_store()
-    runs = count(iter_both(normal, tumoral), _PassFilter(), 0, 1,
-                 FrequencyTable(), store, K)
+    runs = count(ReadCodes(normal, tumoral, K), _PassFilter(), 0,
+                 FrequencyTable(), store)
     assert len(runs) == 1
     merged = merge_runs(runs, store)
     expect = exact_counts(normal, tumoral, K)
@@ -130,8 +156,8 @@ def test_count_unbounded_single_run():
 def test_count_capacity_one_spills_every_touch():
     normal, tumoral = random_instance(seed=4, n_reads=30)
     store = make_store()
-    runs = count(iter_both(normal, tumoral), _PassFilter(), 0, 1,
-                 FrequencyTable(capacity_limit=1), store, K)
+    runs = count(ReadCodes(normal, tumoral, K), _PassFilter(), 0,
+                 FrequencyTable(capacity_limit=1), store)
     total_occurrences = sum(
         n + t for n, t in exact_counts(normal, tumoral, K).values())
     assert len(runs) == total_occurrences
@@ -144,27 +170,26 @@ def test_count_capacity_one_spills_every_touch():
 def test_count_spill_schedule_invariant(cap):
     normal, tumoral = random_instance(seed=5, n_reads=150)
     store_a = make_store()
-    runs_a = count(iter_both(normal, tumoral), _PassFilter(), 0, 1,
-                   FrequencyTable(capacity_limit=cap), store_a, K)
+    codes = ReadCodes(normal, tumoral, K)
+    runs_a = count(codes, _PassFilter(), 0, FrequencyTable(capacity_limit=cap), store_a)
     store_b = make_store()
-    runs_b = count(iter_both(normal, tumoral), _PassFilter(), 0, 1,
-                   FrequencyTable(), store_b, K)
+    runs_b = count(codes, _PassFilter(), 0, FrequencyTable(), store_b)
     assert merge_runs(runs_a, store_a).as_dict() == merge_runs(runs_b, store_b).as_dict()
 
 
 def test_count_partitions_combine_to_whole():
     normal, tumoral = random_instance(seed=6, n_reads=150)
     store = make_store()
+    codes = ReadCodes(normal, tumoral, K)
+    codes.split(2)
     combined = {}
     for p in range(2):
-        runs = count(iter_both(normal, tumoral), _PassFilter(), p, 2,
-                     FrequencyTable(), store, K)
+        runs = count(codes, _PassFilter(), p, FrequencyTable(), store)
         part = merge_runs(runs, store).as_dict()
         assert not (set(combined) & set(part))
         combined.update(part)
     store2 = make_store()
-    runs = count(iter_both(normal, tumoral), _PassFilter(), 0, 1,
-                 FrequencyTable(), store2, K)
+    runs = count(ReadCodes(normal, tumoral, K), _PassFilter(), 0, FrequencyTable(), store2)
     assert combined == merge_runs(runs, store2).as_dict()
 
 
@@ -178,19 +203,21 @@ class _CountingPrune(PruneFilter):
 
 def test_count_probes_prune_filter_only_in_own_partition():
     normal, tumoral = random_instance(seed=9, n_reads=120)
-    pf = _CountingPrune.from_bytes(prune(normal, tumoral, K, 0.01).to_bytes())
-    codes = [c for r in iter_both(normal, tumoral) for c in canonical_codes(r.bases, K)]
+    pf = _CountingPrune.from_bytes(prune(ReadCodes(normal, tumoral, K), 0.01).to_bytes())
+    windows = [c for r in [*normal, *tumoral] for c in canonical_codes(r.bases, K)]
+    codes = ReadCodes(normal, tumoral, K)
+    codes.split(4)
     for p in range(4):
         pf.probes = 0
-        count(iter_both(normal, tumoral), pf, p, 4, FrequencyTable(), make_store(), K)
-        assert pf.probes == sum(partition_of(c, 4) == p for c in codes)
+        count(codes, pf, p, FrequencyTable(), make_store())
+        assert pf.probes == sum(partition_of(c, 4) == p for c in windows)
 
 
 def test_count_requires_empty_table():
     table = FrequencyTable()
     table.entries[1] = [1, 0]
     with pytest.raises(StageError):
-        count([], _PassFilter(), 0, 1, table, make_store(), K)
+        count(ReadCodes([], [], K), _PassFilter(), 0, table, make_store())
 
 
 # -- merge_runs ----------------------------------------------------------
@@ -229,15 +256,15 @@ def test_imbalance_predicate():
 
 def test_filter_validation():
     with pytest.raises(ValueError):
-        filter_candidates(FrequencyTable(), [], 0, 1, K)
+        filter_candidates(FrequencyTable(), ReadCodes([], [], K), 0, 0, 1)
     with pytest.raises(ValueError):
-        filter_candidates(FrequencyTable(), [], 4, -1, K)
+        filter_candidates(FrequencyTable(), ReadCodes([], [], K), 0, 4, -1)
 
 
 def test_filter_matches_oracle():
     normal, tumoral = random_instance(seed=7, n_reads=200)
     table = exact_table(normal, tumoral)
-    idx = filter_candidates(table, iter_both(normal, tumoral), 4, 1, K)
+    idx = filter_candidates(table, ReadCodes(normal, tumoral, K), 0, 4, 1)
     expect, stored = candidate_view(normal, tumoral, K, 4, 1)
     got = {decode(c, K): e for c, e in idx.candidates.items()}
     assert set(got) == set(expect)
@@ -252,7 +279,7 @@ def test_filter_matches_oracle():
 def test_filter_read_store_unique():
     normal, tumoral = random_instance(seed=8, n_reads=200)
     idx = filter_candidates(exact_table(normal, tumoral),
-                            iter_both(normal, tumoral), 4, 1, K)
+                            ReadCodes(normal, tumoral, K), 0, 4, 1)
     keys = [(o, i) for o, i, _ in idx.read_store]
     assert len(keys) == len(set(keys))
 
@@ -262,18 +289,19 @@ def test_filter_read_store_unique():
 
 def build_index(normal, tumoral, tau_t=4, tau_n=1):
     return filter_candidates(exact_table(normal, tumoral),
-                             iter_both(normal, tumoral), tau_t, tau_n, K)
+                             ReadCodes(normal, tumoral, K), 0, tau_t, tau_n)
 
 
 def partition_indexes(normal, tumoral, partitions):
-    from kmerfab.kmers import partition_of
+    codes = ReadCodes(normal, tumoral, K)
+    codes.split(partitions)
     out = []
     for p in range(partitions):
         table = exact_table(normal, tumoral)
         table.entries = {
             c: v for c, v in table.entries.items() if partition_of(c, partitions) == p
         }
-        out.append(filter_candidates(table, iter_both(normal, tumoral), 4, 1, K))
+        out.append(filter_candidates(table, codes, p, 4, 1))
     return out
 
 
@@ -333,7 +361,7 @@ def test_group_single_shared_kmer():
     tumoral = [Read(0, Origin.TUMORAL, kmer + "T") for _ in range(1)]
     table = FrequencyTable()
     table.entries[encode(kmer)] = [1, 1]
-    idx = filter_candidates(table, iter_both(normal, tumoral), 1, 1, K)
+    idx = filter_candidates(table, ReadCodes(normal, tumoral, K), 0, 1, 1)
     groups = group(idx, min_candidates=1)
     assert len(groups) == 1
     assert groups[0].seed == (Origin.TUMORAL, 0)
@@ -345,7 +373,6 @@ def test_group_min_candidates_too_high():
     normal, tumoral = random_instance(seed=14, n_reads=150)
     idx = build_index(normal, tumoral)
     max_per_read = 0
-    from kmerfab.kmers import canonical_codes
     for _, _, bases in idx.read_store:
         max_per_read = max(max_per_read,
                            len(set(canonical_codes(bases, K)) & set(idx.candidates)))
