@@ -16,7 +16,6 @@ from .fabric import (
     ATTACH_FABRIC,
     ATTACH_LOCAL,
     CompositionError,
-    FabricEngine,
     FileBacking,
     Namespace,
     VirtualDevice,
@@ -133,9 +132,9 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     with open(normal_path) as fh:
-        normal = parse_reads(fh, Origin.NORMAL).reads
+        normal = parse_reads(fh, Origin.NORMAL)
     with open(tumoral_path) as fh:
-        tumoral = parse_reads(fh, Origin.TUMORAL).reads
+        tumoral = parse_reads(fh, Origin.TUMORAL)
 
     device = VirtualDevice(
         0,
@@ -143,15 +142,17 @@ def cmd_run(args) -> int:
         capacity=cfg.get_int(kv, "device_capacity", 1_000_000_000),
         backing=FileBacking(out / "device0.dat"),
     )
+    ns_size = cfg.get_int(kv, "namespace_size", device.capacity)
+    if not 0 < ns_size <= device.capacity:
+        raise cfg.ConfigError(
+            f"namespace_size must be in [1, device_capacity = {device.capacity}], got {ns_size}")
     ns = Namespace(
-        parent=device, offset=0,
-        size=cfg.get_int(kv, "namespace_size", device.capacity),
+        parent=device, offset=0, size=ns_size,
         attachment=cfg.get_str(kv, "attachment", ATTACH_LOCAL,
                                choices={ATTACH_LOCAL, ATTACH_FABRIC}),
         name="pipeline",
     )
-    store = SpillStore(ns, chunk_size=cfg.get_int(kv, "chunk_size", DEFAULT_CHUNK),
-                       engine=FabricEngine(stats=False))
+    store = SpillStore(ns, chunk_size=cfg.get_int(kv, "chunk_size", DEFAULT_CHUNK))
     checkpoints = Checkpoints(store, pipe_cfg.fingerprint(normal, tumoral),
                               path=out / "checkpoints.json")
 

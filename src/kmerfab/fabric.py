@@ -122,6 +122,10 @@ class VirtualDevice:
         fabric_latency: float = DEFAULT_FABRIC_LATENCY,
         backing=None,
     ):
+        if not max_seq_write_bw > 0:  # NaN fails too
+            raise ValueError(f"device bandwidth must be positive, got {max_seq_write_bw}")
+        if capacity <= 0:
+            raise ValueError(f"device capacity must be positive, got {capacity}")
         self.id = device_id
         self.max_seq_write_bw = float(max_seq_write_bw)
         self.capacity = int(capacity)

@@ -7,8 +7,8 @@ so integer order on codes equals alphabetical order on the strings.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO
+from dataclasses import dataclass
+from typing import Iterable, TextIO
 
 BASE_CODE = {"A": 0, "C": 1, "G": 2, "T": 3}
 CODE_BASE = "ACGT"
@@ -43,35 +43,6 @@ class Read:
         return len(self.bases)
 
 
-@dataclass(frozen=True)
-class KMer:
-    """Canonical or raw k-mer packed into an int (2 bits per base)."""
-
-    code: int
-    k: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= MAX_K:
-            raise ValueError(f"k must be in [1, {MAX_K}], got {self.k}")
-        if not 0 <= self.code < (1 << (2 * self.k)):
-            raise ValueError(f"code {self.code} out of range for k={self.k}")
-
-    def __str__(self) -> str:
-        return decode(self.code, self.k)
-
-
-@dataclass
-class ReadSet:
-    reads: list[Read] = field(default_factory=list)
-    k: int = 30
-
-    def __iter__(self) -> Iterator[Read]:
-        return iter(self.reads)
-
-    def __len__(self) -> int:
-        return len(self.reads)
-
-
 def encode(bases: str) -> int:
     code = 0
     for b in bases:
@@ -83,20 +54,7 @@ def decode(code: int, k: int) -> str:
     return "".join(CODE_BASE[(code >> (2 * (k - i - 1))) & 3] for i in range(k))
 
 
-def revcomp(code: int, k: int) -> int:
-    """Reverse complement under the 2-bit encoding (complement = XOR 0b11)."""
-    rc = 0
-    for _ in range(k):
-        rc = (rc << 2) | ((code & 3) ^ 3)
-        code >>= 2
-    return rc
-
-
-def canonical(kmer: KMer) -> KMer:
-    return KMer(min(kmer.code, revcomp(kmer.code, kmer.k)), kmer.k)
-
-
-def parse_reads(stream: TextIO | Iterable[str], origin: Origin) -> ReadSet:
+def parse_reads(stream: TextIO | Iterable[str], origin: Origin) -> list[Read]:
     """Parse FASTA-like input: '>' header line, then one sequence line.
 
     Bases are upper-cased; only A,C,G,T,N are accepted. Raises ParseError
@@ -125,32 +83,7 @@ def parse_reads(stream: TextIO | Iterable[str], origin: Origin) -> ReadSet:
         pending_header = False
     if pending_header:
         raise ParseError(line_no, "header without sequence line")
-    return ReadSet(reads=reads)
-
-
-def window_codes(bases: str, k: int) -> list[int]:
-    """Raw (non-canonical) codes of every k-window without N, in read order."""
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
-    n = len(bases)
-    if n < k:
-        return []
-    out = []
-    mask = (1 << (2 * k)) - 1
-    code = 0
-    valid = 0  # bases accumulated since the last N
-    lookup = BASE_CODE
-    for b in bases:
-        v = lookup.get(b)
-        if v is None:  # N resets the window
-            valid = 0
-            code = 0
-            continue
-        code = ((code << 2) | v) & mask
-        valid += 1
-        if valid >= k:
-            out.append(code)
-    return out
+    return reads
 
 
 def canonical_codes(bases: str, k: int) -> list[int]:
@@ -181,11 +114,6 @@ def canonical_codes(bases: str, k: int) -> list[int]:
         if valid >= k:
             append(fwd if fwd <= rev else rev)
     return out
-
-
-def kmers_of(read: Read, k: int) -> list[KMer]:
-    """Canonical KMer per window of k consecutive non-N bases."""
-    return [KMer(c, k) for c in canonical_codes(read.bases, k)]
 
 
 def mix64(x: int) -> int:

@@ -3,7 +3,9 @@
 Every stage boundary is checkpointable. Stage outputs are serialized to the
 bound namespace through the spill store; a small manifest (stage -> blob
 handle, plus a config/input fingerprint and the store cursor) makes reruns
-skip completed stages.
+skip completed stages. A stage runs nested in the stage that consumes it
+(count.pN in filter.pN, every filter.pN in merge), so a checkpointed stage
+also skips every stage it was computed from.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
 from .kmers import MAX_K, Read
@@ -138,7 +141,6 @@ class PipelineResult:
     index: CandidateIndex
     groups: list[GroupResult]
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    runs_per_partition: list[int] = field(default_factory=list)
     skipped: set[str] = field(default_factory=set)
 
 
@@ -153,16 +155,32 @@ def run_pipeline(
     config.validate()
     cp = checkpoints or Checkpoints(store, fingerprint="", path=None)
     result = PipelineResult(index=CandidateIndex(config.k), groups=[])
+    nested = 0.0  # seconds the running stage has spent in the stages it consumes
 
-    def timed(stage: str, fn):
+    def stage(name: str, compute, to_bytes, from_bytes):
+        """Load stage `name` from its checkpoint, or compute it and save it.
+
+        Its recorded time covers its own load or compute only: neither its
+        checkpoint write nor the stages nested in it.
+        """
+        nonlocal nested
+        outer, nested = nested, 0.0
         t0 = time.perf_counter()
         try:
-            out = fn()
+            blob = cp.load(name)
+            if blob is not None:
+                out = from_bytes(blob)
+                result.skipped.add(name)
+            else:
+                out = compute()
+            result.stage_seconds[name] = time.perf_counter() - t0 - nested
+            if blob is None:
+                cp.save(name, to_bytes(out))
         except StageError:
             raise
         except Exception as exc:
-            raise StageError(f"stage {stage} failed: {exc}") from exc
-        result.stage_seconds[stage] = time.perf_counter() - t0
+            raise StageError(f"stage {name} failed: {exc}") from exc
+        nested = outer + time.perf_counter() - t0
         return out
 
     # each read's codes, extracted by the first stage that is not checkpointed
@@ -175,67 +193,36 @@ def run_pipeline(
         codes.split(partitions)
         return codes
 
-    blob = cp.load("prune")
-    if blob is not None:
-        pf = timed("prune", lambda: PruneFilter.from_bytes(blob))
-        result.skipped.add("prune")
-    else:
-        pf = timed("prune", lambda: prune(read_codes(1), config.prune_fp))
-        cp.save("prune", pf.to_bytes())
+    def count_table(blob: bytes) -> FrequencyTable:
+        table = FrequencyTable()
+        table.entries = {code: [n, t] for code, n, t in decode_run(blob)}
+        return table
 
-    blob = cp.load("merge")
-    if blob is not None:
-        index = timed("merge", lambda: CandidateIndex.from_bytes(blob))
-        result.skipped.update({"count", "filter", "merge"})
-    else:
-        part_indexes: list[CandidateIndex] = []
-        for p in range(config.partitions):
-            filter_key = f"filter.p{p}"
-            count_key = f"count.p{p}"
-            blob = cp.load(filter_key)
-            if blob is not None:
-                part_indexes.append(
-                    timed(filter_key, lambda: CandidateIndex.from_bytes(blob))
-                )
-                result.skipped.add(filter_key)
-                continue
-            blob = cp.load(count_key)
-            if blob is not None:
-                rows = decode_run(blob)
-                table = FrequencyTable()
-                table.entries = {code: [n, t] for code, n, t in rows}
-                result.skipped.add(count_key)
-                result.runs_per_partition.append(0)
-            else:
-                def run_count(p=p):
-                    working = FrequencyTable(config.capacity_limit)
-                    runs = count(read_codes(config.partitions), pf, p, working, store)
-                    return merge_runs(runs, store), len(runs)
-                table, n_runs = timed(count_key, run_count)
-                result.runs_per_partition.append(n_runs)
-                cp.save(count_key, encode_run(table.sorted_rows()))
-            idx_p = timed(filter_key, lambda: filter_candidates(
-                table, read_codes(config.partitions), p, config.tau_t, config.tau_n))
-            cp.save(filter_key, idx_p.to_bytes())
-            part_indexes.append(idx_p)
-            codes.release(p)
+    def count_pass(p: int) -> FrequencyTable:
+        runs = count(read_codes(config.partitions), pf, p,
+                     FrequencyTable(config.capacity_limit), store)
+        return merge_runs(runs, store)
 
-        def run_merge():
-            merged = part_indexes[0]
-            for nxt in part_indexes[1:]:
-                merged = merge_indexes(merged, nxt)
-            return merged
-        index = timed("merge", run_merge)
-        cp.save("merge", index.to_bytes())
+    def filter_pass(p: int) -> CandidateIndex:
+        table = stage(f"count.p{p}", lambda: count_pass(p),
+                      lambda t: encode_run(t.sorted_rows()), count_table)
+        index = filter_candidates(table, read_codes(config.partitions), p,
+                                  config.tau_t, config.tau_n)
+        codes.release(p)
+        return index
+
+    def merge_passes() -> CandidateIndex:
+        parts = [stage(f"filter.p{p}", lambda: filter_pass(p),
+                       CandidateIndex.to_bytes, CandidateIndex.from_bytes)
+                 for p in range(config.partitions)]
+        return reduce(merge_indexes, parts)
+
+    pf = stage("prune", lambda: prune(read_codes(1), config.prune_fp),
+               PruneFilter.to_bytes, PruneFilter.from_bytes)
+    index = stage("merge", merge_passes, CandidateIndex.to_bytes, CandidateIndex.from_bytes)
     codes = None  # also frees a store only prune used; group extracts its own reads
-
-    blob = cp.load("group")
-    if blob is not None:
-        groups = timed("group", lambda: groups_from_bytes(blob))
-        result.skipped.add("group")
-    else:
-        groups = timed("group", lambda: group(index, config.min_candidates))
-        cp.save("group", groups_to_bytes(groups))
+    groups = stage("group", lambda: group(index, config.min_candidates),
+                   groups_to_bytes, groups_from_bytes)
 
     result.index = index
     result.groups = groups

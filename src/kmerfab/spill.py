@@ -77,43 +77,26 @@ class SpillStore:
 
     Every request is chunk_size bytes except the final chunk of a run; each
     request starts where the previous one ended, which keeps the device trace
-    fully append-sequential.
+    fully append-sequential. The store owns its engine and issues each request
+    when the previous one has completed.
     """
 
-    def __init__(
-        self,
-        namespace: Namespace,
-        chunk_size: int = DEFAULT_CHUNK,
-        engine: FabricEngine | None = None,
-        tracing: bool = True,
-    ):
+    def __init__(self, namespace: Namespace, chunk_size: int = DEFAULT_CHUNK):
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         self.namespace = namespace
         self.chunk_size = chunk_size
-        self.engine = engine if engine is not None else FabricEngine(stats=False)
+        self.engine = FabricEngine(stats=False)
         self.append_cursor = 0
         self.run_directory: list[RunHandle] = []
-        self._tracing = tracing
         self._trace: list[IoRecord] = []
-        self._clock = 0.0
-
-    @property
-    def clock(self) -> float:
-        return self._clock
 
     def _io(self, kind: str, start: int, length: int, data: bytes | None) -> None:
         done: list = []
-        self.engine.submit(
-            self.namespace, kind, start, length,
-            when=max(self._clock, self.engine.now),
-            data=data, on_complete=done.append, client=self,
-        )
+        self.engine.submit(self.namespace, kind, start, length,
+                           data=data, on_complete=done.append, client=self)
         self.engine.run()
-        comp = done[0]
-        self._clock = comp.finish_time
-        if self._tracing:
-            self._trace.append(IoRecord(comp.issue_time, kind, start, length))
+        self._trace.append(IoRecord(done[0].issue_time, kind, start, length))
 
     def _append(self, data: bytes) -> int:
         """Write data as chunked sequential requests; returns start address."""
@@ -141,12 +124,9 @@ class SpillStore:
             pos += take
         return b"".join(parts)
 
-    def flush_table(self, entries: dict[int, list[int]] | list[tuple[int, int, int]]) -> RunHandle:
+    def flush_table(self, entries: dict[int, list[int]]) -> RunHandle:
         """Spill a frequency table as one sorted run."""
-        if isinstance(entries, dict):
-            rows = [(code, c[0], c[1]) for code, c in sorted(entries.items())]
-        else:
-            rows = sorted(entries)
+        rows = [(code, c[0], c[1]) for code, c in sorted(entries.items())]
         if not rows:
             raise ValueError("refusing to flush an empty table")
         data = encode_run(rows)
@@ -184,8 +164,6 @@ class SpillStore:
         return payload
 
     def io_trace(self) -> list[IoRecord]:
-        if not self._tracing:
-            raise RuntimeError("tracing was disabled at store creation")
         return list(self._trace)
 
     def trace_csv(self) -> str:

@@ -54,8 +54,7 @@ def report(criterion, ok, detail):
 
 def fresh_store(chunk=1 << 20, size=1 << 30):
     dev = VirtualDevice(0, capacity=size)
-    return SpillStore(Namespace(dev, 0, size), chunk_size=chunk,
-                      engine=FabricEngine(stats=False))
+    return SpillStore(Namespace(dev, 0, size), chunk_size=chunk)
 
 
 def run_pipe(normal, tumoral, partitions=1, capacity=None, store=None):

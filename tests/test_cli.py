@@ -25,19 +25,19 @@ def toy_inputs(tmp_path):
 
 
 def run_config(tmp_path, **extra):
-    lines = [
-        f"normal = {tmp_path / 'normal.fa'}",
-        f"tumoral = {tmp_path / 'tumoral.fa'}",
-        "k = 15",
-        "partitions = 2",
-        "capacity_limit = 256",
-        "chunk_size = 65536",
-        "device_capacity = 100000000",
-        "namespace_size = 100000000",
-    ]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
+    keys = {
+        "normal": tmp_path / "normal.fa",
+        "tumoral": tmp_path / "tumoral.fa",
+        "k": 15,
+        "partitions": 2,
+        "capacity_limit": 256,
+        "chunk_size": 65536,
+        "device_capacity": 100000000,
+        "namespace_size": 100000000,
+    }
+    keys.update(extra)
     path = tmp_path / "run.conf"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
     return path
 
 
@@ -94,6 +94,21 @@ def test_run_unknown_config_key_exit_2(toy_inputs, capsys):
     cfg = run_config(toy_inputs, bogus_key=1)
     assert main(["run", "--config", str(cfg), "--out", str(toy_inputs / "o")]) == 2
     assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"device_bw": 0}, "bandwidth"),
+    ({"device_bw": -1}, "bandwidth"),
+    ({"device_capacity": 0}, "capacity"),
+    ({"namespace_size": 200000000}, "namespace_size"),
+    ({"namespace_size": 0}, "namespace_size"),
+], ids=["zero_bw", "negative_bw", "zero_capacity", "namespace_over_capacity",
+        "zero_namespace"])
+def test_run_bad_device_exit_2(toy_inputs, capsys, extra, message):
+    cfg = run_config(toy_inputs, **extra)
+    assert main(["run", "--config", str(cfg), "--out", str(toy_inputs / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (toy_inputs / "o" / "trace.csv").exists()
 
 
 def test_rerun_with_checkpoints_fast_and_identical(toy_inputs):
@@ -157,7 +172,7 @@ def test_rerun_after_kill_between_count_and_filter(toy_inputs, capsys):
     stages = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
                   if line.startswith("stage "))
     assert stages["stage filter.p0"].endswith("(checkpoint)")
-    assert "stage count.p1" not in stages  # loaded, not counted again
+    assert stages["stage count.p1"].endswith("(checkpoint)")  # loaded, not counted again
     assert not stages["stage filter.p1"].endswith("(checkpoint)")
     for name, data in first.items():
         assert (out / name).read_bytes() == data
@@ -167,7 +182,9 @@ def test_rerun_after_kill_between_count_and_filter(toy_inputs, capsys):
     {"hosts": 0},
     {"strategy": "composed_shared", "stripe_size": 0},
     {"strategy": "composed_shared", "composed_width": 4, "devices": 4, "instances": 4},
-], ids=["no_hosts", "zero_stripe", "uncalibrated_width"])
+    {"device_bw": 0},
+    {"device_bw": -1},
+], ids=["no_hosts", "zero_stripe", "uncalibrated_width", "zero_bw", "negative_bw"])
 def test_simulate_plan_errors_exit_2(tmp_path, capsys, extra):
     cfg = scenario_config(tmp_path, **extra)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

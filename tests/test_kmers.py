@@ -7,36 +7,30 @@ from collections import Counter
 import pytest
 
 from kmerfab.kmers import (
-    KMer,
     Origin,
     ParseError,
-    canonical,
     canonical_codes,
     decode,
     encode,
-    kmers_of,
     parse_reads,
     partition_of,
-    revcomp,
-    window_codes,
-    Read,
 )
-from oracle import canonical_str, canonical_windows, code_of, revcomp_str, windows_str
+from oracle import canonical_str, canonical_windows, code_of, windows_str
 
 
 def test_parse_single_record():
-    rs = parse_reads(io.StringIO(">r0\nACGT\n"), Origin.NORMAL)
-    assert len(rs) == 1
-    assert rs.reads[0].bases == "ACGT"
-    assert rs.reads[0].id == 0
-    assert rs.reads[0].length == 4
+    reads = parse_reads(io.StringIO(">r0\nACGT\n"), Origin.NORMAL)
+    assert len(reads) == 1
+    assert reads[0].bases == "ACGT"
+    assert reads[0].id == 0
+    assert reads[0].length == 4
 
 
 def test_parse_case_folding_and_ids():
-    rs = parse_reads(io.StringIO(">a\nacgtn\n>b\nTTTT\n"), Origin.TUMORAL)
-    assert [r.bases for r in rs.reads] == ["ACGTN", "TTTT"]
-    assert [r.id for r in rs.reads] == [0, 1]
-    assert all(r.origin is Origin.TUMORAL for r in rs.reads)
+    reads = parse_reads(io.StringIO(">a\nacgtn\n>b\nTTTT\n"), Origin.TUMORAL)
+    assert [r.bases for r in reads] == ["ACGTN", "TTTT"]
+    assert [r.id for r in reads] == [0, 1]
+    assert all(r.origin is Origin.TUMORAL for r in reads)
 
 
 def test_parse_illegal_character_line_number():
@@ -63,42 +57,8 @@ def test_encode_decode_roundtrip():
     assert decode(encode("GATTACA"), 7) == "GATTACA"
 
 
-def test_windows_before_canonicalization():
-    codes = window_codes("ACGTA", 4)
-    assert [decode(c, 4) for c in codes] == ["ACGT", "CGTA"]
-
-
-def test_n_windows_skipped():
-    codes = window_codes("ACNGT", 2)
-    assert [decode(c, 2) for c in codes] == ["AC", "GT"]
-
-
 def test_short_read_yields_nothing():
-    assert kmers_of(Read(0, Origin.NORMAL, "ACG"), 4) == []
-
-
-def test_revcomp_matches_string_oracle():
-    rng = random.Random(5)
-    for _ in range(300):
-        k = rng.randint(1, 32)
-        s = "".join(rng.choice("ACGT") for _ in range(k))
-        assert decode(revcomp(encode(s), k), k) == revcomp_str(s)
-
-
-def test_canonical_examples():
-    # revcomp(AA) = TT > AA; AT is its own revcomp
-    assert canonical(KMer(encode("AA"), 2)) == KMer(encode("AA"), 2)
-    assert canonical(KMer(encode("AT"), 2)) == KMer(encode("AT"), 2)
-
-
-def test_canonical_is_projection():
-    rng = random.Random(17)
-    for _ in range(10_000):
-        k = rng.randint(1, 32)
-        code = rng.randrange(0, 1 << (2 * k))
-        c1 = canonical(KMer(code, k))
-        assert canonical(c1) == c1
-        assert canonical(KMer(revcomp(code, k), k)) == c1
+    assert canonical_codes("ACG", 4) == []
 
 
 def test_kmers_match_string_slicing_oracle():
@@ -107,7 +67,7 @@ def test_kmers_match_string_slicing_oracle():
     for _ in range(200):
         n = rng.randint(1, 120)
         bases = "".join(rng.choice("ACGTNACGT") for _ in range(n))
-        got = [decode(km.code, k) for km in kmers_of(Read(0, Origin.NORMAL, bases), k)]
+        got = [decode(code, k) for code in canonical_codes(bases, k)]
         assert Counter(got) == Counter(canonical_windows(bases, k))
         assert len(got) == len(windows_str(bases, k))
 

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from kmerfab import stages
-from kmerfab.fabric import FabricEngine, FileBacking, Namespace, VirtualDevice
+from kmerfab.fabric import FileBacking, Namespace, VirtualDevice
 from kmerfab.kmers import Origin, canonical_codes
 from kmerfab.pipeline import Checkpoints, PipelineConfig, PipelineResult, run_pipeline
 from kmerfab.spill import SpillStore
@@ -27,8 +27,7 @@ K = 15
 def make_store(backing_path=None, size=1 << 30, chunk=1 << 20):
     backing = FileBacking(backing_path) if backing_path else None
     dev = VirtualDevice(0, capacity=size, backing=backing)
-    return SpillStore(Namespace(dev, 0, size), chunk_size=chunk,
-                      engine=FabricEngine(stats=False))
+    return SpillStore(Namespace(dev, 0, size), chunk_size=chunk)
 
 
 def run(normal, tumoral, partitions=1, capacity_limit=None, store=None, checkpoints=None):
@@ -93,6 +92,8 @@ def test_checkpoints_skip_stages(tmp_path, small_instance):
     cp2 = Checkpoints(store2, fingerprint, tmp_path / "manifest.json")
     second = run_pipeline(normal, tumoral, cfg, store2, cp2)
     assert "group" in second.skipped and "merge" in second.skipped
+    # every skipped stage was loaded, so it was also timed
+    assert second.skipped <= second.stage_seconds.keys()
     assert second.index.to_bytes() == first.index.to_bytes()
     assert len(second.groups) == len(first.groups)
 

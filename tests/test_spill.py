@@ -1,4 +1,4 @@
-"""Spill store: append contract, run round-trips, corruption, tracing."""
+"""Spill store: append contract, run round-trips, corruption, I/O trace."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kmerfab.fabric import CapacityError, FabricEngine, Namespace, VirtualDevice
+from kmerfab.fabric import CapacityError, Namespace, VirtualDevice
 from kmerfab.spill import (
     CorruptionError,
     RunHandle,
@@ -21,7 +21,7 @@ from kmerfab.spill import (
 def make_store(size=200 * 1024 * 1024, chunk=8 * 1024 * 1024):
     dev = VirtualDevice(0, capacity=size)
     ns = Namespace(dev, 0, size, name="spill")
-    return SpillStore(ns, chunk_size=chunk, engine=FabricEngine(stats=False))
+    return SpillStore(ns, chunk_size=chunk)
 
 
 def table(rows):
@@ -120,15 +120,6 @@ def test_trace_write_records_in_order():
 def test_empty_store_trace():
     store = make_store()
     assert store.io_trace() == []
-
-
-def test_tracing_disabled():
-    dev = VirtualDevice(0, capacity=1 << 20)
-    ns = Namespace(dev, 0, 1 << 20)
-    store = SpillStore(ns, tracing=False)
-    store.flush_table(table([(1, 1, 1)]))
-    with pytest.raises(RuntimeError):
-        store.io_trace()
 
 
 def test_blob_roundtrip():

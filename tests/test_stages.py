@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from kmerfab.fabric import FabricEngine, Namespace, VirtualDevice
+from kmerfab.fabric import Namespace, VirtualDevice
 from kmerfab.kmers import Origin, Read, canonical_codes, decode, encode, partition_of
 from kmerfab.spill import SpillStore
 from kmerfab.stages import (
@@ -30,8 +30,7 @@ K = 15
 
 def make_store(chunk=1 << 20):
     dev = VirtualDevice(0, capacity=1 << 30)
-    return SpillStore(Namespace(dev, 0, 1 << 30), chunk_size=chunk,
-                      engine=FabricEngine(stats=False))
+    return SpillStore(Namespace(dev, 0, 1 << 30), chunk_size=chunk)
 
 
 def exact_table(normal, tumoral, k=K):
