@@ -52,9 +52,6 @@ class Bitmap:
             return NotImplemented
         return self.to_bytes() == other.to_bytes()
 
-    def copy(self) -> "Bitmap":
-        return Bitmap(self._bytes)
-
     def to_bytes(self) -> bytes:
         data = bytes(self._bytes)
         return data.rstrip(b"\x00")

@@ -127,25 +127,26 @@ def cmd_run(args) -> int:
         prune_fp=cfg.get_float(kv, "prune_fp", 0.01),
     )
     pipe_cfg.validate()
+    # validate the device before anything is written to the output directory
+    device = VirtualDevice(
+        0,
+        max_seq_write_bw=cfg.get_float(kv, "device_bw", 2_000_000_000.0),
+        capacity=cfg.get_int(kv, "device_capacity", 1_000_000_000),
+    )
+    ns_size = cfg.get_int(kv, "namespace_size", device.capacity)
+    if not 0 < ns_size <= device.capacity:
+        raise cfg.ConfigError(
+            f"namespace_size must be in [1, device_capacity = {device.capacity}], got {ns_size}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    device.backing = FileBacking(out / "device0.dat")
 
     with open(normal_path) as fh:
         normal = parse_reads(fh, Origin.NORMAL)
     with open(tumoral_path) as fh:
         tumoral = parse_reads(fh, Origin.TUMORAL)
 
-    device = VirtualDevice(
-        0,
-        max_seq_write_bw=cfg.get_float(kv, "device_bw", 2_000_000_000.0),
-        capacity=cfg.get_int(kv, "device_capacity", 1_000_000_000),
-        backing=FileBacking(out / "device0.dat"),
-    )
-    ns_size = cfg.get_int(kv, "namespace_size", device.capacity)
-    if not 0 < ns_size <= device.capacity:
-        raise cfg.ConfigError(
-            f"namespace_size must be in [1, device_capacity = {device.capacity}], got {ns_size}")
     ns = Namespace(
         parent=device, offset=0, size=ns_size,
         attachment=cfg.get_str(kv, "attachment", ATTACH_LOCAL,

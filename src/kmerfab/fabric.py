@@ -282,11 +282,6 @@ class IoCompletion:
     finish_time: float
     served_bytes: float  # integral of the granted rate over the lifetime
 
-    @property
-    def served_bw(self) -> float:
-        dt = self.finish_time - self.issue_time
-        return self.length / dt if dt > 0 else float("inf")
-
 
 class _Request:
     __slots__ = ("rid", "namespace", "kind", "start", "length", "issue_time",
@@ -309,7 +304,8 @@ class _DeviceState:
     vtime bytes of service since the device last went idle, so a flow
     finishes when vtime reaches its tag (vtime at arrival + its bytes)."""
 
-    __slots__ = ("device", "flows", "sharers", "last_update", "vtime", "rate", "segments")
+    __slots__ = ("device", "flows", "sharers", "last_update", "vtime", "rate", "finish",
+                 "buckets")
 
     def __init__(self, device: VirtualDevice):
         self.device = device
@@ -319,22 +315,23 @@ class _DeviceState:
         self.last_update = 0.0
         self.vtime = 0.0
         self.rate = 0.0  # bytes/s granted to each active flow
-        self.segments: list[tuple[float, float, float]] = []  # (t0, t1, bytes/s)
-
-    def next_finish(self) -> float:
-        return self.last_update + (self.flows[0][0] - self.vtime) / self.rate
+        self.finish = math.inf  # when the head flow finishes; inf while idle
+        self.buckets: list[float] = []  # bytes served per stats bucket
 
 
 class FabricEngine:
-    """Deterministic event engine: same submissions, same completion times."""
+    """Deterministic event engine: same submissions, same completion times.
 
-    def __init__(self, stats: bool = True):
+    With stats, each device's served bytes are summed into buckets of
+    bucket_s seconds as they are served; no per-request history is kept."""
+
+    def __init__(self, stats: bool = False, bucket_s: float = 0.01):
         self.now = 0.0
         self._heap: list = []
         self._seq = 0
         self._states: dict[int, _DeviceState] = {}
         self._stats = stats
-        self.completions: list[IoCompletion] = []
+        self._bucket_s = bucket_s
         self._rid = 0
 
     # -- device/sharer bookkeeping ------------------------------------------
@@ -369,16 +366,26 @@ class FabricEngine:
 
     # -- event plumbing ------------------------------------------------------
 
-    def schedule(self, when: float, fn: Callable[[], None]) -> None:
+    def schedule(self, when: float, fn: Callable[..., None], *args) -> None:
+        """Call fn(*args) at time when."""
         self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, fn))
+        heapq.heappush(self._heap, (when, self._seq, fn, args))
 
     def _advance_device(self, st: _DeviceState) -> None:
-        dt = self.now - st.last_update
-        if dt > 0 and st.flows:
-            st.vtime += st.rate * dt
+        t0, t1 = st.last_update, self.now
+        if t1 > t0 and st.flows:
+            st.vtime += st.rate * (t1 - t0)
             if self._stats:
-                st.segments.append((st.last_update, self.now, st.rate * len(st.flows)))
+                # fold [t0, t1) at the aggregate rate into the buckets it spans
+                rate, w, acc = st.rate * len(st.flows), self._bucket_s, st.buckets
+                b = int(t0 / w)
+                while t0 < t1:
+                    edge = min(t1, (b + 1) * w)
+                    if b >= len(acc):
+                        acc.extend([0.0] * (b + 1 - len(acc)))
+                    acc[b] += rate * (edge - t0)
+                    t0 = edge
+                    b += 1
         st.last_update = self.now
 
     def _recompute(self, st: _DeviceState) -> None:
@@ -386,6 +393,9 @@ class FabricEngine:
         if n:
             eff = st.device.efficiency_curve(max(1, len(st.sharers)))
             st.rate = eff * st.device.max_seq_write_bw / n
+            st.finish = st.last_update + (st.flows[0][0] - st.vtime) / st.rate
+        else:
+            st.finish = math.inf
 
     def submit(
         self,
@@ -413,7 +423,7 @@ class FabricEngine:
         req = _Request(self._rid, namespace, kind, start, length, issue, on_complete)
         latency = namespace.parent.fabric_latency if namespace.attachment == ATTACH_FABRIC else 0.0
         key = id(client) if client is not None else None
-        self.schedule(issue + latency, lambda: self._start_request(req, key))
+        self.schedule(issue + latency, self._start_request, req, key)
         return req.rid
 
     def _start_request(self, req: _Request, client_key) -> None:
@@ -439,29 +449,25 @@ class FabricEngine:
             st.vtime = 0.0  # idle: restart the clock to keep it small
         self._recompute(st)
         req.flows_left -= 1
-        if req.flows_left == 0:
-            comp = IoCompletion(req.rid, req.namespace, req.kind, req.start,
-                                req.length, req.issue_time, self.now, req.served)
-            self.completions.append(comp)
-            if req.on_complete is not None:
-                req.on_complete(comp)
+        if req.flows_left == 0 and req.on_complete is not None:
+            req.on_complete(IoCompletion(req.rid, req.namespace, req.kind, req.start,
+                                         req.length, req.issue_time, self.now, req.served))
 
     def run(self, until: float | None = None) -> float:
         """Drain events (optionally up to a time); returns the final clock."""
         while True:
             when, busy = math.inf, None
             for st in self._states.values():
-                if st.flows:
-                    t = st.next_finish()
-                    if t < when:
-                        when, busy = t, st
+                if st.finish < when:
+                    when, busy = st.finish, st
             if self._heap and self._heap[0][0] <= when:
                 when, busy = self._heap[0][0], None
             if when == math.inf or (until is not None and when > until):
                 break
             self.now = max(self.now, when)
             if busy is None:
-                heapq.heappop(self._heap)[2]()
+                _, _, fn, args = heapq.heappop(self._heap)
+                fn(*args)
             else:
                 self._finish_head(busy)
         if until is not None and self.now < until:
@@ -473,43 +479,32 @@ class FabricEngine:
     def spawn(self, gen) -> None:
         """Drive a generator yielding ("sleep", dt) or
         ("write"/"read", namespace, start, length[, client]); completions are
-        sent back into the generator."""
-        self.schedule(self.now, lambda: self._resume(gen, None))
+        sent back into the generator, and so is the wake time after a sleep."""
 
-    def _resume(self, gen, value) -> None:
-        try:
-            cmd = gen.send(value)
-        except StopIteration:
-            return
-        op = cmd[0]
-        if op == "sleep":
-            self.schedule(self.now + cmd[1], lambda: self._resume(gen, self.now + cmd[1]))
-        elif op in (KIND_WRITE, KIND_READ):
-            ns, start, length = cmd[1], cmd[2], cmd[3]
-            client = cmd[4] if len(cmd) > 4 else None
-            self.submit(ns, op, start, length, client=client,
-                        on_complete=lambda comp: self._resume(gen, comp))
-        else:
-            raise ValueError(f"unknown process command {op!r}")
+        def resume(value) -> None:
+            try:
+                cmd = gen.send(value)
+            except StopIteration:
+                return
+            op = cmd[0]
+            if op == "sleep":
+                wake = self.now + cmd[1]
+                self.schedule(wake, resume, wake)
+            elif op in (KIND_WRITE, KIND_READ):
+                client = cmd[4] if len(cmd) > 4 else None
+                self.submit(cmd[1], op, cmd[2], cmd[3], client=client, on_complete=resume)
+            else:
+                raise ValueError(f"unknown process command {op!r}")
+
+        self.schedule(self.now, resume, None)
 
     # -- statistics ------------------------------------------------------------
 
-    def device_segments(self, device: VirtualDevice) -> list[tuple[float, float, float]]:
+    def device_stats(self, device: VirtualDevice) -> list[tuple[float, float]]:
+        """Served bandwidth per bucket up to now: [(bucket_start_s, bytes/s)]."""
+        w = self._bucket_s
+        n = int(self.now / w) + 1
         st = self._states.get(device.id)
-        return list(st.segments) if st else []
-
-    def device_stats(self, device: VirtualDevice, bucket_s: float = 0.01,
-                     horizon: float | None = None) -> list[tuple[float, float]]:
-        """Aggregate served bandwidth per time bucket: [(bucket_start_s, bytes/s)]."""
-        segments = self.device_segments(device)
-        end = horizon if horizon is not None else self.now
-        n_buckets = max(1, int(end / bucket_s) + 1)
-        acc = [0.0] * n_buckets
-        for t0, t1, rate in segments:
-            b = int(t0 / bucket_s)
-            while t0 < t1 and b < n_buckets:
-                edge = min(t1, (b + 1) * bucket_s)
-                acc[b] += rate * (edge - t0)
-                t0 = edge
-                b += 1
-        return [(i * bucket_s, acc[i] / bucket_s) for i in range(n_buckets)]
+        acc = st.buckets[:n] if st else []
+        acc += [0.0] * (n - len(acc))
+        return [(i * w, acc[i] / w) for i in range(n)]

@@ -193,14 +193,6 @@ class SimResult:
     def max(self) -> float:
         return max(self.completion_s)
 
-    @property
-    def quartiles(self) -> tuple[float, float, float]:
-        if len(self.completion_s) == 1:
-            v = self.completion_s[0]
-            return (v, v, v)
-        q = statistics.quantiles(self.completion_s, n=4)
-        return (q[0], q[1], q[2])
-
 
 def _instance_proc(idx, namespace, workload, multiplier, rng, engine, done, client):
     total = workload.total_output_bytes

@@ -108,7 +108,8 @@ def test_run_bad_device_exit_2(toy_inputs, capsys, extra, message):
     cfg = run_config(toy_inputs, **extra)
     assert main(["run", "--config", str(cfg), "--out", str(toy_inputs / "o")]) == 2
     assert message in capsys.readouterr().err
-    assert not (toy_inputs / "o" / "trace.csv").exists()
+    # rejected before anything is written: no device0.dat, no trace.csv
+    assert not (toy_inputs / "o").exists()
 
 
 def test_rerun_with_checkpoints_fast_and_identical(toy_inputs):

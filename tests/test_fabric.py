@@ -1,6 +1,7 @@
 """Fabric simulator: striping, namespaces, arbitration, conservation."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,15 @@ def run_writes(engine, jobs):
                       on_complete=lambda c, i=i: done.__setitem__(i, c))
     engine.run()
     return [done[i] for i in range(len(jobs))]
+
+
+def served_bw(c):
+    return c.length / (c.finish_time - c.issue_time)
+
+
+def steady_buckets(engine, dev, end, bucket_s=0.01):
+    """Bandwidth of the stats buckets that close by time end."""
+    return [bw for t, bw in engine.device_stats(dev) if t + bucket_s <= end]
 
 
 # -- composition -------------------------------------------------------------
@@ -176,7 +186,7 @@ def test_three_writers_efficiency_factor():
     expect = 2 * GB / (0.97 * 2 * GB / 3)
     for c in comps:
         assert c.finish_time == pytest.approx(expect, rel=1e-12)
-        assert c.served_bw == pytest.approx(0.97 * 2 * GB / 3, rel=1e-9)
+        assert served_bw(c) == pytest.approx(0.97 * 2 * GB / 3, rel=1e-9)
 
 
 def test_fabric_latency_added_once():
@@ -209,13 +219,14 @@ def test_conservation_under_contention():
 
 def test_work_conservation_aggregate_rate():
     # with k active sharers the device serves e(k) * max bandwidth
-    engine = FabricEngine(stats=True)
+    engine = FabricEngine(stats=True, bucket_s=0.01)
     dev = device()
     spaces = partition_namespaces(dev, [TB] * 3)
-    run_writes(engine, [(ns, 0, GB, f"c{i}") for i, ns in enumerate(spaces)])
-    segments = [s for s in engine.device_segments(dev) if s[2] > 0]
-    for _, _, rate in segments:
-        assert rate == pytest.approx(0.97 * 2 * GB, rel=1e-9)
+    comps = run_writes(engine, [(ns, 0, GB, f"c{i}") for i, ns in enumerate(spaces)])
+    steady = steady_buckets(engine, dev, min(c.finish_time for c in comps))
+    assert len(steady) > 100
+    for bw in steady:
+        assert bw == pytest.approx(0.97 * 2 * GB, rel=1e-9)
 
 
 def test_composition_linearity_saturating_streams():
@@ -254,12 +265,12 @@ def test_detach_restores_efficiency():
     engine.submit(spaces[0], KIND_WRITE, 0, GB, client=clients[0], on_complete=done.append)
     engine.run()
     # four sharers attached: e(4) = 0.88 on CURVE
-    assert done[0].served_bw == pytest.approx(0.88 * 2 * GB, rel=1e-9)
+    assert served_bw(done[0]) == pytest.approx(0.88 * 2 * GB, rel=1e-9)
     for ns, cl in zip(spaces[1:], clients[1:]):
         engine.detach(ns, cl)
     engine.submit(spaces[0], KIND_WRITE, GB, GB, client=clients[0], on_complete=done.append)
     engine.run()
-    assert done[1].served_bw == pytest.approx(2 * GB, rel=1e-9)
+    assert served_bw(done[1]) == pytest.approx(2 * GB, rel=1e-9)
 
 
 def test_determinism_identical_completions():
@@ -343,17 +354,18 @@ def test_engine_properties(width, stripe, attachment, jobs, attached, detaches):
 
 
 def test_idle_device_zero_timeline():
-    engine = FabricEngine(stats=True)
+    engine = FabricEngine(stats=True, bucket_s=0.01)
     dev = device()
     engine.run(until=0.1)
-    assert all(bw == 0.0 for _, bw in engine.device_stats(dev, bucket_s=0.01))
+    assert all(bw == 0.0 for _, bw in engine.device_stats(dev))
 
 
 def test_saturating_writer_timeline_at_max():
-    engine = FabricEngine(stats=True)
+    engine = FabricEngine(stats=True, bucket_s=0.01)
     dev = device()
     run_writes(engine, [(ns_of(dev), 0, 2 * GB, "a")])
-    stats = engine.device_stats(dev, bucket_s=0.01, horizon=1.0)
+    assert engine.now == 1.0
+    stats = engine.device_stats(dev)
     inner = [bw for t, bw in stats if 0.01 <= t < 0.99]
     assert all(bw == pytest.approx(2 * GB, rel=1e-6) for bw in inner)
 
@@ -361,13 +373,92 @@ def test_saturating_writer_timeline_at_max():
 def test_concurrent_writers_peak_below_solo_peak():
     # four sharers never reach the solo burst peak
     def peak(n):
-        engine = FabricEngine(stats=True)
+        engine = FabricEngine(stats=True, bucket_s=0.01)
         dev = device()
         spaces = partition_namespaces(dev, [TB] * n)
-        run_writes(engine, [(ns, 0, GB, f"c{i}") for i, ns in enumerate(spaces)])
-        return max(rate for _, _, rate in engine.device_segments(dev))
+        comps = run_writes(engine, [(ns, 0, GB, f"c{i}") for i, ns in enumerate(spaces)])
+        return max(steady_buckets(engine, dev, min(c.finish_time for c in comps)))
 
     assert peak(4) < peak(1)
+
+
+class _SegmentRecorder(FabricEngine):
+    """Records every served (t0, t1, aggregate rate) segment per device."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.segments = {}
+
+    def _advance_device(self, st):
+        if self.now > st.last_update and st.flows:
+            self.segments.setdefault(st.device.id, []).append(
+                (st.last_update, self.now, st.rate * len(st.flows)))
+        super()._advance_device(st)
+
+
+def bucket_segments(segments, bucket_s, end):
+    # the end-of-run bucketing that streaming replaced, kept as the reference
+    n_buckets = max(1, int(end / bucket_s) + 1)
+    acc = [0.0] * n_buckets
+    for t0, t1, rate in segments:
+        b = int(t0 / bucket_s)
+        while t0 < t1 and b < n_buckets:
+            edge = min(t1, (b + 1) * bucket_s)
+            acc[b] += rate * (edge - t0)
+            t0 = edge
+            b += 1
+    return [(i * bucket_s, acc[i] / bucket_s) for i in range(n_buckets)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    width=st.integers(1, 3),
+    bucket_s=st.sampled_from([0.001, 0.0037, 0.01]),
+    attachment=st.sampled_from([ATTACH_LOCAL, ATTACH_FABRIC]),
+    jobs=st.lists(st.tuples(_client, st.integers(1, 1 << 26), st.floats(0.0, 0.2)),
+                  min_size=1, max_size=25),
+    detaches=st.lists(st.tuples(_client, st.floats(0.0, 0.2)), max_size=4),
+    until=st.none() | st.floats(0.0, 0.3),
+)
+def test_streamed_buckets_match_segment_reference(width, bucket_s, attachment, jobs,
+                                                  detaches, until):
+    devs = [device(i) for i in range(width)]
+    parent = devs[0] if width == 1 else compose(devs, stripe_size=4096)
+    spaces = partition_namespaces(parent, [parent.capacity // 4] * 4, attachment=attachment)
+    engine = _SegmentRecorder(stats=True, bucket_s=bucket_s)
+    for c, when in detaches:
+        engine.schedule(when, engine.detach, spaces[c], c)
+    cursors = [0] * 4
+    for c, size, when in jobs:
+        engine.submit(spaces[c], KIND_WRITE, cursors[c], size, when=when, client=c)
+        cursors[c] += size
+    engine.run(until)
+    for dev in devs:
+        assert engine.device_stats(dev) == bucket_segments(
+            engine.segments.get(dev.id, []), bucket_s, engine.now)
+
+
+def test_engine_keeps_no_per_request_history():
+    dev = device()
+    ns = ns_of(dev)
+    engine = FabricEngine(stats=False)
+    done = 0
+
+    def count(_):
+        nonlocal done
+        done += 1
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(20_000):
+            engine.submit(ns, KIND_WRITE, i * 4096, 4096, client="a", on_complete=count)
+        engine.run()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert done == 20_000
+    assert held < 1 << 20
 
 
 def test_curve_validation():
