@@ -5,7 +5,8 @@ bound namespace through the spill store; a small manifest (stage -> blob
 handle, plus a config/input fingerprint and the store cursor) makes reruns
 skip completed stages. A stage runs nested in the stage that consumes it
 (count.pN in filter.pN, every filter.pN in merge), so a checkpointed stage
-also skips every stage it was computed from.
+also skips every stage it was computed from. A count.pN checkpoint is the
+handles of the partition's spill runs, which are already on the device.
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import time
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
 
 from .kmers import MAX_K, Read
-from .spill import BlobHandle, CorruptionError, SpillStore, decode_run, encode_run
+# encode_run and decode_run go unused here, but perfbench/tracing.py wraps these names
+from .spill import (BlobHandle, CorruptionError, RunHandle, SpillStore, decode_handles,
+                    decode_run, encode_handles, encode_run)
 from .stages import (
     CandidateIndex,
     FrequencyTable,
@@ -36,6 +40,10 @@ from .stages import (
     merge_runs,
     prune,
 )
+
+CHECKPOINT_FORMAT = "count.pN=run-handles"  # fingerprinted: another format is a clean miss
+# a damaged checkpoint as it loads: a failed header or CRC, or bytes that do not decode
+LOAD_ERRORS = (CorruptionError, StageError, struct.error, ValueError)
 
 
 @dataclass
@@ -67,7 +75,7 @@ class PipelineConfig:
             raise ValueError("prune_fp must be in (0, 1)")
 
     def fingerprint(self, normal: list[Read], tumoral: list[Read]) -> str:
-        h = hashlib.sha256()
+        h = hashlib.sha256(CHECKPOINT_FORMAT.encode())
         h.update(
             f"{self.k},{self.partitions},{self.capacity_limit},{self.tau_t},"
             f"{self.tau_n},{self.min_candidates},{self.prune_fp}".encode()
@@ -85,7 +93,7 @@ class Checkpoints:
 
     The manifest can be persisted as JSON so a later process run resumes;
     a fingerprint mismatch or an unreadable manifest discards all recorded
-    stages, and a stage whose blob fails its header or CRC check is dropped.
+    stages, and a stage whose checkpoint fails to load counts as absent.
     Either way the pipeline recomputes what is missing.
     """
 
@@ -107,20 +115,14 @@ class Checkpoints:
         self._stages[stage] = self.store.append_blob(payload)
         self._persist()
 
-    def load(self, stage: str) -> bytes | None:
-        """The stage's payload, or None when it is absent or damaged."""
-        handle = self._stages.get(stage)
-        if handle is None:
+    def load(self, stage: str, from_bytes):
+        """The stage's output decoded by `from_bytes`; None if absent or it fails to load."""
+        if stage not in self._stages:
             return None
         try:
-            return self.store.read_blob(handle)
-        except CorruptionError:
-            del self._stages[stage]
+            return from_bytes(self.store.read_blob(self._stages[stage]))
+        except LOAD_ERRORS:
             return None
-
-    def delete(self, stage: str) -> None:
-        self._stages.pop(stage, None)
-        self._persist()
 
     def _persist(self) -> None:
         if self.path is None:
@@ -167,14 +169,13 @@ def run_pipeline(
         outer, nested = nested, 0.0
         t0 = time.perf_counter()
         try:
-            blob = cp.load(name)
-            if blob is not None:
-                out = from_bytes(blob)
+            out = cp.load(name, from_bytes)
+            if out is not None:
                 result.skipped.add(name)
             else:
                 out = compute()
             result.stage_seconds[name] = time.perf_counter() - t0 - nested
-            if blob is None:
+            if name not in result.skipped:
                 cp.save(name, to_bytes(out))
         except StageError:
             raise
@@ -186,35 +187,34 @@ def run_pipeline(
     # each read's codes, extracted by the first stage that is not checkpointed
     codes: ReadCodes | None = None
 
-    def read_codes(partitions: int) -> ReadCodes:
+    def read_codes(partitions: int, done: int = 0) -> ReadCodes:
         nonlocal codes
         if codes is None:
             codes = ReadCodes(normal, tumoral, config.k)
         codes.split(partitions)
+        for p in range(done):  # partitions run in order: no pass reads these buckets again
+            codes.release(p)
         return codes
 
-    def count_table(blob: bytes) -> FrequencyTable:
-        table = FrequencyTable()
-        table.entries = {code: [n, t] for code, n, t in decode_run(blob)}
-        return table
-
-    def count_pass(p: int) -> FrequencyTable:
-        runs = count(read_codes(config.partitions), pf, p,
-                     FrequencyTable(config.capacity_limit), store)
-        return merge_runs(runs, store)
+    def merged(runs: list[RunHandle]) -> tuple[list[RunHandle], FrequencyTable]:
+        return runs, merge_runs(runs, store)
 
     def filter_pass(p: int) -> CandidateIndex:
-        table = stage(f"count.p{p}", lambda: count_pass(p),
-                      lambda t: encode_run(t.sorted_rows()), count_table)
-        index = filter_candidates(table, read_codes(config.partitions), p,
+        _, table = stage(f"count.p{p}",
+                         lambda: merged(count(read_codes(config.partitions, p), pf, p,
+                                              FrequencyTable(config.capacity_limit), store)),
+                         lambda out: encode_handles(out[0]), lambda b: merged(decode_handles(b)))
+        index = filter_candidates(table, read_codes(config.partitions, p), p,
                                   config.tau_t, config.tau_n)
         codes.release(p)
         return index
 
     def merge_passes() -> CandidateIndex:
+        nonlocal codes
         parts = [stage(f"filter.p{p}", lambda: filter_pass(p),
                        CandidateIndex.to_bytes, CandidateIndex.from_bytes)
                  for p in range(config.partitions)]
+        codes = None  # frees the buckets of partitions whose filter.pN was loaded
         return reduce(merge_indexes, parts)
 
     pf = stage("prune", lambda: prune(read_codes(1), config.prune_fp),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .fabric import CapacityError, FabricEngine, Namespace, KIND_READ, KIND_WRITE
 from .traceanalysis import IoRecord
@@ -21,15 +21,12 @@ RUN_MAGIC = b"KFRUNv1\x00"
 BLOB_MAGIC = b"KFBLOBv1"
 _HEADER = struct.Struct("<8sIIQQ")  # magic, version, reserved, entry_count, checksum
 _RECORD = struct.Struct("<QII")  # code u64, n_count u32, t_count u32
+_HANDLE = struct.Struct("<QQQQ")  # RunHandle fields, in declaration order
 HEADER_SIZE = _HEADER.size
 RECORD_SIZE = _RECORD.size
 
 
 class CorruptionError(Exception):
-    pass
-
-
-class UnknownHandleError(Exception):
     pass
 
 
@@ -39,6 +36,17 @@ class RunHandle:
     length: int
     entry_count: int
     checksum: int
+
+
+def encode_handles(handles: list[RunHandle]) -> bytes:
+    """Serialize run handles as fixed 32-byte records."""
+    return b"".join(_HANDLE.pack(*astuple(h)) for h in handles)
+
+
+def decode_handles(data: bytes) -> list[RunHandle]:
+    if len(data) % _HANDLE.size:
+        raise CorruptionError("handle list is not a whole number of records")
+    return [RunHandle(*fields) for fields in _HANDLE.iter_unpack(data)]
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,6 @@ class SpillStore:
         self.chunk_size = chunk_size
         self.engine = FabricEngine(stats=False)
         self.append_cursor = 0
-        self.run_directory: list[RunHandle] = []
         self._trace: list[IoRecord] = []
 
     def _io(self, kind: str, start: int, length: int, data: bytes | None) -> None:
@@ -115,6 +122,8 @@ class SpillStore:
         return start
 
     def _read(self, start: int, length: int) -> bytes:
+        if start < 0 or length < HEADER_SIZE or start + length > self.namespace.size:
+            raise CorruptionError(f"[{start}, {start + length}) holds no record of this namespace")
         parts = []
         pos = 0
         while pos < length:
@@ -131,35 +140,28 @@ class SpillStore:
             raise ValueError("refusing to flush an empty table")
         data = encode_run(rows)
         start = self._append(data)
-        checksum = zlib.crc32(data[HEADER_SIZE:])
-        handle = RunHandle(start, len(data), len(rows), checksum)
-        self.run_directory.append(handle)
-        return handle
+        return RunHandle(start, len(data), len(rows), _HEADER.unpack_from(data)[4])
 
     def read_run(self, handle: RunHandle) -> list[tuple[int, int, int]]:
-        if handle not in self.run_directory:
-            raise UnknownHandleError(f"handle {handle} was not issued by this store")
+        """The run `handle` names, checked against the run's header: any store reads it."""
         data = self._read(handle.start_address, handle.length)
-        rows = decode_run(data)
-        if len(rows) != handle.entry_count:
-            raise CorruptionError("entry count mismatch")
-        return rows
+        if _HEADER.unpack_from(data)[3:] != (handle.entry_count, handle.checksum):
+            raise CorruptionError(f"handle {handle} does not name the run at its address")
+        return decode_run(data)
 
     def append_blob(self, payload: bytes) -> BlobHandle:
         """Checkpoint storage: opaque bytes behind the same append contract."""
-        header = struct.pack("<8sIIQQ", BLOB_MAGIC, 1, 0, len(payload), zlib.crc32(payload))
-        start = self._append(header + payload)
-        return BlobHandle(start, HEADER_SIZE + len(payload), len(payload), zlib.crc32(payload))
+        checksum = zlib.crc32(payload)
+        start = self._append(_HEADER.pack(BLOB_MAGIC, 1, 0, len(payload), checksum) + payload)
+        return BlobHandle(start, HEADER_SIZE + len(payload), len(payload), checksum)
 
     def read_blob(self, handle: BlobHandle) -> bytes:
         data = self._read(handle.start_address, handle.length)
-        if len(data) < HEADER_SIZE:
-            raise CorruptionError("blob shorter than header")
         magic, version, _, size, checksum = _HEADER.unpack_from(data)
         if magic != BLOB_MAGIC or version != 1:
             raise CorruptionError("bad blob header")
         payload = data[HEADER_SIZE:]
-        if len(payload) != size or zlib.crc32(payload) != checksum:
+        if len(payload) != size or zlib.crc32(payload) != checksum or checksum != handle.checksum:
             raise CorruptionError("blob checksum mismatch")
         return payload
 

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 from .bitmap import Bitmap
 from .bloom import BloomFilter
 from .kmers import Origin, Read, canonical_codes, partition_of
-from .spill import RunHandle, SpillStore, encode_run
+from .spill import CorruptionError, RunHandle, SpillStore
 
 
 class StageError(Exception):
@@ -167,9 +167,6 @@ class FrequencyTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def sorted_rows(self) -> list[tuple[int, int, int]]:
-        return [(code, c[0], c[1]) for code, c in sorted(self.entries.items())]
-
     def as_dict(self) -> dict[int, tuple[int, int]]:
         return {code: (c[0], c[1]) for code, c in self.entries.items()}
 
@@ -217,7 +214,7 @@ def merge_runs(run_handles: list[RunHandle], store: SpillStore) -> FrequencyTabl
     for handle in run_handles:
         try:
             rows = store.read_run(handle)
-        except Exception as exc:
+        except CorruptionError as exc:
             raise StageError(f"unreadable run at {handle.start_address}: {exc}") from exc
         for code, n, t in rows:
             counts = entries.get(code)

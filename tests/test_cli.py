@@ -1,12 +1,16 @@
 """CLI subcommands, exit codes, artifact reproducibility."""
 
 import json
+import os
 import time
+import zlib
 
 import pytest
 
+from kmerfab import pipeline
 from kmerfab.cli import main
-from kmerfab.spill import HEADER_SIZE
+from kmerfab.pipeline import Checkpoints
+from kmerfab.spill import HEADER_SIZE, decode_handles
 from conftest import random_instance
 
 
@@ -156,27 +160,136 @@ def test_rerun_recomputes_damaged_checkpoints(toy_inputs, damage):
         assert (out / name).read_bytes() == data
 
 
-def test_rerun_after_kill_between_count_and_filter(toy_inputs, capsys):
-    out = toy_inputs / "out"
-    cfg = run_config(toy_inputs)
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    first = {name: (out / name).read_bytes() for name in ("index.bin", "groups.csv")}
-    # the manifest a run killed after saving count.p1 leaves behind
+OUTPUTS = ("index.bin", "groups.csv")
+
+
+def kill_after_count_p1(out):
+    """Leave the manifest a run killed after saving count.p1 leaves behind."""
     manifest = out / "checkpoints.json"
     doc = json.loads(manifest.read_text())
     for stage in ("filter.p1", "merge", "group"):
         del doc["stages"][stage]
     manifest.write_text(json.dumps(doc))
+
+
+def flip_byte_in_run_of(out, stage):
+    """Damage the payload of the first spill run a count.pN checkpoint names."""
+    blob = json.loads((out / "checkpoints.json").read_text())["stages"][stage]
+    device = bytearray((out / "device0.dat").read_bytes())
+    payload = device[blob["start_address"] + HEADER_SIZE:
+                     blob["start_address"] + HEADER_SIZE + blob["payload_length"]]
+    run = decode_handles(bytes(payload))[0]
+    device[run.start_address + HEADER_SIZE + 3] ^= 0xFF
+    (out / "device0.dat").write_bytes(bytes(device))
+
+
+def stage_lines(printed):
+    return dict(line.split(": ", 1) for line in printed.splitlines()
+                if line.startswith("stage "))
+
+
+def test_rerun_after_kill_between_count_and_filter(toy_inputs, capsys):
+    out = toy_inputs / "out"
+    cfg = run_config(toy_inputs)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    first = {name: (out / name).read_bytes() for name in OUTPUTS}
+    kill_after_count_p1(out)
     capsys.readouterr()
 
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    stages = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
-                  if line.startswith("stage "))
+    stages = stage_lines(capsys.readouterr().out)
     assert stages["stage filter.p0"].endswith("(checkpoint)")
     assert stages["stage count.p1"].endswith("(checkpoint)")  # loaded, not counted again
     assert not stages["stage filter.p1"].endswith("(checkpoint)")
     for name, data in first.items():
         assert (out / name).read_bytes() == data
+
+
+def test_rerun_recounts_partition_whose_spill_run_is_damaged(toy_inputs, capsys,
+                                                             monkeypatch):
+    out = toy_inputs / "out"
+    cfg = run_config(toy_inputs)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    first = {name: (out / name).read_bytes() for name in OUTPUTS}
+    kill_after_count_p1(out)
+    flip_byte_in_run_of(out, "count.p1")
+    held = []
+    count = pipeline.count
+
+    def spy(codes, prune_filter, partition_id, table, store):
+        held.append([part is not None for part in codes.codes])
+        return count(codes, prune_filter, partition_id, table, store)
+
+    monkeypatch.setattr(pipeline, "count", spy)
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    stages = stage_lines(capsys.readouterr().out)
+    assert stages["stage filter.p0"].endswith("(checkpoint)")
+    assert not stages["stage count.p1"].endswith("(checkpoint)")
+    # only count.p1 ran; filter.p0 was loaded, so bucket 0 was freed unread
+    assert held == [[False, True]]
+    for name, data in first.items():
+        assert (out / name).read_bytes() == data
+
+
+@pytest.mark.parametrize("stage, consumers", [
+    ("prune", []),
+    ("count.p0", ["filter.p0", "merge"]),
+    ("filter.p0", ["merge"]),
+    ("merge", []),
+    ("group", []),
+])
+def test_rerun_recomputes_checkpoint_that_does_not_decode(toy_inputs, capsys, stage,
+                                                          consumers):
+    out = toy_inputs / "out"
+    cfg = run_config(toy_inputs)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    first = {name: (out / name).read_bytes() for name in OUTPUTS}
+    # a loaded consumer would skip the damaged stage: drop its checkpoint
+    manifest = out / "checkpoints.json"
+    doc = json.loads(manifest.read_text())
+    for name in consumers:
+        del doc["stages"][name]
+    manifest.write_text(json.dumps(doc))
+    # zeros of the same length, behind a header whose CRC they pass
+    handle = doc["stages"][stage]
+    payload = bytes(handle["payload_length"])
+    device = bytearray((out / "device0.dat").read_bytes())
+    start = handle["start_address"]
+    device[start + 24:start + 32] = zlib.crc32(payload).to_bytes(8, "little")
+    device[start + HEADER_SIZE:start + HEADER_SIZE + len(payload)] = payload
+    (out / "device0.dat").write_bytes(bytes(device))
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert not stage_lines(capsys.readouterr().out)[f"stage {stage}"].endswith("(checkpoint)")
+    for name, data in first.items():
+        assert (out / name).read_bytes() == data
+
+
+def test_rerun_after_kill_between_count_blob_and_manifest(toy_inputs, monkeypatch):
+    out = toy_inputs / "out"
+    cfg = run_config(toy_inputs)
+    assert main(["run", "--config", str(cfg), "--out", str(toy_inputs / "ref")]) == 0
+    save = Checkpoints.save
+
+    def killed(src, dst):
+        raise OSError("killed before the rename")
+
+    def save_then_die(self, stage, payload):
+        if stage == "count.p1":
+            monkeypatch.setattr(os, "replace", killed)
+        save(self, stage, payload)
+
+    monkeypatch.setattr(Checkpoints, "save", save_then_die)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    monkeypatch.undo()
+    assert "count.p1" not in json.loads((out / "checkpoints.json").read_text())["stages"]
+
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in OUTPUTS:
+        assert (out / name).read_bytes() == (toy_inputs / "ref" / name).read_bytes()
 
 
 @pytest.mark.parametrize("extra", [

@@ -1,5 +1,6 @@
 """Pipeline driver: stage composition, invariances, checkpoint semantics."""
 
+import json
 import os
 
 import pytest
@@ -107,9 +108,12 @@ def test_deleting_group_checkpoint_reruns_only_group(tmp_path, small_instance):
     cp = Checkpoints(store, fingerprint, tmp_path / "manifest.json")
     first = run_pipeline(normal, tumoral, cfg, store, cp)
 
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    del doc["stages"]["group"]
+    manifest.write_text(json.dumps(doc))
     store2 = make_store(tmp_path / "dev.dat")
-    cp2 = Checkpoints(store2, fingerprint, tmp_path / "manifest.json")
-    cp2.delete("group")
+    cp2 = Checkpoints(store2, fingerprint, manifest)
     second = run_pipeline(normal, tumoral, cfg, store2, cp2)
     assert "merge" in second.skipped and "prune" in second.skipped
     assert "group" not in second.skipped
@@ -131,7 +135,7 @@ def test_manifest_survives_interrupted_persist(tmp_path, small_instance, monkeyp
 
     monkeypatch.setattr(os, "replace", killed)
     with pytest.raises(OSError):
-        cp.delete("group")
+        cp.save("group", b"a later group blob")
     monkeypatch.undo()
 
     assert manifest.read_bytes() == before

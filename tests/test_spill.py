@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from kmerfab.fabric import CapacityError, Namespace, VirtualDevice
 from kmerfab.spill import (
+    BlobHandle,
     CorruptionError,
     RunHandle,
     SpillStore,
-    UnknownHandleError,
+    decode_handles,
     decode_run,
+    encode_handles,
     encode_run,
     HEADER_SIZE,
 )
@@ -77,7 +79,6 @@ def test_tampered_length_detected():
     store = make_store()
     h = store.flush_table(table([(1, 1, 0), (2, 0, 1)]))
     bad = RunHandle(h.start_address, h.length - 16, h.entry_count, h.checksum)
-    store.run_directory.append(bad)
     with pytest.raises(CorruptionError):
         store.read_run(bad)
 
@@ -92,8 +93,48 @@ def test_corrupted_payload_detected():
 
 def test_unknown_handle_rejected():
     store = make_store()
-    with pytest.raises(UnknownHandleError):
+    with pytest.raises(CorruptionError):
         store.read_run(RunHandle(0, 48, 1, 0))
+
+
+def test_handle_checksum_must_match_run():
+    store = make_store()
+    h1 = store.flush_table(table([(1, 1, 0), (2, 0, 1)]))
+    h2 = store.flush_table(table([(3, 2, 2), (4, 1, 1)]))
+    for bad in (RunHandle(h1.start_address, h1.length, h1.entry_count, h1.checksum ^ 1),
+                RunHandle(h1.start_address, h1.length, h1.entry_count, h2.checksum)):
+        with pytest.raises(CorruptionError):
+            store.read_run(bad)
+
+
+def test_handle_outside_namespace_rejected():
+    store = make_store(size=4096)
+    h = store.flush_table(table([(1, 1, 0)]))
+    for bad in (RunHandle(4096, h.length, 1, h.checksum),
+                RunHandle(h.start_address, 8192, 1, h.checksum),
+                RunHandle(h.start_address, 0, 1, h.checksum)):
+        with pytest.raises(CorruptionError):
+            store.read_run(bad)
+
+
+def test_handle_read_by_a_fresh_store():
+    store = make_store()
+    rows = [(1, 1, 0), (2, 0, 1), (9, 3, 3)]
+    h = store.flush_table(table(rows))
+    fresh = SpillStore(store.namespace, chunk_size=store.chunk_size)
+    assert fresh.read_run(h) == rows
+
+
+@settings(max_examples=50, deadline=None)
+@given(fields=st.lists(st.tuples(*[st.integers(0, 2**64 - 1)] * 4), max_size=8))
+def test_handle_codec_roundtrip(fields):
+    handles = [RunHandle(*f) for f in fields]
+    data = encode_handles(handles)
+    assert len(data) == 32 * len(handles)
+    assert decode_handles(data) == handles
+    if data:
+        with pytest.raises(CorruptionError):
+            decode_handles(data[:-1])
 
 
 def test_capacity_error_keeps_directory_clean():
@@ -101,7 +142,7 @@ def test_capacity_error_keeps_directory_clean():
     rows = [(i, 1, 1) for i in range(200)]  # 3232 bytes > 1024
     with pytest.raises(CapacityError):
         store.flush_table(table(rows))
-    assert store.run_directory == []
+    assert store.io_trace() == []
     assert store.append_cursor == 0
 
 
@@ -127,6 +168,14 @@ def test_blob_roundtrip():
     payload = bytes(range(256)) * 40
     h = store.append_blob(payload)
     assert store.read_blob(h) == payload
+
+
+def test_blob_handle_checksum_must_match_blob():
+    store = make_store()
+    h1 = store.append_blob(b"first stage output")
+    h2 = store.append_blob(b"other stage output")
+    with pytest.raises(CorruptionError):
+        store.read_blob(BlobHandle(h2.start_address, h2.length, h2.payload_length, h1.checksum))
 
 
 def test_run_encoding_is_bit_exact():
