@@ -51,8 +51,6 @@ _SCENARIO_KEYS = {
     "avg_bw", "working_set", "flush_chunk", "spill_chunk", "jitter",
 }
 
-_TRACE_KEYS = {"input", "format", "stream_limit"}
-
 
 def _load_pool(kv: dict[str, str]) -> PoolConfig:
     pool = PoolConfig()
@@ -90,7 +88,7 @@ def _load_scenario(path: Path):
         spill_factor=cfg.get_float(kv, "spill_factor", HostModel.spill_factor),
     )
     scenario = {
-        "instances": cfg.get_int(kv, "instances", 1),
+        "instances": cfg.get_int(kv, "instances", 3),
         "strategy": cfg.get_str(kv, "strategy", "single_shared",
                                 choices={"single_shared", "composed_shared",
                                          "dedicated_plus_shared"}),
@@ -127,7 +125,7 @@ def cmd_run(args) -> int:
         prune_fp=cfg.get_float(kv, "prune_fp", 0.01),
     )
     pipe_cfg.validate()
-    # validate the device before anything is written to the output directory
+    # check the device, store and inputs before anything is written to the output directory
     device = VirtualDevice(
         0,
         max_seq_write_bw=cfg.get_float(kv, "device_bw", 2_000_000_000.0),
@@ -137,16 +135,6 @@ def cmd_run(args) -> int:
     if not 0 < ns_size <= device.capacity:
         raise cfg.ConfigError(
             f"namespace_size must be in [1, device_capacity = {device.capacity}], got {ns_size}")
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    device.backing = FileBacking(out / "device0.dat")
-
-    with open(normal_path) as fh:
-        normal = parse_reads(fh, Origin.NORMAL)
-    with open(tumoral_path) as fh:
-        tumoral = parse_reads(fh, Origin.TUMORAL)
-
     ns = Namespace(
         parent=device, offset=0, size=ns_size,
         attachment=cfg.get_str(kv, "attachment", ATTACH_LOCAL,
@@ -154,6 +142,15 @@ def cmd_run(args) -> int:
         name="pipeline",
     )
     store = SpillStore(ns, chunk_size=cfg.get_int(kv, "chunk_size", DEFAULT_CHUNK))
+
+    with open(normal_path) as fh:
+        normal = parse_reads(fh, Origin.NORMAL)
+    with open(tumoral_path) as fh:
+        tumoral = parse_reads(fh, Origin.TUMORAL)
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    device.backing = FileBacking(out / "device0.dat")
     checkpoints = Checkpoints(store, pipe_cfg.fingerprint(normal, tumoral),
                               path=out / "checkpoints.json")
 
@@ -220,20 +217,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    kv = cfg.load_kv(args.config) if args.config else {}
-    cfg.check_keys(kv, _TRACE_KEYS)
-    input_path = Path(args.input or kv.get("input", ""))
+    input_path = Path(args.input)
     if not input_path.is_file():
         print(f"error: trace input not found: {input_path}", file=sys.stderr)
         return EXIT_USAGE
-    fmt = cfg.get_str(kv, "format", args.format, choices={"csv", "blktrace"})
-    limit = cfg.get_int(kv, "stream_limit", args.stream_limit)
     with open(input_path) as fh:
-        if fmt == "blktrace":
+        if args.format == "blktrace":
             records = traceanalysis.parse_blktrace(fh)
         else:
             records = traceanalysis.parse_trace_csv(fh)
-    report = traceanalysis.classify(records, limit)
+    report = traceanalysis.classify(records, args.stream_limit)
     print(f"total_writes={report.total_writes}")
     print(f"sequential_naive={report.sequential_naive:.4f}")
     print(f"sequential_append_aware={report.sequential_append_aware:.4f}")
@@ -265,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(fn=cmd_compare)
 
     p_tr = sub.add_parser("trace", help="classify a write trace")
-    p_tr.add_argument("--config", default=None)
-    p_tr.add_argument("--input", default=None)
+    p_tr.add_argument("--input", required=True)
     p_tr.add_argument("--format", default="csv", choices=["csv", "blktrace"])
     p_tr.add_argument("--stream-limit", type=int, default=64)
     p_tr.set_defaults(fn=cmd_trace)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -48,21 +49,30 @@ def check_keys(kv: dict[str, str], allowed: set[str], patterns: list[str] = ()) 
 
 
 def get_int(kv: dict[str, str], key: str, default: int | None = None) -> int | None:
+    """An integral value, also when spelled as a float (`2.0`, `1e9`)."""
     if key not in kv:
         return default
     try:
-        return int(float(kv[key])) if ("e" in kv[key] or "." in kv[key]) else int(kv[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected integer, got {kv[key]!r}") from exc
+        return int(kv[key])
+    except ValueError:
+        pass
+    value = get_float(kv, key)
+    if not value.is_integer():
+        raise ConfigError(f"key {key!r}: expected integer, got {kv[key]!r}")
+    return int(value)
 
 
 def get_float(kv: dict[str, str], key: str, default: float | None = None) -> float | None:
+    """A finite number: nan and infinities are rejected."""
     if key not in kv:
         return default
     try:
-        return float(kv[key])
+        value = float(kv[key])
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: expected number, got {kv[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {kv[key]!r}")
+    return value
 
 
 def get_str(kv: dict[str, str], key: str, default: str | None = None,

@@ -3,7 +3,8 @@
 Virtual devices expose sequential-write bandwidth and real byte storage;
 they can be striped into a RAID0-style composition or partitioned into
 namespaces that clients treat as exclusive devices. A discrete-event engine
-arbitrates concurrent requests: each physical device splits an efficiency-
+models the timing of concurrent requests, never their bytes (those go
+through write_data/read_data): each physical device splits an efficiency-
 scaled bandwidth equally among its active requests (processor sharing). One
 virtual clock per device counts the service each active request has had, so
 a request finishes when the clock reaches its finish tag and only the
@@ -68,9 +69,6 @@ class EfficiencyCurve:
         if n <= 0:
             return 1.0
         return self.values[min(n, len(self.values)) - 1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EfficiencyCurve) and self.values == other.values
 
 
 class MemoryBacking:
@@ -138,9 +136,6 @@ class VirtualDevice:
     def members(self) -> list["VirtualDevice"]:
         return [self]
 
-    def member_bytes(self, start: int, length: int) -> dict[int, int]:
-        return {0: length} if length else {}
-
     def spans(self, start: int, length: int) -> Iterator[tuple["VirtualDevice", int, int]]:
         if length:
             yield (self, start, length)
@@ -173,36 +168,17 @@ class ComposedDevice:
     def members(self) -> list[VirtualDevice]:
         return self._members
 
-    def locate(self, addr: int) -> tuple[VirtualDevice, int]:
+    def spans(self, start: int, length: int) -> Iterator[tuple[VirtualDevice, int, int]]:
+        """(member, member offset, bytes) per stripe of [start, start + length),
+        in address order: stripe k lives on member k % m at offset (k // m) * s."""
         s = self.stripe_size
         m = len(self._members)
-        stripe = addr // s
-        member = self._members[stripe % m]
-        return member, (stripe // m) * s + addr % s
-
-    def _bytes_before(self, addr: int, j: int) -> int:
-        # bytes of [0, addr) landing on member j
-        s = self.stripe_size
-        cycle = s * len(self._members)
-        r = addr % cycle
-        return (addr // cycle) * s + min(max(r - j * s, 0), s)
-
-    def member_bytes(self, start: int, length: int) -> dict[int, int]:
-        out = {}
-        for j in range(len(self._members)):
-            n = self._bytes_before(start + length, j) - self._bytes_before(start, j)
-            if n:
-                out[j] = n
-        return out
-
-    def spans(self, start: int, length: int) -> Iterator[tuple[VirtualDevice, int, int]]:
-        s = self.stripe_size
         addr = start
         left = length
         while left > 0:
-            member, off = self.locate(addr)
-            take = min(s - addr % s, left)
-            yield (member, off, take)
+            stripe, within = divmod(addr, s)
+            take = min(s - within, left)
+            yield (self._members[stripe % m], (stripe // m) * s + within, take)
             addr += take
             left -= take
 
@@ -271,31 +247,25 @@ def partition_namespaces(
     return out
 
 
-@dataclass
-class IoCompletion:
-    request_id: int
-    namespace: Namespace
-    kind: str
-    start: int
-    length: int
-    issue_time: float
-    finish_time: float
-    served_bytes: float  # integral of the granted rate over the lifetime
+class IoRequest:
+    """One submitted request; handed to its on_complete once finish_time is set.
 
+    served_bytes is the integral of the granted rate over the request's
+    lifetime, summed over the members it was striped across."""
 
-class _Request:
-    __slots__ = ("rid", "namespace", "kind", "start", "length", "issue_time",
-                 "flows_left", "served", "on_complete")
+    __slots__ = ("request_id", "namespace", "kind", "start", "length", "issue_time",
+                 "finish_time", "served_bytes", "flows_left", "on_complete")
 
-    def __init__(self, rid, namespace, kind, start, length, issue_time, on_complete):
-        self.rid = rid
+    def __init__(self, request_id, namespace, kind, start, length, issue_time, on_complete):
+        self.request_id = request_id
         self.namespace = namespace
         self.kind = kind
         self.start = start
         self.length = length
         self.issue_time = issue_time
+        self.finish_time = math.nan
+        self.served_bytes = 0.0
         self.flows_left = 0
-        self.served = 0.0
         self.on_complete = on_complete
 
 
@@ -310,7 +280,7 @@ class _DeviceState:
     def __init__(self, device: VirtualDevice):
         self.device = device
         # min-heap of (tag, seq, vtime at arrival, request)
-        self.flows: list[tuple[float, int, float, _Request]] = []
+        self.flows: list[tuple[float, int, float, IoRequest]] = []
         self.sharers: dict[int, int] = {}  # client key -> refcount (attachments)
         self.last_update = 0.0
         self.vtime = 0.0
@@ -404,35 +374,32 @@ class FabricEngine:
         start: int,
         length: int,
         when: float | None = None,
-        data: bytes | None = None,
-        on_complete: Optional[Callable[[IoCompletion], None]] = None,
+        on_complete: Optional[Callable[[IoRequest], None]] = None,
         client: object | None = None,
     ) -> int:
-        """Queue a request; returns its id. Data, if given, is stored at once."""
+        """Queue a request; returns its id. Only its timing is modelled: the
+        bytes go through the namespace's write_data/read_data."""
         namespace._check(start, length)
         if kind not in (KIND_WRITE, KIND_READ):
             raise ValueError(f"unknown request kind {kind!r}")
-        if data is not None:
-            if len(data) != length:
-                raise ValueError("data length mismatch")
-            namespace.write_data(start, data)
         issue = self.now if when is None else when
         if issue < self.now:
             raise ValueError("cannot submit in the past")
         self._rid += 1
-        req = _Request(self._rid, namespace, kind, start, length, issue, on_complete)
+        req = IoRequest(self._rid, namespace, kind, start, length, issue, on_complete)
         latency = namespace.parent.fabric_latency if namespace.attachment == ATTACH_FABRIC else 0.0
         key = id(client) if client is not None else None
         self.schedule(issue + latency, self._start_request, req, key)
-        return req.rid
+        return req.request_id
 
-    def _start_request(self, req: _Request, client_key) -> None:
-        parent = req.namespace.parent
-        per_member = parent.member_bytes(req.namespace.offset + req.start, req.length)
-        members = parent.members
+    def _start_request(self, req: IoRequest, client_key) -> None:
+        per_member: dict[VirtualDevice, int] = {}
+        for member, _, take in req.namespace.parent.spans(req.namespace.offset + req.start,
+                                                          req.length):
+            per_member[member] = per_member.get(member, 0) + take
         req.flows_left = len(per_member)
-        for j, nbytes in per_member.items():
-            st = self._state(members[j])
+        for member, nbytes in per_member.items():
+            st = self._state(member)
             self._advance_device(st)
             if client_key is not None and client_key not in st.sharers:
                 # lazy sharer window: opens on first traffic, closes on detach
@@ -444,14 +411,15 @@ class FabricEngine:
     def _finish_head(self, st: _DeviceState) -> None:
         self._advance_device(st)
         _, _, arrival_vtime, req = heapq.heappop(st.flows)
-        req.served += st.vtime - arrival_vtime
+        req.served_bytes += st.vtime - arrival_vtime
         if not st.flows:
             st.vtime = 0.0  # idle: restart the clock to keep it small
         self._recompute(st)
         req.flows_left -= 1
-        if req.flows_left == 0 and req.on_complete is not None:
-            req.on_complete(IoCompletion(req.rid, req.namespace, req.kind, req.start,
-                                         req.length, req.issue_time, self.now, req.served))
+        if req.flows_left == 0:
+            req.finish_time = self.now
+            if req.on_complete is not None:
+                req.on_complete(req)
 
     def run(self, until: float | None = None) -> float:
         """Drain events (optionally up to a time); returns the final clock."""
@@ -478,8 +446,9 @@ class FabricEngine:
 
     def spawn(self, gen) -> None:
         """Drive a generator yielding ("sleep", dt) or
-        ("write"/"read", namespace, start, length[, client]); completions are
-        sent back into the generator, and so is the wake time after a sleep."""
+        ("write"/"read", namespace, start, length[, client]); each finished
+        IoRequest is sent back into the generator, and so is the wake time
+        after a sleep."""
 
         def resume(value) -> None:
             try:

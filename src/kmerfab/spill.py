@@ -98,12 +98,12 @@ class SpillStore:
         self.append_cursor = 0
         self._trace: list[IoRecord] = []
 
-    def _io(self, kind: str, start: int, length: int, data: bytes | None) -> None:
-        done: list = []
-        self.engine.submit(self.namespace, kind, start, length,
-                           data=data, on_complete=done.append, client=self)
+    def _io(self, kind: str, start: int, length: int) -> None:
+        """Time one request on the engine and record it in the trace."""
+        issue = self.engine.now
+        self.engine.submit(self.namespace, kind, start, length, client=self)
         self.engine.run()
-        self._trace.append(IoRecord(done[0].issue_time, kind, start, length))
+        self._trace.append(IoRecord(issue, kind, start, length))
 
     def _append(self, data: bytes) -> int:
         """Write data as chunked sequential requests; returns start address."""
@@ -116,7 +116,8 @@ class SpillStore:
         pos = 0
         while pos < len(data):
             take = min(self.chunk_size, len(data) - pos)
-            self._io(KIND_WRITE, self.append_cursor, take, data[pos:pos + take])
+            self.namespace.write_data(self.append_cursor, data[pos:pos + take])
+            self._io(KIND_WRITE, self.append_cursor, take)
             self.append_cursor += take
             pos += take
         return start
@@ -128,7 +129,7 @@ class SpillStore:
         pos = 0
         while pos < length:
             take = min(self.chunk_size, length - pos)
-            self._io(KIND_READ, start + pos, take, None)
+            self._io(KIND_READ, start + pos, take)
             parts.append(self.namespace.read_data(start + pos, take))
             pos += take
         return b"".join(parts)

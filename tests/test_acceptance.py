@@ -219,7 +219,9 @@ def test_criterion_5_conservation_and_linearity():
     # per-member balance within one stripe for a sequential stream
     comp = compose([VirtualDevice(i, capacity=1 << 40) for i in range(2)],
                    stripe_size=128 * 1024)
-    split = comp.member_bytes(0, 1 << 30)
+    split = [0, 0]
+    for member, _, take in comp.spans(0, 1 << 30):
+        split[comp.members.index(member)] += take
     balance_ok = abs(split[0] - split[1]) <= 128 * 1024
 
     ok = max_err <= 1.0 and lin_ok and balance_ok

@@ -1,17 +1,21 @@
 """CLI subcommands, exit codes, artifact reproducibility."""
 
+import hashlib
 import json
 import os
 import time
 import zlib
+from pathlib import Path
 
 import pytest
 
 from kmerfab import pipeline
-from kmerfab.cli import main
+from kmerfab.cli import _load_scenario, main
 from kmerfab.pipeline import Checkpoints
 from kmerfab.spill import HEADER_SIZE, decode_handles
 from conftest import random_instance
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_fasta(path, reads):
@@ -106,13 +110,29 @@ def test_run_unknown_config_key_exit_2(toy_inputs, capsys):
     ({"device_capacity": 0}, "capacity"),
     ({"namespace_size": 200000000}, "namespace_size"),
     ({"namespace_size": 0}, "namespace_size"),
+    ({"partitions": 2.9}, "partitions"),
+    ({"capacity_limit": 0.5}, "capacity_limit"),
+    ({"device_capacity": "1e999"}, "device_capacity"),
+    ({"device_bw": "inf"}, "device_bw"),
+    ({"device_bw": "nan"}, "device_bw"),
+    ({"chunk_size": 0}, "chunk_size"),
+    ({"attachment": "bogus"}, "attachment"),
 ], ids=["zero_bw", "negative_bw", "zero_capacity", "namespace_over_capacity",
-        "zero_namespace"])
+        "zero_namespace", "fractional_partitions", "fractional_capacity_limit",
+        "overflowing_capacity", "infinite_bw", "nan_bw", "zero_chunk", "bad_attachment"])
 def test_run_bad_device_exit_2(toy_inputs, capsys, extra, message):
     cfg = run_config(toy_inputs, **extra)
     assert main(["run", "--config", str(cfg), "--out", str(toy_inputs / "o")]) == 2
     assert message in capsys.readouterr().err
     # rejected before anything is written: no device0.dat, no trace.csv
+    assert not (toy_inputs / "o").exists()
+
+
+def test_run_malformed_input_writes_nothing(toy_inputs, capsys):
+    (toy_inputs / "tumoral.fa").write_text(">r0\nACGTX\n")
+    cfg = run_config(toy_inputs)
+    assert main(["run", "--config", str(cfg), "--out", str(toy_inputs / "o")]) == 2
+    assert "illegal character" in capsys.readouterr().err
     assert not (toy_inputs / "o").exists()
 
 
@@ -298,11 +318,48 @@ def test_rerun_after_kill_between_count_blob_and_manifest(toy_inputs, monkeypatc
     {"strategy": "composed_shared", "composed_width": 4, "devices": 4, "instances": 4},
     {"device_bw": 0},
     {"device_bw": -1},
-], ids=["no_hosts", "zero_stripe", "uncalibrated_width", "zero_bw", "negative_bw"])
+    {"instances": 2.5},
+    {"repeats": 3.9},
+    {"device_capacity": "1e999"},
+    {"device_bw": "inf"},
+    {"jitter": "nan"},
+    {"avg_bw": "nan"},
+    {"fabric_latency_us": "nan"},
+], ids=["no_hosts", "zero_stripe", "uncalibrated_width", "zero_bw", "negative_bw",
+        "fractional_instances", "fractional_repeats", "overflowing_capacity", "infinite_bw",
+        "nan_jitter", "nan_avg_bw", "nan_latency"])
 def test_simulate_plan_errors_exit_2(tmp_path, capsys, extra):
     cfg = scenario_config(tmp_path, **extra)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_empty_scenario_loads_the_shipped_defaults(tmp_path):
+    empty = tmp_path / "empty.conf"
+    empty.write_text("")
+    assert _load_scenario(empty) == _load_scenario(CONFIGS / "scenario_default.conf")
+
+
+# sha256 of the shipped configs' outputs; an engine change must leave them as they are
+SHIPPED_DIGESTS = {
+    ("simulate", "scenario_default.conf"): {
+        "completions.csv": "6c0f374ef6715606276b8ac46bced8f09a3524d31bf68355be6521ab937b1a8a",
+        "bandwidth.csv": "a2b74b3c61d9382dbe4dc1dacd4fa5fa2058272dc8f63816c87964d8a1bcee64",
+    },
+    ("compare", "compare_n5.conf"): {
+        "strategies.csv": "9daef188f8f39104ad8c08a4052f40bd32058b46e3c592e1d438dd4b059ea60a",
+        "summary.txt": "2447a677ee7959ef4850f843caaaf03b26dda4ee7c5beb465f7eafe1431383b7",
+    },
+}
+
+
+@pytest.mark.parametrize("command, config", sorted(SHIPPED_DIGESTS))
+def test_shipped_outputs_are_pinned(tmp_path, capsys, command, config):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in SHIPPED_DIGESTS[command, config]}
+    assert digests == SHIPPED_DIGESTS[command, config]
 
 
 def test_simulate_deterministic_csv(tmp_path):

@@ -1,0 +1,44 @@
+"""Config value parsing: integers must be integral, numbers must be finite."""
+
+import math
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from kmerfab.config import ConfigError, get_float, get_int
+
+
+@pytest.mark.parametrize("text, value", [("2", 2), ("2.0", 2), ("1e9", 10**9), ("-3", -3),
+                                         (str(10**30), 10**30)])
+def test_get_int_accepts_integral_spellings(text, value):
+    assert get_int({"n": text}, "n") == value
+
+
+@pytest.mark.parametrize("text", ["2.9", "0.5", "1e-3", "nan", "inf", "-inf", "1e999", "x", ""])
+def test_get_int_rejects_non_integral_values(text):
+    with pytest.raises(ConfigError, match="'n'"):
+        get_int({"n": text}, "n")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999", "x", ""])
+def test_get_float_rejects_non_finite_values(text):
+    with pytest.raises(ConfigError, match="'x'"):
+        get_float({"x": text}, "x")
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_float_spellings_parse_iff_finite(x):
+    kv = {"x": repr(x)}
+    if math.isfinite(x):
+        assert get_float(kv, "x") == x
+        if x.is_integer():
+            assert get_int(kv, "x") == int(x)
+        else:
+            with pytest.raises(ConfigError):
+                get_int(kv, "x")
+    else:
+        with pytest.raises(ConfigError):
+            get_float(kv, "x")
+        with pytest.raises(ConfigError):
+            get_int(kv, "x")

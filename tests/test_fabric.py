@@ -51,6 +51,15 @@ def served_bw(c):
     return c.length / (c.finish_time - c.issue_time)
 
 
+def member_split(parent, start, length):
+    """Bytes of [start, start + length) per member index, counted through spans."""
+    split = {}
+    for member, _, take in parent.spans(start, length):
+        idx = parent.members.index(member)
+        split[idx] = split.get(idx, 0) + take
+    return split
+
+
 def steady_buckets(engine, dev, end, bucket_s=0.01):
     """Bandwidth of the stats buckets that close by time end."""
     return [bw for t, bw in engine.device_stats(dev) if t + bucket_s <= end]
@@ -76,17 +85,17 @@ def test_compose_requires_equal_capacity():
 
 def test_striping_splits_evenly():
     comp = compose([device(0), device(1)], stripe_size=128 * 1024)
-    split = comp.member_bytes(0, 256 * 1024)
+    split = member_split(comp, 0, 256 * 1024)
     assert split == {0: 128 * 1024, 1: 128 * 1024}
 
 
 def test_sequential_stream_balance_within_one_stripe():
     comp = compose([device(0), device(1)], stripe_size=128 * 1024)
-    split = comp.member_bytes(0, 1 << 30)
+    split = member_split(comp, 0, 1 << 30)
     assert abs(split[0] - split[1]) <= 128 * 1024
     # unaligned stream, three members
     comp3 = compose([device(0), device(1), device(2)], stripe_size=128 * 1024)
-    split3 = comp3.member_bytes(37_123, 1 << 30)
+    split3 = member_split(comp3, 37_123, 1 << 30)
     assert sum(split3.values()) == 1 << 30
     assert max(split3.values()) - min(split3.values()) <= 128 * 1024
 
@@ -99,18 +108,19 @@ def test_striping_data_roundtrip():
     assert comp.read_data(123, len(blob)) == blob
 
 
-def test_member_bytes_matches_spans():
-    comp = compose([device(0), device(1), device(2)], stripe_size=128)
-    rng = random.Random(5)
-    members = comp.members
-    for _ in range(200):
-        start = rng.randrange(0, 10_000)
-        length = rng.randrange(1, 5000)
-        by_spans = {}
-        for member, _, take in comp.spans(start, length):
-            idx = members.index(member)
-            by_spans[idx] = by_spans.get(idx, 0) + take
-        assert by_spans == comp.member_bytes(start, length)
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(2, 4), stripe=st.integers(1, 64),
+       start=st.integers(0, 5000), length=st.integers(0, 700))
+def test_spans_match_per_byte_reference(width, stripe, start, length):
+    comp = compose([device(i) for i in range(width)], stripe_size=stripe)
+    # byte a lives in stripe a // s, on member stripe % m, at (stripe // m) * s + a % s
+    expect = [(a // stripe % width, a // stripe // width * stripe + a % stripe)
+              for a in range(start, start + length)]
+    got = []
+    for member, off, take in comp.spans(start, length):
+        assert 0 < take <= stripe
+        got += [(comp.members.index(member), off + i) for i in range(take)]
+    assert got == expect
 
 
 # -- namespaces ---------------------------------------------------------------
