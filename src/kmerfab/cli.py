@@ -58,7 +58,8 @@ def _load_pool(kv: dict[str, str]) -> PoolConfig:
     pool.device_bw = cfg.get_float(kv, "device_bw", pool.device_bw)
     pool.device_capacity = cfg.get_int(kv, "device_capacity", pool.device_capacity)
     pool.stripe_size = cfg.get_int(kv, "stripe_size", pool.stripe_size)
-    latency_us = cfg.get_float(kv, "fabric_latency_us", pool.fabric_latency * 1e6)
+    latency_us = cfg.get_float(kv, "fabric_latency_us", pool.fabric_latency * 1e6,
+                               cfg.NON_NEGATIVE)
     pool.fabric_latency = latency_us / 1e6
     for key in kv:
         if key.startswith("efficiency.width"):
@@ -69,12 +70,12 @@ def _load_pool(kv: dict[str, str]) -> PoolConfig:
 
 def _load_workload(kv: dict[str, str]) -> WorkloadModel:
     w = WorkloadModel()
-    w.total_output_bytes = cfg.get_int(kv, "total_output", w.total_output_bytes)
+    w.total_output_bytes = cfg.get_int(kv, "total_output", w.total_output_bytes, cfg.POSITIVE)
     w.avg_demand_bw = cfg.get_float(kv, "avg_bw", w.avg_demand_bw)
-    w.working_set_bytes = cfg.get_int(kv, "working_set", w.working_set_bytes)
-    w.flush_bytes = cfg.get_int(kv, "flush_chunk", w.flush_bytes)
-    w.spill_chunk_bytes = cfg.get_int(kv, "spill_chunk", w.spill_chunk_bytes)
-    w.jitter = cfg.get_float(kv, "jitter", w.jitter)
+    w.working_set_bytes = cfg.get_int(kv, "working_set", w.working_set_bytes, cfg.NON_NEGATIVE)
+    w.flush_bytes = cfg.get_int(kv, "flush_chunk", w.flush_bytes, cfg.POSITIVE)
+    w.spill_chunk_bytes = cfg.get_int(kv, "spill_chunk", w.spill_chunk_bytes, cfg.POSITIVE)
+    w.jitter = cfg.get_float(kv, "jitter", w.jitter, (0.0, 1.0))
     return w
 
 
@@ -84,8 +85,8 @@ def _load_scenario(path: Path):
     pool = _load_pool(kv)
     workload = _load_workload(kv)
     host = HostModel(
-        memory_bytes=cfg.get_int(kv, "host_memory", HostModel.memory_bytes),
-        spill_factor=cfg.get_float(kv, "spill_factor", HostModel.spill_factor),
+        memory_bytes=cfg.get_int(kv, "host_memory", HostModel.memory_bytes, cfg.NON_NEGATIVE),
+        spill_factor=cfg.get_float(kv, "spill_factor", HostModel.spill_factor, cfg.NON_NEGATIVE),
     )
     scenario = {
         "instances": cfg.get_int(kv, "instances", 3),

@@ -48,22 +48,40 @@ def check_keys(kv: dict[str, str], allowed: set[str], patterns: list[str] = ()) 
         raise ConfigError(f"unknown config key {key!r}")
 
 
-def get_int(kv: dict[str, str], key: str, default: int | None = None) -> int | None:
-    """An integral value, also when spelled as a float (`2.0`, `1e9`)."""
+# closed ranges for the `bounds` of get_int and get_float
+ANY = (-math.inf, math.inf)
+POSITIVE = (1, math.inf)
+NON_NEGATIVE = (0, math.inf)
+
+
+def _within(key: str, value, bounds: tuple[float, float]):
+    lo, hi = bounds
+    if not lo <= value <= hi:
+        wanted = f">= {lo:g}" if hi == math.inf else f"in [{lo:g}, {hi:g}]"
+        raise ConfigError(f"key {key!r}: expected a value {wanted}, got {value!r}")
+    return value
+
+
+def get_int(kv: dict[str, str], key: str, default: int | None = None,
+            bounds: tuple[float, float] = ANY) -> int | None:
+    """An integral value in the closed range `bounds`, also when spelled as a
+    float (`2.0`, `1e9`)."""
     if key not in kv:
         return default
     try:
-        return int(kv[key])
+        return _within(key, int(kv[key]), bounds)
     except ValueError:
         pass
     value = get_float(kv, key)
     if not value.is_integer():
         raise ConfigError(f"key {key!r}: expected integer, got {kv[key]!r}")
-    return int(value)
+    return _within(key, int(value), bounds)
 
 
-def get_float(kv: dict[str, str], key: str, default: float | None = None) -> float | None:
-    """A finite number: nan and infinities are rejected."""
+def get_float(kv: dict[str, str], key: str, default: float | None = None,
+              bounds: tuple[float, float] = ANY) -> float | None:
+    """A finite number in the closed range `bounds`: nan and infinities are
+    rejected."""
     if key not in kv:
         return default
     try:
@@ -72,7 +90,7 @@ def get_float(kv: dict[str, str], key: str, default: float | None = None) -> flo
         raise ConfigError(f"key {key!r}: expected number, got {kv[key]!r}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"key {key!r}: expected a finite number, got {kv[key]!r}")
-    return value
+    return _within(key, value, bounds)
 
 
 def get_str(kv: dict[str, str], key: str, default: str | None = None,

@@ -375,7 +375,6 @@ class FabricEngine:
         length: int,
         when: float | None = None,
         on_complete: Optional[Callable[[IoRequest], None]] = None,
-        client: object | None = None,
     ) -> int:
         """Queue a request; returns its id. Only its timing is modelled: the
         bytes go through the namespace's write_data/read_data."""
@@ -388,11 +387,10 @@ class FabricEngine:
         self._rid += 1
         req = IoRequest(self._rid, namespace, kind, start, length, issue, on_complete)
         latency = namespace.parent.fabric_latency if namespace.attachment == ATTACH_FABRIC else 0.0
-        key = id(client) if client is not None else None
-        self.schedule(issue + latency, self._start_request, req, key)
+        self.schedule(issue + latency, self._start_request, req)
         return req.request_id
 
-    def _start_request(self, req: IoRequest, client_key) -> None:
+    def _start_request(self, req: IoRequest) -> None:
         per_member: dict[VirtualDevice, int] = {}
         for member, _, take in req.namespace.parent.spans(req.namespace.offset + req.start,
                                                           req.length):
@@ -401,9 +399,6 @@ class FabricEngine:
         for member, nbytes in per_member.items():
             st = self._state(member)
             self._advance_device(st)
-            if client_key is not None and client_key not in st.sharers:
-                # lazy sharer window: opens on first traffic, closes on detach
-                st.sharers[client_key] = 1
             self._seq += 1
             heapq.heappush(st.flows, (st.vtime + nbytes, self._seq, st.vtime, req))
             self._recompute(st)
@@ -446,7 +441,7 @@ class FabricEngine:
 
     def spawn(self, gen) -> None:
         """Drive a generator yielding ("sleep", dt) or
-        ("write"/"read", namespace, start, length[, client]); each finished
+        ("write"/"read", namespace, start, length); each finished
         IoRequest is sent back into the generator, and so is the wake time
         after a sleep."""
 
@@ -460,8 +455,7 @@ class FabricEngine:
                 wake = self.now + cmd[1]
                 self.schedule(wake, resume, wake)
             elif op in (KIND_WRITE, KIND_READ):
-                client = cmd[4] if len(cmd) > 4 else None
-                self.submit(cmd[1], op, cmd[2], cmd[3], client=client, on_complete=resume)
+                self.submit(cmd[1], op, cmd[2], cmd[3], on_complete=resume)
             else:
                 raise ValueError(f"unknown process command {op!r}")
 

@@ -112,8 +112,8 @@ class PoolConfig:
     def curve_for(self, width: int) -> EfficiencyCurve:
         return EfficiencyCurve(self.curves[width])
 
-    def build_devices(self, ids: list[int], width: int) -> list[VirtualDevice]:
-        curve = self.curve_for(width)
+    def build_devices(self, ids: list[int]) -> list[VirtualDevice]:
+        curve = self.curve_for(len(ids))
         return [
             VirtualDevice(i, self.device_bw, self.device_capacity,
                           efficiency_curve=curve, fabric_latency=self.fabric_latency)
@@ -122,18 +122,11 @@ class PoolConfig:
 
 
 @dataclass
-class TargetSpec:
-    device_ids: list[int]  # one id = plain device, several = striped composition
-
-
-@dataclass
 class AllocationPlan:
-    strategy: str
     n_instances: int
-    targets: list[TargetSpec]
+    targets: list[list[int]]  # device ids: one = plain device, several = striped composition
     instance_target: list[int]  # instance -> target index
     instance_host: list[int]  # instance -> host index
-    n_hosts: int
 
 
 def plan(strategy: str, n_instances: int, pool: PoolConfig, n_hosts: int,
@@ -146,7 +139,7 @@ def plan(strategy: str, n_instances: int, pool: PoolConfig, n_hosts: int,
     if strategy == STRATEGY_SINGLE:
         if pool.n_devices < 1:
             raise PlanError("single_shared needs 1 device")
-        targets = [TargetSpec([0])]
+        targets = [[0]]
         instance_target = [0] * n_instances
     elif strategy == STRATEGY_COMPOSED:
         if composed_width < 2:
@@ -156,26 +149,25 @@ def plan(strategy: str, n_instances: int, pool: PoolConfig, n_hosts: int,
                 f"composed_shared({composed_width}) needs {composed_width} devices, "
                 f"pool has {pool.n_devices}"
             )
-        targets = [TargetSpec(list(range(composed_width)))]
+        targets = [list(range(composed_width))]
         instance_target = [0] * n_instances
     elif strategy == STRATEGY_DEDICATED:
         if pool.n_devices < 2:
             raise PlanError("dedicated_plus_shared needs 2 devices")
         if n_instances < 2:
             raise PlanError("dedicated_plus_shared needs at least 2 instances")
-        targets = [TargetSpec([0]), TargetSpec([1])]
+        targets = [[0], [1]]
         instance_target = [0] + [1] * (n_instances - 1)
     else:
         raise PlanError(f"unknown strategy {strategy!r}")
     for target in targets:
-        width = len(target.device_ids)
+        width = len(target)
         if width not in pool.curves:
             raise PlanError(f"no efficiency curve for width {width} "
                             f"(set efficiency.width{width})")
     # one instance per host while hosts remain; co-locate round-robin beyond
     instance_host = [i % n_hosts for i in range(n_instances)]
-    return AllocationPlan(strategy, n_instances, targets, instance_target,
-                          instance_host, n_hosts)
+    return AllocationPlan(n_instances, targets, instance_target, instance_host)
 
 
 @dataclass
@@ -188,10 +180,6 @@ class SimResult:
     @property
     def mean(self) -> float:
         return statistics.fmean(self.completion_s)
-
-    @property
-    def max(self) -> float:
-        return max(self.completion_s)
 
 
 def _instance_proc(idx, namespace, workload, multiplier, rng, engine, done, client):
@@ -230,7 +218,7 @@ def _instance_proc(idx, namespace, workload, multiplier, rng, engine, done, clie
             spill_due = spill_total * (regular_written + burst) // total
             while spill_written < spill_due:
                 chunk = min(spill_chunk, spill_due - spill_written)
-                yield ("write", namespace, cursor, chunk, client)
+                yield ("write", namespace, cursor, chunk)
                 cursor += chunk
                 spill_written += chunk
                 bytes_written += chunk
@@ -240,7 +228,7 @@ def _instance_proc(idx, namespace, workload, multiplier, rng, engine, done, clie
                     yield ("sleep", t_prep * rng.uniform(1.0 - jitter, 1.0 + jitter))
                 chunk = min(io_chunk, burst - flushed)
                 pace_until = engine.now + chunk / workload.client_issue_bw
-                yield ("write", namespace, cursor, chunk, client)
+                yield ("write", namespace, cursor, chunk)
                 if engine.now < pace_until:  # issue ceiling, not device idling
                     yield ("sleep", pace_until - engine.now)
                 cursor += chunk
@@ -269,11 +257,10 @@ def simulate(
     devices: dict[int, VirtualDevice] = {}
     parents = []
     for target in allocation.targets:
-        width = len(target.device_ids)
-        built = pool.build_devices(target.device_ids, width)
+        built = pool.build_devices(target)
         for dev in built:
             devices[dev.id] = dev
-        parents.append(built[0] if width == 1 else compose(built, pool.stripe_size))
+        parents.append(built[0] if len(built) == 1 else compose(built, pool.stripe_size))
 
     # equal namespaces per target, carved over each target's instances
     per_target: dict[int, list[int]] = {t: [] for t in range(len(allocation.targets))}
@@ -334,8 +321,6 @@ def simulate(
 
 @dataclass
 class StrategyReport:
-    n_instances: int
-    repeats: int
     results: dict[str, list[SimResult]]
     composed_width: int
 
@@ -405,4 +390,4 @@ def compare_strategies(
             simulate(alloc, workload, pool, host, seed=base_seed + r, attachment=attachment)
             for r in range(repeats)
         ]
-    return StrategyReport(n_instances, repeats, results, composed_width)
+    return StrategyReport(results, composed_width)

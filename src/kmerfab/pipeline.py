@@ -184,14 +184,13 @@ def run_pipeline(
         nested = outer + time.perf_counter() - t0
         return out
 
-    # each read's codes, extracted by the first stage that is not checkpointed
+    # each read's codes, extracted and bucketed by the first stage that is not checkpointed
     codes: ReadCodes | None = None
 
-    def read_codes(partitions: int, done: int = 0) -> ReadCodes:
+    def read_codes(done: int = 0) -> ReadCodes:
         nonlocal codes
         if codes is None:
-            codes = ReadCodes(normal, tumoral, config.k)
-        codes.split(partitions)
+            codes = ReadCodes(normal, tumoral, config.k, config.partitions)
         for p in range(done):  # partitions run in order: no pass reads these buckets again
             codes.release(p)
         return codes
@@ -201,10 +200,10 @@ def run_pipeline(
 
     def filter_pass(p: int) -> CandidateIndex:
         _, table = stage(f"count.p{p}",
-                         lambda: merged(count(read_codes(config.partitions, p), pf, p,
+                         lambda: merged(count(read_codes(p), pf, p,
                                               FrequencyTable(config.capacity_limit), store)),
                          lambda out: encode_handles(out[0]), lambda b: merged(decode_handles(b)))
-        index = filter_candidates(table, read_codes(config.partitions, p), p,
+        index = filter_candidates(table, read_codes(p), p,
                                   config.tau_t, config.tau_n)
         codes.release(p)
         return index
@@ -217,10 +216,10 @@ def run_pipeline(
         codes = None  # frees the buckets of partitions whose filter.pN was loaded
         return reduce(merge_indexes, parts)
 
-    pf = stage("prune", lambda: prune(read_codes(1), config.prune_fp),
+    pf = stage("prune", lambda: prune(read_codes(), config.prune_fp),
                PruneFilter.to_bytes, PruneFilter.from_bytes)
     index = stage("merge", merge_passes, CandidateIndex.to_bytes, CandidateIndex.from_bytes)
-    codes = None  # also frees a store only prune used; group extracts its own reads
+    codes = None  # also frees buckets only prune read; group extracts its own reads
     groups = stage("group", lambda: group(index, config.min_candidates),
                    groups_to_bytes, groups_from_bytes)
 

@@ -101,7 +101,7 @@ class SpillStore:
     def _io(self, kind: str, start: int, length: int) -> None:
         """Time one request on the engine and record it in the trace."""
         issue = self.engine.now
-        self.engine.submit(self.namespace, kind, start, length, client=self)
+        self.engine.submit(self.namespace, kind, start, length)
         self.engine.run()
         self._trace.append(IoRecord(issue, kind, start, length))
 

@@ -32,46 +32,28 @@ class StageError(Exception):
 class ReadCodes:
     """Every read's canonical codes, extracted once per run, 8 bytes a window.
 
-    `codes[p]` holds partition p's codes read by read, normal reads first and
-    then tumoral, each in input order; read i's slice of it ends at
-    `ends[p][i]`. Extraction leaves one partition in window order, which is
-    what prune consumes; `split` then buckets the codes by `partition_of`
-    once, for every count and filter pass, and `release` frees a bucket
-    after its last pass.
+    Each code goes to bucket `partition_of(code, partitions)` as it is
+    extracted: `codes[p]` holds partition p's codes read by read, normal
+    reads first and then tumoral, each in input order; read i's slice of it
+    ends at `ends[p][i]`. `release` frees a bucket after its last pass.
     """
 
-    def __init__(self, normal: list[Read], tumoral: list[Read], k: int):
+    def __init__(self, normal: list[Read], tumoral: list[Read], k: int, partitions: int = 1):
         self.k = k
         self.reads = [*normal, *tumoral]
         self.n_normal = len(normal)
-        codes = array("Q")
-        ends = array("Q")
-        for read in self.reads:
-            codes.extend(canonical_codes(read.bases, k))
-            ends.append(len(codes))
-        self.codes = [codes]
-        self.ends = [ends]
-
-    def split(self, partitions: int) -> None:
-        """Bucket the window-order codes into `partitions` stores; a no-op
-        once split that way."""
-        if partitions == len(self.codes):
-            return
-        if len(self.codes) != 1:
-            raise StageError(f"codes already split into {len(self.codes)} partitions")
-        flat = self.codes[0]
-        codes = [array("Q") for _ in range(partitions)]
-        ends = [array("Q") for _ in range(partitions)]
+        codes = self.codes = [array("Q") for _ in range(partitions)]
+        ends = self.ends = [array("Q") for _ in range(partitions)]
         appends = [part.append for part in codes]
-        start = 0
-        for end in self.ends[0]:
-            for code in flat[start:end]:
-                appends[partition_of(code, partitions)](code)
-            start = end
+        for read in self.reads:
+            read_codes = canonical_codes(read.bases, k)
+            if partitions == 1:  # one bucket: no partition_of call per window
+                codes[0].extend(read_codes)
+            else:
+                for code in read_codes:
+                    appends[partition_of(code, partitions)](code)
             for part, part_ends in zip(codes, ends):
                 part_ends.append(len(part))
-        self.codes = codes
-        self.ends = ends
 
     def release(self, partition_id: int) -> None:
         """Free partition `partition_id`'s codes once no pass reads them."""
@@ -140,14 +122,13 @@ def total_windows(reads: Iterable[Read], k: int) -> int:
 
 
 def prune(codes: ReadCodes, target_fp: float) -> PruneFilter:
-    """One pass over every window in read order, so before `codes.split`;
-    sizing estimate is the total window count."""
-    if len(codes.codes) != 1:
-        raise StageError("prune needs the codes in window order, before the split")
+    """One pass over every window, bucket by bucket; sizing estimate is the
+    total window count."""
     pf = PruneFilter(codes.k, target_fp, total_windows(codes.reads, codes.k))
     insert = pf.insert_occurrence
-    for code in codes.codes[0]:
-        insert(code)
+    for part in codes.codes:
+        for code in part:
+            insert(code)
     return pf
 
 
@@ -166,9 +147,6 @@ class FrequencyTable:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def as_dict(self) -> dict[int, tuple[int, int]]:
-        return {code: (c[0], c[1]) for code, c in self.entries.items()}
 
 
 def count(
@@ -239,24 +217,21 @@ class CandidateEntry:
 
 
 class CandidateIndex:
-    """Imbalanced k-mers plus read-membership bitmaps and a read store."""
+    """Imbalanced k-mers plus read-membership bitmaps and the bases of every
+    read that holds one, keyed by (origin, id)."""
 
     def __init__(self, k: int):
         self.k = k
         self.candidates: dict[int, CandidateEntry] = {}
-        self.read_store: list[tuple[Origin, int, str]] = []
-        self._stored: set[tuple[Origin, int]] = set()
+        self.reads: dict[tuple[Origin, int], str] = {}
 
     def add_read(self, read: Read) -> None:
-        key = (read.origin, read.id)
-        if key not in self._stored:
-            self._stored.add(key)
-            self.read_store.append((read.origin, read.id, read.bases))
+        self.reads.setdefault((read.origin, read.id), read.bases)
 
     def to_bytes(self) -> bytes:
         """Canonical serialization: equal indexes give equal bytes."""
         body = bytearray()
-        body += struct.pack("<IQQ", self.k, len(self.candidates), len(self.read_store))
+        body += struct.pack("<IQQ", self.k, len(self.candidates), len(self.reads))
         for code in sorted(self.candidates):
             e = self.candidates[code]
             nb = e.normal_bitmap.to_bytes()
@@ -264,8 +239,8 @@ class CandidateIndex:
             body += struct.pack("<QIIII", code, e.n_count, e.t_count, len(nb), len(tb))
             body += nb
             body += tb
-        for origin, rid, bases in sorted(
-            self.read_store, key=lambda r: (r[0] is Origin.TUMORAL, r[1])
+        for (origin, rid), bases in sorted(
+            self.reads.items(), key=lambda r: (r[0][0] is Origin.TUMORAL, r[0][1])
         ):
             raw = bases.encode("ascii")
             body += struct.pack("<BQI", 1 if origin is Origin.TUMORAL else 0, rid, len(raw))
@@ -296,9 +271,7 @@ class CandidateIndex:
             pos += struct.calcsize("<BQI")
             bases = body[pos:pos + blen].decode("ascii")
             pos += blen
-            origin = Origin.TUMORAL if o else Origin.NORMAL
-            idx.read_store.append((origin, rid, bases))
-            idx._stored.add((origin, rid))
+            idx.reads[(Origin.TUMORAL if o else Origin.NORMAL, rid)] = bases
         return idx
 
 
@@ -322,7 +295,7 @@ def filter_candidates(
     if tau_n < 0:
         raise ValueError("tau_n must be >= 0")
     index = CandidateIndex(codes.k)
-    for code, (n, t) in table.as_dict().items():
+    for code, (n, t) in table.entries.items():
         if is_imbalanced(n, t, tau_t, tau_n):
             index.candidates[code] = CandidateEntry(n, t)
     if not index.candidates:
@@ -345,8 +318,8 @@ def filter_candidates(
 
 
 def merge_indexes(a: CandidateIndex, b: CandidateIndex) -> CandidateIndex:
-    """Union candidate maps (summing counts, OR-ing bitmaps), append read
-    stores with (origin, id) de-duplication. Inputs are consumed."""
+    """Union candidate maps (summing counts, OR-ing bitmaps) and read maps
+    (a's bases win on a shared key). Inputs are consumed."""
     if a.k != b.k:
         raise StageError(f"cannot merge indexes with k={a.k} and k={b.k}")
     out = CandidateIndex(a.k)
@@ -360,12 +333,9 @@ def merge_indexes(a: CandidateIndex, b: CandidateIndex) -> CandidateIndex:
             mine.t_count += entry.t_count
             mine.normal_bitmap.or_with(entry.normal_bitmap)
             mine.tumoral_bitmap.or_with(entry.tumoral_bitmap)
-    out.read_store = a.read_store
-    out._stored = a._stored
-    for origin, rid, bases in b.read_store:
-        if (origin, rid) not in out._stored:
-            out._stored.add((origin, rid))
-            out.read_store.append((origin, rid, bases))
+    out.reads = a.reads
+    for key, bases in b.reads.items():
+        out.reads.setdefault(key, bases)
     return out
 
 
@@ -388,7 +358,7 @@ def group(index: CandidateIndex, min_candidates: int) -> list[GroupResult]:
     candidates = index.candidates
     tumoral_reads = sorted(
         (rid, bases)
-        for origin, rid, bases in index.read_store
+        for (origin, rid), bases in index.reads.items()
         if origin is Origin.TUMORAL
     )
     results = []

@@ -312,26 +312,40 @@ def test_rerun_after_kill_between_count_blob_and_manifest(toy_inputs, monkeypatc
         assert (out / name).read_bytes() == (toy_inputs / "ref" / name).read_bytes()
 
 
-@pytest.mark.parametrize("extra", [
-    {"hosts": 0},
-    {"strategy": "composed_shared", "stripe_size": 0},
-    {"strategy": "composed_shared", "composed_width": 4, "devices": 4, "instances": 4},
-    {"device_bw": 0},
-    {"device_bw": -1},
-    {"instances": 2.5},
-    {"repeats": 3.9},
-    {"device_capacity": "1e999"},
-    {"device_bw": "inf"},
-    {"jitter": "nan"},
-    {"avg_bw": "nan"},
-    {"fabric_latency_us": "nan"},
+@pytest.mark.parametrize("extra, message", [
+    ({"hosts": 0}, "host"),
+    ({"strategy": "composed_shared", "stripe_size": 0}, "stripe size"),
+    ({"strategy": "composed_shared", "composed_width": 4, "devices": 4, "instances": 4},
+     "width 4"),
+    ({"device_bw": 0}, "bandwidth"),
+    ({"device_bw": -1}, "bandwidth"),
+    ({"instances": 2.5}, "'instances'"),
+    ({"repeats": 3.9}, "'repeats'"),
+    ({"device_capacity": "1e999"}, "'device_capacity'"),
+    ({"device_bw": "inf"}, "'device_bw'"),
+    ({"jitter": "nan"}, "'jitter'"),
+    ({"avg_bw": "nan"}, "'avg_bw'"),
+    ({"fabric_latency_us": "nan"}, "'fabric_latency_us'"),
+    ({"spill_chunk": 0}, "'spill_chunk'"),
+    ({"spill_chunk": -5}, "'spill_chunk'"),
+    ({"flush_chunk": 0}, "'flush_chunk'"),
+    ({"total_output": 0}, "'total_output'"),
+    ({"jitter": 5}, "'jitter'"),
+    ({"jitter": -1}, "'jitter'"),
+    ({"fabric_latency_us": -100000}, "'fabric_latency_us'"),
+    ({"working_set": -1}, "'working_set'"),
+    ({"host_memory": -1}, "'host_memory'"),
+    ({"spill_factor": -2}, "'spill_factor'"),
 ], ids=["no_hosts", "zero_stripe", "uncalibrated_width", "zero_bw", "negative_bw",
         "fractional_instances", "fractional_repeats", "overflowing_capacity", "infinite_bw",
-        "nan_jitter", "nan_avg_bw", "nan_latency"])
-def test_simulate_plan_errors_exit_2(tmp_path, capsys, extra):
+        "nan_jitter", "nan_avg_bw", "nan_latency", "zero_spill_chunk", "negative_spill_chunk",
+        "zero_flush_chunk", "zero_total_output", "jitter_above_1", "negative_jitter",
+        "negative_latency", "negative_working_set", "negative_host_memory",
+        "negative_spill_factor"])
+def test_simulate_plan_errors_exit_2(tmp_path, capsys, extra, message):
     cfg = scenario_config(tmp_path, **extra)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_empty_scenario_loads_the_shipped_defaults(tmp_path):
@@ -340,7 +354,7 @@ def test_empty_scenario_loads_the_shipped_defaults(tmp_path):
     assert _load_scenario(empty) == _load_scenario(CONFIGS / "scenario_default.conf")
 
 
-# sha256 of the shipped configs' outputs; an engine change must leave them as they are
+# sha256 of the shipped configs' outputs; a change must leave them as they are
 SHIPPED_DIGESTS = {
     ("simulate", "scenario_default.conf"): {
         "completions.csv": "6c0f374ef6715606276b8ac46bced8f09a3524d31bf68355be6521ab937b1a8a",
@@ -350,11 +364,16 @@ SHIPPED_DIGESTS = {
         "strategies.csv": "9daef188f8f39104ad8c08a4052f40bd32058b46e3c592e1d438dd4b059ea60a",
         "summary.txt": "2447a677ee7959ef4850f843caaaf03b26dda4ee7c5beb465f7eafe1431383b7",
     },
+    ("run", "toy_run.conf"): {
+        "index.bin": "4fa8f0432e3c0a0e1b518b5355fc805cac6b41b5b6296bd8fdd69be80fc468c6",
+        "groups.csv": "1b1fc42ea84ab57952e2f415d90be65356f64e0d1013a6e2e506643dc1b07f1d",
+    },
 }
 
 
 @pytest.mark.parametrize("command, config", sorted(SHIPPED_DIGESTS))
-def test_shipped_outputs_are_pinned(tmp_path, capsys, command, config):
+def test_shipped_outputs_are_pinned(tmp_path, capsys, monkeypatch, command, config):
+    monkeypatch.chdir(CONFIGS.parent)  # toy_run.conf names its inputs from the repo root
     out = tmp_path / "out"
     assert main([command, "--config", str(CONFIGS / config), "--out", str(out)]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()

@@ -1,4 +1,4 @@
-"""Config value parsing: integers must be integral, numbers must be finite."""
+"""Config value parsing: integers must be integral, numbers finite and in range."""
 
 import math
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kmerfab.config import ConfigError, get_float, get_int
+from kmerfab.config import NON_NEGATIVE, POSITIVE, ConfigError, get_float, get_int
 
 
 @pytest.mark.parametrize("text, value", [("2", 2), ("2.0", 2), ("1e9", 10**9), ("-3", -3),
@@ -42,3 +42,21 @@ def test_float_spellings_parse_iff_finite(x):
             get_float(kv, "x")
         with pytest.raises(ConfigError):
             get_int(kv, "x")
+
+
+@pytest.mark.parametrize("get, bounds, text, ok", [
+    (get_int, POSITIVE, "1", True),
+    (get_int, POSITIVE, "1e0", True),
+    (get_int, POSITIVE, "0", False),
+    (get_int, POSITIVE, "-0.0", False),
+    (get_float, (0.0, 1.0), "0", True),
+    (get_float, (0.0, 1.0), "1.0", True),
+    (get_float, (0.0, 1.0), "1.0001", False),
+    (get_float, NON_NEGATIVE, "-1e-9", False),
+])
+def test_bounds_are_closed_ranges(get, bounds, text, ok):
+    if ok:
+        assert get({"x": text}, "x", None, bounds) == float(text)
+    else:
+        with pytest.raises(ConfigError, match="'x'"):
+            get({"x": text}, "x", None, bounds)

@@ -41,7 +41,7 @@ def run_writes(engine, jobs):
     done = {}
     for i, (ns, start, length, client) in enumerate(jobs):
         engine.attach(ns, client)
-        engine.submit(ns, KIND_WRITE, start, length, client=client,
+        engine.submit(ns, KIND_WRITE, start, length,
                       on_complete=lambda c, i=i: done.__setitem__(i, c))
     engine.run()
     return [done[i] for i in range(len(jobs))]
@@ -272,13 +272,13 @@ def test_detach_restores_efficiency():
     for ns, cl in zip(spaces, clients):
         engine.attach(ns, cl)
     done = []
-    engine.submit(spaces[0], KIND_WRITE, 0, GB, client=clients[0], on_complete=done.append)
+    engine.submit(spaces[0], KIND_WRITE, 0, GB, on_complete=done.append)
     engine.run()
     # four sharers attached: e(4) = 0.88 on CURVE
     assert served_bw(done[0]) == pytest.approx(0.88 * 2 * GB, rel=1e-9)
     for ns, cl in zip(spaces[1:], clients[1:]):
         engine.detach(ns, cl)
-    engine.submit(spaces[0], KIND_WRITE, GB, GB, client=clients[0], on_complete=done.append)
+    engine.submit(spaces[0], KIND_WRITE, GB, GB, on_complete=done.append)
     engine.run()
     assert served_bw(done[1]) == pytest.approx(2 * GB, rel=1e-9)
 
@@ -308,8 +308,8 @@ def test_flow_far_from_float_exact_still_completes():
     a, b = partition_namespaces(dev, [1 << 60, 1 << 60])
     engine = FabricEngine()
     done = []
-    engine.submit(a, KIND_WRITE, 0, 2**53 + 12297, client="a", on_complete=done.append)
-    engine.submit(b, KIND_WRITE, 0, 2**40, when=1000.0, client="b", on_complete=done.append)
+    engine.submit(a, KIND_WRITE, 0, 2**53 + 12297, on_complete=done.append)
+    engine.submit(b, KIND_WRITE, 0, 2**40, when=1000.0, on_complete=done.append)
     engine.run()
     assert sorted(c.request_id for c in done) == [1, 2]
     assert max(c.finish_time for c in done) == pytest.approx(
@@ -344,7 +344,7 @@ def test_engine_properties(width, stripe, attachment, jobs, attached, detaches):
         done = []
         for c, size, when in jobs:
             engine.submit(spaces[c], KIND_WRITE, cursors[c], size, when=when,
-                          client=c, on_complete=done.append)
+                          on_complete=done.append)
             cursors[c] += size
         engine.run()
         return parent, done
@@ -427,20 +427,24 @@ def bucket_segments(segments, bucket_s, end):
     attachment=st.sampled_from([ATTACH_LOCAL, ATTACH_FABRIC]),
     jobs=st.lists(st.tuples(_client, st.integers(1, 1 << 26), st.floats(0.0, 0.2)),
                   min_size=1, max_size=25),
+    attaches=st.lists(st.tuples(_client, st.floats(0.0, 0.2)), max_size=4),
     detaches=st.lists(st.tuples(_client, st.floats(0.0, 0.2)), max_size=4),
     until=st.none() | st.floats(0.0, 0.3),
 )
 def test_streamed_buckets_match_segment_reference(width, bucket_s, attachment, jobs,
-                                                  detaches, until):
+                                                  attaches, detaches, until):
     devs = [device(i) for i in range(width)]
     parent = devs[0] if width == 1 else compose(devs, stripe_size=4096)
     spaces = partition_namespaces(parent, [parent.capacity // 4] * 4, attachment=attachment)
     engine = _SegmentRecorder(stats=True, bucket_s=bucket_s)
+    # sharers come and go mid-flow, so the rate changes inside buckets
+    for c, when in attaches:
+        engine.schedule(when, engine.attach, spaces[c], c)
     for c, when in detaches:
         engine.schedule(when, engine.detach, spaces[c], c)
     cursors = [0] * 4
     for c, size, when in jobs:
-        engine.submit(spaces[c], KIND_WRITE, cursors[c], size, when=when, client=c)
+        engine.submit(spaces[c], KIND_WRITE, cursors[c], size, when=when)
         cursors[c] += size
     engine.run(until)
     for dev in devs:
@@ -462,7 +466,7 @@ def test_engine_keeps_no_per_request_history():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for i in range(20_000):
-            engine.submit(ns, KIND_WRITE, i * 4096, 4096, client="a", on_complete=count)
+            engine.submit(ns, KIND_WRITE, i * 4096, 4096, on_complete=count)
         engine.run()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:

@@ -37,21 +37,21 @@ def small_host():
 def test_plan_single_shared():
     alloc = plan(STRATEGY_SINGLE, 3, PoolConfig(), n_hosts=6)
     assert len(alloc.targets) == 1
-    assert alloc.targets[0].device_ids == [0]
+    assert alloc.targets[0] == [0]
     assert alloc.instance_target == [0, 0, 0]
     assert alloc.instance_host == [0, 1, 2]
 
 
 def test_plan_dedicated_plus_shared():
     alloc = plan(STRATEGY_DEDICATED, 5, PoolConfig(), n_hosts=6)
-    assert alloc.targets[0].device_ids == [0]
-    assert alloc.targets[1].device_ids == [1]
+    assert alloc.targets[0] == [0]
+    assert alloc.targets[1] == [1]
     assert alloc.instance_target == [0, 1, 1, 1, 1]
 
 
 def test_plan_composed_single_instance():
     alloc = plan(STRATEGY_COMPOSED, 1, PoolConfig(), n_hosts=6, composed_width=2)
-    assert alloc.targets[0].device_ids == [0, 1]
+    assert alloc.targets[0] == [0, 1]
     assert alloc.instance_target == [0]
 
 
@@ -181,9 +181,8 @@ def test_sim_result_summaries():
     alloc = plan(STRATEGY_SINGLE, 4, pool, n_hosts=4)
     res = simulate(alloc, workload, pool, HostModel(), seed=5)
     assert res.mean == pytest.approx(statistics.fmean(res.completion_s))
-    assert res.max == max(res.completion_s)
     q1, q2, q3 = statistics.quantiles(res.completion_s, n=4)
-    assert q1 <= q2 <= q3
+    assert min(res.completion_s) <= q1 <= q2 <= q3 <= max(res.completion_s)
 
 
 def test_device_stats_emitted_when_requested():

@@ -163,7 +163,7 @@ def test_each_window_extracted_once_per_run(tmp_path, small_instance, monkeypatc
                          Checkpoints(store, fingerprint, tmp_path / "m.json"))
     input_windows = sum(len(canonical_codes(r.bases, K)) for r in [*normal, *tumoral])
     group_windows = sum(len(canonical_codes(bases, K))
-                        for origin, _, bases in first.index.read_store
+                        for (origin, _), bases in first.index.reads.items()
                         if origin is Origin.TUMORAL)
     assert input_windows <= sum(extracted) <= input_windows + group_windows
 

@@ -54,8 +54,7 @@ class _PassFilter:
 @pytest.mark.parametrize("partitions", [1, 3])
 def test_read_codes_split_keeps_each_reads_window_order(partitions):
     normal, tumoral = random_instance(seed=1, n_reads=60)
-    codes = ReadCodes(normal, tumoral, K)
-    codes.split(partitions)
+    codes = ReadCodes(normal, tumoral, K, partitions)
     for p in range(partitions):
         expect = [(r, [c for c in canonical_codes(r.bases, K)
                        if partition_of(c, partitions) == p]) for r in [*normal, *tumoral]]
@@ -63,16 +62,6 @@ def test_read_codes_split_keeps_each_reads_window_order(partitions):
         normal_span, tumoral_span = codes.origin_spans(p)
         assert list(normal_span) == [c for _, cs in expect[:len(normal)] for c in cs]
         assert list(tumoral_span) == [c for _, cs in expect[len(normal):] for c in cs]
-
-
-def test_read_codes_split_once():
-    normal, tumoral = random_instance(seed=1, n_reads=20)
-    codes = ReadCodes(normal, tumoral, K)
-    codes.split(2)
-    with pytest.raises(StageError):
-        prune(codes, 0.01)  # prune needs window order
-    with pytest.raises(StageError):
-        codes.split(3)
 
 
 # -- prune ---------------------------------------------------------------
@@ -95,6 +84,18 @@ def test_prune_no_false_negatives():
     for s, (n, t) in counts.items():
         if n + t >= 2:
             assert encode(s) in pf
+
+
+def test_prune_over_buckets_keeps_every_repeat():
+    # bucketed codes reach prune partition by partition, not in window order:
+    # seen_once is the same set of bits and every repeated k-mer is still in
+    normal, tumoral = random_instance(seed=2, n_reads=200)
+    whole = prune(ReadCodes(normal, tumoral, K), 0.01)
+    bucketed = prune(ReadCodes(normal, tumoral, K, 3), 0.01)
+    assert bucketed.seen_once.to_bytes() == whole.seen_once.to_bytes()
+    for s, (n, t) in exact_counts(normal, tumoral, K).items():
+        if n + t >= 2:
+            assert encode(s) in bucketed
 
 
 def test_prune_triple_occurrence_guaranteed():
@@ -148,7 +149,7 @@ def test_count_unbounded_single_run():
     assert len(runs) == 1
     merged = merge_runs(runs, store)
     expect = exact_counts(normal, tumoral, K)
-    got = {decode(c, K): (n, t) for c, (n, t) in merged.as_dict().items()}
+    got = {decode(c, K): (n, t) for c, (n, t) in merged.entries.items()}
     assert got == expect
 
 
@@ -161,7 +162,7 @@ def test_count_capacity_one_spills_every_touch():
         n + t for n, t in exact_counts(normal, tumoral, K).values())
     assert len(runs) == total_occurrences
     merged = merge_runs(runs, store)
-    got = {decode(c, K): (n, t) for c, (n, t) in merged.as_dict().items()}
+    got = {decode(c, K): (n, t) for c, (n, t) in merged.entries.items()}
     assert got == exact_counts(normal, tumoral, K)
 
 
@@ -173,23 +174,22 @@ def test_count_spill_schedule_invariant(cap):
     runs_a = count(codes, _PassFilter(), 0, FrequencyTable(capacity_limit=cap), store_a)
     store_b = make_store()
     runs_b = count(codes, _PassFilter(), 0, FrequencyTable(), store_b)
-    assert merge_runs(runs_a, store_a).as_dict() == merge_runs(runs_b, store_b).as_dict()
+    assert merge_runs(runs_a, store_a).entries == merge_runs(runs_b, store_b).entries
 
 
 def test_count_partitions_combine_to_whole():
     normal, tumoral = random_instance(seed=6, n_reads=150)
     store = make_store()
-    codes = ReadCodes(normal, tumoral, K)
-    codes.split(2)
+    codes = ReadCodes(normal, tumoral, K, 2)
     combined = {}
     for p in range(2):
         runs = count(codes, _PassFilter(), p, FrequencyTable(), store)
-        part = merge_runs(runs, store).as_dict()
+        part = merge_runs(runs, store).entries
         assert not (set(combined) & set(part))
         combined.update(part)
     store2 = make_store()
     runs = count(ReadCodes(normal, tumoral, K), _PassFilter(), 0, FrequencyTable(), store2)
-    assert combined == merge_runs(runs, store2).as_dict()
+    assert combined == merge_runs(runs, store2).entries
 
 
 class _CountingPrune(PruneFilter):
@@ -204,8 +204,7 @@ def test_count_probes_prune_filter_only_in_own_partition():
     normal, tumoral = random_instance(seed=9, n_reads=120)
     pf = _CountingPrune.from_bytes(prune(ReadCodes(normal, tumoral, K), 0.01).to_bytes())
     windows = [c for r in [*normal, *tumoral] for c in canonical_codes(r.bases, K)]
-    codes = ReadCodes(normal, tumoral, K)
-    codes.split(4)
+    codes = ReadCodes(normal, tumoral, K, 4)
     for p in range(4):
         pf.probes = 0
         count(codes, pf, p, FrequencyTable(), make_store())
@@ -225,14 +224,14 @@ def test_count_requires_empty_table():
 def test_merge_single_run_identity():
     store = make_store()
     h = store.flush_table({1: [1, 2], 9: [0, 3]})
-    assert merge_runs([h], store).as_dict() == {1: (1, 2), 9: (0, 3)}
+    assert merge_runs([h], store).entries == {1: [1, 2], 9: [0, 3]}
 
 
 def test_merge_adds_counts():
     store = make_store()
     h1 = store.flush_table({7: [1, 0]})
     h2 = store.flush_table({7: [2, 3]})
-    assert merge_runs([h1, h2], store).as_dict() == {7: (3, 3)}
+    assert merge_runs([h1, h2], store).entries == {7: [3, 3]}
 
 
 def test_merge_unreadable_run_named():
@@ -272,15 +271,17 @@ def test_filter_matches_oracle():
         assert got[s].t_count == e["t"]
         assert set(got[s].normal_bitmap) == e["normal_ids"]
         assert set(got[s].tumoral_bitmap) == e["tumoral_ids"]
-    assert {(o, i) for o, i, _ in idx.read_store} == stored
+    assert set(idx.reads) == stored
 
 
 def test_filter_read_store_unique():
     normal, tumoral = random_instance(seed=8, n_reads=200)
     idx = filter_candidates(exact_table(normal, tumoral),
                             ReadCodes(normal, tumoral, K), 0, 4, 1)
-    keys = [(o, i) for o, i, _ in idx.read_store]
-    assert len(keys) == len(set(keys))
+    _, stored = candidate_view(normal, tumoral, K, 4, 1)
+    assert len(idx.reads) == len(stored)
+    bases = {(r.origin, r.id): r.bases for r in [*normal, *tumoral]}
+    assert idx.reads == {key: bases[key] for key in stored}
 
 
 # -- merge_indexes -------------------------------------------------------
@@ -292,8 +293,7 @@ def build_index(normal, tumoral, tau_t=4, tau_n=1):
 
 
 def partition_indexes(normal, tumoral, partitions):
-    codes = ReadCodes(normal, tumoral, K)
-    codes.split(partitions)
+    codes = ReadCodes(normal, tumoral, K, partitions)
     out = []
     for p in range(partitions):
         table = exact_table(normal, tumoral)
@@ -372,7 +372,7 @@ def test_group_min_candidates_too_high():
     normal, tumoral = random_instance(seed=14, n_reads=150)
     idx = build_index(normal, tumoral)
     max_per_read = 0
-    for _, _, bases in idx.read_store:
+    for bases in idx.reads.values():
         max_per_read = max(max_per_read,
                            len(set(canonical_codes(bases, K)) & set(idx.candidates)))
     assert group(idx, min_candidates=max_per_read + 1) == []
