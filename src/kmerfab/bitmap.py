@@ -1,4 +1,4 @@
-"""Dense bitmap over read ids: set, test, OR-merge, iterate, serialize."""
+"""Dense bitmap over read ids: set, OR-merge, iterate, serialize."""
 
 from __future__ import annotations
 
@@ -22,12 +22,6 @@ class Bitmap:
             self._bytes.extend(b"\x00" * (byte + 1 - len(self._bytes)))
         self._bytes[byte] |= 1 << (idx & 7)
 
-    def test(self, idx: int) -> bool:
-        byte = idx >> 3
-        if byte >= len(self._bytes):
-            return False
-        return bool(self._bytes[byte] & (1 << (idx & 7)))
-
     def or_with(self, other: "Bitmap") -> None:
         ob = other._bytes
         if len(ob) > len(self._bytes):
@@ -43,9 +37,6 @@ class Bitmap:
             for bit in range(8):
                 if b & (1 << bit):
                     yield base + bit
-
-    def __len__(self) -> int:
-        return sum(bin(b).count("1") for b in self._bytes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bitmap):

@@ -71,7 +71,11 @@ def _load_pool(kv: dict[str, str]) -> PoolConfig:
 def _load_workload(kv: dict[str, str]) -> WorkloadModel:
     w = WorkloadModel()
     w.total_output_bytes = cfg.get_int(kv, "total_output", w.total_output_bytes, cfg.POSITIVE)
-    w.avg_demand_bw = cfg.get_float(kv, "avg_bw", w.avg_demand_bw)
+    w.avg_demand_bw = cfg.get_float(kv, "avg_bw", w.avg_demand_bw, cfg.POSITIVE)
+    limit = w.reference_bw * (1.0 + w.demand_slack)  # compute_interval is positive below it
+    if w.avg_demand_bw >= limit:
+        raise cfg.ConfigError(
+            f"key 'avg_bw': expected a value below {limit:g}, got {w.avg_demand_bw!r}")
     w.working_set_bytes = cfg.get_int(kv, "working_set", w.working_set_bytes, cfg.NON_NEGATIVE)
     w.flush_bytes = cfg.get_int(kv, "flush_chunk", w.flush_bytes, cfg.POSITIVE)
     w.spill_chunk_bytes = cfg.get_int(kv, "spill_chunk", w.spill_chunk_bytes, cfg.POSITIVE)

@@ -29,6 +29,7 @@ KIND_READ = "read"
 DEFAULT_BW = 2_000_000_000  # 2 GB/s sequential write
 DEFAULT_STRIPE = 128 * 1024
 DEFAULT_FABRIC_LATENCY = 15e-6
+BUCKET_S = 0.01  # width of the served-bandwidth statistics buckets, in seconds
 
 
 class FabricError(Exception):
@@ -223,10 +224,6 @@ class Namespace:
         return self.parent.read_data(self.offset + start, length)
 
 
-def compose(devices: list[VirtualDevice], stripe_size: int = DEFAULT_STRIPE) -> ComposedDevice:
-    return ComposedDevice(devices, stripe_size)
-
-
 def partition_namespaces(
     parent: VirtualDevice | ComposedDevice,
     sizes: list[int],
@@ -281,7 +278,7 @@ class _DeviceState:
         self.device = device
         # min-heap of (tag, seq, vtime at arrival, request)
         self.flows: list[tuple[float, int, float, IoRequest]] = []
-        self.sharers: dict[int, int] = {}  # client key -> refcount (attachments)
+        self.sharers: dict[int, int] = {}  # id(namespace) -> refcount (attachments)
         self.last_update = 0.0
         self.vtime = 0.0
         self.rate = 0.0  # bytes/s granted to each active flow
@@ -293,15 +290,14 @@ class FabricEngine:
     """Deterministic event engine: same submissions, same completion times.
 
     With stats, each device's served bytes are summed into buckets of
-    bucket_s seconds as they are served; no per-request history is kept."""
+    BUCKET_S seconds as they are served; no per-request history is kept."""
 
-    def __init__(self, stats: bool = False, bucket_s: float = 0.01):
+    def __init__(self, stats: bool = False):
         self.now = 0.0
         self._heap: list = []
         self._seq = 0
         self._states: dict[int, _DeviceState] = {}
         self._stats = stats
-        self._bucket_s = bucket_s
         self._rid = 0
 
     # -- device/sharer bookkeeping ------------------------------------------
@@ -313,17 +309,17 @@ class FabricEngine:
             self._states[device.id] = st
         return st
 
-    def attach(self, namespace: Namespace, client: object | None = None) -> None:
+    def attach(self, namespace: Namespace) -> None:
         """Open a sharer window on every member device of the namespace parent."""
-        key = id(client) if client is not None else id(namespace)
+        key = id(namespace)
         for member in namespace.parent.members:
             st = self._state(member)
             self._advance_device(st)
             st.sharers[key] = st.sharers.get(key, 0) + 1
             self._recompute(st)
 
-    def detach(self, namespace: Namespace, client: object | None = None) -> None:
-        key = id(client) if client is not None else id(namespace)
+    def detach(self, namespace: Namespace) -> None:
+        key = id(namespace)
         for member in namespace.parent.members:
             st = self._state(member)
             if key not in st.sharers:
@@ -347,7 +343,7 @@ class FabricEngine:
             st.vtime += st.rate * (t1 - t0)
             if self._stats:
                 # fold [t0, t1) at the aggregate rate into the buckets it spans
-                rate, w, acc = st.rate * len(st.flows), self._bucket_s, st.buckets
+                rate, w, acc = st.rate * len(st.flows), BUCKET_S, st.buckets
                 b = int(t0 / w)
                 while t0 < t1:
                     edge = min(t1, (b + 1) * w)
@@ -373,21 +369,18 @@ class FabricEngine:
         kind: str,
         start: int,
         length: int,
-        when: float | None = None,
         on_complete: Optional[Callable[[IoRequest], None]] = None,
     ) -> int:
-        """Queue a request; returns its id. Only its timing is modelled: the
-        bytes go through the namespace's write_data/read_data."""
+        """Issue a request at the current time (`schedule` a later one);
+        returns its id. Only its timing is modelled: the bytes go through
+        the namespace's write_data/read_data."""
         namespace._check(start, length)
         if kind not in (KIND_WRITE, KIND_READ):
             raise ValueError(f"unknown request kind {kind!r}")
-        issue = self.now if when is None else when
-        if issue < self.now:
-            raise ValueError("cannot submit in the past")
         self._rid += 1
-        req = IoRequest(self._rid, namespace, kind, start, length, issue, on_complete)
+        req = IoRequest(self._rid, namespace, kind, start, length, self.now, on_complete)
         latency = namespace.parent.fabric_latency if namespace.attachment == ATTACH_FABRIC else 0.0
-        self.schedule(issue + latency, self._start_request, req)
+        self.schedule(self.now + latency, self._start_request, req)
         return req.request_id
 
     def _start_request(self, req: IoRequest) -> None:
@@ -416,8 +409,8 @@ class FabricEngine:
             if req.on_complete is not None:
                 req.on_complete(req)
 
-    def run(self, until: float | None = None) -> float:
-        """Drain events (optionally up to a time); returns the final clock."""
+    def run(self) -> float:
+        """Drain every event; returns the final clock."""
         while True:
             when, busy = math.inf, None
             for st in self._states.values():
@@ -425,7 +418,7 @@ class FabricEngine:
                     when, busy = st.finish, st
             if self._heap and self._heap[0][0] <= when:
                 when, busy = self._heap[0][0], None
-            if when == math.inf or (until is not None and when > until):
+            if when == math.inf:
                 break
             self.now = max(self.now, when)
             if busy is None:
@@ -433,8 +426,6 @@ class FabricEngine:
                 fn(*args)
             else:
                 self._finish_head(busy)
-        if until is not None and self.now < until:
-            self.now = until
         return self.now
 
     # -- generator-based client processes -------------------------------------
@@ -465,7 +456,7 @@ class FabricEngine:
 
     def device_stats(self, device: VirtualDevice) -> list[tuple[float, float]]:
         """Served bandwidth per bucket up to now: [(bucket_start_s, bytes/s)]."""
-        w = self._bucket_s
+        w = BUCKET_S
         n = int(self.now / w) + 1
         st = self._states.get(device.id)
         acc = st.buckets[:n] if st else []

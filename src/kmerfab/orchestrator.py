@@ -17,11 +17,11 @@ from .fabric import (
     ATTACH_FABRIC,
     ATTACH_LOCAL,
     BoundsError,
+    ComposedDevice,
     EfficiencyCurve,
     FabricEngine,
     Namespace,
     VirtualDevice,
-    compose,
     partition_namespaces,
 )
 
@@ -182,7 +182,7 @@ class SimResult:
         return statistics.fmean(self.completion_s)
 
 
-def _instance_proc(idx, namespace, workload, multiplier, rng, engine, done, client):
+def _instance_proc(idx, namespace, workload, multiplier, rng, engine, done):
     total = workload.total_output_bytes
     spill_total = round(total * (multiplier - 1.0))
     flush = workload.flush_bytes
@@ -237,7 +237,7 @@ def _instance_proc(idx, namespace, workload, multiplier, rng, engine, done, clie
             bytes_written += burst
     except BoundsError as exc:
         raise SimulationError(f"instance {idx} exceeded its namespace: {exc}") from exc
-    engine.detach(namespace, client)
+    engine.detach(namespace)
     done[idx] = (engine.now, bytes_written)
 
 
@@ -260,7 +260,7 @@ def simulate(
         built = pool.build_devices(target)
         for dev in built:
             devices[dev.id] = dev
-        parents.append(built[0] if len(built) == 1 else compose(built, pool.stripe_size))
+        parents.append(built[0] if len(built) == 1 else ComposedDevice(built, pool.stripe_size))
 
     # equal namespaces per target, carved over each target's instances
     per_target: dict[int, list[int]] = {t: [] for t in range(len(allocation.targets))}
@@ -296,13 +296,12 @@ def simulate(
             )
 
     done: dict[int, tuple[float, int]] = {}
-    clients = [object() for _ in range(allocation.n_instances)]
     for i in range(allocation.n_instances):
-        engine.attach(namespaces[i], clients[i])
+        engine.attach(namespaces[i])
     for i in range(allocation.n_instances):
         rng = random.Random(seed * 1_000_003 + i)
         engine.spawn(_instance_proc(i, namespaces[i], workload, multipliers[i],
-                                    rng, engine, done, clients[i]))
+                                    rng, engine, done))
     engine.run()
     if len(done) != allocation.n_instances:
         missing = sorted(set(range(allocation.n_instances)) - set(done))

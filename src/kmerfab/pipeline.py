@@ -6,7 +6,7 @@ handle, plus a config/input fingerprint and the store cursor) makes reruns
 skip completed stages. A stage runs nested in the stage that consumes it
 (count.pN in filter.pN, every filter.pN in merge), so a checkpointed stage
 also skips every stage it was computed from. A count.pN checkpoint is the
-handles of the partition's spill runs, which are already on the device.
+blob handles of the partition's spill runs, which are already on the device.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from pathlib import Path
 
 from .kmers import MAX_K, Read
 # encode_run and decode_run go unused here, but perfbench/tracing.py wraps these names
-from .spill import (BlobHandle, CorruptionError, RunHandle, SpillStore, decode_handles,
-                    decode_run, encode_handles, encode_run)
+from .spill import (BlobHandle, CorruptionError, SpillStore, decode_handles, decode_run,
+                    encode_handles, encode_run)
 from .stages import (
     CandidateIndex,
     FrequencyTable,
@@ -41,7 +41,7 @@ from .stages import (
     prune,
 )
 
-CHECKPOINT_FORMAT = "count.pN=run-handles"  # fingerprinted: another format is a clean miss
+CHECKPOINT_FORMAT = "runs-are-blobs"  # fingerprinted: another format is a clean miss
 # a damaged checkpoint as it loads: a failed header or CRC, or bytes that do not decode
 LOAD_ERRORS = (CorruptionError, StageError, struct.error, ValueError)
 
@@ -195,7 +195,7 @@ def run_pipeline(
             codes.release(p)
         return codes
 
-    def merged(runs: list[RunHandle]) -> tuple[list[RunHandle], FrequencyTable]:
+    def merged(runs: list[BlobHandle]) -> tuple[list[BlobHandle], FrequencyTable]:
         return runs, merge_runs(runs, store)
 
     def filter_pass(p: int) -> CandidateIndex:

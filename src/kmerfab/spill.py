@@ -1,9 +1,11 @@
 """Memory-extension spill store.
 
-Sorted frequency-table runs (and opaque checkpoint blobs) are appended to a
-namespace as large sequential chunk writes; reads verify a checksum. Run
-payload is fixed-width little-endian records behind a 32-byte header so
-fixtures are bit-exact across platforms.
+Everything on the device is a blob: a 32-byte header (magic, version,
+reserved, payload length, CRC-32 of the payload) and its payload, appended
+to a namespace as large sequential chunk writes. A sorted frequency-table
+run is a blob whose payload is fixed-width little-endian records, and every
+pipeline checkpoint is a blob too, so `read_blob` is the one place a read is
+verified. Fixed layouts keep fixtures bit-exact across platforms.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from .traceanalysis import IoRecord
 
 DEFAULT_CHUNK = 8 * 1024 * 1024
 
-RUN_MAGIC = b"KFRUNv1\x00"
 BLOB_MAGIC = b"KFBLOBv1"
-_HEADER = struct.Struct("<8sIIQQ")  # magic, version, reserved, entry_count, checksum
+_HEADER = struct.Struct("<8sIIQQ")  # magic, version, reserved, payload length, checksum
 _RECORD = struct.Struct("<QII")  # code u64, n_count u32, t_count u32
-_HANDLE = struct.Struct("<QQQQ")  # RunHandle fields, in declaration order
+_HANDLE = struct.Struct("<QQQ")  # BlobHandle fields, in declaration order
 HEADER_SIZE = _HEADER.size
 RECORD_SIZE = _RECORD.size
 
@@ -31,59 +32,40 @@ class CorruptionError(Exception):
 
 
 @dataclass(frozen=True)
-class RunHandle:
+class BlobHandle:
+    """Names one blob: where it starts, its length with the header, and its CRC."""
+
     start_address: int
     length: int
-    entry_count: int
     checksum: int
 
 
-def encode_handles(handles: list[RunHandle]) -> bytes:
-    """Serialize run handles as fixed 32-byte records."""
+def encode_handles(handles: list[BlobHandle]) -> bytes:
+    """Serialize blob handles as fixed 24-byte records."""
     return b"".join(_HANDLE.pack(*astuple(h)) for h in handles)
 
 
-def decode_handles(data: bytes) -> list[RunHandle]:
+def decode_handles(data: bytes) -> list[BlobHandle]:
     if len(data) % _HANDLE.size:
         raise CorruptionError("handle list is not a whole number of records")
-    return [RunHandle(*fields) for fields in _HANDLE.iter_unpack(data)]
-
-
-@dataclass(frozen=True)
-class BlobHandle:
-    start_address: int
-    length: int
-    payload_length: int
-    checksum: int
+    return [BlobHandle(*fields) for fields in _HANDLE.iter_unpack(data)]
 
 
 def encode_run(entries: list[tuple[int, int, int]]) -> bytes:
     """Serialize (code, n_count, t_count) rows, already sorted by code."""
-    payload = b"".join(_RECORD.pack(*e) for e in entries)
-    checksum = zlib.crc32(payload)
-    return _HEADER.pack(RUN_MAGIC, 1, 0, len(entries), checksum) + payload
+    return b"".join(_RECORD.pack(*e) for e in entries)
 
 
-def decode_run(data: bytes) -> list[tuple[int, int, int]]:
-    if len(data) < HEADER_SIZE:
-        raise CorruptionError("run shorter than header")
-    magic, version, _, count, checksum = _HEADER.unpack_from(data)
-    if magic != RUN_MAGIC:
-        raise CorruptionError("bad run magic")
-    if version != 1:
-        raise CorruptionError(f"unsupported run version {version}")
-    payload = data[HEADER_SIZE:]
-    if len(payload) != count * RECORD_SIZE:
-        raise CorruptionError("run payload length mismatch")
-    if zlib.crc32(payload) != checksum:
-        raise CorruptionError("run checksum mismatch")
-    return [_RECORD.unpack_from(payload, i * RECORD_SIZE) for i in range(count)]
+def decode_run(payload: bytes) -> list[tuple[int, int, int]]:
+    if len(payload) % RECORD_SIZE:
+        raise CorruptionError("run payload is not a whole number of records")
+    return list(_RECORD.iter_unpack(payload))
 
 
 class SpillStore:
     """Single-writer append store over one namespace.
 
-    Every request is chunk_size bytes except the final chunk of a run; each
+    Every request is chunk_size bytes except the final chunk of a blob; each
     request starts where the previous one ended, which keeps the device trace
     fully append-sequential. The store owns its engine and issues each request
     when the previous one has completed.
@@ -134,29 +116,24 @@ class SpillStore:
             pos += take
         return b"".join(parts)
 
-    def flush_table(self, entries: dict[int, list[int]]) -> RunHandle:
+    def flush_table(self, entries: dict[int, list[int]]) -> BlobHandle:
         """Spill a frequency table as one sorted run."""
         rows = [(code, c[0], c[1]) for code, c in sorted(entries.items())]
         if not rows:
             raise ValueError("refusing to flush an empty table")
-        data = encode_run(rows)
-        start = self._append(data)
-        return RunHandle(start, len(data), len(rows), _HEADER.unpack_from(data)[4])
+        return self.append_blob(encode_run(rows))
 
-    def read_run(self, handle: RunHandle) -> list[tuple[int, int, int]]:
-        """The run `handle` names, checked against the run's header: any store reads it."""
-        data = self._read(handle.start_address, handle.length)
-        if _HEADER.unpack_from(data)[3:] != (handle.entry_count, handle.checksum):
-            raise CorruptionError(f"handle {handle} does not name the run at its address")
-        return decode_run(data)
+    def read_run(self, handle: BlobHandle) -> list[tuple[int, int, int]]:
+        return decode_run(self.read_blob(handle))
 
     def append_blob(self, payload: bytes) -> BlobHandle:
-        """Checkpoint storage: opaque bytes behind the same append contract."""
+        """Append payload behind its header; the handle names it for any store."""
         checksum = zlib.crc32(payload)
         start = self._append(_HEADER.pack(BLOB_MAGIC, 1, 0, len(payload), checksum) + payload)
-        return BlobHandle(start, HEADER_SIZE + len(payload), len(payload), checksum)
+        return BlobHandle(start, HEADER_SIZE + len(payload), checksum)
 
     def read_blob(self, handle: BlobHandle) -> bytes:
+        """The payload `handle` names, checked against the blob's header and CRC."""
         data = self._read(handle.start_address, handle.length)
         magic, version, _, size, checksum = _HEADER.unpack_from(data)
         if magic != BLOB_MAGIC or version != 1:

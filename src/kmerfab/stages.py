@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 from .bitmap import Bitmap
 from .bloom import BloomFilter
 from .kmers import Origin, Read, canonical_codes, partition_of
-from .spill import CorruptionError, RunHandle, SpillStore
+from .spill import BlobHandle, CorruptionError, SpillStore
 
 
 class StageError(Exception):
@@ -78,13 +78,13 @@ class ReadCodes:
 # Prune
 
 
+_PRUNE_HEAD = struct.Struct("<QI")  # n_bits u64, n_hashes u32
+
+
 class PruneFilter:
     """Membership = "this k-mer was seen more than once" (no false negatives)."""
 
-    def __init__(self, k: int, target_fp: float, expected: int):
-        self.k = k
-        self.target_fp = target_fp
-        self.expected = expected
+    def __init__(self, expected: int, target_fp: float):
         self.seen_once = BloomFilter.with_capacity(expected, target_fp)
         self.seen_multi = BloomFilter.with_capacity(expected, target_fp)
 
@@ -95,25 +95,18 @@ class PruneFilter:
         return code in self.seen_multi
 
     def to_bytes(self) -> bytes:
-        once = self.seen_once.to_bytes()
-        multi = self.seen_multi.to_bytes()
-        head = struct.pack(
-            "<IdQQII", self.k, self.target_fp, self.expected,
-            self.seen_once.n_bits, self.seen_once.n_hashes, len(once),
-        )
-        return head + once + multi
+        """n_bits and n_hashes, then the seen-once and seen-multi bitmaps."""
+        head = _PRUNE_HEAD.pack(self.seen_once.n_bits, self.seen_once.n_hashes)
+        return head + self.seen_once.to_bytes() + self.seen_multi.to_bytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PruneFilter":
-        head = struct.Struct("<IdQQII")
-        k, fp, expected, n_bits, n_hashes, once_len = head.unpack_from(data)
+        n_bits, n_hashes = _PRUNE_HEAD.unpack_from(data)
+        body = data[_PRUNE_HEAD.size:]
+        half = len(body) // 2  # the two bitmaps have one size; from_bytes checks it
         pf = cls.__new__(cls)
-        pf.k = k
-        pf.target_fp = fp
-        pf.expected = expected
-        body = data[head.size:]
-        pf.seen_once = BloomFilter.from_bytes(n_bits, n_hashes, body[:once_len])
-        pf.seen_multi = BloomFilter.from_bytes(n_bits, n_hashes, body[once_len:])
+        pf.seen_once = BloomFilter.from_bytes(n_bits, n_hashes, body[:half])
+        pf.seen_multi = BloomFilter.from_bytes(n_bits, n_hashes, body[half:])
         return pf
 
 
@@ -124,7 +117,7 @@ def total_windows(reads: Iterable[Read], k: int) -> int:
 def prune(codes: ReadCodes, target_fp: float) -> PruneFilter:
     """One pass over every window, bucket by bucket; sizing estimate is the
     total window count."""
-    pf = PruneFilter(codes.k, target_fp, total_windows(codes.reads, codes.k))
+    pf = PruneFilter(total_windows(codes.reads, codes.k), target_fp)
     insert = pf.insert_occurrence
     for part in codes.codes:
         for code in part:
@@ -155,7 +148,7 @@ def count(
     partition_id: int,
     table: FrequencyTable,
     store: SpillStore,
-) -> list[RunHandle]:
+) -> list[BlobHandle]:
     """Count pruned k-mers of one partition, spilling sorted runs when full.
 
     The final partial table is always flushed, so even an unbounded table
@@ -163,7 +156,7 @@ def count(
     """
     if len(table) != 0:
         raise StageError("count requires an empty table")
-    runs: list[RunHandle] = []
+    runs: list[BlobHandle] = []
     entries = table.entries
     cap = table.capacity_limit
     for t_idx, span in enumerate(codes.origin_spans(partition_id)):
@@ -185,7 +178,7 @@ def count(
     return runs
 
 
-def merge_runs(run_handles: list[RunHandle], store: SpillStore) -> FrequencyTable:
+def merge_runs(run_handles: list[BlobHandle], store: SpillStore) -> FrequencyTable:
     """K-way merge of sorted runs, summing per-code counts."""
     table = FrequencyTable()
     entries = table.entries

@@ -14,12 +14,12 @@ from kmerfab.cli import main as cli_main
 from kmerfab.fabric import (
     ATTACH_FABRIC,
     ATTACH_LOCAL,
+    ComposedDevice,
     EfficiencyCurve,
     FabricEngine,
     KIND_WRITE,
     Namespace,
     VirtualDevice,
-    compose,
     partition_namespaces,
 )
 from kmerfab.kmers import Origin, decode, encode
@@ -184,7 +184,7 @@ def test_criterion_5_conservation_and_linearity():
     rng = random.Random(55)
     completions = []
     for i, ns in enumerate(spaces):
-        engine.attach(ns, i)
+        engine.attach(ns)
         cursor = 0
         for _ in range(40):
             size = rng.randrange(1 << 12, 1 << 24)
@@ -200,12 +200,12 @@ def test_criterion_5_conservation_and_linearity():
     for m in (2, 3):
         devs = [VirtualDevice(i, capacity=1 << 40,
                               efficiency_curve=pool.curve_for(m)) for i in range(m)]
-        comp = compose(devs)
+        comp = ComposedDevice(devs)
         eng = FabricEngine()
         spaces = partition_namespaces(comp, [1 << 36] * m)
         done = []
         for i, ns in enumerate(spaces):
-            eng.attach(ns, i)
+            eng.attach(ns)
             eng.submit(ns, KIND_WRITE, 0, 4_000_000_000, on_complete=done.append)
         eng.run()
         elapsed = max(c.finish_time for c in done)
@@ -215,8 +215,8 @@ def test_criterion_5_conservation_and_linearity():
             lin_ok = False
 
     # per-member balance within one stripe for a sequential stream
-    comp = compose([VirtualDevice(i, capacity=1 << 40) for i in range(2)],
-                   stripe_size=128 * 1024)
+    comp = ComposedDevice([VirtualDevice(i, capacity=1 << 40) for i in range(2)],
+                          stripe_size=128 * 1024)
     split = [0, 0]
     for member, _, take in comp.spans(0, 1 << 30):
         split[comp.members.index(member)] += take

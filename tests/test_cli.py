@@ -169,7 +169,8 @@ def test_rerun_recomputes_damaged_checkpoints(toy_inputs, damage):
     else:
         handle = json.loads(manifest.read_text())["stages"]["prune"]
         data = bytearray(device.read_bytes())
-        data[handle["start_address"] + HEADER_SIZE + handle["payload_length"] // 2] ^= 0xFF
+        payload_length = handle["length"] - HEADER_SIZE
+        data[handle["start_address"] + HEADER_SIZE + payload_length // 2] ^= 0xFF
         device.write_bytes(bytes(data))
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     for name, data in first.items():
@@ -196,8 +197,7 @@ def flip_byte_in_run_of(out, stage):
     """Damage the payload of the first spill run a count.pN checkpoint names."""
     blob = json.loads((out / "checkpoints.json").read_text())["stages"][stage]
     device = bytearray((out / "device0.dat").read_bytes())
-    payload = device[blob["start_address"] + HEADER_SIZE:
-                     blob["start_address"] + HEADER_SIZE + blob["payload_length"]]
+    payload = device[blob["start_address"] + HEADER_SIZE:blob["start_address"] + blob["length"]]
     run = decode_handles(bytes(payload))[0]
     device[run.start_address + HEADER_SIZE + 3] ^= 0xFF
     (out / "device0.dat").write_bytes(bytes(device))
@@ -274,7 +274,7 @@ def test_rerun_recomputes_checkpoint_that_does_not_decode(toy_inputs, capsys, st
     manifest.write_text(json.dumps(doc))
     # zeros of the same length, behind a header whose CRC they pass
     handle = doc["stages"][stage]
-    payload = bytes(handle["payload_length"])
+    payload = bytes(handle["length"] - HEADER_SIZE)
     device = bytearray((out / "device0.dat").read_bytes())
     start = handle["start_address"]
     device[start + 24:start + 32] = zlib.crc32(payload).to_bytes(8, "little")
@@ -312,6 +312,24 @@ def test_rerun_after_kill_between_count_blob_and_manifest(toy_inputs, monkeypatc
         assert (out / name).read_bytes() == (toy_inputs / "ref" / name).read_bytes()
 
 
+def test_rerun_in_another_checkpoint_format_is_a_clean_miss(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(CONFIGS.parent)  # toy_run.conf names its inputs from the repo root
+    out = tmp_path / "out"
+    run = ["run", "--config", str(CONFIGS / "toy_run.conf"), "--out", str(out)]
+    assert main(run) == 0
+    first = {name: (out / name).read_bytes() for name in OUTPUTS}
+    # the directory now holds checkpoints written in a format the program does not read
+    monkeypatch.setattr(pipeline, "CHECKPOINT_FORMAT", pipeline.CHECKPOINT_FORMAT + "-next")
+    capsys.readouterr()
+
+    assert main(run) == 0
+    stages = stage_lines(capsys.readouterr().out)
+    assert "stage prune" in stages
+    assert not [name for name, line in stages.items() if line.endswith("(checkpoint)")]
+    for name, data in first.items():
+        assert (out / name).read_bytes() == data
+
+
 @pytest.mark.parametrize("extra, message", [
     ({"hosts": 0}, "host"),
     ({"strategy": "composed_shared", "stripe_size": 0}, "stripe size"),
@@ -325,6 +343,9 @@ def test_rerun_after_kill_between_count_blob_and_manifest(toy_inputs, monkeypatc
     ({"device_bw": "inf"}, "'device_bw'"),
     ({"jitter": "nan"}, "'jitter'"),
     ({"avg_bw": "nan"}, "'avg_bw'"),
+    ({"avg_bw": 0}, "'avg_bw'"),
+    ({"avg_bw": -1}, "'avg_bw'"),
+    ({"avg_bw": 3000000000}, "'avg_bw'"),
     ({"fabric_latency_us": "nan"}, "'fabric_latency_us'"),
     ({"spill_chunk": 0}, "'spill_chunk'"),
     ({"spill_chunk": -5}, "'spill_chunk'"),
@@ -338,7 +359,8 @@ def test_rerun_after_kill_between_count_blob_and_manifest(toy_inputs, monkeypatc
     ({"spill_factor": -2}, "'spill_factor'"),
 ], ids=["no_hosts", "zero_stripe", "uncalibrated_width", "zero_bw", "negative_bw",
         "fractional_instances", "fractional_repeats", "overflowing_capacity", "infinite_bw",
-        "nan_jitter", "nan_avg_bw", "nan_latency", "zero_spill_chunk", "negative_spill_chunk",
+        "nan_jitter", "nan_avg_bw", "zero_avg_bw", "negative_avg_bw", "avg_bw_above_limit",
+        "nan_latency", "zero_spill_chunk", "negative_spill_chunk",
         "zero_flush_chunk", "zero_total_output", "jitter_above_1", "negative_jitter",
         "negative_latency", "negative_working_set", "negative_host_memory",
         "negative_spill_factor"])
@@ -367,6 +389,9 @@ SHIPPED_DIGESTS = {
     ("run", "toy_run.conf"): {
         "index.bin": "4fa8f0432e3c0a0e1b518b5355fc805cac6b41b5b6296bd8fdd69be80fc468c6",
         "groups.csv": "1b1fc42ea84ab57952e2f415d90be65356f64e0d1013a6e2e506643dc1b07f1d",
+        # the on-device format: a change to it re-pins these and says why
+        "trace.csv": "b8563a3f9b2aec74c8da052f803473c5f19f59e87afcda8967a6f496057bf375",
+        "device0.dat": "cb1398280d5628cf34ef74f0d6f171c704a5bd6a90bb061c9f02de3371bf9f9c",
     },
 }
 

@@ -2,23 +2,25 @@
 
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmerfab import fabric
 from kmerfab.fabric import (
     ATTACH_FABRIC,
     ATTACH_LOCAL,
     BoundsError,
     CapacityError,
+    ComposedDevice,
     CompositionError,
     EfficiencyCurve,
     FabricEngine,
     KIND_WRITE,
     Namespace,
     VirtualDevice,
-    compose,
     partition_namespaces,
 )
 
@@ -37,10 +39,10 @@ def ns_of(parent, size=None, attachment=ATTACH_LOCAL):
 
 
 def run_writes(engine, jobs):
-    """jobs: (namespace, start, length, client); returns completions in issue order."""
+    """jobs: (namespace, start, length); returns completions in issue order."""
     done = {}
-    for i, (ns, start, length, client) in enumerate(jobs):
-        engine.attach(ns, client)
+    for i, (ns, start, length) in enumerate(jobs):
+        engine.attach(ns)
         engine.submit(ns, KIND_WRITE, start, length,
                       on_complete=lambda c, i=i: done.__setitem__(i, c))
     engine.run()
@@ -60,17 +62,17 @@ def member_split(parent, start, length):
     return split
 
 
-def steady_buckets(engine, dev, end, bucket_s=0.01):
+def steady_buckets(engine, dev, end):
     """Bandwidth of the stats buckets that close by time end."""
-    return [bw for t, bw in engine.device_stats(dev) if t + bucket_s <= end]
+    return [bw for t, bw in engine.device_stats(dev) if t + fabric.BUCKET_S <= end]
 
 
 # -- composition -------------------------------------------------------------
 
 
 def test_compose_aggregate_bandwidth():
-    two = compose([device(0), device(1)])
-    three = compose([device(0), device(1), device(2)])
+    two = ComposedDevice([device(0), device(1)])
+    three = ComposedDevice([device(0), device(1), device(2)])
     assert two.max_seq_write_bw == 4 * GB
     assert three.max_seq_write_bw == 6 * GB
     assert two.capacity == 8 * TB
@@ -78,30 +80,30 @@ def test_compose_aggregate_bandwidth():
 
 def test_compose_requires_equal_capacity():
     with pytest.raises(CompositionError):
-        compose([device(0, capacity=TB), device(1, capacity=2 * TB)])
+        ComposedDevice([device(0, capacity=TB), device(1, capacity=2 * TB)])
     with pytest.raises(CompositionError):
-        compose([device(0)])
+        ComposedDevice([device(0)])
 
 
 def test_striping_splits_evenly():
-    comp = compose([device(0), device(1)], stripe_size=128 * 1024)
+    comp = ComposedDevice([device(0), device(1)], stripe_size=128 * 1024)
     split = member_split(comp, 0, 256 * 1024)
     assert split == {0: 128 * 1024, 1: 128 * 1024}
 
 
 def test_sequential_stream_balance_within_one_stripe():
-    comp = compose([device(0), device(1)], stripe_size=128 * 1024)
+    comp = ComposedDevice([device(0), device(1)], stripe_size=128 * 1024)
     split = member_split(comp, 0, 1 << 30)
     assert abs(split[0] - split[1]) <= 128 * 1024
     # unaligned stream, three members
-    comp3 = compose([device(0), device(1), device(2)], stripe_size=128 * 1024)
+    comp3 = ComposedDevice([device(0), device(1), device(2)], stripe_size=128 * 1024)
     split3 = member_split(comp3, 37_123, 1 << 30)
     assert sum(split3.values()) == 1 << 30
     assert max(split3.values()) - min(split3.values()) <= 128 * 1024
 
 
 def test_striping_data_roundtrip():
-    comp = compose([device(0), device(1), device(2)], stripe_size=64)
+    comp = ComposedDevice([device(0), device(1), device(2)], stripe_size=64)
     rng = random.Random(3)
     blob = bytes(rng.randrange(256) for _ in range(5000))
     comp.write_data(123, blob)
@@ -112,7 +114,7 @@ def test_striping_data_roundtrip():
 @given(width=st.integers(2, 4), stripe=st.integers(1, 64),
        start=st.integers(0, 5000), length=st.integers(0, 700))
 def test_spans_match_per_byte_reference(width, stripe, start, length):
-    comp = compose([device(i) for i in range(width)], stripe_size=stripe)
+    comp = ComposedDevice([device(i) for i in range(width)], stripe_size=stripe)
     # byte a lives in stripe a // s, on member stripe % m, at (stripe // m) * s + a % s
     expect = [(a // stripe % width, a // stripe // width * stripe + a % stripe)
               for a in range(start, start + length)]
@@ -160,9 +162,9 @@ def test_namespace_isolation_addresses():
         engine = FabricEngine()
         dev = device()
         a, b = partition_namespaces(dev, [TB, TB])
-        jobs = [(a, i * 1000, 1000, "A") for i in range(5)]
+        jobs = [(a, i * 1000, 1000) for i in range(5)]
         if with_neighbor:
-            jobs += [(b, i * 777, 777, "B") for i in range(5)]
+            jobs += [(b, i * 777, 777) for i in range(5)]
         comps = run_writes(engine, jobs)
         return [(c.namespace.name, c.start, c.length) for c in comps[:5]]
 
@@ -174,7 +176,7 @@ def test_namespace_isolation_addresses():
 
 def test_solo_write_full_bandwidth():
     engine = FabricEngine()
-    (comp,) = run_writes(engine, [(ns_of(device()), 0, 2 * GB, "a")])
+    (comp,) = run_writes(engine, [(ns_of(device()), 0, 2 * GB)])
     assert comp.finish_time == pytest.approx(1.0, abs=1e-9)
 
 
@@ -182,7 +184,7 @@ def test_two_equal_writers_split():
     engine = FabricEngine()
     dev = device()
     a, b = partition_namespaces(dev, [TB, TB])
-    comps = run_writes(engine, [(a, 0, 2 * GB, "a"), (b, 0, 2 * GB, "b")])
+    comps = run_writes(engine, [(a, 0, 2 * GB), (b, 0, 2 * GB)])
     for c in comps:
         assert c.finish_time == pytest.approx(2.0, abs=1e-9)
 
@@ -192,7 +194,7 @@ def test_three_writers_efficiency_factor():
     engine = FabricEngine()
     dev = device()
     spaces = partition_namespaces(dev, [TB] * 3)
-    comps = run_writes(engine, [(ns, 0, 2 * GB, f"c{i}") for i, ns in enumerate(spaces)])
+    comps = run_writes(engine, [(ns, 0, 2 * GB) for ns in spaces])
     expect = 2 * GB / (0.97 * 2 * GB / 3)
     for c in comps:
         assert c.finish_time == pytest.approx(expect, rel=1e-12)
@@ -202,10 +204,10 @@ def test_three_writers_efficiency_factor():
 def test_fabric_latency_added_once():
     engine = FabricEngine()
     dev = device()
-    (c_local,) = run_writes(engine, [(ns_of(dev), 0, GB, "x")])
+    (c_local,) = run_writes(engine, [(ns_of(dev), 0, GB)])
     engine2 = FabricEngine()
     (c_fabric,) = run_writes(
-        engine2, [(ns_of(device(), attachment=ATTACH_FABRIC), 0, GB, "x")])
+        engine2, [(ns_of(device(), attachment=ATTACH_FABRIC), 0, GB)])
     assert c_fabric.finish_time - c_local.finish_time == pytest.approx(15e-6, abs=1e-12)
     assert c_fabric.finish_time >= c_fabric.issue_time + 15e-6 + GB / (2 * GB)
 
@@ -216,11 +218,11 @@ def test_conservation_under_contention():
     spaces = partition_namespaces(dev, [TB] * 4)
     rng = random.Random(11)
     jobs = []
-    for i, ns in enumerate(spaces):
+    for ns in spaces:
         cursor = 0
         for _ in range(20):
             size = rng.randrange(1 << 16, 1 << 24)
-            jobs.append((ns, cursor, size, f"c{i}"))
+            jobs.append((ns, cursor, size))
             cursor += size
     comps = run_writes(engine, jobs)
     for c in comps:
@@ -229,10 +231,10 @@ def test_conservation_under_contention():
 
 def test_work_conservation_aggregate_rate():
     # with k active sharers the device serves e(k) * max bandwidth
-    engine = FabricEngine(stats=True, bucket_s=0.01)
+    engine = FabricEngine(stats=True)
     dev = device()
     spaces = partition_namespaces(dev, [TB] * 3)
-    comps = run_writes(engine, [(ns, 0, GB, f"c{i}") for i, ns in enumerate(spaces)])
+    comps = run_writes(engine, [(ns, 0, GB) for ns in spaces])
     steady = steady_buckets(engine, dev, min(c.finish_time for c in comps))
     assert len(steady) > 100
     for bw in steady:
@@ -244,10 +246,10 @@ def test_composition_linearity_saturating_streams():
     for m in (2, 3):
         curve = EfficiencyCurve([1.0] * m)
         devs = [device(i, efficiency_curve=curve) for i in range(m)]
-        comp = compose(devs)
+        comp = ComposedDevice(devs)
         engine = FabricEngine()
         spaces = partition_namespaces(comp, [TB] * m)
-        comps = run_writes(engine, [(ns, 0, 4 * GB, f"c{i}") for i, ns in enumerate(spaces)])
+        comps = run_writes(engine, [(ns, 0, 4 * GB) for ns in spaces])
         total = m * 4 * GB
         elapsed = max(c.finish_time for c in comps)
         assert total / elapsed == pytest.approx(m * 2 * GB, rel=0.01)
@@ -259,7 +261,7 @@ def test_monotonic_degradation_with_sharers():
         engine = FabricEngine()
         dev = device()
         spaces = partition_namespaces(dev, [TB] * n)
-        comps = run_writes(engine, [(ns, 0, GB, f"c{i}") for i, ns in enumerate(spaces)])
+        comps = run_writes(engine, [(ns, 0, GB) for ns in spaces])
         times.append(sum(c.finish_time - c.issue_time for c in comps) / n)
     assert times == sorted(times)
 
@@ -268,16 +270,15 @@ def test_detach_restores_efficiency():
     engine = FabricEngine(stats=True)
     dev = device()
     spaces = partition_namespaces(dev, [TB] * 4)
-    clients = [f"c{i}" for i in range(4)]
-    for ns, cl in zip(spaces, clients):
-        engine.attach(ns, cl)
+    for ns in spaces:
+        engine.attach(ns)
     done = []
     engine.submit(spaces[0], KIND_WRITE, 0, GB, on_complete=done.append)
     engine.run()
     # four sharers attached: e(4) = 0.88 on CURVE
     assert served_bw(done[0]) == pytest.approx(0.88 * 2 * GB, rel=1e-9)
-    for ns, cl in zip(spaces[1:], clients[1:]):
-        engine.detach(ns, cl)
+    for ns in spaces[1:]:
+        engine.detach(ns)
     engine.submit(spaces[0], KIND_WRITE, GB, GB, on_complete=done.append)
     engine.run()
     assert served_bw(done[1]) == pytest.approx(2 * GB, rel=1e-9)
@@ -290,11 +291,11 @@ def test_determinism_identical_completions():
         spaces = partition_namespaces(dev, [TB] * 3)
         rng = random.Random(42)
         jobs = []
-        for i, ns in enumerate(spaces):
+        for ns in spaces:
             cursor = 0
             for _ in range(30):
                 size = rng.randrange(1 << 12, 1 << 22)
-                jobs.append((ns, cursor, size, f"c{i}"))
+                jobs.append((ns, cursor, size))
                 cursor += size
         return [(c.request_id, c.finish_time) for c in run_writes(engine, jobs)]
 
@@ -309,14 +310,14 @@ def test_flow_far_from_float_exact_still_completes():
     engine = FabricEngine()
     done = []
     engine.submit(a, KIND_WRITE, 0, 2**53 + 12297, on_complete=done.append)
-    engine.submit(b, KIND_WRITE, 0, 2**40, when=1000.0, on_complete=done.append)
+    engine.schedule(1000.0, engine.submit, b, KIND_WRITE, 0, 2**40, done.append)
     engine.run()
     assert sorted(c.request_id for c in done) == [1, 2]
     assert max(c.finish_time for c in done) == pytest.approx(
         (2**53 + 12297 + 2**40) / (2 * GB), rel=1e-9)
 
 
-_client = st.integers(0, 3)
+_space = st.integers(0, 3)
 
 
 @settings(max_examples=50, deadline=None)
@@ -324,27 +325,27 @@ _client = st.integers(0, 3)
     width=st.integers(1, 3),
     stripe=st.sampled_from([4096, 128 * 1024]),
     attachment=st.sampled_from([ATTACH_LOCAL, ATTACH_FABRIC]),
-    jobs=st.lists(st.tuples(_client, st.integers(1, 1 << 26), st.floats(0.0, 0.2)),
+    jobs=st.lists(st.tuples(_space, st.integers(1, 1 << 26), st.floats(0.0, 0.2)),
                   min_size=1, max_size=25),
-    attached=st.sets(_client),
-    detaches=st.lists(st.tuples(_client, st.floats(0.0, 0.2)), max_size=4),
+    attached=st.sets(_space),
+    detaches=st.lists(st.tuples(_space, st.floats(0.0, 0.2)), max_size=4),
 )
 def test_engine_properties(width, stripe, attachment, jobs, attached, detaches):
     def run_once():
         devs = [device(i) for i in range(width)]
-        parent = devs[0] if width == 1 else compose(devs, stripe_size=stripe)
+        parent = devs[0] if width == 1 else ComposedDevice(devs, stripe_size=stripe)
         spaces = partition_namespaces(parent, [parent.capacity // 4] * 4,
                                       attachment=attachment)
         engine = FabricEngine()
         for c in attached:
-            engine.attach(spaces[c], c)
+            engine.attach(spaces[c])
         for c, when in detaches:
-            engine.schedule(when, lambda c=c: engine.detach(spaces[c], c))
+            engine.schedule(when, engine.detach, spaces[c])
         cursors = [0] * 4
         done = []
         for c, size, when in jobs:
-            engine.submit(spaces[c], KIND_WRITE, cursors[c], size, when=when,
-                          on_complete=done.append)
+            engine.schedule(when, engine.submit, spaces[c], KIND_WRITE, cursors[c], size,
+                            done.append)
             cursors[c] += size
         engine.run()
         return parent, done
@@ -364,16 +365,18 @@ def test_engine_properties(width, stripe, attachment, jobs, attached, detaches):
 
 
 def test_idle_device_zero_timeline():
-    engine = FabricEngine(stats=True, bucket_s=0.01)
+    engine = FabricEngine(stats=True)
     dev = device()
-    engine.run(until=0.1)
+    engine.schedule(0.1, lambda: None)  # the clock runs to 0.1 with nothing served
+    engine.run()
+    assert engine.now == 0.1
     assert all(bw == 0.0 for _, bw in engine.device_stats(dev))
 
 
 def test_saturating_writer_timeline_at_max():
-    engine = FabricEngine(stats=True, bucket_s=0.01)
+    engine = FabricEngine(stats=True)
     dev = device()
-    run_writes(engine, [(ns_of(dev), 0, 2 * GB, "a")])
+    run_writes(engine, [(ns_of(dev), 0, 2 * GB)])
     assert engine.now == 1.0
     stats = engine.device_stats(dev)
     inner = [bw for t, bw in stats if 0.01 <= t < 0.99]
@@ -383,10 +386,10 @@ def test_saturating_writer_timeline_at_max():
 def test_concurrent_writers_peak_below_solo_peak():
     # four sharers never reach the solo burst peak
     def peak(n):
-        engine = FabricEngine(stats=True, bucket_s=0.01)
+        engine = FabricEngine(stats=True)
         dev = device()
         spaces = partition_namespaces(dev, [TB] * n)
-        comps = run_writes(engine, [(ns, 0, GB, f"c{i}") for i, ns in enumerate(spaces)])
+        comps = run_writes(engine, [(ns, 0, GB) for ns in spaces])
         return max(steady_buckets(engine, dev, min(c.finish_time for c in comps)))
 
     assert peak(4) < peak(1)
@@ -425,31 +428,31 @@ def bucket_segments(segments, bucket_s, end):
     width=st.integers(1, 3),
     bucket_s=st.sampled_from([0.001, 0.0037, 0.01]),
     attachment=st.sampled_from([ATTACH_LOCAL, ATTACH_FABRIC]),
-    jobs=st.lists(st.tuples(_client, st.integers(1, 1 << 26), st.floats(0.0, 0.2)),
+    jobs=st.lists(st.tuples(_space, st.integers(1, 1 << 26), st.floats(0.0, 0.2)),
                   min_size=1, max_size=25),
-    attaches=st.lists(st.tuples(_client, st.floats(0.0, 0.2)), max_size=4),
-    detaches=st.lists(st.tuples(_client, st.floats(0.0, 0.2)), max_size=4),
-    until=st.none() | st.floats(0.0, 0.3),
+    attaches=st.lists(st.tuples(_space, st.floats(0.0, 0.2)), max_size=4),
+    detaches=st.lists(st.tuples(_space, st.floats(0.0, 0.2)), max_size=4),
 )
 def test_streamed_buckets_match_segment_reference(width, bucket_s, attachment, jobs,
-                                                  attaches, detaches, until):
+                                                  attaches, detaches):
     devs = [device(i) for i in range(width)]
-    parent = devs[0] if width == 1 else compose(devs, stripe_size=4096)
+    parent = devs[0] if width == 1 else ComposedDevice(devs, stripe_size=4096)
     spaces = partition_namespaces(parent, [parent.capacity // 4] * 4, attachment=attachment)
-    engine = _SegmentRecorder(stats=True, bucket_s=bucket_s)
+    engine = _SegmentRecorder(stats=True)
     # sharers come and go mid-flow, so the rate changes inside buckets
     for c, when in attaches:
-        engine.schedule(when, engine.attach, spaces[c], c)
+        engine.schedule(when, engine.attach, spaces[c])
     for c, when in detaches:
-        engine.schedule(when, engine.detach, spaces[c], c)
+        engine.schedule(when, engine.detach, spaces[c])
     cursors = [0] * 4
     for c, size, when in jobs:
-        engine.submit(spaces[c], KIND_WRITE, cursors[c], size, when=when)
+        engine.schedule(when, engine.submit, spaces[c], KIND_WRITE, cursors[c], size)
         cursors[c] += size
-    engine.run(until)
-    for dev in devs:
-        assert engine.device_stats(dev) == bucket_segments(
-            engine.segments.get(dev.id, []), bucket_s, engine.now)
+    with mock.patch.object(fabric, "BUCKET_S", bucket_s):
+        engine.run()
+        for dev in devs:
+            assert engine.device_stats(dev) == bucket_segments(
+                engine.segments.get(dev.id, []), bucket_s, engine.now)
 
 
 def test_engine_keeps_no_per_request_history():

@@ -1,4 +1,4 @@
-"""Spill store: append contract, run round-trips, corruption, I/O trace."""
+"""Spill store: append contract, run and blob round-trips, corruption, I/O trace."""
 
 import random
 
@@ -10,7 +10,6 @@ from kmerfab.fabric import CapacityError, Namespace, VirtualDevice
 from kmerfab.spill import (
     BlobHandle,
     CorruptionError,
-    RunHandle,
     SpillStore,
     decode_handles,
     decode_run,
@@ -60,7 +59,7 @@ def test_roundtrip_random_table():
     )
     handle = store.flush_table(table(rows))
     assert store.read_run(handle) == rows
-    assert handle.entry_count == len(rows)
+    assert handle.length == HEADER_SIZE + 16 * len(rows)
 
 
 def test_flush_sorts_by_code():
@@ -78,7 +77,7 @@ def test_empty_flush_rejected():
 def test_tampered_length_detected():
     store = make_store()
     h = store.flush_table(table([(1, 1, 0), (2, 0, 1)]))
-    bad = RunHandle(h.start_address, h.length - 16, h.entry_count, h.checksum)
+    bad = BlobHandle(h.start_address, h.length - 16, h.checksum)
     with pytest.raises(CorruptionError):
         store.read_run(bad)
 
@@ -94,15 +93,15 @@ def test_corrupted_payload_detected():
 def test_unknown_handle_rejected():
     store = make_store()
     with pytest.raises(CorruptionError):
-        store.read_run(RunHandle(0, 48, 1, 0))
+        store.read_run(BlobHandle(0, 48, 0))
 
 
 def test_handle_checksum_must_match_run():
     store = make_store()
     h1 = store.flush_table(table([(1, 1, 0), (2, 0, 1)]))
     h2 = store.flush_table(table([(3, 2, 2), (4, 1, 1)]))
-    for bad in (RunHandle(h1.start_address, h1.length, h1.entry_count, h1.checksum ^ 1),
-                RunHandle(h1.start_address, h1.length, h1.entry_count, h2.checksum)):
+    for bad in (BlobHandle(h1.start_address, h1.length, h1.checksum ^ 1),
+                BlobHandle(h1.start_address, h1.length, h2.checksum)):
         with pytest.raises(CorruptionError):
             store.read_run(bad)
 
@@ -110,9 +109,9 @@ def test_handle_checksum_must_match_run():
 def test_handle_outside_namespace_rejected():
     store = make_store(size=4096)
     h = store.flush_table(table([(1, 1, 0)]))
-    for bad in (RunHandle(4096, h.length, 1, h.checksum),
-                RunHandle(h.start_address, 8192, 1, h.checksum),
-                RunHandle(h.start_address, 0, 1, h.checksum)):
+    for bad in (BlobHandle(4096, h.length, h.checksum),
+                BlobHandle(h.start_address, 8192, h.checksum),
+                BlobHandle(h.start_address, 0, h.checksum)):
         with pytest.raises(CorruptionError):
             store.read_run(bad)
 
@@ -126,11 +125,11 @@ def test_handle_read_by_a_fresh_store():
 
 
 @settings(max_examples=50, deadline=None)
-@given(fields=st.lists(st.tuples(*[st.integers(0, 2**64 - 1)] * 4), max_size=8))
+@given(fields=st.lists(st.tuples(*[st.integers(0, 2**64 - 1)] * 3), max_size=8))
 def test_handle_codec_roundtrip(fields):
-    handles = [RunHandle(*f) for f in fields]
+    handles = [BlobHandle(*f) for f in fields]
     data = encode_handles(handles)
-    assert len(data) == 32 * len(handles)
+    assert len(data) == 24 * len(handles)
     assert decode_handles(data) == handles
     if data:
         with pytest.raises(CorruptionError):
@@ -175,21 +174,25 @@ def test_blob_handle_checksum_must_match_blob():
     h1 = store.append_blob(b"first stage output")
     h2 = store.append_blob(b"other stage output")
     with pytest.raises(CorruptionError):
-        store.read_blob(BlobHandle(h2.start_address, h2.length, h2.payload_length, h1.checksum))
+        store.read_blob(BlobHandle(h2.start_address, h2.length, h1.checksum))
 
 
 def test_run_encoding_is_bit_exact():
     rows = [(0, 0, 0), (1, 2, 3), (2 ** 60, 4, 5)]
     data = encode_run(rows)
-    assert data[:8] == b"KFRUNv1\x00"
     assert decode_run(data) == rows
-    assert len(data) == HEADER_SIZE + 16 * len(rows)
-    # fixed golden bytes so an independent implementation can share fixtures
-    assert encode_run([(1, 2, 3)]).hex() == (
-        "4b4652554e763100"  # magic
+    assert len(data) == 16 * len(rows)
+    with pytest.raises(CorruptionError):
+        decode_run(data[:-1])
+    # fixed golden bytes of a one-record run on the device, so an independent
+    # implementation can share fixtures
+    store = make_store()
+    h = store.flush_table(table([(1, 2, 3)]))
+    assert store.namespace.read_data(h.start_address, h.length).hex() == (
+        "4b46424c4f427631"  # magic
         "01000000"          # version
         "00000000"          # reserved
-        "0100000000000000"  # entry count
+        "1000000000000000"  # payload length
         "5772431200000000"  # crc32 of payload
         "0100000000000000" "02000000" "03000000"
     )
@@ -214,7 +217,7 @@ _ROWS = st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1),
 @given(rows=_ROWS)
 def test_run_codec_roundtrip(rows):
     data = encode_run(rows)
-    assert len(data) == HEADER_SIZE + len(rows) * 16
+    assert len(data) == len(rows) * 16
     assert decode_run(data) == rows
 
 
@@ -227,5 +230,5 @@ def test_blob_codec_roundtrip(payloads, chunk):
     handles = [store.append_blob(p) for p in payloads]
     assert store.append_cursor == sum(HEADER_SIZE + len(p) for p in payloads)
     for payload, handle in zip(payloads, handles):
-        assert handle.payload_length == len(payload)
+        assert handle.length == HEADER_SIZE + len(payload)
         assert store.read_blob(handle) == payload

@@ -121,12 +121,12 @@ def test_prune_fp_rate_bounded():
 
 def test_prune_insert_matches_two_query_reference():
     """The fused insert sets the same bits as `in seen_once` then `.add`, and
-    the layout matches the one earlier prune checkpoints were written with."""
+    both bitmaps are the ones earlier prune checkpoints were written with."""
     rng = random.Random(7)
     pool = [rng.getrandbits(2 * K) for _ in range(3000)]
     codes = [rng.choice(pool) for _ in range(9000)]
-    fused = PruneFilter(K, 0.01, len(codes))
-    ref = PruneFilter(K, 0.01, len(codes))
+    fused = PruneFilter(len(codes), 0.01)
+    ref = PruneFilter(len(codes), 0.01)
     for code in codes:
         fused.insert_occurrence(code)
         if code in ref.seen_once:
@@ -134,8 +134,10 @@ def test_prune_insert_matches_two_query_reference():
         else:
             ref.seen_once.add(code)
     assert fused.to_bytes() == ref.to_bytes()
-    assert hashlib.sha256(fused.to_bytes()).hexdigest() == (
-        "1bc48acb41812f05152de4133d2fed580f806b0f814378535df3b46226a3c98e")
+    assert hashlib.sha256(fused.seen_once.to_bytes()).hexdigest() == (
+        "179f0ac6ad19ac598b7ed27ff6759c114962ecb9b0af1f57d99171447172be91")
+    assert hashlib.sha256(fused.seen_multi.to_bytes()).hexdigest() == (
+        "f28cdc9e203a9c6d6f52bf7a5ac1cd9428fa70b8008ed9a80f5f2a2768e1aa41")
 
 
 # -- count ---------------------------------------------------------------
