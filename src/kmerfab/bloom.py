@@ -11,9 +11,7 @@ _SALT = 0xA5A5A5A5A5A5A5A5
 
 
 def optimal_bits(n: int, fp: float) -> int:
-    """m = -n ln p / (ln 2)^2, floored at 64 bits."""
-    if not 0.0 < fp < 1.0:
-        raise ValueError("false-positive target must be in (0, 1)")
+    """m = -n ln p / (ln 2)^2 for p in (0, 1), floored at 64 bits."""
     n = max(1, n)
     return max(64, int(-n * math.log(fp) / (math.log(2) ** 2)))
 

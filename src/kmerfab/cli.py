@@ -7,6 +7,7 @@ All artifacts are CSV or flat text, reproducible byte-for-byte per seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -15,12 +16,13 @@ from . import traceanalysis
 from .fabric import (
     ATTACH_FABRIC,
     ATTACH_LOCAL,
+    DEFAULT_BW,
     CompositionError,
     FileBacking,
     Namespace,
     VirtualDevice,
 )
-from .kmers import Origin, ParseError, parse_reads
+from .kmers import MAX_K, Origin, ParseError, parse_reads
 from .orchestrator import (
     AllocationPlan,
     HostModel,
@@ -55,8 +57,9 @@ _SCENARIO_KEYS = {
 def _load_pool(kv: dict[str, str]) -> PoolConfig:
     pool = PoolConfig()
     pool.n_devices = cfg.get_int(kv, "devices", pool.n_devices)
-    pool.device_bw = cfg.get_float(kv, "device_bw", pool.device_bw)
-    pool.device_capacity = cfg.get_int(kv, "device_capacity", pool.device_capacity)
+    pool.device_bw = cfg.get_float(kv, "device_bw", pool.device_bw, cfg.ABOVE_ZERO)
+    pool.device_capacity = cfg.get_int(kv, "device_capacity", pool.device_capacity,
+                                       cfg.POSITIVE)
     pool.stripe_size = cfg.get_int(kv, "stripe_size", pool.stripe_size)
     latency_us = cfg.get_float(kv, "fabric_latency_us", pool.fabric_latency * 1e6,
                                cfg.NON_NEGATIVE)
@@ -116,37 +119,38 @@ def cmd_run(args) -> int:
     normal_path = Path(kv["normal"])
     tumoral_path = Path(kv["tumoral"])
     for path in (normal_path, tumoral_path):
-        if not path.exists():
+        if not path.is_file():
             print(f"error: input file not found: {path}", file=sys.stderr)
             return EXIT_USAGE
 
+    # every key is range-checked here, before anything is written to the output directory
     pipe_cfg = PipelineConfig(
-        k=cfg.get_int(kv, "k", 30),
-        partitions=cfg.get_int(kv, "partitions", 1),
-        capacity_limit=cfg.get_int(kv, "capacity_limit", None) or None,
-        tau_t=cfg.get_int(kv, "tau_t", 4),
-        tau_n=cfg.get_int(kv, "tau_n", 1),
-        min_candidates=cfg.get_int(kv, "min_candidates", 3),
-        prune_fp=cfg.get_float(kv, "prune_fp", 0.01),
+        k=cfg.get_int(kv, "k", PipelineConfig.k, (1, MAX_K)),
+        partitions=cfg.get_int(kv, "partitions", PipelineConfig.partitions, cfg.POSITIVE),
+        capacity_limit=cfg.get_int(kv, "capacity_limit", PipelineConfig.capacity_limit,
+                                   cfg.NON_NEGATIVE) or None,  # 0 = unbounded
+        # prune only removes multiplicity-1 k-mers; tau_t >= 2 keeps every
+        # possible candidate out of its reach
+        tau_t=cfg.get_int(kv, "tau_t", PipelineConfig.tau_t, (2, math.inf)),
+        tau_n=cfg.get_int(kv, "tau_n", PipelineConfig.tau_n, cfg.NON_NEGATIVE),
+        min_candidates=cfg.get_int(kv, "min_candidates", PipelineConfig.min_candidates,
+                                   cfg.POSITIVE),
+        prune_fp=cfg.get_float(kv, "prune_fp", PipelineConfig.prune_fp, cfg.OPEN_UNIT),
     )
-    pipe_cfg.validate()
-    # check the device, store and inputs before anything is written to the output directory
     device = VirtualDevice(
         0,
-        max_seq_write_bw=cfg.get_float(kv, "device_bw", 2_000_000_000.0),
-        capacity=cfg.get_int(kv, "device_capacity", 1_000_000_000),
+        max_seq_write_bw=cfg.get_float(kv, "device_bw", DEFAULT_BW, cfg.ABOVE_ZERO),
+        capacity=cfg.get_int(kv, "device_capacity", 1_000_000_000, cfg.POSITIVE),
     )
-    ns_size = cfg.get_int(kv, "namespace_size", device.capacity)
-    if not 0 < ns_size <= device.capacity:
-        raise cfg.ConfigError(
-            f"namespace_size must be in [1, device_capacity = {device.capacity}], got {ns_size}")
     ns = Namespace(
-        parent=device, offset=0, size=ns_size,
+        parent=device, offset=0,
+        size=cfg.get_int(kv, "namespace_size", device.capacity, (1, device.capacity)),
         attachment=cfg.get_str(kv, "attachment", ATTACH_LOCAL,
                                choices={ATTACH_LOCAL, ATTACH_FABRIC}),
         name="pipeline",
     )
-    store = SpillStore(ns, chunk_size=cfg.get_int(kv, "chunk_size", DEFAULT_CHUNK))
+    store = SpillStore(ns, chunk_size=cfg.get_int(kv, "chunk_size", DEFAULT_CHUNK,
+                                                  cfg.POSITIVE))
 
     with open(normal_path) as fh:
         normal = parse_reads(fh, Origin.NORMAL)

@@ -52,12 +52,19 @@ def check_keys(kv: dict[str, str], allowed: set[str], patterns: list[str] = ()) 
 ANY = (-math.inf, math.inf)
 POSITIVE = (1, math.inf)
 NON_NEGATIVE = (0, math.inf)
+ABOVE_ZERO = (math.ulp(0.0), math.inf)  # > 0, for a float
+OPEN_UNIT = (math.ulp(0.0), math.nextafter(1.0, 0.0))  # (0, 1), for a float
+
+
+def _bound(b: float) -> str:
+    """An integral bound in full, any other bound exactly (its shortest round-trip form)."""
+    return str(int(b)) if isinstance(b, int) or b.is_integer() else repr(b)
 
 
 def _within(key: str, value, bounds: tuple[float, float]):
     lo, hi = bounds
     if not lo <= value <= hi:
-        wanted = f">= {lo:g}" if hi == math.inf else f"in [{lo:g}, {hi:g}]"
+        wanted = f">= {_bound(lo)}" if hi == math.inf else f"in [{_bound(lo)}, {_bound(hi)}]"
         raise ConfigError(f"key {key!r}: expected a value {wanted}, got {value!r}")
     return value
 

@@ -121,10 +121,6 @@ class VirtualDevice:
         fabric_latency: float = DEFAULT_FABRIC_LATENCY,
         backing=None,
     ):
-        if not max_seq_write_bw > 0:  # NaN fails too
-            raise ValueError(f"device bandwidth must be positive, got {max_seq_write_bw}")
-        if capacity <= 0:
-            raise ValueError(f"device capacity must be positive, got {capacity}")
         self.id = device_id
         self.max_seq_write_bw = float(max_seq_write_bw)
         self.capacity = int(capacity)
@@ -250,13 +246,12 @@ class IoRequest:
     served_bytes is the integral of the granted rate over the request's
     lifetime, summed over the members it was striped across."""
 
-    __slots__ = ("request_id", "namespace", "kind", "start", "length", "issue_time",
+    __slots__ = ("request_id", "namespace", "start", "length", "issue_time",
                  "finish_time", "served_bytes", "flows_left", "on_complete")
 
-    def __init__(self, request_id, namespace, kind, start, length, issue_time, on_complete):
+    def __init__(self, request_id, namespace, start, length, issue_time, on_complete):
         self.request_id = request_id
         self.namespace = namespace
-        self.kind = kind
         self.start = start
         self.length = length
         self.issue_time = issue_time
@@ -366,7 +361,6 @@ class FabricEngine:
     def submit(
         self,
         namespace: Namespace,
-        kind: str,
         start: int,
         length: int,
         on_complete: Optional[Callable[[IoRequest], None]] = None,
@@ -375,10 +369,8 @@ class FabricEngine:
         returns its id. Only its timing is modelled: the bytes go through
         the namespace's write_data/read_data."""
         namespace._check(start, length)
-        if kind not in (KIND_WRITE, KIND_READ):
-            raise ValueError(f"unknown request kind {kind!r}")
         self._rid += 1
-        req = IoRequest(self._rid, namespace, kind, start, length, self.now, on_complete)
+        req = IoRequest(self._rid, namespace, start, length, self.now, on_complete)
         latency = namespace.parent.fabric_latency if namespace.attachment == ATTACH_FABRIC else 0.0
         self.schedule(self.now + latency, self._start_request, req)
         return req.request_id
@@ -432,9 +424,9 @@ class FabricEngine:
 
     def spawn(self, gen) -> None:
         """Drive a generator yielding ("sleep", dt) or
-        ("write"/"read", namespace, start, length); each finished
-        IoRequest is sent back into the generator, and so is the wake time
-        after a sleep."""
+        ("write", namespace, start, length); each finished IoRequest is
+        sent back into the generator, and so is the wake time after a
+        sleep."""
 
         def resume(value) -> None:
             try:
@@ -445,8 +437,8 @@ class FabricEngine:
             if op == "sleep":
                 wake = self.now + cmd[1]
                 self.schedule(wake, resume, wake)
-            elif op in (KIND_WRITE, KIND_READ):
-                self.submit(cmd[1], op, cmd[2], cmd[3], on_complete=resume)
+            elif op == KIND_WRITE:
+                self.submit(cmd[1], cmd[2], cmd[3], on_complete=resume)
             else:
                 raise ValueError(f"unknown process command {op!r}")
 

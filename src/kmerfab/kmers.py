@@ -87,9 +87,7 @@ def parse_reads(stream: TextIO | Iterable[str], origin: Origin) -> list[Read]:
 
 
 def canonical_codes(bases: str, k: int) -> list[int]:
-    """Canonical code of every valid k-window; the pipeline's hot path."""
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be in [1, {MAX_K}], got {k}")
+    """Canonical code of every valid k-window, 1 <= k <= MAX_K; the pipeline's hot path."""
     n = len(bases)
     if n < k:
         return []
@@ -125,8 +123,6 @@ def mix64(x: int) -> int:
 
 
 def partition_of(code: int, partitions: int) -> int:
-    """Partition id of a canonical code: multiply-shift hash modulo P."""
-    if partitions < 1:
-        raise ValueError("partitions must be >= 1")
+    """Partition id of a canonical code: multiply-shift hash modulo P (P >= 1)."""
     h = ((code * _HASH_MULT) & _MASK64) >> 17
     return h % partitions

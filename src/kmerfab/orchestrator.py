@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .fabric import (
     ATTACH_FABRIC,
-    ATTACH_LOCAL,
     BoundsError,
     ComposedDevice,
     EfficiencyCurve,
@@ -251,8 +250,6 @@ def simulate(
     stats: bool = False,
 ) -> SimResult:
     """Run one deterministic simulation of the planned instances."""
-    if attachment not in (ATTACH_LOCAL, ATTACH_FABRIC):
-        raise ValueError(f"unknown attachment {attachment!r}")
     engine = FabricEngine(stats=stats)
     devices: dict[int, VirtualDevice] = {}
     parents = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
 
-from .kmers import MAX_K, Read
+from .kmers import Read
 # encode_run and decode_run go unused here, but perfbench/tracing.py wraps these names
 from .spill import (BlobHandle, CorruptionError, SpillStore, decode_handles, decode_run,
                     encode_handles, encode_run)
@@ -48,6 +48,8 @@ LOAD_ERRORS = (CorruptionError, StageError, struct.error, ValueError)
 
 @dataclass
 class PipelineConfig:
+    """Run settings, trusted here: `cli.cmd_run` range-checks each as it loads."""
+
     k: int = 30
     partitions: int = 1
     capacity_limit: int | None = None
@@ -55,24 +57,6 @@ class PipelineConfig:
     tau_n: int = 1
     min_candidates: int = 3
     prune_fp: float = 0.01
-
-    def validate(self) -> None:
-        if not 1 <= self.k <= MAX_K:
-            raise ValueError(f"k must be in [1, {MAX_K}]")
-        if self.partitions < 1:
-            raise ValueError("partitions must be >= 1")
-        if self.capacity_limit is not None and self.capacity_limit < 1:
-            raise ValueError("capacity_limit must be >= 1 or unbounded")
-        # prune only removes multiplicity-1 k-mers; tau_t >= 2 keeps every
-        # possible candidate out of its reach
-        if self.tau_t < 2:
-            raise ValueError("tau_t must be >= 2 while pruning is enabled")
-        if self.tau_n < 0:
-            raise ValueError("tau_n must be >= 0")
-        if self.min_candidates < 1:
-            raise ValueError("min_candidates must be >= 1")
-        if not 0.0 < self.prune_fp < 1.0:
-            raise ValueError("prune_fp must be in (0, 1)")
 
     def fingerprint(self, normal: list[Read], tumoral: list[Read]) -> str:
         h = hashlib.sha256(CHECKPOINT_FORMAT.encode())
@@ -154,7 +138,6 @@ def run_pipeline(
     checkpoints: Checkpoints | None = None,
 ) -> PipelineResult:
     """Execute the whole pipeline, honoring existing stage checkpoints."""
-    config.validate()
     cp = checkpoints or Checkpoints(store, fingerprint="", path=None)
     result = PipelineResult(index=CandidateIndex(config.k), groups=[])
     nested = 0.0  # seconds the running stage has spent in the stages it consumes

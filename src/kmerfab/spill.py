@@ -14,7 +14,7 @@ import struct
 import zlib
 from dataclasses import astuple, dataclass
 
-from .fabric import CapacityError, FabricEngine, Namespace, KIND_READ, KIND_WRITE
+from .fabric import ATTACH_FABRIC, CapacityError, Namespace, KIND_READ, KIND_WRITE
 from .traceanalysis import IoRecord
 
 DEFAULT_CHUNK = 8 * 1024 * 1024
@@ -63,29 +63,31 @@ def decode_run(payload: bytes) -> list[tuple[int, int, int]]:
 
 
 class SpillStore:
-    """Single-writer append store over one namespace.
+    """Single-writer append store over one namespace of a VirtualDevice.
 
     Every request is chunk_size bytes except the final chunk of a blob; each
     request starts where the previous one ended, which keeps the device trace
-    fully append-sequential. The store owns its engine and issues each request
-    when the previous one has completed.
+    fully append-sequential. The store issues each request when the previous
+    one has completed, on a namespace that never attaches, so each is served
+    alone at e(1) x bandwidth: its finish time is the fabric engine's, in
+    closed form, and `now` is the store's clock.
     """
 
     def __init__(self, namespace: Namespace, chunk_size: int = DEFAULT_CHUNK):
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
         self.namespace = namespace
         self.chunk_size = chunk_size
-        self.engine = FabricEngine(stats=False)
+        self.now = 0.0
         self.append_cursor = 0
         self._trace: list[IoRecord] = []
 
     def _io(self, kind: str, start: int, length: int) -> None:
-        """Time one request on the engine and record it in the trace."""
-        issue = self.engine.now
-        self.engine.submit(self.namespace, kind, start, length)
-        self.engine.run()
-        self._trace.append(IoRecord(issue, kind, start, length))
+        """Time one request and record it in the trace."""
+        self._trace.append(IoRecord(self.now, kind, start, length))
+        device = self.namespace.parent
+        latency = device.fabric_latency if self.namespace.attachment == ATTACH_FABRIC else 0.0
+        # FabricEngine's arithmetic, in its order, for one flow on an unattached device
+        self.now = (self.now + latency) + length / (device.efficiency_curve(1)
+                                                    * device.max_seq_write_bw)
 
     def _append(self, data: bytes) -> int:
         """Write data as chunked sequential requests; returns start address."""

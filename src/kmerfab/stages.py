@@ -130,11 +130,9 @@ def prune(codes: ReadCodes, target_fp: float) -> PruneFilter:
 
 
 class FrequencyTable:
-    """Bounded map canonical code -> [n_count, t_count]."""
+    """Bounded map canonical code -> [n_count, t_count] (capacity_limit None: unbounded)."""
 
     def __init__(self, capacity_limit: int | None = None):
-        if capacity_limit is not None and capacity_limit < 1:
-            raise ValueError("capacity_limit must be >= 1 (or None for unbounded)")
         self.entries: dict[int, list[int]] = {}
         self.capacity_limit = capacity_limit
 
@@ -283,10 +281,6 @@ def filter_candidates(
 
     The table holds partition `partition_id`'s codes, so each read is
     intersected with its codes in that partition only."""
-    if tau_t < 1:
-        raise ValueError("tau_t must be >= 1")
-    if tau_n < 0:
-        raise ValueError("tau_n must be >= 0")
     index = CandidateIndex(codes.k)
     for code, (n, t) in table.entries.items():
         if is_imbalanced(n, t, tau_t, tau_n):
@@ -346,8 +340,6 @@ class GroupResult:
 def group(index: CandidateIndex, min_candidates: int) -> list[GroupResult]:
     """Seed on tumoral reads holding >= min_candidates candidate k-mers
     (ascending id); a group is every read sharing one of the seed's k-mers."""
-    if min_candidates < 1:
-        raise ValueError("min_candidates must be >= 1")
     candidates = index.candidates
     tumoral_reads = sorted(
         (rid, bases)

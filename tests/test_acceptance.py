@@ -17,7 +17,6 @@ from kmerfab.fabric import (
     ComposedDevice,
     EfficiencyCurve,
     FabricEngine,
-    KIND_WRITE,
     Namespace,
     VirtualDevice,
     partition_namespaces,
@@ -188,7 +187,7 @@ def test_criterion_5_conservation_and_linearity():
         cursor = 0
         for _ in range(40):
             size = rng.randrange(1 << 12, 1 << 24)
-            engine.submit(ns, KIND_WRITE, cursor, size, on_complete=completions.append)
+            engine.submit(ns, cursor, size, on_complete=completions.append)
             cursor += size
     engine.run()
     max_err = max(abs(c.served_bytes - c.length) for c in completions)
@@ -206,7 +205,7 @@ def test_criterion_5_conservation_and_linearity():
         done = []
         for i, ns in enumerate(spaces):
             eng.attach(ns)
-            eng.submit(ns, KIND_WRITE, 0, 4_000_000_000, on_complete=done.append)
+            eng.submit(ns, 0, 4_000_000_000, on_complete=done.append)
         eng.run()
         elapsed = max(c.finish_time for c in done)
         agg = m * 4_000_000_000 / elapsed

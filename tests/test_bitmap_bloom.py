@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from kmerfab.bitmap import Bitmap
 from kmerfab.bloom import BloomFilter, optimal_bits, optimal_hashes
 
@@ -88,8 +86,3 @@ def test_bloom_serialization_roundtrip():
     clone = BloomFilter.from_bytes(bf.n_bits, bf.n_hashes, bf.to_bytes())
     assert all(x in clone for x in (1, 5, 99, 12345))
     assert clone.to_bytes() == bf.to_bytes()
-
-
-def test_bloom_rejects_bad_fp():
-    with pytest.raises(ValueError):
-        optimal_bits(100, 1.5)

@@ -91,11 +91,13 @@ def test_run_deterministic_outputs(toy_inputs):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_run_missing_input_exit_2(tmp_path, capsys):
-    cfg = tmp_path / "bad.conf"
-    cfg.write_text(f"normal = {tmp_path}/nope.fa\ntumoral = {tmp_path}/nope2.fa\n")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "nope.fa" in capsys.readouterr().err
+def test_run_missing_input_exit_2(toy_inputs, capsys):
+    # a missing file, an empty path and a directory are none of them a read file
+    for normal in (toy_inputs / "nope.fa", "", "."):
+        cfg = run_config(toy_inputs, normal=normal)
+        assert main(["run", "--config", str(cfg), "--out", str(toy_inputs / "o")]) == 2
+        assert capsys.readouterr().err == f"error: input file not found: {Path(normal)}\n"
+        assert not (toy_inputs / "o").exists()
 
 
 def test_run_unknown_config_key_exit_2(toy_inputs, capsys):
@@ -105,8 +107,8 @@ def test_run_unknown_config_key_exit_2(toy_inputs, capsys):
 
 
 @pytest.mark.parametrize("extra, message", [
-    ({"device_bw": 0}, "bandwidth"),
-    ({"device_bw": -1}, "bandwidth"),
+    ({"device_bw": 0}, "'device_bw'"),
+    ({"device_bw": -1}, "'device_bw'"),
     ({"device_capacity": 0}, "capacity"),
     ({"namespace_size": 200000000}, "namespace_size"),
     ({"namespace_size": 0}, "namespace_size"),
@@ -117,15 +119,41 @@ def test_run_unknown_config_key_exit_2(toy_inputs, capsys):
     ({"device_bw": "nan"}, "device_bw"),
     ({"chunk_size": 0}, "chunk_size"),
     ({"attachment": "bogus"}, "attachment"),
+    ({"k": 0}, "'k'"),
+    ({"k": 33}, "'k'"),
+    ({"partitions": 0}, "'partitions'"),
+    ({"capacity_limit": -1}, "'capacity_limit'"),
+    ({"tau_t": 1}, "'tau_t'"),  # prune would eat candidates
+    ({"tau_n": -1}, "'tau_n'"),
+    ({"min_candidates": 0}, "'min_candidates'"),
+    ({"prune_fp": 0}, "'prune_fp'"),
+    ({"prune_fp": 1}, "'prune_fp'"),
+    ({"prune_fp": 1.5}, "'prune_fp'"),
+    ({"device_capacity": 50000000}, "'namespace_size'"),
 ], ids=["zero_bw", "negative_bw", "zero_capacity", "namespace_over_capacity",
         "zero_namespace", "fractional_partitions", "fractional_capacity_limit",
-        "overflowing_capacity", "infinite_bw", "nan_bw", "zero_chunk", "bad_attachment"])
+        "overflowing_capacity", "infinite_bw", "nan_bw", "zero_chunk", "bad_attachment",
+        "zero_k", "k_above_max", "zero_partitions", "negative_capacity_limit", "tau_t_1",
+        "negative_tau_n", "zero_min_candidates", "zero_prune_fp", "prune_fp_1",
+        "prune_fp_above_1", "capacity_below_namespace"])
 def test_run_bad_device_exit_2(toy_inputs, capsys, extra, message):
+    """Every run key is range-checked as it loads, device and pipeline keys alike."""
     cfg = run_config(toy_inputs, **extra)
     assert main(["run", "--config", str(cfg), "--out", str(toy_inputs / "o")]) == 2
     assert message in capsys.readouterr().err
     # rejected before anything is written: no device0.dat, no trace.csv
     assert not (toy_inputs / "o").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    {"k": 32}, {"tau_t": 2}, {"tau_n": 0}, {"min_candidates": 1}, {"capacity_limit": 0},
+    {"namespace_size": 100000000, "device_capacity": 100000000},
+], ids=["k_32", "tau_t_2", "tau_n_0", "min_candidates_1", "unbounded_capacity",
+        "namespace_is_device"])
+def test_run_accepts_boundary_values(toy_inputs, extra):
+    cfg = run_config(toy_inputs, **extra)
+    assert main(["run", "--config", str(cfg), "--out", str(toy_inputs / "o")]) == 0
+    assert (toy_inputs / "o" / "index.bin").exists()
 
 
 def test_run_malformed_input_writes_nothing(toy_inputs, capsys):
@@ -335,8 +363,8 @@ def test_rerun_in_another_checkpoint_format_is_a_clean_miss(tmp_path, capsys, mo
     ({"strategy": "composed_shared", "stripe_size": 0}, "stripe size"),
     ({"strategy": "composed_shared", "composed_width": 4, "devices": 4, "instances": 4},
      "width 4"),
-    ({"device_bw": 0}, "bandwidth"),
-    ({"device_bw": -1}, "bandwidth"),
+    ({"device_bw": 0}, "'device_bw'"),
+    ({"device_bw": -1}, "'device_bw'"),
     ({"instances": 2.5}, "'instances'"),
     ({"repeats": 3.9}, "'repeats'"),
     ({"device_capacity": "1e999"}, "'device_capacity'"),
@@ -357,13 +385,14 @@ def test_rerun_in_another_checkpoint_format_is_a_clean_miss(tmp_path, capsys, mo
     ({"working_set": -1}, "'working_set'"),
     ({"host_memory": -1}, "'host_memory'"),
     ({"spill_factor": -2}, "'spill_factor'"),
+    ({"device_capacity": 0}, "'device_capacity'"),
 ], ids=["no_hosts", "zero_stripe", "uncalibrated_width", "zero_bw", "negative_bw",
         "fractional_instances", "fractional_repeats", "overflowing_capacity", "infinite_bw",
         "nan_jitter", "nan_avg_bw", "zero_avg_bw", "negative_avg_bw", "avg_bw_above_limit",
         "nan_latency", "zero_spill_chunk", "negative_spill_chunk",
         "zero_flush_chunk", "zero_total_output", "jitter_above_1", "negative_jitter",
         "negative_latency", "negative_working_set", "negative_host_memory",
-        "negative_spill_factor"])
+        "negative_spill_factor", "zero_capacity"])
 def test_simulate_plan_errors_exit_2(tmp_path, capsys, extra, message):
     cfg = scenario_config(tmp_path, **extra)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

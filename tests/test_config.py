@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kmerfab.config import NON_NEGATIVE, POSITIVE, ConfigError, get_float, get_int
+from kmerfab.config import (ABOVE_ZERO, NON_NEGATIVE, OPEN_UNIT, POSITIVE, ConfigError,
+                            get_float, get_int)
 
 
 @pytest.mark.parametrize("text, value", [("2", 2), ("2.0", 2), ("1e9", 10**9), ("-3", -3),
@@ -60,3 +61,16 @@ def test_bounds_are_closed_ranges(get, bounds, text, ok):
     else:
         with pytest.raises(ConfigError, match="'x'"):
             get({"x": text}, "x", None, bounds)
+
+
+@pytest.mark.parametrize("get, bounds, text, message", [
+    (get_int, (1, 123456789), "0", "expected a value in [1, 123456789], got 0"),
+    (get_int, POSITIVE, "0", "expected a value >= 1, got 0"),
+    (get_float, OPEN_UNIT, "1", "expected a value in [5e-324, 0.9999999999999999], got 1.0"),
+    (get_float, ABOVE_ZERO, "-1", "expected a value >= 5e-324, got -1.0"),
+    (get_float, (0.0, 0.5), "0.75", "expected a value in [0, 0.5], got 0.75"),
+])
+def test_range_error_states_the_bounds_exactly(get, bounds, text, message):
+    with pytest.raises(ConfigError) as exc:
+        get({"x": text}, "x", None, bounds)
+    assert str(exc.value) == f"key 'x': {message}"

@@ -18,7 +18,6 @@ from kmerfab.fabric import (
     CompositionError,
     EfficiencyCurve,
     FabricEngine,
-    KIND_WRITE,
     Namespace,
     VirtualDevice,
     partition_namespaces,
@@ -43,7 +42,7 @@ def run_writes(engine, jobs):
     done = {}
     for i, (ns, start, length) in enumerate(jobs):
         engine.attach(ns)
-        engine.submit(ns, KIND_WRITE, start, length,
+        engine.submit(ns, start, length,
                       on_complete=lambda c, i=i: done.__setitem__(i, c))
     engine.run()
     return [done[i] for i in range(len(jobs))]
@@ -151,7 +150,7 @@ def test_namespace_bounds():
     ns, _ = partition_namespaces(dev, [1000, 1000])
     engine = FabricEngine()
     with pytest.raises(BoundsError):
-        engine.submit(ns, KIND_WRITE, 990, 20)
+        engine.submit(ns, 990, 20)
     with pytest.raises(BoundsError):
         ns.write_data(1000, b"x")
 
@@ -273,13 +272,13 @@ def test_detach_restores_efficiency():
     for ns in spaces:
         engine.attach(ns)
     done = []
-    engine.submit(spaces[0], KIND_WRITE, 0, GB, on_complete=done.append)
+    engine.submit(spaces[0], 0, GB, on_complete=done.append)
     engine.run()
     # four sharers attached: e(4) = 0.88 on CURVE
     assert served_bw(done[0]) == pytest.approx(0.88 * 2 * GB, rel=1e-9)
     for ns in spaces[1:]:
         engine.detach(ns)
-    engine.submit(spaces[0], KIND_WRITE, GB, GB, on_complete=done.append)
+    engine.submit(spaces[0], GB, GB, on_complete=done.append)
     engine.run()
     assert served_bw(done[1]) == pytest.approx(2 * GB, rel=1e-9)
 
@@ -309,8 +308,8 @@ def test_flow_far_from_float_exact_still_completes():
     a, b = partition_namespaces(dev, [1 << 60, 1 << 60])
     engine = FabricEngine()
     done = []
-    engine.submit(a, KIND_WRITE, 0, 2**53 + 12297, on_complete=done.append)
-    engine.schedule(1000.0, engine.submit, b, KIND_WRITE, 0, 2**40, done.append)
+    engine.submit(a, 0, 2**53 + 12297, on_complete=done.append)
+    engine.schedule(1000.0, engine.submit, b, 0, 2**40, done.append)
     engine.run()
     assert sorted(c.request_id for c in done) == [1, 2]
     assert max(c.finish_time for c in done) == pytest.approx(
@@ -344,7 +343,7 @@ def test_engine_properties(width, stripe, attachment, jobs, attached, detaches):
         cursors = [0] * 4
         done = []
         for c, size, when in jobs:
-            engine.schedule(when, engine.submit, spaces[c], KIND_WRITE, cursors[c], size,
+            engine.schedule(when, engine.submit, spaces[c], cursors[c], size,
                             done.append)
             cursors[c] += size
         engine.run()
@@ -446,7 +445,7 @@ def test_streamed_buckets_match_segment_reference(width, bucket_s, attachment, j
         engine.schedule(when, engine.detach, spaces[c])
     cursors = [0] * 4
     for c, size, when in jobs:
-        engine.schedule(when, engine.submit, spaces[c], KIND_WRITE, cursors[c], size)
+        engine.schedule(when, engine.submit, spaces[c], cursors[c], size)
         cursors[c] += size
     with mock.patch.object(fabric, "BUCKET_S", bucket_s):
         engine.run()
@@ -469,7 +468,7 @@ def test_engine_keeps_no_per_request_history():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for i in range(20_000):
-            engine.submit(ns, KIND_WRITE, i * 4096, 4096, on_complete=count)
+            engine.submit(ns, i * 4096, 4096, on_complete=count)
         engine.run()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:

@@ -4,10 +4,12 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmerfab import stages
 from kmerfab.fabric import FileBacking, Namespace, VirtualDevice
-from kmerfab.kmers import Origin, canonical_codes
+from kmerfab.kmers import Origin, Read, canonical_codes, decode
 from kmerfab.pipeline import Checkpoints, PipelineConfig, PipelineResult, run_pipeline
 from kmerfab.spill import SpillStore
 from kmerfab.stages import (
@@ -21,6 +23,7 @@ from kmerfab.stages import (
 )
 from kmerfab.traceanalysis import classify
 from conftest import random_instance
+from oracle import candidate_view, expected_groups
 
 K = 15
 
@@ -189,15 +192,49 @@ def test_fingerprint_mismatch_discards_checkpoints(tmp_path, small_instance):
     assert result.skipped == set()
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(k=0).validate()
-    with pytest.raises(ValueError):
-        PipelineConfig(k=33).validate()
-    with pytest.raises(ValueError):
-        PipelineConfig(partitions=0).validate()
-    with pytest.raises(ValueError):
-        PipelineConfig(tau_t=1).validate()  # prune would eat candidates
-    with pytest.raises(ValueError):
-        PipelineConfig(prune_fp=0.0).validate()
-    PipelineConfig().validate()
+@st.composite
+def instance(draw):
+    """k, then normal and tumoral reads over ACGTN, some shorter than k. Reads
+    carry runs of one repeated motif, longer and more often in tumoral reads,
+    so imbalanced k-mers exist."""
+    k = draw(st.integers(1, 32))
+    motif = draw(st.text("ACGT", min_size=1, max_size=12))
+
+    def reads(origin, runs, min_size):
+        drawn = draw(st.lists(st.tuples(st.text("ACGTN", max_size=24), runs,
+                                        st.text("ACGTN", max_size=8)),
+                              min_size=min_size, max_size=8))
+        return [Read(i, origin, head + (motif * 64)[:max(0, run)] + tail)
+                for i, (head, run, tail) in enumerate(drawn)]
+
+    return (k, reads(Origin.NORMAL, st.integers(0, k + 2), 0),
+            reads(Origin.TUMORAL, st.integers(k - 2, k + 12), 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=instance(), partitions=st.integers(1, 5),
+       capacity=st.sampled_from([None, 1, 2, 3, 7, 50]),
+       chunk=st.sampled_from([1, 7, 32, 33, 4096]),
+       tau_t=st.integers(2, 4), tau_n=st.integers(0, 2), min_candidates=st.integers(1, 3))
+def test_pipeline_matches_oracle_at_every_setting(case, partitions, capacity, chunk, tau_t,
+                                                  tau_n, min_candidates):
+    """Differential test of run_pipeline against the string oracle: every k
+    the CLI accepts, and the low end of every other setting's range."""
+    k, normal, tumoral = case
+    cfg = PipelineConfig(k=k, partitions=partitions, capacity_limit=capacity, tau_t=tau_t,
+                         tau_n=tau_n, min_candidates=min_candidates)
+    result = run_pipeline(normal, tumoral, cfg, make_store(size=1 << 24, chunk=chunk))
+
+    per_kmer, stored = candidate_view(normal, tumoral, k, tau_t, tau_n)
+    got = {decode(code, k): entry for code, entry in result.index.candidates.items()}
+    assert got.keys() == per_kmer.keys()
+    for kmer, want in per_kmer.items():
+        entry = got[kmer]
+        assert (entry.n_count, entry.t_count) == (want["n"], want["t"])
+        assert set(entry.normal_bitmap) == want["normal_ids"]
+        assert set(entry.tumoral_bitmap) == want["tumoral_ids"]
+    bases = {(r.origin, r.id): r.bases for r in [*normal, *tumoral]}
+    assert result.index.reads == {key: bases[key] for key in stored}
+    assert [(g.seed, g.members, {decode(c, k) for c in g.shared_kmers})
+            for g in result.groups] == expected_groups(normal, tumoral, k, tau_t, tau_n,
+                                                       min_candidates)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kmerfab.fabric import CapacityError, Namespace, VirtualDevice
+from kmerfab.fabric import (ATTACH_FABRIC, ATTACH_LOCAL, CapacityError, EfficiencyCurve,
+                            FabricEngine, Namespace, VirtualDevice)
 from kmerfab.spill import (
     BlobHandle,
     CorruptionError,
@@ -155,6 +156,28 @@ def test_trace_write_records_in_order():
     assert [rec.start for rec in trace] == sorted(rec.start for rec in trace)
     times = [rec.time for rec in trace]
     assert times == sorted(times)
+
+
+@pytest.mark.parametrize("attachment", [ATTACH_LOCAL, ATTACH_FABRIC])
+@pytest.mark.parametrize("chunk", [33, 4096])
+def test_store_times_requests_as_the_engine_does(attachment, chunk):
+    dev = VirtualDevice(0, max_seq_write_bw=1.7e9, capacity=1 << 20,
+                        efficiency_curve=EfficiencyCurve([1.0, 0.8]), fabric_latency=13e-6)
+    ns = Namespace(dev, 0, 1 << 20, attachment=attachment)
+    store = SpillStore(ns, chunk_size=chunk)
+    h = store.flush_table(table([(i, i % 3, 1) for i in range(100)]))
+    store.read_run(store.append_blob(encode_run(store.read_run(h))))
+    trace = store.io_trace()
+    assert {rec.kind for rec in trace} == {"write", "read"}
+    # reference: the event engine serves the same requests one after another
+    engine = FabricEngine()
+    issued = []
+    for rec in trace:
+        issued.append(engine.now)
+        engine.submit(ns, rec.start, rec.length)
+        engine.run()
+    assert [rec.time for rec in trace] == issued
+    assert store.now == engine.now
 
 
 def test_empty_store_trace():

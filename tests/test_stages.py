@@ -254,13 +254,6 @@ def test_imbalance_predicate():
     assert is_imbalanced(1, 4, tau_t=4, tau_n=1)
 
 
-def test_filter_validation():
-    with pytest.raises(ValueError):
-        filter_candidates(FrequencyTable(), ReadCodes([], [], K), 0, 0, 1)
-    with pytest.raises(ValueError):
-        filter_candidates(FrequencyTable(), ReadCodes([], [], K), 0, 4, -1)
-
-
 def test_filter_matches_oracle():
     normal, tumoral = random_instance(seed=7, n_reads=200)
     table = exact_table(normal, tumoral)
@@ -391,8 +384,3 @@ def test_group_matches_oracle():
             assert g.seed == seed_key
             assert g.members == members
             assert {decode(c, K) for c in g.shared_kmers} == kmers
-
-
-def test_group_validation():
-    with pytest.raises(ValueError):
-        group(CandidateIndex(K), 0)
