@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import struct
 
 from .kmers import mix64
 
 _MASK64 = (1 << 64) - 1
 _SALT = 0xA5A5A5A5A5A5A5A5
+_HEAD = struct.Struct("<QI")  # n_bits u64, n_hashes u32
 
 
 def optimal_bits(n: int, fp: float) -> int:
@@ -83,12 +85,14 @@ class BloomFilter:
             bits[pos >> 3] |= 1 << (pos & 7)
 
     def to_bytes(self) -> bytes:
-        return bytes(self._bits)
+        """n_bits and n_hashes, then the bitmap."""
+        return _HEAD.pack(self.n_bits, self.n_hashes) + self._bits
 
     @classmethod
-    def from_bytes(cls, n_bits: int, n_hashes: int, data: bytes) -> "BloomFilter":
-        bf = cls(n_bits, n_hashes)
-        if len(data) != len(bf._bits):
+    def from_bytes(cls, data: bytes) -> "BloomFilter":
+        n_bits, n_hashes = _HEAD.unpack_from(data)
+        if len(data) != _HEAD.size + (n_bits + 7) // 8:
             raise ValueError("bloom payload size mismatch")
-        bf._bits = bytearray(data)
+        bf = cls(n_bits, n_hashes)
+        bf._bits[:] = data[_HEAD.size:]
         return bf

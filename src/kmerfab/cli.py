@@ -56,11 +56,11 @@ _SCENARIO_KEYS = {
 
 def _load_pool(kv: dict[str, str]) -> PoolConfig:
     pool = PoolConfig()
-    pool.n_devices = cfg.get_int(kv, "devices", pool.n_devices)
+    pool.n_devices = cfg.get_int(kv, "devices", pool.n_devices, cfg.POSITIVE)
     pool.device_bw = cfg.get_float(kv, "device_bw", pool.device_bw, cfg.ABOVE_ZERO)
     pool.device_capacity = cfg.get_int(kv, "device_capacity", pool.device_capacity,
                                        cfg.POSITIVE)
-    pool.stripe_size = cfg.get_int(kv, "stripe_size", pool.stripe_size)
+    pool.stripe_size = cfg.get_int(kv, "stripe_size", pool.stripe_size, cfg.POSITIVE)
     latency_us = cfg.get_float(kv, "fabric_latency_us", pool.fabric_latency * 1e6,
                                cfg.NON_NEGATIVE)
     pool.fabric_latency = latency_us / 1e6
@@ -96,15 +96,16 @@ def _load_scenario(path: Path):
         spill_factor=cfg.get_float(kv, "spill_factor", HostModel.spill_factor, cfg.NON_NEGATIVE),
     )
     scenario = {
-        "instances": cfg.get_int(kv, "instances", 3),
+        "instances": cfg.get_int(kv, "instances", 3, cfg.POSITIVE),
         "strategy": cfg.get_str(kv, "strategy", "single_shared",
                                 choices={"single_shared", "composed_shared",
                                          "dedicated_plus_shared"}),
-        "composed_width": cfg.get_int(kv, "composed_width", 2),
-        "hosts": cfg.get_int(kv, "hosts", 6),
+        "composed_width": cfg.get_int(kv, "composed_width", 2, (2, math.inf)),
+        "hosts": cfg.get_int(kv, "hosts", 6, cfg.POSITIVE),
         "attachment": cfg.get_str(kv, "attachment", ATTACH_FABRIC,
                                   choices={ATTACH_LOCAL, ATTACH_FABRIC}),
-        "repeats": cfg.get_int(kv, "repeats", 6),
+        # compare needs three seeds per strategy; simulate accepts the same files
+        "repeats": cfg.get_int(kv, "repeats", 6, (3, math.inf)),
         "seed": cfg.get_int(kv, "seed", 1),
     }
     return scenario, pool, workload, host

@@ -145,7 +145,8 @@ class VirtualDevice:
 
 
 class ComposedDevice:
-    """RAID0 striping over equal-capacity members; flat summed address space."""
+    """RAID0 striping over equal-capacity members; flat summed address space.
+    `stripe_size` is trusted to be positive (the scenario loader checks it)."""
 
     def __init__(self, members: list[VirtualDevice], stripe_size: int = DEFAULT_STRIPE):
         if len(members) < 2:
@@ -153,8 +154,6 @@ class ComposedDevice:
         caps = {m.capacity for m in members}
         if len(caps) != 1:
             raise CompositionError(f"members must have equal capacity, got {sorted(caps)}")
-        if stripe_size <= 0:
-            raise CompositionError("stripe size must be positive")
         self._members = list(members)
         self.stripe_size = stripe_size
         self.capacity = sum(m.capacity for m in members)
@@ -203,6 +202,12 @@ class Namespace:
     size: int
     attachment: str = ATTACH_LOCAL
     name: str = ""
+
+    @property
+    def latency(self) -> float:
+        """Seconds before each request starts: the parent's fabric latency
+        under fabric attachment, none under local attachment."""
+        return self.parent.fabric_latency if self.attachment == ATTACH_FABRIC else 0.0
 
     def _check(self, start: int, length: int) -> None:
         if start < 0 or length <= 0 or start + length > self.size:
@@ -371,8 +376,7 @@ class FabricEngine:
         namespace._check(start, length)
         self._rid += 1
         req = IoRequest(self._rid, namespace, start, length, self.now, on_complete)
-        latency = namespace.parent.fabric_latency if namespace.attachment == ATTACH_FABRIC else 0.0
-        self.schedule(self.now + latency, self._start_request, req)
+        self.schedule(self.now + namespace.latency, self._start_request, req)
         return req.request_id
 
     def _start_request(self, req: IoRequest) -> None:

@@ -130,19 +130,15 @@ class AllocationPlan:
 
 def plan(strategy: str, n_instances: int, pool: PoolConfig, n_hosts: int,
          composed_width: int = 2) -> AllocationPlan:
-    """Map instances to targets and hosts under one of the three strategies."""
-    if n_instances < 1:
-        raise PlanError("need at least one instance")
-    if n_hosts < 1:
-        raise PlanError("need at least one host")
+    """Map instances to targets and hosts under one of the three strategies.
+
+    Each count is trusted here (`cli._load_scenario` range-checks it as it
+    loads); a PlanError is a strategy the counts cannot carry out together,
+    or a target width with no efficiency curve."""
     if strategy == STRATEGY_SINGLE:
-        if pool.n_devices < 1:
-            raise PlanError("single_shared needs 1 device")
         targets = [[0]]
         instance_target = [0] * n_instances
     elif strategy == STRATEGY_COMPOSED:
-        if composed_width < 2:
-            raise PlanError("composed_shared needs width >= 2")
         if pool.n_devices < composed_width:
             raise PlanError(
                 f"composed_shared({composed_width}) needs {composed_width} devices, "
@@ -369,9 +365,8 @@ def compare_strategies(
     base_seed: int = 1,
     composed_width: int = 2,
 ) -> StrategyReport:
-    """Simulate the three allocation strategies over distinct seeds."""
-    if repeats < 3:
-        raise ValueError("repeats must be >= 3")
+    """Simulate the three allocation strategies over distinct seeds (at
+    least three, which `cli._load_scenario` checks)."""
     workload = workload or WorkloadModel()
     host = host or HostModel()
     strategies = [

@@ -1,12 +1,13 @@
 """Partitioned pipeline driver: Prune, per-partition Count+Filter, Merge, Group.
 
-Every stage boundary is checkpointable. Stage outputs are serialized to the
-bound namespace through the spill store; a small manifest (stage -> blob
-handle, plus a config/input fingerprint and the store cursor) makes reruns
-skip completed stages. A stage runs nested in the stage that consumes it
-(count.pN in filter.pN, every filter.pN in merge), so a checkpointed stage
-also skips every stage it was computed from. A count.pN checkpoint is the
-blob handles of the partition's spill runs, which are already on the device.
+Every stage output a later stage reads is checkpointed, once. Stage outputs
+are serialized to the bound namespace through the spill store; a small
+manifest (stage -> blob handle, plus a config/input fingerprint and the store
+cursor) makes reruns skip completed stages. count.pN runs nested in the
+filter.pN that consumes it, so a checkpointed filter.pN also skips its count.
+A count.pN checkpoint is the blob handles of the partition's spill runs,
+which are already on the device. Merge is not a stage: the filter.pN outputs
+are merged in memory, on a rerun too.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
 
+from .bloom import BloomFilter
 from .kmers import Read
 # encode_run and decode_run go unused here, but perfbench/tracing.py wraps these names
 from .spill import (BlobHandle, CorruptionError, SpillStore, decode_handles, decode_run,
@@ -28,7 +30,6 @@ from .stages import (
     CandidateIndex,
     FrequencyTable,
     GroupResult,
-    PruneFilter,
     ReadCodes,
     StageError,
     count,
@@ -41,7 +42,7 @@ from .stages import (
     prune,
 )
 
-CHECKPOINT_FORMAT = "runs-are-blobs"  # fingerprinted: another format is a clean miss
+CHECKPOINT_FORMAT = "one-bitmap-prune"  # fingerprinted: another format is a clean miss
 # a damaged checkpoint as it loads: a failed header or CRC, or bytes that do not decode
 LOAD_ERRORS = (CorruptionError, StageError, struct.error, ValueError)
 
@@ -191,18 +192,14 @@ def run_pipeline(
         codes.release(p)
         return index
 
-    def merge_passes() -> CandidateIndex:
-        nonlocal codes
-        parts = [stage(f"filter.p{p}", lambda: filter_pass(p),
-                       CandidateIndex.to_bytes, CandidateIndex.from_bytes)
-                 for p in range(config.partitions)]
-        codes = None  # frees the buckets of partitions whose filter.pN was loaded
-        return reduce(merge_indexes, parts)
-
     pf = stage("prune", lambda: prune(read_codes(), config.prune_fp),
-               PruneFilter.to_bytes, PruneFilter.from_bytes)
-    index = stage("merge", merge_passes, CandidateIndex.to_bytes, CandidateIndex.from_bytes)
-    codes = None  # also frees buckets only prune read; group extracts its own reads
+               BloomFilter.to_bytes, BloomFilter.from_bytes)
+    index = reduce(merge_indexes, [stage(f"filter.p{p}", lambda: filter_pass(p),
+                                         CandidateIndex.to_bytes, CandidateIndex.from_bytes)
+                                   for p in range(config.partitions)])
+    # frees the buckets only prune read and those of partitions whose filter.pN
+    # was loaded; group extracts its own reads
+    codes = None
     groups = stage("group", lambda: group(index, config.min_candidates),
                    groups_to_bytes, groups_from_bytes)
 

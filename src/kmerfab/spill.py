@@ -14,7 +14,7 @@ import struct
 import zlib
 from dataclasses import astuple, dataclass
 
-from .fabric import ATTACH_FABRIC, CapacityError, Namespace, KIND_READ, KIND_WRITE
+from .fabric import CapacityError, Namespace, KIND_READ, KIND_WRITE
 from .traceanalysis import IoRecord
 
 DEFAULT_CHUNK = 8 * 1024 * 1024
@@ -84,10 +84,9 @@ class SpillStore:
         """Time one request and record it in the trace."""
         self._trace.append(IoRecord(self.now, kind, start, length))
         device = self.namespace.parent
-        latency = device.fabric_latency if self.namespace.attachment == ATTACH_FABRIC else 0.0
         # FabricEngine's arithmetic, in its order, for one flow on an unattached device
-        self.now = (self.now + latency) + length / (device.efficiency_curve(1)
-                                                    * device.max_seq_write_bw)
+        self.now = ((self.now + self.namespace.latency)
+                    + length / (device.efficiency_curve(1) * device.max_seq_write_bw))
 
     def _append(self, data: bytes) -> int:
         """Write data as chunked sequential requests; returns start address."""

@@ -1,10 +1,11 @@
-"""The five checkpointable pipeline stages.
+"""The pipeline stages.
 
-Prune builds a seen-once/seen-multi bloom pair so multiplicity-1 k-mers are
-dropped early. Count accumulates bounded normal/tumoral counters, spilling
-sorted runs when full. Filter keeps imbalanced k-mers and indexes the reads
-that contain them. Merge unifies per-partition indexes; Group expands
-candidate tumoral reads into related-read sets.
+Prune runs a seen-once/seen-multi bloom pair and keeps seen-multi, so
+multiplicity-1 k-mers are dropped early. Count accumulates bounded
+normal/tumoral counters, spilling sorted runs when full. Filter keeps
+imbalanced k-mers and indexes the reads that contain them. Merge unifies
+per-partition indexes; Group expands candidate tumoral reads into
+related-read sets.
 """
 
 from __future__ import annotations
@@ -78,51 +79,24 @@ class ReadCodes:
 # Prune
 
 
-_PRUNE_HEAD = struct.Struct("<QI")  # n_bits u64, n_hashes u32
-
-
-class PruneFilter:
-    """Membership = "this k-mer was seen more than once" (no false negatives)."""
-
-    def __init__(self, expected: int, target_fp: float):
-        self.seen_once = BloomFilter.with_capacity(expected, target_fp)
-        self.seen_multi = BloomFilter.with_capacity(expected, target_fp)
-
-    def insert_occurrence(self, code: int) -> None:
-        self.seen_once.add_or_promote(code, self.seen_multi)
-
-    def __contains__(self, code: int) -> bool:
-        return code in self.seen_multi
-
-    def to_bytes(self) -> bytes:
-        """n_bits and n_hashes, then the seen-once and seen-multi bitmaps."""
-        head = _PRUNE_HEAD.pack(self.seen_once.n_bits, self.seen_once.n_hashes)
-        return head + self.seen_once.to_bytes() + self.seen_multi.to_bytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PruneFilter":
-        n_bits, n_hashes = _PRUNE_HEAD.unpack_from(data)
-        body = data[_PRUNE_HEAD.size:]
-        half = len(body) // 2  # the two bitmaps have one size; from_bytes checks it
-        pf = cls.__new__(cls)
-        pf.seen_once = BloomFilter.from_bytes(n_bits, n_hashes, body[:half])
-        pf.seen_multi = BloomFilter.from_bytes(n_bits, n_hashes, body[half:])
-        return pf
-
-
 def total_windows(reads: Iterable[Read], k: int) -> int:
     return sum(max(0, r.length - k + 1) for r in reads)
 
 
-def prune(codes: ReadCodes, target_fp: float) -> PruneFilter:
-    """One pass over every window, bucket by bucket; sizing estimate is the
-    total window count."""
-    pf = PruneFilter(total_windows(codes.reads, codes.k), target_fp)
-    insert = pf.insert_occurrence
+def prune(codes: ReadCodes, target_fp: float) -> BloomFilter:
+    """The k-mers seen more than once, as a bloom filter (no false negatives).
+
+    One pass over every window, bucket by bucket, through a seen-once and a
+    seen-multi filter, both sized for the total window count. Only
+    seen-multi is returned: seen-once is freed when prune returns."""
+    expected = total_windows(codes.reads, codes.k)
+    seen_once = BloomFilter.with_capacity(expected, target_fp)
+    seen_multi = BloomFilter.with_capacity(expected, target_fp)
+    insert = seen_once.add_or_promote
     for part in codes.codes:
         for code in part:
-            insert(code)
-    return pf
+            insert(code, seen_multi)
+    return seen_multi
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +116,7 @@ class FrequencyTable:
 
 def count(
     codes: ReadCodes,
-    prune_filter: PruneFilter,
+    prune_filter: BloomFilter,
     partition_id: int,
     table: FrequencyTable,
     store: SpillStore,

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from kmerfab.bitmap import Bitmap
 from kmerfab.bloom import BloomFilter, optimal_bits, optimal_hashes
 
@@ -83,6 +85,12 @@ def test_bloom_serialization_roundtrip():
     bf = BloomFilter.with_capacity(100, 0.05)
     for x in (1, 5, 99, 12345):
         bf.add(x)
-    clone = BloomFilter.from_bytes(bf.n_bits, bf.n_hashes, bf.to_bytes())
+    data = bf.to_bytes()
+    assert len(data) == 12 + (bf.n_bits + 7) // 8  # <QI n_bits, n_hashes, then the bitmap
+    clone = BloomFilter.from_bytes(data)
+    assert (clone.n_bits, clone.n_hashes) == (bf.n_bits, bf.n_hashes)
     assert all(x in clone for x in (1, 5, 99, 12345))
-    assert clone.to_bytes() == bf.to_bytes()
+    assert clone.to_bytes() == data
+    for bad in (data[:-1], data + b"\x00"):
+        with pytest.raises(ValueError):
+            BloomFilter.from_bytes(bad)

@@ -10,9 +10,13 @@ from pathlib import Path
 import pytest
 
 from kmerfab import pipeline
+from kmerfab.bloom import optimal_bits
 from kmerfab.cli import _load_scenario, main
+from kmerfab.fabric import FileBacking
+from kmerfab.kmers import Origin, parse_reads
 from kmerfab.pipeline import Checkpoints
 from kmerfab.spill import HEADER_SIZE, decode_handles
+from kmerfab.stages import total_windows
 from conftest import random_instance
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -216,7 +220,7 @@ def kill_after_count_p1(out):
     """Leave the manifest a run killed after saving count.p1 leaves behind."""
     manifest = out / "checkpoints.json"
     doc = json.loads(manifest.read_text())
-    for stage in ("filter.p1", "merge", "group"):
+    for stage in ("filter.p1", "group"):
         del doc["stages"][stage]
     manifest.write_text(json.dumps(doc))
 
@@ -283,9 +287,9 @@ def test_rerun_recounts_partition_whose_spill_run_is_damaged(toy_inputs, capsys,
 
 @pytest.mark.parametrize("stage, consumers", [
     ("prune", []),
-    ("count.p0", ["filter.p0", "merge"]),
-    ("filter.p0", ["merge"]),
-    ("merge", []),
+    ("count.p0", ["filter.p0"]),
+    ("filter.p0", []),
+    ("filter.p1", []),
     ("group", []),
 ])
 def test_rerun_recomputes_checkpoint_that_does_not_decode(toy_inputs, capsys, stage,
@@ -358,9 +362,93 @@ def test_rerun_in_another_checkpoint_format_is_a_clean_miss(tmp_path, capsys, mo
         assert (out / name).read_bytes() == data
 
 
+@pytest.mark.parametrize("partitions", [1, 3])
+def test_each_stage_output_written_once(toy_inputs, partitions):
+    """A fresh run checkpoints each stage output a later stage reads, once:
+    no blob the manifest names repeats another, and the prune blob is the
+    seen-multi filter alone."""
+    out = toy_inputs / "out"
+    cfg = run_config(toy_inputs, partitions=partitions)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    stages = json.loads((out / "checkpoints.json").read_text())["stages"]
+    assert stages.keys() == {"prune", "group", *(f"{kind}.p{p}" for kind in ("count", "filter")
+                                                 for p in range(partitions))}
+    device = (out / "device0.dat").read_bytes()
+    payloads = {name: device[h["start_address"] + HEADER_SIZE:h["start_address"] + h["length"]]
+                for name, h in stages.items()}
+    assert len(set(payloads.values())) == len(payloads)
+
+    reads = []
+    for name, origin in (("normal", Origin.NORMAL), ("tumoral", Origin.TUMORAL)):
+        with open(toy_inputs / f"{name}.fa") as fh:
+            reads += parse_reads(fh, origin)
+    n_bits = optimal_bits(total_windows(reads, 15), 0.01)
+    assert len(payloads["prune"]) == 12 + -(-n_bits // 8)
+
+
+class Killed(BaseException):
+    """The process dies here: no handler in the program catches it."""
+
+
+def run_killed_at(monkeypatch, argv, point, tear=False):
+    """Run `argv`, killed just before persistent operation number `point`: a
+    device-file write (with `tear`, after half its bytes land) or the
+    manifest's os.replace. Returns the operations' kinds, or None if killed."""
+    kinds = []
+    write, replace = FileBacking.write, os.replace
+
+    def reached(kind):
+        if len(kinds) == point:
+            raise Killed
+        kinds.append(kind)
+
+    def device_write(self, addr, data):
+        if tear and len(kinds) == point:
+            write(self, addr, data[:len(data) // 2])
+        reached("write")
+        write(self, addr, data)
+
+    def manifest_replace(src, dst):
+        reached("replace")
+        replace(src, dst)
+
+    with monkeypatch.context() as m:
+        m.setattr(FileBacking, "write", device_write)
+        m.setattr(os, "replace", manifest_replace)
+        try:
+            assert main(argv) == 0
+        except Killed:
+            return None
+    return kinds
+
+
+@pytest.mark.parametrize("tear", [False, True], ids=["kill", "tear"])
+def test_rerun_after_kill_at_every_persistent_operation(tmp_path, monkeypatch, tear):
+    """Kill a run at each device write and each manifest replace (or tear each
+    device write in half); the rerun recovers the same outputs."""
+    normal, tumoral = random_instance(seed=5, n_reads=40)
+    write_fasta(tmp_path / "normal.fa", normal)
+    write_fasta(tmp_path / "tumoral.fa", tumoral)
+    cfg = run_config(tmp_path, capacity_limit=48, chunk_size=4096)
+    ref = tmp_path / "ref"
+    kinds = run_killed_at(monkeypatch, ["run", "--config", str(cfg), "--out", str(ref)],
+                          point=-1)
+    # every stage writes a blob, then replaces the manifest; runs are blobs with no manifest
+    assert kinds.count("replace") == 2 + 2 * 2
+    assert kinds.count("write") > kinds.count("replace")
+    points = [i for i, kind in enumerate(kinds) if kind == "write" or not tear]
+    for point in points:
+        out = tmp_path / f"killed{point}"
+        argv = ["run", "--config", str(cfg), "--out", str(out)]
+        assert run_killed_at(monkeypatch, argv, point, tear) is None
+        assert main(argv) == 0
+        for name in OUTPUTS:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), (point, name)
+
+
 @pytest.mark.parametrize("extra, message", [
-    ({"hosts": 0}, "host"),
-    ({"strategy": "composed_shared", "stripe_size": 0}, "stripe size"),
+    ({"hosts": 0}, "'hosts'"),
+    ({"strategy": "composed_shared", "stripe_size": 0}, "'stripe_size'"),
     ({"strategy": "composed_shared", "composed_width": 4, "devices": 4, "instances": 4},
      "width 4"),
     ({"device_bw": 0}, "'device_bw'"),
@@ -386,17 +474,40 @@ def test_rerun_in_another_checkpoint_format_is_a_clean_miss(tmp_path, capsys, mo
     ({"host_memory": -1}, "'host_memory'"),
     ({"spill_factor": -2}, "'spill_factor'"),
     ({"device_capacity": 0}, "'device_capacity'"),
+    ({"instances": 0}, "'instances'"),
 ], ids=["no_hosts", "zero_stripe", "uncalibrated_width", "zero_bw", "negative_bw",
         "fractional_instances", "fractional_repeats", "overflowing_capacity", "infinite_bw",
         "nan_jitter", "nan_avg_bw", "zero_avg_bw", "negative_avg_bw", "avg_bw_above_limit",
         "nan_latency", "zero_spill_chunk", "negative_spill_chunk",
         "zero_flush_chunk", "zero_total_output", "jitter_above_1", "negative_jitter",
         "negative_latency", "negative_working_set", "negative_host_memory",
-        "negative_spill_factor", "zero_capacity"])
+        "negative_spill_factor", "zero_capacity", "zero_instances"])
 def test_simulate_plan_errors_exit_2(tmp_path, capsys, extra, message):
     cfg = scenario_config(tmp_path, **extra)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("key, value", [
+    ("instances", 0), ("hosts", 0), ("devices", 0), ("repeats", 2), ("composed_width", 1),
+    ("stripe_size", 0),
+])
+def test_scenario_ranges_are_one_for_simulate_and_compare(tmp_path, capsys, command, key,
+                                                          value):
+    """A scenario count out of range is rejected as it loads, by both commands."""
+    cfg = scenario_config(tmp_path, **{key: value})
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"key {key!r}: expected a value >= {value + 1}, got {value}" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_accepts_scenario_count_boundaries(tmp_path):
+    cfg = scenario_config(tmp_path, instances=1, hosts=1, devices=1, repeats=3,
+                          composed_width=2, stripe_size=1)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len((tmp_path / "o" / "completions.csv").read_text().splitlines()) == 2
 
 
 def test_empty_scenario_loads_the_shipped_defaults(tmp_path):
@@ -419,8 +530,8 @@ SHIPPED_DIGESTS = {
         "index.bin": "4fa8f0432e3c0a0e1b518b5355fc805cac6b41b5b6296bd8fdd69be80fc468c6",
         "groups.csv": "1b1fc42ea84ab57952e2f415d90be65356f64e0d1013a6e2e506643dc1b07f1d",
         # the on-device format: a change to it re-pins these and says why
-        "trace.csv": "b8563a3f9b2aec74c8da052f803473c5f19f59e87afcda8967a6f496057bf375",
-        "device0.dat": "cb1398280d5628cf34ef74f0d6f171c704a5bd6a90bb061c9f02de3371bf9f9c",
+        "trace.csv": "ab8d7040c77f0cdc3d244fed2076a8d13a84df4527d2c2aeb430c171690a9b81",
+        "device0.dat": "928a8821fe0f310382ee53cf90f8fa990edf4e50cd4ff7b1e2e0afa135a7fe99",
     },
 }
 

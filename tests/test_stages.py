@@ -5,14 +5,15 @@ import random
 
 import pytest
 
+from kmerfab.bloom import BloomFilter
 from kmerfab.fabric import Namespace, VirtualDevice
 from kmerfab.kmers import Origin, Read, canonical_codes, decode, encode, partition_of
 from kmerfab.spill import SpillStore
 from kmerfab.stages import (
     CandidateIndex,
     FrequencyTable,
-    PruneFilter,
     ReadCodes,
+    total_windows,
     StageError,
     count,
     filter_candidates,
@@ -86,13 +87,27 @@ def test_prune_no_false_negatives():
             assert encode(s) in pf
 
 
+def seen_once_after(codes, expected):
+    """The seen-once filter prune builds from `codes`, in their order."""
+    seen_once = BloomFilter.with_capacity(expected, 0.01)
+    seen_multi = BloomFilter.with_capacity(expected, 0.01)
+    for code in codes:
+        seen_once.add_or_promote(code, seen_multi)
+    return seen_once
+
+
 def test_prune_over_buckets_keeps_every_repeat():
     # bucketed codes reach prune partition by partition, not in window order:
     # seen_once is the same set of bits and every repeated k-mer is still in
     normal, tumoral = random_instance(seed=2, n_reads=200)
-    whole = prune(ReadCodes(normal, tumoral, K), 0.01)
-    bucketed = prune(ReadCodes(normal, tumoral, K, 3), 0.01)
-    assert bucketed.seen_once.to_bytes() == whole.seen_once.to_bytes()
+    whole_codes = ReadCodes(normal, tumoral, K)
+    bucketed_codes = ReadCodes(normal, tumoral, K, 3)
+    expected = total_windows(whole_codes.reads, K)
+    whole = seen_once_after(whole_codes.codes[0], expected)
+    bucketed = seen_once_after([c for part in bucketed_codes.codes for c in part], expected)
+    assert bucketed.to_bytes() == whole.to_bytes()
+    assert list(whole_codes.codes[0]) != [c for part in bucketed_codes.codes for c in part]
+    bucketed = prune(bucketed_codes, 0.01)
     for s, (n, t) in exact_counts(normal, tumoral, K).items():
         if n + t >= 2:
             assert encode(s) in bucketed
@@ -125,18 +140,20 @@ def test_prune_insert_matches_two_query_reference():
     rng = random.Random(7)
     pool = [rng.getrandbits(2 * K) for _ in range(3000)]
     codes = [rng.choice(pool) for _ in range(9000)]
-    fused = PruneFilter(len(codes), 0.01)
-    ref = PruneFilter(len(codes), 0.01)
+    fused_once, fused_multi, ref_once, ref_multi = (
+        BloomFilter.with_capacity(len(codes), 0.01) for _ in range(4))
     for code in codes:
-        fused.insert_occurrence(code)
-        if code in ref.seen_once:
-            ref.seen_multi.add(code)
+        fused_once.add_or_promote(code, fused_multi)
+        if code in ref_once:
+            ref_multi.add(code)
         else:
-            ref.seen_once.add(code)
-    assert fused.to_bytes() == ref.to_bytes()
-    assert hashlib.sha256(fused.seen_once.to_bytes()).hexdigest() == (
+            ref_once.add(code)
+    assert fused_once.to_bytes() == ref_once.to_bytes()
+    assert fused_multi.to_bytes() == ref_multi.to_bytes()
+    head = 12  # the <QI n_bits, n_hashes header
+    assert hashlib.sha256(fused_once.to_bytes()[head:]).hexdigest() == (
         "179f0ac6ad19ac598b7ed27ff6759c114962ecb9b0af1f57d99171447172be91")
-    assert hashlib.sha256(fused.seen_multi.to_bytes()).hexdigest() == (
+    assert hashlib.sha256(fused_multi.to_bytes()[head:]).hexdigest() == (
         "f28cdc9e203a9c6d6f52bf7a5ac1cd9428fa70b8008ed9a80f5f2a2768e1aa41")
 
 
@@ -194,7 +211,7 @@ def test_count_partitions_combine_to_whole():
     assert combined == merge_runs(runs, store2).entries
 
 
-class _CountingPrune(PruneFilter):
+class _CountingPrune(BloomFilter):
     probes = 0
 
     def __contains__(self, code):
