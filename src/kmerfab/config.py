@@ -53,7 +53,6 @@ ANY = (-math.inf, math.inf)
 POSITIVE = (1, math.inf)
 NON_NEGATIVE = (0, math.inf)
 ABOVE_ZERO = (math.ulp(0.0), math.inf)  # > 0, for a float
-OPEN_UNIT = (math.ulp(0.0), math.nextafter(1.0, 0.0))  # (0, 1), for a float
 
 
 def _bound(b: float) -> str:

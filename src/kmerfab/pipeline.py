@@ -6,8 +6,10 @@ manifest (stage -> blob handle, plus a config/input fingerprint and the store
 cursor) makes reruns skip completed stages. count.pN runs nested in the
 filter.pN that consumes it, so a checkpointed filter.pN also skips its count.
 A count.pN checkpoint is the blob handles of the partition's spill runs,
-which are already on the device. Merge is not a stage: the filter.pN outputs
-are merged in memory, on a rerun too.
+which are already on the device. Prune is loaded or computed by the first
+count.pN that is computed, so a rerun that counts nothing never reads it.
+Merge is not a stage: the filter.pN outputs are merged in memory, on a rerun
+too.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .stages import (
     prune,
 )
 
-CHECKPOINT_FORMAT = "one-bitmap-prune"  # fingerprinted: another format is a clean miss
+CHECKPOINT_FORMAT = "blocked-bloom-prune"  # fingerprinted: another format is a clean miss
 # a damaged checkpoint as it loads: a failed header or CRC, or bytes that do not decode
 LOAD_ERRORS = (CorruptionError, StageError, struct.error, ValueError)
 
@@ -182,18 +184,23 @@ def run_pipeline(
     def merged(runs: list[BlobHandle]) -> tuple[list[BlobHandle], FrequencyTable]:
         return runs, merge_runs(runs, store)
 
+    pf: BloomFilter | None = None  # the prune stage, resolved by the first count pass that runs
+
+    def count_pass(p: int) -> tuple[list[BlobHandle], FrequencyTable]:
+        nonlocal pf
+        if pf is None:  # before read_codes(p) frees the buckets a computed prune reads
+            pf = stage("prune", lambda: prune(read_codes(), config.prune_fp),
+                       BloomFilter.to_bytes, BloomFilter.from_bytes)
+        return merged(count(read_codes(p), pf, p, FrequencyTable(config.capacity_limit), store))
+
     def filter_pass(p: int) -> CandidateIndex:
-        _, table = stage(f"count.p{p}",
-                         lambda: merged(count(read_codes(p), pf, p,
-                                              FrequencyTable(config.capacity_limit), store)),
+        _, table = stage(f"count.p{p}", lambda: count_pass(p),
                          lambda out: encode_handles(out[0]), lambda b: merged(decode_handles(b)))
         index = filter_candidates(table, read_codes(p), p,
                                   config.tau_t, config.tau_n)
         codes.release(p)
         return index
 
-    pf = stage("prune", lambda: prune(read_codes(), config.prune_fp),
-               BloomFilter.to_bytes, BloomFilter.from_bytes)
     index = reduce(merge_indexes, [stage(f"filter.p{p}", lambda: filter_pass(p),
                                          CandidateIndex.to_bytes, CandidateIndex.from_bytes)
                                    for p in range(config.partitions)])

@@ -1,11 +1,14 @@
 """Bitmap and bloom-filter primitives."""
 
 import random
+import struct
+import time
 
 import pytest
 
 from kmerfab.bitmap import Bitmap
-from kmerfab.bloom import BloomFilter, optimal_bits, optimal_hashes
+from kmerfab.bloom import MAX_HASHES, BloomFilter, blocked_fp, optimal_bits
+from kmerfab.kmers import mix64
 
 
 def test_bitmap_set_test_iterate():
@@ -48,7 +51,12 @@ def test_bitmap_random_against_set():
 def test_bloom_sizing_formulas():
     m = optimal_bits(10_000, 0.01)
     assert m == int(-10_000 * __import__("math").log(0.01) / __import__("math").log(2) ** 2)
-    assert optimal_hashes(m, 10_000) == 7
+    # the fewest words at which some k predicts the target: one word fewer misses it
+    bf = BloomFilter.with_capacity(10_000, 0.01)
+    words = bf.n_bits // 64
+    assert bf.n_bits % 64 == 0 and bf.n_bits >= m
+    assert blocked_fp(10_000 / words, bf.n_hashes) <= 0.01
+    assert min(blocked_fp(10_000 / (words - 1), k) for k in range(1, MAX_HASHES + 1)) > 0.01
 
 
 def test_bloom_no_false_negatives():
@@ -94,3 +102,57 @@ def test_bloom_serialization_roundtrip():
     for bad in (data[:-1], data + b"\x00"):
         with pytest.raises(ValueError):
             BloomFilter.from_bytes(bad)
+
+
+def measured_fp(target, n=20_000, seed=13):
+    """The rate at which a filter sized for n keys at `target`, holding n
+    random keys, answers yes for keys it does not hold."""
+    bf = BloomFilter.with_capacity(n, target)
+    rng = random.Random(seed)
+    inserted = set()
+    while len(inserted) < n:
+        inserted.add(rng.randrange(0, 1 << 62))
+    for x in inserted:
+        bf.add(x)
+    probes = hits = 0
+    while probes < max(50_000, 200 / target):
+        x = rng.randrange(0, 1 << 62)
+        if x in inserted:
+            continue
+        probes += 1
+        hits += x in bf
+    return hits / probes
+
+
+@pytest.mark.parametrize("target", [0.05, 0.01, 0.001])
+def test_with_capacity_meets_its_target(target):
+    assert measured_fp(target) <= 1.5 * target
+
+
+@pytest.mark.parametrize("target", [1e-6, 0.5])  # the ends of the prune_fp range
+def test_with_capacity_quick_and_bounded_at_the_range_ends(target):
+    n = 100_000
+    t0 = time.perf_counter()
+    bf = BloomFilter.with_capacity(n, target)
+    assert time.perf_counter() - t0 < 0.5
+    assert optimal_bits(n, target) <= bf.n_bits <= 6 * optimal_bits(n, target)
+    assert blocked_fp(n / (bf.n_bits // 64), bf.n_hashes) <= target
+
+
+def test_bloom_words_are_little_endian():
+    bf = BloomFilter(4 * 64, 6)
+    code = 0x1234_5678_9ABC
+    bf.add(code)
+    word = (mix64(code) >> 24) % 4
+    mask = 0x40018000000105  # the 6-bit mask this code draws from the pattern tables
+    payload = bf.to_bytes()[12:]
+    assert payload == bytes(8 * word) + mask.to_bytes(8, "little") + bytes(8 * (3 - word))
+    assert code in BloomFilter.from_bytes(bf.to_bytes())
+
+
+@pytest.mark.parametrize("n_bits, n_hashes", [(100, 3), (0, 3), (64, 0), (64, MAX_HASHES + 1)])
+def test_bloom_from_bytes_rejects_a_bad_header(n_bits, n_hashes):
+    # 100 bits is not a whole number of words, whatever the payload length
+    for payload in (bytes(-(-n_bits // 8)), bytes(8 * -(-n_bits // 64))):
+        with pytest.raises(ValueError):
+            BloomFilter.from_bytes(struct.pack("<QI", n_bits, n_hashes) + payload)

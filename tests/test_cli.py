@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 from kmerfab import pipeline
-from kmerfab.bloom import optimal_bits
+from kmerfab.bloom import BloomFilter
 from kmerfab.cli import _load_scenario, main
 from kmerfab.fabric import FileBacking
 from kmerfab.kmers import Origin, parse_reads
 from kmerfab.pipeline import Checkpoints
 from kmerfab.spill import HEADER_SIZE, decode_handles
+from kmerfab.traceanalysis import parse_trace_csv
 from kmerfab.stages import total_windows
 from conftest import random_instance
 
@@ -133,13 +134,16 @@ def test_run_unknown_config_key_exit_2(toy_inputs, capsys):
     ({"prune_fp": 0}, "'prune_fp'"),
     ({"prune_fp": 1}, "'prune_fp'"),
     ({"prune_fp": 1.5}, "'prune_fp'"),
+    ({"prune_fp": 1e-7}, "'prune_fp'"),  # below what a blocked filter reaches cheaply
+    ({"prune_fp": 0.6}, "'prune_fp'"),  # above what a half-size seen-multi filter holds
     ({"device_capacity": 50000000}, "'namespace_size'"),
 ], ids=["zero_bw", "negative_bw", "zero_capacity", "namespace_over_capacity",
         "zero_namespace", "fractional_partitions", "fractional_capacity_limit",
         "overflowing_capacity", "infinite_bw", "nan_bw", "zero_chunk", "bad_attachment",
         "zero_k", "k_above_max", "zero_partitions", "negative_capacity_limit", "tau_t_1",
         "negative_tau_n", "zero_min_candidates", "zero_prune_fp", "prune_fp_1",
-        "prune_fp_above_1", "capacity_below_namespace"])
+        "prune_fp_above_1", "prune_fp_below_1e-6", "prune_fp_above_half",
+        "capacity_below_namespace"])
 def test_run_bad_device_exit_2(toy_inputs, capsys, extra, message):
     """Every run key is range-checked as it loads, device and pipeline keys alike."""
     cfg = run_config(toy_inputs, **extra)
@@ -152,8 +156,9 @@ def test_run_bad_device_exit_2(toy_inputs, capsys, extra, message):
 @pytest.mark.parametrize("extra", [
     {"k": 32}, {"tau_t": 2}, {"tau_n": 0}, {"min_candidates": 1}, {"capacity_limit": 0},
     {"namespace_size": 100000000, "device_capacity": 100000000},
+    {"prune_fp": 1e-6}, {"prune_fp": 0.5},
 ], ids=["k_32", "tau_t_2", "tau_n_0", "min_candidates_1", "unbounded_capacity",
-        "namespace_is_device"])
+        "namespace_is_device", "prune_fp_1e-6", "prune_fp_half"])
 def test_run_accepts_boundary_values(toy_inputs, extra):
     cfg = run_config(toy_inputs, **extra)
     assert main(["run", "--config", str(cfg), "--out", str(toy_inputs / "o")]) == 0
@@ -198,8 +203,8 @@ def test_rerun_recomputes_damaged_checkpoints(toy_inputs, damage):
     elif damage == "truncate_device":
         data = device.read_bytes()
         device.write_bytes(data[:len(data) // 2])
-    else:
-        handle = json.loads(manifest.read_text())["stages"]["prune"]
+    else:  # filter.p0, which a rerun reads; only a count pass that runs reads prune
+        handle = json.loads(manifest.read_text())["stages"]["filter.p0"]
         data = bytearray(device.read_bytes())
         payload_length = handle["length"] - HEADER_SIZE
         data[handle["start_address"] + HEADER_SIZE + payload_length // 2] ^= 0xFF
@@ -286,7 +291,7 @@ def test_rerun_recounts_partition_whose_spill_run_is_damaged(toy_inputs, capsys,
 
 
 @pytest.mark.parametrize("stage, consumers", [
-    ("prune", []),
+    ("prune", ["count.p0", "filter.p0"]),  # only a computed count.pN loads prune
     ("count.p0", ["filter.p0"]),
     ("filter.p0", []),
     ("filter.p1", []),
@@ -318,6 +323,49 @@ def test_rerun_recomputes_checkpoint_that_does_not_decode(toy_inputs, capsys, st
     assert not stage_lines(capsys.readouterr().out)[f"stage {stage}"].endswith("(checkpoint)")
     for name, data in first.items():
         assert (out / name).read_bytes() == data
+
+
+def test_rerun_recomputes_damaged_prune_before_freeing_a_bucket(toy_inputs, capsys):
+    """A damaged prune checkpoint under a loaded filter.p0 at P = 2: the count
+    pass of partition 1 recomputes prune over every bucket, bucket 0 included,
+    before it frees bucket 0."""
+    out = toy_inputs / "out"
+    cfg = run_config(toy_inputs)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    first = {name: (out / name).read_bytes() for name in OUTPUTS}
+    manifest = out / "checkpoints.json"
+    doc = json.loads(manifest.read_text())
+    for name in ("count.p1", "filter.p1", "group"):
+        del doc["stages"][name]
+    manifest.write_text(json.dumps(doc))
+    handle = doc["stages"]["prune"]
+    device = bytearray((out / "device0.dat").read_bytes())
+    device[handle["start_address"] + HEADER_SIZE] ^= 0xFF
+    (out / "device0.dat").write_bytes(bytes(device))
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    stages = stage_lines(capsys.readouterr().out)
+    assert stages["stage filter.p0"].endswith("(checkpoint)")
+    assert not stages["stage prune"].endswith("(checkpoint)")
+    for name, data in first.items():
+        assert (out / name).read_bytes() == data
+
+
+def test_rerun_that_counts_nothing_reads_no_prune_checkpoint(toy_inputs, capsys):
+    out = toy_inputs / "out"
+    cfg = run_config(toy_inputs)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    prune = json.loads((out / "checkpoints.json").read_text())["stages"]["prune"]
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "stage prune" not in stage_lines(capsys.readouterr().out)
+    with open(out / "trace.csv") as fh:
+        reads = [r for r in parse_trace_csv(fh) if r.kind == "read"]
+    assert reads  # the rerun loads the filter.pN and group checkpoints
+    end = prune["start_address"] + prune["length"]
+    assert not [r for r in reads if r.start < end and prune["start_address"] < r.start + r.length]
 
 
 def test_rerun_after_kill_between_count_blob_and_manifest(toy_inputs, monkeypatch):
@@ -366,7 +414,7 @@ def test_rerun_in_another_checkpoint_format_is_a_clean_miss(tmp_path, capsys, mo
 def test_each_stage_output_written_once(toy_inputs, partitions):
     """A fresh run checkpoints each stage output a later stage reads, once:
     no blob the manifest names repeats another, and the prune blob is the
-    seen-multi filter alone."""
+    seen-multi filter alone, with half of seen-once's words."""
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs, partitions=partitions)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
@@ -382,8 +430,8 @@ def test_each_stage_output_written_once(toy_inputs, partitions):
     for name, origin in (("normal", Origin.NORMAL), ("tumoral", Origin.TUMORAL)):
         with open(toy_inputs / f"{name}.fa") as fh:
             reads += parse_reads(fh, origin)
-    n_bits = optimal_bits(total_windows(reads, 15), 0.01)
-    assert len(payloads["prune"]) == 12 + -(-n_bits // 8)
+    seen_once_words = BloomFilter.with_capacity(total_windows(reads, 15), 0.01).n_bits // 64
+    assert len(payloads["prune"]) == 12 + 8 * -(-seen_once_words // 2)
 
 
 class Killed(BaseException):
@@ -530,8 +578,8 @@ SHIPPED_DIGESTS = {
         "index.bin": "4fa8f0432e3c0a0e1b518b5355fc805cac6b41b5b6296bd8fdd69be80fc468c6",
         "groups.csv": "1b1fc42ea84ab57952e2f415d90be65356f64e0d1013a6e2e506643dc1b07f1d",
         # the on-device format: a change to it re-pins these and says why
-        "trace.csv": "ab8d7040c77f0cdc3d244fed2076a8d13a84df4527d2c2aeb430c171690a9b81",
-        "device0.dat": "928a8821fe0f310382ee53cf90f8fa990edf4e50cd4ff7b1e2e0afa135a7fe99",
+        "trace.csv": "d06d09669d76a2cfb0b3e2a0e89cb5f4600fc2f15977d4932e88d84efe9504f9",
+        "device0.dat": "d30d8d860727a2010db9e35c874eb0a469dc74dab4885418375e115502fb0b20",
     },
 }
 

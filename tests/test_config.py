@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kmerfab.config import (ABOVE_ZERO, NON_NEGATIVE, OPEN_UNIT, POSITIVE, ConfigError,
+from kmerfab.config import (ABOVE_ZERO, NON_NEGATIVE, POSITIVE, ConfigError,
                             get_float, get_int)
 
 
@@ -66,7 +66,8 @@ def test_bounds_are_closed_ranges(get, bounds, text, ok):
 @pytest.mark.parametrize("get, bounds, text, message", [
     (get_int, (1, 123456789), "0", "expected a value in [1, 123456789], got 0"),
     (get_int, POSITIVE, "0", "expected a value >= 1, got 0"),
-    (get_float, OPEN_UNIT, "1", "expected a value in [5e-324, 0.9999999999999999], got 1.0"),
+    (get_float, (math.ulp(0.0), math.nextafter(1.0, 0.0)), "1",
+     "expected a value in [5e-324, 0.9999999999999999], got 1.0"),
     (get_float, ABOVE_ZERO, "-1", "expected a value >= 5e-324, got -1.0"),
     (get_float, (0.0, 0.5), "0.75", "expected a value in [0, 0.5], got 0.75"),
 ])

@@ -96,8 +96,8 @@ def test_checkpoints_skip_stages(tmp_path, small_instance):
     store2 = make_store(tmp_path / "dev.dat")
     cp2 = Checkpoints(store2, fingerprint, tmp_path / "manifest.json")
     second = run_pipeline(normal, tumoral, cfg, store2, cp2)
-    # a loaded filter.pN skips its count.pN
-    assert second.skipped == {"prune", "filter.p0", "filter.p1", "group"}
+    # a loaded filter.pN skips its count.pN, and with no count.pN to run, prune
+    assert second.skipped == {"filter.p0", "filter.p1", "group"}
     # every skipped stage was loaded, so it was also timed
     assert second.skipped <= second.stage_seconds.keys()
     assert second.index.to_bytes() == first.index.to_bytes()
@@ -120,7 +120,7 @@ def test_deleting_group_checkpoint_reruns_only_group(tmp_path, small_instance):
     store2 = make_store(tmp_path / "dev.dat")
     cp2 = Checkpoints(store2, fingerprint, manifest)
     second = run_pipeline(normal, tumoral, cfg, store2, cp2)
-    assert second.skipped == {"prune", "filter.p0"}
+    assert second.skipped == {"filter.p0"}
     assert [g.seed for g in second.groups] == [g.seed for g in first.groups]
 
 
@@ -146,7 +146,7 @@ def test_manifest_survives_interrupted_persist(tmp_path, small_instance, monkeyp
     store2 = make_store(tmp_path / "dev.dat")
     second = run_pipeline(normal, tumoral, cfg, store2,
                           Checkpoints(store2, fingerprint, manifest))
-    assert second.skipped == {"prune", "filter.p0", "group"}
+    assert second.skipped == {"filter.p0", "group"}
     assert second.index.to_bytes() == first.index.to_bytes()
 
 
@@ -175,8 +175,7 @@ def test_each_window_extracted_once_per_run(tmp_path, small_instance, monkeypatc
     store2 = make_store(tmp_path / "dev.dat")
     second = run_pipeline(normal, tumoral, cfg, store2,
                           Checkpoints(store2, fingerprint, tmp_path / "m.json"))
-    assert second.skipped == {"prune", "filter.p0", "filter.p1", "filter.p2", "filter.p3",
-                              "group"}
+    assert second.skipped == {"filter.p0", "filter.p1", "filter.p2", "filter.p3", "group"}
     assert extracted == []
 
 

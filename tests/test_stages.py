@@ -134,9 +134,18 @@ def test_prune_fp_rate_bounded():
     assert total_fp / total_singles <= 1.5 * target
 
 
+def test_prune_seen_multi_has_half_the_words():
+    normal, tumoral = random_instance(seed=2, n_reads=200)
+    codes = ReadCodes(normal, tumoral, K)
+    seen_once = BloomFilter.with_capacity(total_windows(codes.reads, K), 0.01)
+    seen_multi = prune(codes, 0.01)
+    assert seen_multi.n_bits // 64 == -(-(seen_once.n_bits // 64) // 2)
+    assert seen_multi.n_hashes == seen_once.n_hashes
+
+
 def test_prune_insert_matches_two_query_reference():
     """The fused insert sets the same bits as `in seen_once` then `.add`, and
-    both bitmaps are the ones earlier prune checkpoints were written with."""
+    both bitmaps are pinned: a change to them changes the prune checkpoint."""
     rng = random.Random(7)
     pool = [rng.getrandbits(2 * K) for _ in range(3000)]
     codes = [rng.choice(pool) for _ in range(9000)]
@@ -152,9 +161,9 @@ def test_prune_insert_matches_two_query_reference():
     assert fused_multi.to_bytes() == ref_multi.to_bytes()
     head = 12  # the <QI n_bits, n_hashes header
     assert hashlib.sha256(fused_once.to_bytes()[head:]).hexdigest() == (
-        "179f0ac6ad19ac598b7ed27ff6759c114962ecb9b0af1f57d99171447172be91")
+        "4ef69df1924d111416a81e9710d80cb0ae91d6542383edec33725556bf1830fc")
     assert hashlib.sha256(fused_multi.to_bytes()[head:]).hexdigest() == (
-        "f28cdc9e203a9c6d6f52bf7a5ac1cd9428fa70b8008ed9a80f5f2a2768e1aa41")
+        "0c658c22158bba269b8abd1e4bc50b7e2214e78c597eb7f960e79e61a47234f9")
 
 
 # -- count ---------------------------------------------------------------
