@@ -35,6 +35,7 @@ from .orchestrator import (
 )
 from .pipeline import Checkpoints, PipelineConfig, run_pipeline
 from .spill import DEFAULT_CHUNK, SpillStore
+from .stages import PRUNE_FP
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -136,9 +137,7 @@ def cmd_run(args) -> int:
         tau_n=cfg.get_int(kv, "tau_n", PipelineConfig.tau_n, cfg.NON_NEGATIVE),
         min_candidates=cfg.get_int(kv, "min_candidates", PipelineConfig.min_candidates,
                                    cfg.POSITIVE),
-        # a blocked bloom filter needs ~5.9x the standard bits at 1e-6, more below;
-        # prune's half-size seen-multi filter needs prune_fp <= 0.5
-        prune_fp=cfg.get_float(kv, "prune_fp", PipelineConfig.prune_fp, (1e-6, 0.5)),
+        prune_fp=cfg.get_float(kv, "prune_fp", PipelineConfig.prune_fp, PRUNE_FP),
     )
     device = VirtualDevice(
         0,

@@ -7,7 +7,8 @@ cursor) makes reruns skip completed stages. count.pN runs nested in the
 filter.pN that consumes it, so a checkpointed filter.pN also skips its count.
 A count.pN checkpoint is the blob handles of the partition's spill runs,
 which are already on the device. Prune is loaded or computed by the first
-count.pN that is computed, so a rerun that counts nothing never reads it.
+filter.pN that is computed, before any bucket is freed, so a rerun that
+loads every filter.pN never reads it.
 Merge is not a stage: the filter.pN outputs are merged in memory, on a rerun
 too.
 """
@@ -184,17 +185,16 @@ def run_pipeline(
     def merged(runs: list[BlobHandle]) -> tuple[list[BlobHandle], FrequencyTable]:
         return runs, merge_runs(runs, store)
 
-    pf: BloomFilter | None = None  # the prune stage, resolved by the first count pass that runs
-
-    def count_pass(p: int) -> tuple[list[BlobHandle], FrequencyTable]:
-        nonlocal pf
-        if pf is None:  # before read_codes(p) frees the buckets a computed prune reads
-            pf = stage("prune", lambda: prune(read_codes(), config.prune_fp),
-                       BloomFilter.to_bytes, BloomFilter.from_bytes)
-        return merged(count(read_codes(p), pf, p, FrequencyTable(config.capacity_limit), store))
+    pf: BloomFilter | None = None  # the prune stage, resolved by the first filter pass that runs
 
     def filter_pass(p: int) -> CandidateIndex:
-        _, table = stage(f"count.p{p}", lambda: count_pass(p),
+        nonlocal pf
+        if pf is None:  # before this pass or its count frees a bucket a computed prune reads
+            pf = stage("prune", lambda: prune(read_codes(), config.prune_fp),
+                       BloomFilter.to_bytes, BloomFilter.from_bytes)
+        _, table = stage(f"count.p{p}",
+                         lambda: merged(count(read_codes(p), pf, p,
+                                              FrequencyTable(config.capacity_limit), store)),
                          lambda out: encode_handles(out[0]), lambda b: merged(decode_handles(b)))
         index = filter_candidates(table, read_codes(p), p,
                                   config.tau_t, config.tau_n)

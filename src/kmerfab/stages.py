@@ -83,16 +83,21 @@ def total_windows(reads: Iterable[Read], k: int) -> int:
     return sum(max(0, r.length - k + 1) for r in reads)
 
 
+# the target_fp range prune supports: the half-size seen-multi needs at most
+# 0.5, and a blocked filter's size grows fast below 1e-6 (5.9x the standard bits)
+PRUNE_FP = (1e-6, 0.5)
+
+
 def prune(codes: ReadCodes, target_fp: float) -> BloomFilter:
     """The k-mers seen more than once, as a bloom filter (no false negatives).
 
     One pass over every window, bucket by bucket, through a seen-once and a
     seen-multi filter. Seen-once is sized for the total window count at
-    `target_fp`. Every code seen-multi holds occurs at least twice, so it
-    holds at most half as many codes (false promotions included, while
-    target_fp <= 0.5): it gets half of seen-once's words and the same mask
-    bits, the same load per word at the same rate. Only seen-multi is
-    returned: seen-once is freed when prune returns."""
+    `target_fp`, in PRUNE_FP. Every code seen-multi holds occurs at least
+    twice, so it holds at most half as many codes (false promotions
+    included): it gets half of seen-once's words and the same mask bits, the
+    same load per word at the same rate. Only seen-multi is returned:
+    seen-once is freed when prune returns."""
     seen_once = BloomFilter.with_capacity(total_windows(codes.reads, codes.k), target_fp)
     seen_multi = BloomFilter(64 * -(-seen_once.n_bits // 128), seen_once.n_hashes)
     insert = seen_once.add_or_promote

@@ -2,13 +2,14 @@
 
 import random
 import struct
-import time
 
 import pytest
 
+from kmerfab import bloom
 from kmerfab.bitmap import Bitmap
 from kmerfab.bloom import MAX_HASHES, BloomFilter, blocked_fp, optimal_bits
 from kmerfab.kmers import mix64
+from kmerfab.stages import PRUNE_FP
 
 
 def test_bitmap_set_test_iterate():
@@ -129,13 +130,18 @@ def test_with_capacity_meets_its_target(target):
     assert measured_fp(target) <= 1.5 * target
 
 
-@pytest.mark.parametrize("target", [1e-6, 0.5])  # the ends of the prune_fp range
-def test_with_capacity_quick_and_bounded_at_the_range_ends(target):
+@pytest.mark.parametrize("target", PRUNE_FP)  # the ends of the range run accepts
+def test_with_capacity_quick_and_bounded_at_the_range_ends(target, monkeypatch):
     n = 100_000
-    t0 = time.perf_counter()
+    calls = []
+    best_hashes = bloom._best_hashes
+    monkeypatch.setattr(bloom, "_best_hashes", lambda *a: calls.append(a) or best_hashes(*a))
     bf = BloomFilter.with_capacity(n, target)
-    assert time.perf_counter() - t0 < 0.5
     assert optimal_bits(n, target) <= bf.n_bits <= 6 * optimal_bits(n, target)
+    # the search's cost: the first check, one per doubling (at most 3 within
+    # 6x), one per bisection step over at most 4x the starting words, the last
+    words = -(-optimal_bits(n, target) // 64)
+    assert len(calls) <= 1 + 3 + (4 * words).bit_length() + 1
     assert blocked_fp(n / (bf.n_bits // 64), bf.n_hashes) <= target
 
 

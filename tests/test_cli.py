@@ -203,7 +203,7 @@ def test_rerun_recomputes_damaged_checkpoints(toy_inputs, damage):
     elif damage == "truncate_device":
         data = device.read_bytes()
         device.write_bytes(data[:len(data) // 2])
-    else:  # filter.p0, which a rerun reads; only a count pass that runs reads prune
+    else:  # filter.p0, which a rerun reads; only a filter pass that runs reads prune
         handle = json.loads(manifest.read_text())["stages"]["filter.p0"]
         data = bytearray(device.read_bytes())
         payload_length = handle["length"] - HEADER_SIZE
@@ -291,7 +291,7 @@ def test_rerun_recounts_partition_whose_spill_run_is_damaged(toy_inputs, capsys,
 
 
 @pytest.mark.parametrize("stage, consumers", [
-    ("prune", ["count.p0", "filter.p0"]),  # only a computed count.pN loads prune
+    ("prune", ["filter.p0"]),  # only a computed filter.pN loads prune
     ("count.p0", ["filter.p0"]),
     ("filter.p0", []),
     ("filter.p1", []),
@@ -325,17 +325,24 @@ def test_rerun_recomputes_checkpoint_that_does_not_decode(toy_inputs, capsys, st
         assert (out / name).read_bytes() == data
 
 
-def test_rerun_recomputes_damaged_prune_before_freeing_a_bucket(toy_inputs, capsys):
-    """A damaged prune checkpoint under a loaded filter.p0 at P = 2: the count
-    pass of partition 1 recomputes prune over every bucket, bucket 0 included,
-    before it frees bucket 0."""
+@pytest.mark.parametrize("dropped, loaded", [
+    (("count.p1", "filter.p1", "group"), "filter.p0"),
+    # a run killed after saving count.p0, before filter.p0
+    (("filter.p0", "count.p1", "filter.p1", "group"), "count.p0"),
+], ids=["filter_p0_loaded", "count_p0_loaded"])
+def test_rerun_recomputes_damaged_prune_before_freeing_a_bucket(toy_inputs, capsys,
+                                                                dropped, loaded):
+    """A damaged prune checkpoint at P = 2 under a loaded filter.p0, or under a
+    loaded count.p0 whose filter.p0 is computed: the first filter pass that
+    runs recomputes prune over every bucket, bucket 0 included, before any
+    pass frees bucket 0."""
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     first = {name: (out / name).read_bytes() for name in OUTPUTS}
     manifest = out / "checkpoints.json"
     doc = json.loads(manifest.read_text())
-    for name in ("count.p1", "filter.p1", "group"):
+    for name in dropped:
         del doc["stages"][name]
     manifest.write_text(json.dumps(doc))
     handle = doc["stages"]["prune"]
@@ -346,7 +353,7 @@ def test_rerun_recomputes_damaged_prune_before_freeing_a_bucket(toy_inputs, caps
 
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     stages = stage_lines(capsys.readouterr().out)
-    assert stages["stage filter.p0"].endswith("(checkpoint)")
+    assert stages[f"stage {loaded}"].endswith("(checkpoint)")
     assert not stages["stage prune"].endswith("(checkpoint)")
     for name, data in first.items():
         assert (out / name).read_bytes() == data
