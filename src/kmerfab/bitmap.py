@@ -1,4 +1,5 @@
-"""Dense bitmap over read ids: set, OR-merge, iterate, serialize."""
+"""Dense bitmap over read ids: set, OR-merge, iterate, serialize, and
+convert to and from an int (bit i of the int is id i)."""
 
 from __future__ import annotations
 
@@ -50,3 +51,12 @@ class Bitmap:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Bitmap":
         return cls(data)
+
+    def to_int(self) -> int:
+        return int.from_bytes(self._bytes, "little")
+
+    @classmethod
+    def from_int(cls, bits: int) -> "Bitmap":
+        """The bitmap of `bits`, for a one-byte-scan iteration (a `bits & -bits`
+        loop would cost O(members x int size))."""
+        return cls(bits.to_bytes((bits.bit_length() + 7) // 8, "little"))

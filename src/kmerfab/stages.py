@@ -14,7 +14,7 @@ import struct
 import zlib
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .bitmap import Bitmap
 from .bloom import BloomFilter
@@ -79,10 +79,6 @@ class ReadCodes:
 # Prune
 
 
-def total_windows(reads: Iterable[Read], k: int) -> int:
-    return sum(max(0, r.length - k + 1) for r in reads)
-
-
 # the target_fp range prune supports: the half-size seen-multi needs at most
 # 0.5, and a blocked filter's size grows fast below 1e-6 (5.9x the standard bits)
 PRUNE_FP = (1e-6, 0.5)
@@ -91,14 +87,14 @@ PRUNE_FP = (1e-6, 0.5)
 def prune(codes: ReadCodes, target_fp: float) -> BloomFilter:
     """The k-mers seen more than once, as a bloom filter (no false negatives).
 
-    One pass over every window, bucket by bucket, through a seen-once and a
-    seen-multi filter. Seen-once is sized for the total window count at
-    `target_fp`, in PRUNE_FP. Every code seen-multi holds occurs at least
-    twice, so it holds at most half as many codes (false promotions
-    included): it gets half of seen-once's words and the same mask bits, the
-    same load per word at the same rate. Only seen-multi is returned:
+    One pass over every code, bucket by bucket, through a seen-once and a
+    seen-multi filter. Seen-once is sized for the code count (a window that
+    holds an `N` yields none) at `target_fp`, in PRUNE_FP. Every code
+    seen-multi holds occurs at least twice, so it holds at most half as many
+    codes (false promotions included): it gets half of seen-once's words and
+    the same mask bits, the same load per word at the same rate. Only seen-multi is returned:
     seen-once is freed when prune returns."""
-    seen_once = BloomFilter.with_capacity(total_windows(codes.reads, codes.k), target_fp)
+    seen_once = BloomFilter.with_capacity(sum(len(part) for part in codes.codes), target_fp)
     seen_multi = BloomFilter(64 * -(-seen_once.n_bits // 128), seen_once.n_hashes)
     insert = seen_once.add_or_promote
     for part in codes.codes:
@@ -131,6 +127,8 @@ def count(
 ) -> list[BlobHandle]:
     """Count pruned k-mers of one partition, spilling sorted runs when full.
 
+    A code is looked up in the table first and probes `prune_filter` only on
+    a miss: one the table holds passed the same filter earlier in this pass.
     The final partial table is always flushed, so even an unbounded table
     produces exactly one run.
     """
@@ -141,17 +139,15 @@ def count(
     cap = table.capacity_limit
     for t_idx, span in enumerate(codes.origin_spans(partition_id)):
         for code in span:
-            if code not in prune_filter:
-                continue
             counts = entries.get(code)
-            if counts is None:
+            if counts is not None:
+                counts[t_idx] += 1
+            elif code in prune_filter:
                 entries[code] = counts = [0, 0]
                 counts[t_idx] += 1
                 if cap is not None and len(entries) >= cap:
                     runs.append(store.flush_table(entries))
                     entries.clear()
-            else:
-                counts[t_idx] += 1
     if entries:
         runs.append(store.flush_table(entries))
         entries.clear()
@@ -321,8 +317,13 @@ class GroupResult:
 
 def group(index: CandidateIndex, min_candidates: int) -> list[GroupResult]:
     """Seed on tumoral reads holding >= min_candidates candidate k-mers
-    (ascending id); a group is every read sharing one of the seed's k-mers."""
+    (ascending id); a group is every read sharing one of the seed's k-mers.
+
+    Per seed, the candidates' normal bitmaps are OR-ed as ints, and so are
+    their tumoral bitmaps with the seed's own bit; each OR is decoded once.
+    A candidate's ints are built at its first seed."""
     candidates = index.candidates
+    as_ints: dict[int, tuple[int, int]] = {}
     tumoral_reads = sorted(
         (rid, bases)
         for (origin, rid), bases in index.reads.items()
@@ -333,12 +334,16 @@ def group(index: CandidateIndex, min_candidates: int) -> list[GroupResult]:
         codes = {c for c in canonical_codes(bases, index.k) if c in candidates}
         if len(codes) < min_candidates:
             continue
-        members: set[tuple[Origin, int]] = set()
+        normal, tumoral = 0, 1 << rid
         for code in codes:
-            entry = candidates[code]
-            members.update((Origin.NORMAL, i) for i in entry.normal_bitmap)
-            members.update((Origin.TUMORAL, i) for i in entry.tumoral_bitmap)
-        members.add((Origin.TUMORAL, rid))
+            pair = as_ints.get(code)
+            if pair is None:
+                e = candidates[code]
+                pair = as_ints[code] = (e.normal_bitmap.to_int(), e.tumoral_bitmap.to_int())
+            normal |= pair[0]
+            tumoral |= pair[1]
+        members = {(Origin.NORMAL, i) for i in Bitmap.from_int(normal)}
+        members.update((Origin.TUMORAL, i) for i in Bitmap.from_int(tumoral))
         results.append(GroupResult((Origin.TUMORAL, rid), members, codes))
     return results
 

@@ -4,20 +4,24 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmerfab.bloom import BloomFilter
 from kmerfab.fabric import Namespace, VirtualDevice
 from kmerfab.kmers import Origin, Read, canonical_codes, decode, encode, partition_of
 from kmerfab.spill import SpillStore
 from kmerfab.stages import (
+    CandidateEntry,
     CandidateIndex,
     FrequencyTable,
+    GroupResult,
     ReadCodes,
-    total_windows,
     StageError,
     count,
     filter_candidates,
     group,
+    groups_to_bytes,
     is_imbalanced,
     merge_indexes,
     merge_runs,
@@ -102,7 +106,7 @@ def test_prune_over_buckets_keeps_every_repeat():
     normal, tumoral = random_instance(seed=2, n_reads=200)
     whole_codes = ReadCodes(normal, tumoral, K)
     bucketed_codes = ReadCodes(normal, tumoral, K, 3)
-    expected = total_windows(whole_codes.reads, K)
+    expected = len(whole_codes.codes[0])
     whole = seen_once_after(whole_codes.codes[0], expected)
     bucketed = seen_once_after([c for part in bucketed_codes.codes for c in part], expected)
     assert bucketed.to_bytes() == whole.to_bytes()
@@ -137,7 +141,7 @@ def test_prune_fp_rate_bounded():
 def test_prune_seen_multi_has_half_the_words():
     normal, tumoral = random_instance(seed=2, n_reads=200)
     codes = ReadCodes(normal, tumoral, K)
-    seen_once = BloomFilter.with_capacity(total_windows(codes.reads, K), 0.01)
+    seen_once = BloomFilter.with_capacity(len(codes.codes[0]), 0.01)
     seen_multi = prune(codes, 0.01)
     assert seen_multi.n_bits // 64 == -(-(seen_once.n_bits // 64) // 2)
     assert seen_multi.n_hashes == seen_once.n_hashes
@@ -229,14 +233,68 @@ class _CountingPrune(BloomFilter):
 
 
 def test_count_probes_prune_filter_only_in_own_partition():
+    """At capacity 1 the table is empty at every window, so each of the
+    partition's windows probes; unbounded, a window probes only if its code
+    is not yet in the table (its code failed the filter, or comes first)."""
     normal, tumoral = random_instance(seed=9, n_reads=120)
-    pf = _CountingPrune.from_bytes(prune(ReadCodes(normal, tumoral, K), 0.01).to_bytes())
+    plain = prune(ReadCodes(normal, tumoral, K), 0.01)
+    pf = _CountingPrune.from_bytes(plain.to_bytes())
     windows = [c for r in [*normal, *tumoral] for c in canonical_codes(r.bases, K)]
     codes = ReadCodes(normal, tumoral, K, 4)
     for p in range(4):
+        own = [c for c in windows if partition_of(c, 4) == p]
+        pf.probes = 0
+        count(codes, pf, p, FrequencyTable(capacity_limit=1), make_store())
+        assert pf.probes == len(own)
+        table, misses = set(), 0
+        for c in own:
+            if c not in table:
+                misses += 1
+                if c in plain:
+                    table.add(c)
+        assert misses < len(own)
         pf.probes = 0
         count(codes, pf, p, FrequencyTable(), make_store())
-        assert pf.probes == sum(partition_of(c, 4) == p for c in windows)
+        assert pf.probes == misses
+
+
+def probe_first_count(codes, prune_filter, partition_id, table, store):
+    """Reference count: every window probes the prune filter, then the
+    table."""
+    runs = []
+    entries = table.entries
+    cap = table.capacity_limit
+    for t_idx, span in enumerate(codes.origin_spans(partition_id)):
+        for code in span:
+            if code not in prune_filter:
+                continue
+            counts = entries.get(code)
+            if counts is None:
+                entries[code] = counts = [0, 0]
+                counts[t_idx] += 1
+                if cap is not None and len(entries) >= cap:
+                    runs.append(store.flush_table(entries))
+                    entries.clear()
+            else:
+                counts[t_idx] += 1
+    if entries:
+        runs.append(store.flush_table(entries))
+        entries.clear()
+    return runs
+
+
+@pytest.mark.parametrize("partitions", [1, 3])
+@pytest.mark.parametrize("cap", [1, 2, 7, None])
+def test_count_spill_runs_match_probe_first_reference(cap, partitions):
+    normal, tumoral = random_instance(seed=10, n_reads=80)
+    codes = ReadCodes(normal, tumoral, K, partitions)
+    pf = prune(codes, 0.01)
+    for p in range(partitions):
+        store, ref_store = make_store(), make_store()
+        runs = count(codes, pf, p, FrequencyTable(cap), store)
+        ref_runs = probe_first_count(codes, pf, p, FrequencyTable(cap), ref_store)
+        assert [store.read_blob(h) for h in runs] == [ref_store.read_blob(h) for h in ref_runs]
+        assert runs == ref_runs
 
 
 def test_count_requires_empty_table():
@@ -410,3 +468,69 @@ def test_group_matches_oracle():
             assert g.seed == seed_key
             assert g.members == members
             assert {decode(c, K) for c in g.shared_kmers} == kmers
+
+
+def reference_group(index, min_candidates):
+    """Reference group: each seed iterates every candidate bitmap of each of
+    its codes."""
+    results = []
+    for (origin, rid), bases in sorted(index.reads.items(), key=lambda r: r[0][1]):
+        if origin is not Origin.TUMORAL:
+            continue
+        codes = {c for c in canonical_codes(bases, index.k) if c in index.candidates}
+        if len(codes) < min_candidates:
+            continue
+        members = {(Origin.TUMORAL, rid)}
+        for code in codes:
+            entry = index.candidates[code]
+            members.update((Origin.NORMAL, i) for i in entry.normal_bitmap)
+            members.update((Origin.TUMORAL, i) for i in entry.tumoral_bitmap)
+        results.append(GroupResult((Origin.TUMORAL, rid), members, codes))
+    return results
+
+
+def hand_index(k, seeds, bitmaps):
+    """A CandidateIndex of tumoral reads `seeds` (id -> bases) and candidates
+    `bitmaps` (code -> (normal ids, tumoral ids))."""
+    index = CandidateIndex(k)
+    for rid, bases in seeds.items():
+        index.reads[(Origin.TUMORAL, rid)] = bases
+    for code, (normal_ids, tumoral_ids) in bitmaps.items():
+        entry = index.candidates[code] = CandidateEntry(1, 1)
+        for i in normal_ids:
+            entry.normal_bitmap.set(i)
+        for i in tumoral_ids:
+            entry.tumoral_bitmap.set(i)
+    return index
+
+
+def test_group_at_bitmap_boundaries():
+    # ids on either side of the byte and 64-bit word edges, shared across
+    # candidates, and seed 5000 lies past every candidate bitmap's end
+    edge = [0, 7, 8, 63, 64, 65, 999, 1000, 1001]
+    kmers = ["AAC", "ACG", "CCA", "ATC"]
+    bitmaps = {encode(s): (edge[i:i + 5], edge[-i - 5:]) for i, s in enumerate(kmers)}
+    seeds = {0: "AACG", 8: "CCAT", 64: "AACGAT", 1000: "CCAACGAT", 5000: "GATCCA", 7: "TTTT"}
+    index = hand_index(3, seeds, bitmaps)
+    for min_candidates in (1, 2, 3):
+        got = group(index, min_candidates)
+        assert groups_to_bytes(got) == groups_to_bytes(reference_group(index, min_candidates))
+    got = {g.seed[1]: g for g in group(index, 1)}
+    assert set(got) == {0, 8, 64, 1000, 5000}
+    assert (Origin.TUMORAL, 5000) in got[5000].members
+    assert {(Origin.NORMAL, 0), (Origin.TUMORAL, 1001)} <= got[1000].members
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seeds=st.dictionaries(st.integers(0, 300), st.text("ACGT", min_size=2, max_size=10),
+                          max_size=8),
+    bitmaps=st.dictionaries(st.integers(0, 15), st.tuples(
+        st.sets(st.integers(0, 300), max_size=6), st.sets(st.integers(0, 300), max_size=6)),
+        max_size=10),
+    min_candidates=st.integers(1, 3),
+)
+def test_group_matches_per_bitmap_reference(seeds, bitmaps, min_candidates):
+    index = hand_index(2, seeds, bitmaps)
+    got = group(index, min_candidates)
+    assert groups_to_bytes(got) == groups_to_bytes(reference_group(index, min_candidates))
