@@ -67,9 +67,8 @@ class EfficiencyCurve:
         self.values = list(values)
 
     def __call__(self, n: int) -> float:
-        if n <= 0:
-            return 1.0
-        return self.values[min(n, len(self.values)) - 1]
+        """e(n); no sharers at all counts as one."""
+        return self.values[min(max(n, 1), len(self.values)) - 1]
 
 
 class MemoryBacking:
@@ -137,6 +136,9 @@ class VirtualDevice:
         if length:
             yield (self, start, length)
 
+    def member_bytes(self, start: int, length: int) -> list[tuple["VirtualDevice", int]]:
+        return [(self, length)]
+
     def write_data(self, addr: int, data: bytes) -> None:
         self.backing.write(addr, data)
 
@@ -177,6 +179,25 @@ class ComposedDevice:
             yield (self._members[stripe % m], (stripe // m) * s + within, take)
             addr += take
             left -= take
+
+    def member_bytes(self, start: int, length: int) -> list[tuple[VirtualDevice, int]]:
+        """(member, bytes) of [start, start + length) per member, in the order
+        spans first reaches them. After the head stripe, stripe i of the q
+        whole ones lands on the i-th member after the head's, so every cycle
+        of m stripes puts s bytes on each member; the tail follows them."""
+        s = self.stripe_size
+        members = self._members
+        m = len(members)
+        stripe, within = divmod(start, s)
+        k, head = stripe % m, s - within
+        if length <= head:
+            return [(members[k], length)]
+        q, tail = divmod(length - head, s)
+        full, extra = divmod(q, m)
+        totals = [full * s + (s if 0 < j <= extra else 0) for j in range(m)]
+        totals[0] += head
+        totals[(q + 1) % m] += tail
+        return [(members[(k + j) % m], totals[j]) for j in range(min(m, q + 1 + (tail > 0)))]
 
     def write_data(self, addr: int, data: bytes) -> None:
         pos = 0
@@ -271,19 +292,23 @@ class _DeviceState:
     vtime bytes of service since the device last went idle, so a flow
     finishes when vtime reaches its tag (vtime at arrival + its bytes)."""
 
-    __slots__ = ("device", "flows", "sharers", "last_update", "vtime", "rate", "finish",
+    __slots__ = ("flows", "sharers", "peak", "last_update", "vtime", "rate", "finish",
                  "buckets")
 
     def __init__(self, device: VirtualDevice):
-        self.device = device
         # min-heap of (tag, seq, vtime at arrival, request)
         self.flows: list[tuple[float, int, float, IoRequest]] = []
         self.sharers: dict[int, int] = {}  # id(namespace) -> refcount (attachments)
+        self.set_peak(device)
         self.last_update = 0.0
         self.vtime = 0.0
         self.rate = 0.0  # bytes/s granted to each active flow
         self.finish = math.inf  # when the head flow finishes; inf while idle
         self.buckets: list[float] = []  # bytes served per stats bucket
+
+    def set_peak(self, device: VirtualDevice) -> None:
+        """The bandwidth the flows split: e(sharers) x max_seq_write_bw."""
+        self.peak = device.efficiency_curve(len(self.sharers)) * device.max_seq_write_bw
 
 
 class FabricEngine:
@@ -314,9 +339,9 @@ class FabricEngine:
         key = id(namespace)
         for member in namespace.parent.members:
             st = self._state(member)
-            self._advance_device(st)
             st.sharers[key] = st.sharers.get(key, 0) + 1
-            self._recompute(st)
+            st.set_peak(member)
+            self._serve(st)
 
     def detach(self, namespace: Namespace) -> None:
         key = id(namespace)
@@ -324,11 +349,11 @@ class FabricEngine:
             st = self._state(member)
             if key not in st.sharers:
                 continue
-            self._advance_device(st)
             st.sharers[key] -= 1
             if st.sharers[key] <= 0:
                 del st.sharers[key]
-            self._recompute(st)
+            st.set_peak(member)
+            self._serve(st)
 
     # -- event plumbing ------------------------------------------------------
 
@@ -337,31 +362,43 @@ class FabricEngine:
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, fn, args))
 
-    def _advance_device(self, st: _DeviceState) -> None:
+    def _serve(self, st: _DeviceState, req: IoRequest | None = None, nbytes: int = 0,
+               retire: bool = False) -> IoRequest | None:
+        """One device event: serve st's flows up to now at the share they had,
+        then start a flow of nbytes for req, or retire the head flow (and
+        return its request); then split st.peak among the flows anew."""
         t0, t1 = st.last_update, self.now
-        if t1 > t0 and st.flows:
+        flows = st.flows
+        if t1 > t0 and flows:
             st.vtime += st.rate * (t1 - t0)
             if self._stats:
                 # fold [t0, t1) at the aggregate rate into the buckets it spans
-                rate, w, acc = st.rate * len(st.flows), BUCKET_S, st.buckets
+                rate, w, acc = st.rate * len(flows), BUCKET_S, st.buckets
                 b = int(t0 / w)
                 while t0 < t1:
-                    edge = min(t1, (b + 1) * w)
+                    edge = (b + 1) * w
+                    if edge > t1:
+                        edge = t1
                     if b >= len(acc):
                         acc.extend([0.0] * (b + 1 - len(acc)))
                     acc[b] += rate * (edge - t0)
                     t0 = edge
                     b += 1
-        st.last_update = self.now
-
-    def _recompute(self, st: _DeviceState) -> None:
-        n = len(st.flows)
-        if n:
-            eff = st.device.efficiency_curve(max(1, len(st.sharers)))
-            st.rate = eff * st.device.max_seq_write_bw / n
-            st.finish = st.last_update + (st.flows[0][0] - st.vtime) / st.rate
+        st.last_update = t1
+        if req is not None:
+            self._seq += 1
+            heapq.heappush(flows, (st.vtime + nbytes, self._seq, st.vtime, req))
+        elif retire:
+            _, _, arrival_vtime, req = heapq.heappop(flows)
+            req.served_bytes += st.vtime - arrival_vtime
+            if not flows:
+                st.vtime = 0.0  # idle: restart the clock to keep it small
+        if flows:
+            st.rate = st.peak / len(flows)
+            st.finish = t1 + (flows[0][0] - st.vtime) / st.rate
         else:
             st.finish = math.inf
+        return req
 
     def submit(
         self,
@@ -380,48 +417,36 @@ class FabricEngine:
         return req.request_id
 
     def _start_request(self, req: IoRequest) -> None:
-        per_member: dict[VirtualDevice, int] = {}
-        for member, _, take in req.namespace.parent.spans(req.namespace.offset + req.start,
-                                                          req.length):
-            per_member[member] = per_member.get(member, 0) + take
-        req.flows_left = len(per_member)
-        for member, nbytes in per_member.items():
-            st = self._state(member)
-            self._advance_device(st)
-            self._seq += 1
-            heapq.heappush(st.flows, (st.vtime + nbytes, self._seq, st.vtime, req))
-            self._recompute(st)
-
-    def _finish_head(self, st: _DeviceState) -> None:
-        self._advance_device(st)
-        _, _, arrival_vtime, req = heapq.heappop(st.flows)
-        req.served_bytes += st.vtime - arrival_vtime
-        if not st.flows:
-            st.vtime = 0.0  # idle: restart the clock to keep it small
-        self._recompute(st)
-        req.flows_left -= 1
-        if req.flows_left == 0:
-            req.finish_time = self.now
-            if req.on_complete is not None:
-                req.on_complete(req)
+        ns = req.namespace
+        shares = ns.parent.member_bytes(ns.offset + req.start, req.length)
+        req.flows_left = len(shares)
+        for member, nbytes in shares:
+            self._serve(self._state(member), req, nbytes)
 
     def run(self) -> float:
         """Drain every event; returns the final clock."""
+        heap, states = self._heap, self._states.values()
         while True:
             when, busy = math.inf, None
-            for st in self._states.values():
+            for st in states:
                 if st.finish < when:
                     when, busy = st.finish, st
-            if self._heap and self._heap[0][0] <= when:
-                when, busy = self._heap[0][0], None
+            if heap and heap[0][0] <= when:
+                when, busy = heap[0][0], None
             if when == math.inf:
                 break
-            self.now = max(self.now, when)
+            if when > self.now:
+                self.now = when
             if busy is None:
-                _, _, fn, args = heapq.heappop(self._heap)
+                _, _, fn, args = heapq.heappop(heap)
                 fn(*args)
-            else:
-                self._finish_head(busy)
+                continue
+            req = self._serve(busy, retire=True)
+            req.flows_left -= 1
+            if req.flows_left == 0:
+                req.finish_time = self.now
+                if req.on_complete is not None:
+                    req.on_complete(req)
         return self.now
 
     # -- generator-based client processes -------------------------------------

@@ -601,6 +601,23 @@ def test_shipped_outputs_are_pinned(tmp_path, capsys, monkeypatch, command, conf
     assert digests == SHIPPED_DIGESTS[command, config]
 
 
+def test_width3_spill_scenario_is_pinned(tmp_path):
+    # neither shipped config drives a 3-wide composition with memory-pressure spill
+    keys = {"instances": 6, "strategy": "composed_shared", "composed_width": 3, "hosts": 2,
+            "attachment": "fabric", "total_output": 1_500_000_000,
+            "working_set": 320_000_000, "host_memory": 800_000_000, "spill_factor": 1.0}
+    cfg = tmp_path / "width3.conf"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "101"]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("completions.csv", "bandwidth.csv")}
+    assert digests == {
+        "completions.csv": "6c7358ab9dde51e636eb2958ca52bf0df5438884ae8244f0c71aa8583892110b",
+        "bandwidth.csv": "c3f413236e395b6313b7fc51bae530b86f8a81f30b739c1fd412d95b3f2876df",
+    }
+
+
 def test_simulate_deterministic_csv(tmp_path):
     cfg = scenario_config(tmp_path)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
