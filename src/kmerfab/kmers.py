@@ -12,6 +12,9 @@ from typing import Iterable, TextIO
 
 BASE_CODE = {"A": 0, "C": 1, "G": 2, "T": 3}
 CODE_BASE = "ACGT"
+_FWD_DIGITS = str.maketrans("ACGT", "0123")  # a base's code as a base-4 digit
+_REV_DIGITS = str.maketrans("ACGT", "3210")  # its complement's code
+_BLOCK = 256  # windows per int in canonical_codes: a shift costs the int's length
 MAX_K = 32
 
 # multiply-shift mixing constant (odd, 64-bit golden ratio)
@@ -87,30 +90,25 @@ def parse_reads(stream: TextIO | Iterable[str], origin: Origin) -> list[Read]:
 
 
 def canonical_codes(bases: str, k: int) -> list[int]:
-    """Canonical code of every valid k-window, 1 <= k <= MAX_K; the pipeline's hot path."""
-    n = len(bases)
-    if n < k:
-        return []
+    """Canonical code of every valid k-window, 1 <= k <= MAX_K; the pipeline's hot path.
+
+    Each N-free piece of at most _BLOCK windows is read as one base-4 int
+    `f`, and its reverse complement as `r`; window i of its m is
+    `(f >> 2(m-1-i)) & mask` forward, `(r >> 2i) & mask` reverse-complemented."""
     out = []
     append = out.append
     mask = (1 << (2 * k)) - 1
-    shift = 2 * (k - 1)
-    fwd = 0
-    rev = 0
-    valid = 0
-    lookup = BASE_CODE
-    for b in bases:
-        v = lookup.get(b)
-        if v is None:
-            valid = 0
-            fwd = 0
-            rev = 0
-            continue
-        fwd = ((fwd << 2) | v) & mask
-        rev = (rev >> 2) | ((v ^ 3) << shift)
-        valid += 1
-        if valid >= k:
-            append(fwd if fwd <= rev else rev)
+    for seg in bases.split("N"):
+        for lo in range(0, len(seg) - k + 1, _BLOCK):
+            piece = seg[lo:lo + _BLOCK + k - 1]
+            m = len(piece) - k + 1
+            f = int(piece.translate(_FWD_DIGITS), 4)
+            r = int(piece[::-1].translate(_REV_DIGITS), 4)
+            top = 2 * (m - 1)
+            for i in range(0, 2 * m, 2):
+                a = (f >> (top - i)) & mask
+                b = (r >> i) & mask
+                append(a if a <= b else b)
     return out
 
 

@@ -3,15 +3,18 @@
 Everything on the device is a blob: a 32-byte header (magic, version,
 reserved, payload length, CRC-32 of the payload) and its payload, appended
 to a namespace as large sequential chunk writes. A sorted frequency-table
-run is a blob whose payload is fixed-width little-endian records, and every
-pipeline checkpoint is a blob too, so `read_blob` is the one place a read is
-verified. Fixed layouts keep fixtures bit-exact across platforms.
+run is a blob whose payload is fixed-width little-endian records, coded as
+`array('Q')` words, and every pipeline checkpoint is a blob too, so
+`read_blob` is the one place a read is verified. Fixed layouts keep
+fixtures bit-exact across platforms.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
+from array import array
 from dataclasses import astuple, dataclass
 
 from .fabric import CapacityError, Namespace, KIND_READ, KIND_WRITE
@@ -21,10 +24,9 @@ DEFAULT_CHUNK = 8 * 1024 * 1024
 
 BLOB_MAGIC = b"KFBLOBv1"
 _HEADER = struct.Struct("<8sIIQQ")  # magic, version, reserved, payload length, checksum
-_RECORD = struct.Struct("<QII")  # code u64, n_count u32, t_count u32
 _HANDLE = struct.Struct("<QQQ")  # BlobHandle fields, in declaration order
 HEADER_SIZE = _HEADER.size
-RECORD_SIZE = _RECORD.size
+RECORD_SIZE = 16  # `<QII` code, n_count, t_count: the u64s code, n_count + (t_count << 32)
 
 
 class CorruptionError(Exception):
@@ -51,15 +53,25 @@ def decode_handles(data: bytes) -> list[BlobHandle]:
     return [BlobHandle(*fields) for fields in _HANDLE.iter_unpack(data)]
 
 
-def encode_run(entries: list[tuple[int, int, int]]) -> bytes:
-    """Serialize (code, n_count, t_count) rows, already sorted by code."""
-    return b"".join(_RECORD.pack(*e) for e in entries)
+def encode_run(entries: dict[int, int]) -> bytes:
+    """Serialize code -> n_count + (t_count << 32) as records sorted by code."""
+    codes = sorted(entries)
+    words = array("Q", [0]) * (2 * len(codes))
+    words[0::2] = array("Q", codes)
+    words[1::2] = array("Q", map(entries.__getitem__, codes))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tobytes()
 
 
-def decode_run(payload: bytes) -> list[tuple[int, int, int]]:
+def decode_run(payload: bytes) -> tuple[array, array]:
+    """A run's codes and their packed counts, as two `array('Q')`."""
     if len(payload) % RECORD_SIZE:
         raise CorruptionError("run payload is not a whole number of records")
-    return list(_RECORD.iter_unpack(payload))
+    words = array("Q", payload)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words[0::2], words[1::2]
 
 
 class SpillStore:
@@ -117,14 +129,13 @@ class SpillStore:
             pos += take
         return b"".join(parts)
 
-    def flush_table(self, entries: dict[int, list[int]]) -> BlobHandle:
-        """Spill a frequency table as one sorted run."""
-        rows = [(code, c[0], c[1]) for code, c in sorted(entries.items())]
-        if not rows:
+    def flush_table(self, entries: dict[int, int]) -> BlobHandle:
+        """Spill a table of packed counts as one sorted run."""
+        if not entries:
             raise ValueError("refusing to flush an empty table")
-        return self.append_blob(encode_run(rows))
+        return self.append_blob(encode_run(entries))
 
-    def read_run(self, handle: BlobHandle) -> list[tuple[int, int, int]]:
+    def read_run(self, handle: BlobHandle) -> tuple[array, array]:
         return decode_run(self.read_blob(handle))
 
     def append_blob(self, payload: bytes) -> BlobHandle:

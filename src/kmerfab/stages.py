@@ -108,10 +108,11 @@ def prune(codes: ReadCodes, target_fp: float) -> BloomFilter:
 
 
 class FrequencyTable:
-    """Bounded map canonical code -> [n_count, t_count] (capacity_limit None: unbounded)."""
+    """Bounded map canonical code -> n_count + (t_count << 32) (capacity_limit
+    None: unbounded); `merge_runs` returns (n_count, t_count) pairs."""
 
     def __init__(self, capacity_limit: int | None = None):
-        self.entries: dict[int, list[int]] = {}
+        self.entries: dict[int, int] | dict[int, tuple[int, int]] = {}
         self.capacity_limit = capacity_limit
 
     def __len__(self) -> int:
@@ -127,24 +128,29 @@ def count(
 ) -> list[BlobHandle]:
     """Count pruned k-mers of one partition, spilling sorted runs when full.
 
-    A code is looked up in the table first and probes `prune_filter` only on
-    a miss: one the table holds passed the same filter earlier in this pass.
-    The final partial table is always flushed, so even an unbounded table
+    A normal window adds 1 and a tumoral one 1 << 32; under 2**32 normal
+    windows, no n_count, summed over runs too, carries into t_count. A code
+    is looked up in the table first and probes `prune_filter` only on a miss:
+    one the table holds passed the same filter earlier in this pass. The
+    final partial table is always flushed, so even an unbounded table
     produces exactly one run.
     """
     if len(table) != 0:
         raise StageError("count requires an empty table")
+    normal, tumoral = codes.origin_spans(partition_id)
+    if len(normal) >> 32:
+        raise StageError(f"partition {partition_id}: {len(normal)} normal windows, not < 2**32")
     runs: list[BlobHandle] = []
     entries = table.entries
+    get = entries.get
     cap = table.capacity_limit
-    for t_idx, span in enumerate(codes.origin_spans(partition_id)):
+    for one, span in ((1, normal), (1 << 32, tumoral)):
         for code in span:
-            counts = entries.get(code)
-            if counts is not None:
-                counts[t_idx] += 1
+            packed = get(code)
+            if packed is not None:
+                entries[code] = packed + one
             elif code in prune_filter:
-                entries[code] = counts = [0, 0]
-                counts[t_idx] += 1
+                entries[code] = one
                 if cap is not None and len(entries) >= cap:
                     runs.append(store.flush_table(entries))
                     entries.clear()
@@ -155,21 +161,20 @@ def count(
 
 
 def merge_runs(run_handles: list[BlobHandle], store: SpillStore) -> FrequencyTable:
-    """K-way merge of sorted runs, summing per-code counts."""
+    """Sum each code's packed counts over sorted runs, then unpack them to
+    (n_count, t_count) pairs, one tuple per distinct packed value."""
     table = FrequencyTable()
     entries = table.entries
     for handle in run_handles:
         try:
-            rows = store.read_run(handle)
+            codes, counts = store.read_run(handle)
         except CorruptionError as exc:
             raise StageError(f"unreadable run at {handle.start_address}: {exc}") from exc
-        for code, n, t in rows:
-            counts = entries.get(code)
-            if counts is None:
-                entries[code] = [n, t]
-            else:
-                counts[0] += n
-                counts[1] += t
+        for code, packed in zip(codes, counts):
+            entries[code] = entries.get(code, 0) + packed
+    pairs = {packed: (packed & 0xFFFFFFFF, packed >> 32) for packed in set(entries.values())}
+    for code, packed in entries.items():
+        entries[code] = pairs[packed]
     return table
 
 

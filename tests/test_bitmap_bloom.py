@@ -2,6 +2,7 @@
 
 import random
 import struct
+import sys
 
 import pytest
 
@@ -154,6 +155,24 @@ def test_bloom_words_are_little_endian():
     payload = bf.to_bytes()[12:]
     assert payload == bytes(8 * word) + mask.to_bytes(8, "little") + bytes(8 * (3 - word))
     assert code in BloomFilter.from_bytes(bf.to_bytes())
+
+
+def test_bloom_words_on_a_host_of_the_other_byte_order(monkeypatch):
+    """to_bytes/from_bytes take the host's word order from `sys.byteorder`:
+    told the other order, each swaps every word and leaves the header be."""
+    codes = [mix64(i) >> 2 for i in range(300)]
+    bf = BloomFilter.with_capacity(len(codes), 0.01)
+    for code in codes:
+        bf.add(code)
+    native = bf.to_bytes()
+    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+    swapped = bf.to_bytes()
+    assert swapped[:12] == native[:12]
+    assert swapped[12:] == b"".join(native[i:i + 8][::-1] for i in range(12, len(native), 8))
+    assert swapped != native
+    clone = BloomFilter.from_bytes(swapped)
+    assert clone.to_bytes() == swapped
+    assert all(code in clone for code in codes)
 
 
 @pytest.mark.parametrize("n_bits, n_hashes", [(100, 3), (0, 3), (64, 0), (64, MAX_HASHES + 1)])

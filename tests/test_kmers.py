@@ -1,8 +1,10 @@
 """k-mer encoding, parsing, canonicalization, partitioning."""
 
+import importlib.util
 import io
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +72,44 @@ def test_kmers_match_string_slicing_oracle():
         got = [decode(code, k) for code in canonical_codes(bases, k)]
         assert Counter(got) == Counter(canonical_windows(bases, k))
         assert len(got) == len(windows_str(bases, k))
+
+
+def ordered_oracle(bases, k):
+    """Each valid window's canonical code, left to right, from the string oracle."""
+    return [code_of(w) for w in canonical_windows(bases, k)]
+
+
+def test_kmers_match_oracle_in_window_order():
+    rng = random.Random(43)
+    for k in range(1, 33):
+        for alphabet in ("ACGT", "ACGTNACGT", "ACGTNN"):
+            for _ in range(25):
+                bases = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 3 * k + 20)))
+                assert canonical_codes(bases, k) == ordered_oracle(bases, k), (bases, k)
+        for bases in ("A" * k, "T" * k, "N" + "G" * k + "N", "C" * (k - 1) + "N" + "C" * k):
+            assert canonical_codes(bases, k) == ordered_oracle(bases, k), (bases, k)
+        # reads long enough to span several of canonical_codes' 256-window pieces
+        for n in (255 + k, 256 + k, 257 + k, 512 + k, rng.randint(600, 1300)):
+            bases = "".join(rng.choice("ACGTACGTACGTACGTACGTN") for _ in range(n))
+            for read in (bases.replace("N", "A"), bases):
+                assert canonical_codes(read, k) == ordered_oracle(read, k), (read, k)
+
+
+def load_benchmark_inputs():
+    """perfbench/inputs.py, the generator of the benchmark's seeded reads."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kmers_of_the_seed_101_benchmark_reads_in_window_order():
+    inputs = load_benchmark_inputs()
+    normal, tumoral = inputs.make_reads(101)
+    assert inputs.K == 31 and any("N" in bases for bases in normal + tumoral)
+    for bases in normal + tumoral:
+        assert canonical_codes(bases, 31) == ordered_oracle(bases, 31), bases
 
 
 def test_code_matches_independent_base4_conversion():

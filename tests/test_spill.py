@@ -1,6 +1,8 @@
 """Spill store: append contract, run and blob round-trips, corruption, I/O trace."""
 
 import random
+import struct
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +29,14 @@ def make_store(size=200 * 1024 * 1024, chunk=8 * 1024 * 1024):
 
 
 def table(rows):
-    return {code: [n, t] for code, n, t in rows}
+    """The packed counts, n_count + (t_count << 32), of (code, n_count, t_count) rows."""
+    return {code: n + (t << 32) for code, n, t in rows}
+
+
+def rows_of(run):
+    """The (code, n_count, t_count) rows of a decoded run."""
+    codes, counts = run
+    return [(code, c & 0xFFFFFFFF, c >> 32) for code, c in zip(codes, counts)]
 
 
 def test_successive_flushes_append():
@@ -59,14 +68,14 @@ def test_roundtrip_random_table():
         for _ in range(5000)
     )
     handle = store.flush_table(table(rows))
-    assert store.read_run(handle) == rows
+    assert rows_of(store.read_run(handle)) == rows
     assert handle.length == HEADER_SIZE + 16 * len(rows)
 
 
 def test_flush_sorts_by_code():
     store = make_store()
-    handle = store.flush_table({5: [1, 0], 1: [0, 1], 3: [2, 2]})
-    assert [r[0] for r in store.read_run(handle)] == [1, 3, 5]
+    handle = store.flush_table(table([(5, 1, 0), (1, 0, 1), (3, 2, 2)]))
+    assert [r[0] for r in rows_of(store.read_run(handle))] == [1, 3, 5]
 
 
 def test_empty_flush_rejected():
@@ -122,7 +131,7 @@ def test_handle_read_by_a_fresh_store():
     rows = [(1, 1, 0), (2, 0, 1), (9, 3, 3)]
     h = store.flush_table(table(rows))
     fresh = SpillStore(store.namespace, chunk_size=store.chunk_size)
-    assert fresh.read_run(h) == rows
+    assert rows_of(fresh.read_run(h)) == rows
 
 
 @settings(max_examples=50, deadline=None)
@@ -166,7 +175,7 @@ def test_store_times_requests_as_the_engine_does(attachment, chunk):
     ns = Namespace(dev, 0, 1 << 20, attachment=attachment)
     store = SpillStore(ns, chunk_size=chunk)
     h = store.flush_table(table([(i, i % 3, 1) for i in range(100)]))
-    store.read_run(store.append_blob(encode_run(store.read_run(h))))
+    store.read_run(store.append_blob(encode_run(dict(zip(*store.read_run(h))))))
     trace = store.io_trace()
     assert {rec.kind for rec in trace} == {"write", "read"}
     # reference: the event engine serves the same requests one after another
@@ -202,8 +211,8 @@ def test_blob_handle_checksum_must_match_blob():
 
 def test_run_encoding_is_bit_exact():
     rows = [(0, 0, 0), (1, 2, 3), (2 ** 60, 4, 5)]
-    data = encode_run(rows)
-    assert decode_run(data) == rows
+    data = encode_run(table(rows))
+    assert rows_of(decode_run(data)) == rows
     assert len(data) == 16 * len(rows)
     with pytest.raises(CorruptionError):
         decode_run(data[:-1])
@@ -229,19 +238,64 @@ def test_large_roundtrip_lossless():
         for _ in range(1 << 16)
     )
     h = store.flush_table(table(rows))
-    assert store.read_run(h) == rows
+    assert rows_of(store.read_run(h)) == rows
 
 
-_ROWS = st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1),
-                           st.integers(0, 2**32 - 1)), max_size=50)
+_U32 = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+_COUNTS = st.dictionaries(st.integers(0, 2**64 - 1), st.tuples(_U32, _U32), max_size=50)
+_EDGES = {0: (0, 0), 1: (2**32 - 1, 0), 2: (0, 2**32 - 1), 2**64 - 1: (2**32 - 1, 2**32 - 1)}
+
+
+def sorted_rows(counts):
+    return sorted((code, n, t) for code, (n, t) in counts.items())
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=_ROWS)
-def test_run_codec_roundtrip(rows):
-    data = encode_run(rows)
+@given(counts=_COUNTS)
+@example(counts=_EDGES)
+def test_run_codec_roundtrip(counts):
+    rows = sorted_rows(counts)
+    data = encode_run(table(rows))
     assert len(data) == len(rows) * 16
-    assert decode_run(data) == rows
+    assert rows_of(decode_run(data)) == rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=_COUNTS)
+@example(counts=_EDGES)
+def test_run_encoding_matches_struct_records(counts):
+    """Reference: one `<QII` record per row, packed by struct."""
+    rows = sorted_rows(counts)
+    assert encode_run(table(rows)) == b"".join(struct.pack("<QII", *row) for row in rows)
+
+
+def test_packed_count_past_64_bits_raises():
+    """A t_count of 2**32 or more does not fit its u32 field: encode_run
+    raises rather than wrap it, and the store writes nothing."""
+    for packed in (1 << 64, (1 << 64) + 5, 1 << 70):
+        with pytest.raises(OverflowError):
+            encode_run({1: 0, 7: packed})
+    store = make_store()
+    with pytest.raises(OverflowError):
+        store.flush_table({7: 1 << 64})
+    assert store.append_cursor == 0 and store.io_trace() == []
+    assert encode_run({7: (1 << 64) - 1}) == struct.pack("<QII", 7, 2**32 - 1, 2**32 - 1)
+
+
+def byteswapped_words(data):
+    """`data` with each 8-byte word reversed."""
+    return b"".join(data[i:i + 8][::-1] for i in range(0, len(data), 8))
+
+
+def test_run_codec_on_a_host_of_the_other_byte_order(monkeypatch):
+    """The codec takes the host's word order from `sys.byteorder`: told the
+    other order, it swaps every word, on the way out and on the way in."""
+    rows = sorted_rows({2**64 - 1: (1, 2), 5: (2**32 - 1, 0), 2**40 + 3: (7, 2**32 - 1)})
+    little = encode_run(table(rows))
+    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+    assert encode_run(table(rows)) == byteswapped_words(little)
+    assert rows_of(decode_run(byteswapped_words(little))) == rows
+    assert rows_of(decode_run(encode_run(table(rows)))) == rows
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -268,15 +269,13 @@ def probe_first_count(codes, prune_filter, partition_id, table, store):
         for code in span:
             if code not in prune_filter:
                 continue
-            counts = entries.get(code)
-            if counts is None:
-                entries[code] = counts = [0, 0]
-                counts[t_idx] += 1
+            if code not in entries:
+                entries[code] = 1 << (32 * t_idx)
                 if cap is not None and len(entries) >= cap:
                     runs.append(store.flush_table(entries))
                     entries.clear()
             else:
-                counts[t_idx] += 1
+                entries[code] += 1 << (32 * t_idx)
     if entries:
         runs.append(store.flush_table(entries))
         entries.clear()
@@ -299,9 +298,54 @@ def test_count_spill_runs_match_probe_first_reference(cap, partitions):
 
 def test_count_requires_empty_table():
     table = FrequencyTable()
-    table.entries[1] = [1, 0]
+    table.entries[1] = 1
     with pytest.raises(StageError):
         count(ReadCodes([], [], K), _PassFilter(), 0, table, make_store())
+
+
+class _HugeSpan:
+    """A normal span of `length` windows that holds none: count must check
+    its length before it counts."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def __len__(self):
+        return self.length
+
+    def __iter__(self):
+        return iter(())
+
+
+class _SpanCodes:
+    def __init__(self, normal):
+        self.normal = normal
+
+    def origin_spans(self, partition_id):
+        return self.normal, []
+
+
+def test_count_refuses_a_normal_span_a_32_bit_count_cannot_hold():
+    """2**32 normal windows of one code would carry into its t_count."""
+    for length in (2**32, 2**40):
+        with pytest.raises(StageError, match=r"2\*\*32"):
+            count(_SpanCodes(_HugeSpan(length)), _PassFilter(), 0, FrequencyTable(), make_store())
+    store = make_store()
+    assert count(_SpanCodes(_HugeSpan(2**32 - 1)), _PassFilter(), 0, FrequencyTable(), store) == []
+    assert store.append_cursor == 0
+
+
+def test_merge_keeps_a_t_count_past_32_bits():
+    """Sums over runs never wrap: a t_count of 2**32 is kept whole, and the
+    index, whose u32 fields cannot hold it, refuses to serialize it."""
+    store = make_store()
+    runs = [store.flush_table({7: (2**32 - 1) << 32}), store.flush_table({7: 3 + (1 << 32)})]
+    table = merge_runs(runs, store)
+    assert table.entries == {7: (3, 2**32)}
+    index = filter_candidates(table, ReadCodes([], [], K), 0, tau_t=4, tau_n=3)
+    assert index.candidates[7].t_count == 2**32
+    with pytest.raises(struct.error):
+        index.to_bytes()
 
 
 # -- merge_runs ----------------------------------------------------------
@@ -309,20 +353,20 @@ def test_count_requires_empty_table():
 
 def test_merge_single_run_identity():
     store = make_store()
-    h = store.flush_table({1: [1, 2], 9: [0, 3]})
-    assert merge_runs([h], store).entries == {1: [1, 2], 9: [0, 3]}
+    h = store.flush_table({1: 1 + (2 << 32), 9: 3 << 32})
+    assert merge_runs([h], store).entries == {1: (1, 2), 9: (0, 3)}
 
 
 def test_merge_adds_counts():
     store = make_store()
-    h1 = store.flush_table({7: [1, 0]})
-    h2 = store.flush_table({7: [2, 3]})
-    assert merge_runs([h1, h2], store).entries == {7: [3, 3]}
+    h1 = store.flush_table({7: 1})
+    h2 = store.flush_table({7: 2 + (3 << 32)})
+    assert merge_runs([h1, h2], store).entries == {7: (3, 3)}
 
 
 def test_merge_unreadable_run_named():
     store = make_store()
-    h = store.flush_table({1: [1, 1]})
+    h = store.flush_table({1: 1 + (1 << 32)})
     store.namespace.write_data(h.start_address + 40, b"\x00\x01")
     with pytest.raises(StageError, match=str(h.start_address)):
         merge_runs([h], store)
