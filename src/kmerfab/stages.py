@@ -13,10 +13,9 @@ from __future__ import annotations
 import struct
 import zlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
-from .bitmap import Bitmap
 from .bloom import BloomFilter
 from .kmers import Origin, Read, canonical_codes, partition_of
 from .spill import BlobHandle, CorruptionError, SpillStore
@@ -182,12 +181,40 @@ def merge_runs(run_handles: list[BlobHandle], store: SpillStore) -> FrequencyTab
 # Filter
 
 
+def ids_to_bits(ids: list[int]) -> int:
+    """The int with bit i set for each i in `ids`, built in one bytearray:
+    an `x |= 1 << i` per id would copy a max-id-bit int on every set."""
+    buf = bytearray((max(ids) >> 3) + 1) if ids else bytearray()
+    for i in ids:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def bits_to_bytes(bits: int) -> bytes:
+    """Little-endian bytes of `bits`, trailing zero bytes trimmed (0 is b"")."""
+    return bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+
+
+def bit_ids(bits: int) -> Iterator[int]:
+    """The set bits of `bits`, ascending, by one scan of its bytes (a
+    `bits & -bits` loop would cost O(members x int size))."""
+    for i, byte in enumerate(bits_to_bytes(bits)):
+        if byte:
+            base = i << 3
+            for bit in range(8):
+                if byte >> bit & 1:
+                    yield base + bit
+
+
 @dataclass
 class CandidateEntry:
+    """A candidate's counts and the ids of the reads that hold it, as ints
+    (bit i set: read i of that origin holds the k-mer)."""
+
     n_count: int
     t_count: int
-    normal_bitmap: Bitmap = field(default_factory=Bitmap)
-    tumoral_bitmap: Bitmap = field(default_factory=Bitmap)
+    normal_bitmap: int = 0
+    tumoral_bitmap: int = 0
 
 
 class CandidateIndex:
@@ -208,8 +235,8 @@ class CandidateIndex:
         body += struct.pack("<IQQ", self.k, len(self.candidates), len(self.reads))
         for code in sorted(self.candidates):
             e = self.candidates[code]
-            nb = e.normal_bitmap.to_bytes()
-            tb = e.tumoral_bitmap.to_bytes()
+            nb = bits_to_bytes(e.normal_bitmap)
+            tb = bits_to_bytes(e.tumoral_bitmap)
             body += struct.pack("<QIIII", code, e.n_count, e.t_count, len(nb), len(tb))
             body += nb
             body += tb
@@ -235,9 +262,9 @@ class CandidateIndex:
         for _ in range(n_cand):
             code, n, t, nb_len, tb_len = struct.unpack_from("<QIIII", body, pos)
             pos += struct.calcsize("<QIIII")
-            nb = Bitmap.from_bytes(body[pos:pos + nb_len])
+            nb = int.from_bytes(body[pos:pos + nb_len], "little")
             pos += nb_len
-            tb = Bitmap.from_bytes(body[pos:pos + tb_len])
+            tb = int.from_bytes(body[pos:pos + tb_len], "little")
             pos += tb_len
             idx.candidates[code] = CandidateEntry(n, t, nb, tb)
         for _ in range(n_reads):
@@ -263,23 +290,26 @@ def filter_candidates(
     """Select imbalanced k-mers, then index every read containing one.
 
     The table holds partition `partition_id`'s codes, so each read is
-    intersected with its codes in that partition only."""
+    intersected with its codes in that partition only. Each candidate's read
+    ids are listed per origin during the scan, and each list becomes its
+    int once, at the end."""
     index = CandidateIndex(codes.k)
-    for code, (n, t) in table.entries.items():
-        if is_imbalanced(n, t, tau_t, tau_n):
-            index.candidates[code] = CandidateEntry(n, t)
-    if not index.candidates:
+    entries = table.entries
+    # candidate code -> (normal read ids, tumoral read ids)
+    ids = {code: ([], []) for code, (n, t) in entries.items() if is_imbalanced(n, t, tau_t, tau_n)}
+    if not ids:
         return index
-    candidates = index.candidates
     for read, span in codes.read_spans(partition_id):
-        hits = candidates.keys() & span
+        hits = ids.keys() & span
         if not hits:
             continue
         index.add_read(read)
         tumoral = read.origin is Origin.TUMORAL
         for code in hits:
-            entry = candidates[code]
-            (entry.tumoral_bitmap if tumoral else entry.normal_bitmap).set(read.id)
+            ids[code][tumoral].append(read.id)
+    for code, (normal_ids, tumoral_ids) in ids.items():
+        index.candidates[code] = CandidateEntry(*entries[code], ids_to_bits(normal_ids),
+                                                ids_to_bits(tumoral_ids))
     return index
 
 
@@ -288,25 +318,23 @@ def filter_candidates(
 
 
 def merge_indexes(a: CandidateIndex, b: CandidateIndex) -> CandidateIndex:
-    """Union candidate maps (summing counts, OR-ing bitmaps) and read maps
-    (a's bases win on a shared key). Inputs are consumed."""
+    """Fold b into a and return a: union the candidate maps (summing counts,
+    OR-ing bitmaps) and read maps (a's bases win on a shared key). Inputs are
+    consumed."""
     if a.k != b.k:
         raise StageError(f"cannot merge indexes with k={a.k} and k={b.k}")
-    out = CandidateIndex(a.k)
-    out.candidates = a.candidates
     for code, entry in b.candidates.items():
-        mine = out.candidates.get(code)
+        mine = a.candidates.get(code)
         if mine is None:
-            out.candidates[code] = entry
+            a.candidates[code] = entry
         else:
             mine.n_count += entry.n_count
             mine.t_count += entry.t_count
-            mine.normal_bitmap.or_with(entry.normal_bitmap)
-            mine.tumoral_bitmap.or_with(entry.tumoral_bitmap)
-    out.reads = a.reads
+            mine.normal_bitmap |= entry.normal_bitmap
+            mine.tumoral_bitmap |= entry.tumoral_bitmap
     for key, bases in b.reads.items():
-        out.reads.setdefault(key, bases)
-    return out
+        a.reads.setdefault(key, bases)
+    return a
 
 
 # --------------------------------------------------------------------------
@@ -324,11 +352,9 @@ def group(index: CandidateIndex, min_candidates: int) -> list[GroupResult]:
     """Seed on tumoral reads holding >= min_candidates candidate k-mers
     (ascending id); a group is every read sharing one of the seed's k-mers.
 
-    Per seed, the candidates' normal bitmaps are OR-ed as ints, and so are
-    their tumoral bitmaps with the seed's own bit; each OR is decoded once.
-    A candidate's ints are built at its first seed."""
+    Per seed, the candidates' normal bitmaps are OR-ed, and so are their
+    tumoral bitmaps with the seed's own bit; each OR is decoded once."""
     candidates = index.candidates
-    as_ints: dict[int, tuple[int, int]] = {}
     tumoral_reads = sorted(
         (rid, bases)
         for (origin, rid), bases in index.reads.items()
@@ -341,14 +367,11 @@ def group(index: CandidateIndex, min_candidates: int) -> list[GroupResult]:
             continue
         normal, tumoral = 0, 1 << rid
         for code in codes:
-            pair = as_ints.get(code)
-            if pair is None:
-                e = candidates[code]
-                pair = as_ints[code] = (e.normal_bitmap.to_int(), e.tumoral_bitmap.to_int())
-            normal |= pair[0]
-            tumoral |= pair[1]
-        members = {(Origin.NORMAL, i) for i in Bitmap.from_int(normal)}
-        members.update((Origin.TUMORAL, i) for i in Bitmap.from_int(tumoral))
+            e = candidates[code]
+            normal |= e.normal_bitmap
+            tumoral |= e.tumoral_bitmap
+        members = {(Origin.NORMAL, i) for i in bit_ids(normal)}
+        members.update((Origin.TUMORAL, i) for i in bit_ids(tumoral))
         results.append(GroupResult((Origin.TUMORAL, rid), members, codes))
     return results
 

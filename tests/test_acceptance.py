@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from kmerfab.bitmap import Bitmap
 from kmerfab.cli import main as cli_main
 from kmerfab.fabric import (
     ATTACH_FABRIC,
@@ -37,7 +36,7 @@ from kmerfab.pipeline import PipelineConfig, run_pipeline
 from kmerfab.spill import SpillStore
 from kmerfab.traceanalysis import IoRecord, classify
 from conftest import random_instance
-from oracle import candidate_view, exact_counts, expected_groups
+from oracle import bits_of, candidate_view, exact_counts, expected_groups
 
 K = 15
 TAU_T = 4
@@ -91,10 +90,10 @@ def test_criterion_1_pipeline_oracle_equivalence(pipeline_batch):
             if (entry.n_count, entry.t_count) != (e["n"], e["t"]):
                 mismatches += 1
                 break
-            if set(entry.normal_bitmap) != e["normal_ids"]:
+            if entry.normal_bitmap != bits_of(e["normal_ids"]):
                 mismatches += 1
                 break
-            if set(entry.tumoral_bitmap) != e["tumoral_ids"]:
+            if entry.tumoral_bitmap != bits_of(e["tumoral_ids"]):
                 mismatches += 1
                 break
         else:

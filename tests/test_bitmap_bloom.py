@@ -1,53 +1,48 @@
-"""Bitmap and bloom-filter primitives."""
+"""Read-set bitmap and bloom-filter primitives."""
 
 import random
 import struct
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kmerfab import bloom
-from kmerfab.bitmap import Bitmap
 from kmerfab.bloom import MAX_HASHES, BloomFilter, blocked_fp, optimal_bits
 from kmerfab.kmers import mix64
-from kmerfab.stages import PRUNE_FP
+from kmerfab.stages import PRUNE_FP, bit_ids, bits_to_bytes, ids_to_bits
 
 
 def test_bitmap_set_test_iterate():
-    bm = Bitmap()
-    for i in (0, 3, 64, 1000):
-        bm.set(i)
-    assert list(bm) == [0, 3, 64, 1000]
+    bits = ids_to_bits([1000, 0, 64, 3])
+    assert list(bit_ids(bits)) == [0, 3, 64, 1000]
 
 
 def test_bitmap_or_merge():
-    a, b = Bitmap(), Bitmap()
-    a.set(1)
-    a.set(900)
-    b.set(2)
-    b.set(900)
-    a.or_with(b)
-    assert list(a) == [1, 2, 900]
+    a = ids_to_bits([1, 900])
+    b = ids_to_bits([2, 900])
+    assert list(bit_ids(a | b)) == [1, 2, 900]
 
 
 def test_bitmap_canonical_bytes():
-    a = Bitmap()
-    a.set(3)
-    b = Bitmap(b"\x08" + b"\x00" * 50)  # same bit, trailing zeros
-    assert a.to_bytes() == b.to_bytes()
-    assert a == b
-    assert Bitmap.from_bytes(a.to_bytes()) == a
+    bits = ids_to_bits([3])
+    padded = b"\x08" + b"\x00" * 50  # same bit, trailing zeros
+    assert bits_to_bytes(bits) == bits_to_bytes(int.from_bytes(padded, "little")) == b"\x08"
+    assert int.from_bytes(bits_to_bytes(bits), "little") == bits
+    assert bits_to_bytes(0) == b"" and ids_to_bits([]) == 0
 
 
 def test_bitmap_random_against_set():
     rng = random.Random(3)
-    bm = Bitmap()
-    ref = set()
-    for _ in range(2000):
-        i = rng.randrange(0, 5000)
-        bm.set(i)
-        ref.add(i)
-    assert list(bm) == sorted(ref)
+    ids = [rng.randrange(0, 5000) for _ in range(2000)]
+    assert list(bit_ids(ids_to_bits(ids))) == sorted(set(ids))
+
+
+@given(st.lists(st.integers(0, 5000), max_size=60), st.integers(0, 1 << 300))
+def test_bitmap_round_trips(ids, x):
+    assert list(bit_ids(ids_to_bits(ids))) == sorted(set(ids))
+    assert int.from_bytes(bits_to_bytes(x), "little") == x
 
 
 def test_bloom_sizing_formulas():

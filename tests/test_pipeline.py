@@ -23,7 +23,7 @@ from kmerfab.stages import (
 )
 from kmerfab.traceanalysis import classify
 from conftest import random_instance
-from oracle import candidate_view, expected_groups
+from oracle import bits_of, candidate_view, expected_groups
 
 K = 15
 
@@ -232,8 +232,8 @@ def test_pipeline_matches_oracle_at_every_setting(case, partitions, capacity, ch
     for kmer, want in per_kmer.items():
         entry = got[kmer]
         assert (entry.n_count, entry.t_count) == (want["n"], want["t"])
-        assert set(entry.normal_bitmap) == want["normal_ids"]
-        assert set(entry.tumoral_bitmap) == want["tumoral_ids"]
+        assert entry.normal_bitmap == bits_of(want["normal_ids"])
+        assert entry.tumoral_bitmap == bits_of(want["tumoral_ids"])
     bases = {(r.origin, r.id): r.bases for r in [*normal, *tumoral]}
     assert result.index.reads == {key: bases[key] for key in stored}
     assert [(g.seed, g.members, {decode(c, k) for c in g.shared_kmers})

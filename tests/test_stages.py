@@ -29,7 +29,7 @@ from kmerfab.stages import (
     prune,
 )
 from conftest import random_instance
-from oracle import candidate_view, exact_counts, expected_groups
+from oracle import bits_of, candidate_view, exact_counts, expected_groups, ids_of
 
 K = 15
 
@@ -392,8 +392,8 @@ def test_filter_matches_oracle():
     for s, e in expect.items():
         assert got[s].n_count == e["n"]
         assert got[s].t_count == e["t"]
-        assert set(got[s].normal_bitmap) == e["normal_ids"]
-        assert set(got[s].tumoral_bitmap) == e["tumoral_ids"]
+        assert got[s].normal_bitmap == bits_of(e["normal_ids"])
+        assert got[s].tumoral_bitmap == bits_of(e["tumoral_ids"])
     assert set(idx.reads) == stored
 
 
@@ -472,6 +472,27 @@ def test_index_serialization_roundtrip():
     assert set(clone.candidates) == set(idx.candidates)
 
 
+def test_filter_index_group_at_read_id_999_999():
+    # two tumoral reads, ids 0 and 999_999, share the one candidate: its
+    # tumoral bitmap spans 10^6 bits, past every 64-bit and byte edge below it
+    kmer = "ACGTACGTACGTACG"
+    tumoral = [Read(0, Origin.TUMORAL, kmer), Read(999_999, Origin.TUMORAL, kmer)]
+    table = FrequencyTable()
+    table.entries = {encode(kmer): (0, 2)}
+    idx = filter_candidates(table, ReadCodes([], tumoral, K), 0, 2, 0)
+    entry = idx.candidates[encode(kmer)]
+    assert (entry.normal_bitmap, entry.tumoral_bitmap) == (0, 1 | 1 << 999_999)
+    data = idx.to_bytes()
+    *_, nb_len, tb_len = struct.unpack_from("<QIIII", data, 8 + struct.calcsize("<IQQ"))
+    assert (nb_len, tb_len) == (0, 125_000)
+    clone = CandidateIndex.from_bytes(data)
+    assert clone.candidates[encode(kmer)] == entry
+    groups = group(clone, min_candidates=1)
+    assert [g.seed for g in groups] == [(Origin.TUMORAL, 0), (Origin.TUMORAL, 999_999)]
+    for g in groups:
+        assert g.members == {(Origin.TUMORAL, 0), (Origin.TUMORAL, 999_999)}
+
+
 # -- group ----------------------------------------------------------------
 
 
@@ -527,8 +548,8 @@ def reference_group(index, min_candidates):
         members = {(Origin.TUMORAL, rid)}
         for code in codes:
             entry = index.candidates[code]
-            members.update((Origin.NORMAL, i) for i in entry.normal_bitmap)
-            members.update((Origin.TUMORAL, i) for i in entry.tumoral_bitmap)
+            members.update((Origin.NORMAL, i) for i in ids_of(entry.normal_bitmap))
+            members.update((Origin.TUMORAL, i) for i in ids_of(entry.tumoral_bitmap))
         results.append(GroupResult((Origin.TUMORAL, rid), members, codes))
     return results
 
@@ -540,11 +561,7 @@ def hand_index(k, seeds, bitmaps):
     for rid, bases in seeds.items():
         index.reads[(Origin.TUMORAL, rid)] = bases
     for code, (normal_ids, tumoral_ids) in bitmaps.items():
-        entry = index.candidates[code] = CandidateEntry(1, 1)
-        for i in normal_ids:
-            entry.normal_bitmap.set(i)
-        for i in tumoral_ids:
-            entry.tumoral_bitmap.set(i)
+        index.candidates[code] = CandidateEntry(1, 1, bits_of(normal_ids), bits_of(tumoral_ids))
     return index
 
 
