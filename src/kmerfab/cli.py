@@ -24,6 +24,8 @@ from .fabric import (
 )
 from .kmers import MAX_K, Origin, ParseError, parse_reads
 from .orchestrator import (
+    DEMAND_SLACK,
+    REFERENCE_BW,
     AllocationPlan,
     HostModel,
     PlanError,
@@ -76,7 +78,7 @@ def _load_workload(kv: dict[str, str]) -> WorkloadModel:
     w = WorkloadModel()
     w.total_output_bytes = cfg.get_int(kv, "total_output", w.total_output_bytes, cfg.POSITIVE)
     w.avg_demand_bw = cfg.get_float(kv, "avg_bw", w.avg_demand_bw, cfg.POSITIVE)
-    limit = w.reference_bw * (1.0 + w.demand_slack)  # compute_interval is positive below it
+    limit = REFERENCE_BW * (1.0 + DEMAND_SLACK)  # compute_interval is positive below it
     if w.avg_demand_bw >= limit:
         raise cfg.ConfigError(
             f"key 'avg_bw': expected a value below {limit:g}, got {w.avg_demand_bw!r}")

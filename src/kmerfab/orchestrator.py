@@ -47,12 +47,20 @@ class SimulationError(Exception):
     pass
 
 
+# Workload model constants, which no scenario key sets
+IO_CHUNK_BYTES = 1024 * 1024  # a flush drains as requests of this size
+COMPUTE_SPREAD = 0.8  # share of a cycle's compute done between its chunk writes
+CLIENT_ISSUE_BW = 4_000_000_000.0  # host-side chunk issue ceiling
+DEMAND_SLACK = 0.10  # calibration headroom inside the +-10% band
+REFERENCE_BW = 2_000_000_000.0  # the device avg_demand_bw is calibrated on
+
+
 @dataclass
 class WorkloadModel:
     """Burst/flush instance model (sizes are 1:100 of the measured workload).
 
-    Each cycle computes, then drains flush_bytes as io_chunk_bytes requests.
-    compute_spread moves that fraction of the cycle's compute in between the
+    Each cycle computes, then drains flush_bytes as IO_CHUNK_BYTES requests.
+    COMPUTE_SPREAD moves that fraction of the cycle's compute in between the
     chunk writes (the next buffer keeps filling while the previous one
     drains), which is what keeps lightly-loaded sharers near parity while
     saturated devices still queue.
@@ -62,23 +70,18 @@ class WorkloadModel:
     avg_demand_bw: float = 477_000_000.0
     working_set_bytes: int = 320_000_000
     flush_bytes: int = 8 * 1024 * 1024
-    io_chunk_bytes: int = 1024 * 1024
-    compute_spread: float = 0.8
-    client_issue_bw: float = 4_000_000_000.0  # host-side chunk issue ceiling
-    demand_slack: float = 0.10  # calibration headroom inside the +-10% band
     spill_chunk_bytes: int = 12 * 1024
-    reference_bw: float = 2_000_000_000.0
     jitter: float = 0.05
 
     def chunks_per_flush(self) -> int:
-        return -(-self.flush_bytes // self.io_chunk_bytes)
+        return -(-self.flush_bytes // IO_CHUNK_BYTES)
 
     def compute_interval(self) -> float:
         """Total compute per full cycle. A solo run on the reference device
-        then averages avg_demand_bw/(1+demand_slack), inside the stated 10%
+        then averages avg_demand_bw/(1+DEMAND_SLACK), inside the stated 10%
         band of the demand figure."""
-        t = (self.flush_bytes * (1.0 + self.demand_slack) / self.avg_demand_bw
-             - self.flush_bytes / self.reference_bw)
+        t = (self.flush_bytes * (1.0 + DEMAND_SLACK) / self.avg_demand_bw
+             - self.flush_bytes / REFERENCE_BW)
         if t <= 0:
             raise ValueError("avg_demand_bw must be below the reference bandwidth")
         return t
@@ -181,18 +184,16 @@ def _instance_proc(idx, namespace, workload, multiplier, rng, engine, done):
     total = workload.total_output_bytes
     spill_total = round(total * (multiplier - 1.0))
     flush = workload.flush_bytes
-    io_chunk = workload.io_chunk_bytes
     spill_chunk = workload.spill_chunk_bytes
     t_compute = workload.compute_interval()
-    spread = workload.compute_spread
     n_chunks = workload.chunks_per_flush()
-    t_upfront = t_compute * (1.0 - spread)
-    t_prep = t_compute * spread / n_chunks  # between chunk writes
+    t_upfront = t_compute * (1.0 - COMPUTE_SPREAD)
+    t_prep = t_compute * COMPUTE_SPREAD / n_chunks  # between chunk writes
     jitter = workload.jitter
 
     # one solo cycle on this namespace's target, for uniform phase spreading
-    pace = io_chunk / workload.client_issue_bw
-    svc = io_chunk / namespace.parent.max_seq_write_bw
+    pace = IO_CHUNK_BYTES / CLIENT_ISSUE_BW
+    svc = IO_CHUNK_BYTES / namespace.parent.max_seq_write_bw
     cycle_est = t_compute + n_chunks * max(pace, svc)
 
     regular_written = 0
@@ -221,8 +222,8 @@ def _instance_proc(idx, namespace, workload, multiplier, rng, engine, done):
             while flushed < burst:
                 if t_prep > 0:
                     yield ("sleep", t_prep * rng.uniform(1.0 - jitter, 1.0 + jitter))
-                chunk = min(io_chunk, burst - flushed)
-                pace_until = engine.now + chunk / workload.client_issue_bw
+                chunk = min(IO_CHUNK_BYTES, burst - flushed)
+                pace_until = engine.now + chunk / CLIENT_ISSUE_BW
                 yield ("write", namespace, cursor, chunk)
                 if engine.now < pace_until:  # issue ceiling, not device idling
                     yield ("sleep", pace_until - engine.now)
@@ -245,7 +246,8 @@ def simulate(
     attachment: str = ATTACH_FABRIC,
     stats: bool = False,
 ) -> SimResult:
-    """Run one deterministic simulation of the planned instances."""
+    """Run one deterministic simulation of the planned instances. A namespace
+    too small for its instance's output is a PlanError, raised before the run."""
     engine = FabricEngine(stats=stats)
     devices: dict[int, VirtualDevice] = {}
     parents = []
@@ -284,7 +286,7 @@ def simulate(
     needed = [round(workload.total_output_bytes * m) for m in multipliers]
     for i, nbytes in enumerate(needed):
         if nbytes > namespaces[i].size:
-            raise SimulationError(
+            raise PlanError(
                 f"instance {i} needs {nbytes} bytes, namespace holds {namespaces[i].size}"
             )
 

@@ -9,8 +9,8 @@ A count.pN checkpoint is the blob handles of the partition's spill runs,
 which are already on the device. Prune is loaded or computed by the first
 filter.pN that is computed, before any bucket is freed, so a rerun that
 loads every filter.pN never reads it.
-Merge is not a stage: the filter.pN outputs are merged in memory, on a rerun
-too.
+Merge and group are no stages, as no later stage reads their output: the
+filter.pN outputs are merged in memory and grouped on every run, a rerun too.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from .stages import (
     count,
     filter_candidates,
     group,
-    groups_from_bytes,
-    groups_to_bytes,
     merge_indexes,
     merge_runs,
     prune,
@@ -207,9 +205,8 @@ def run_pipeline(
     # frees the buckets only prune read and those of partitions whose filter.pN
     # was loaded; group extracts its own reads
     codes = None
-    groups = stage("group", lambda: group(index, config.min_candidates),
-                   groups_to_bytes, groups_from_bytes)
-
+    t0 = time.perf_counter()
+    result.groups = group(index, config.min_candidates)
+    result.stage_seconds["group"] = time.perf_counter() - t0
     result.index = index
-    result.groups = groups
     return result

@@ -375,51 +375,3 @@ def group(index: CandidateIndex, min_candidates: int) -> list[GroupResult]:
         results.append(GroupResult((Origin.TUMORAL, rid), members, codes))
     return results
 
-
-def groups_to_bytes(groups: list[GroupResult]) -> bytes:
-    """Canonical serialization of group results."""
-    body = bytearray()
-    body += struct.pack("<Q", len(groups))
-    for g in groups:
-        body += struct.pack("<BQ", 1 if g.seed[0] is Origin.TUMORAL else 0, g.seed[1])
-        members = sorted((o is Origin.TUMORAL, i) for o, i in g.members)
-        body += struct.pack("<I", len(members))
-        for t, i in members:
-            body += struct.pack("<BQ", int(t), i)
-        codes = sorted(g.shared_kmers)
-        body += struct.pack("<I", len(codes))
-        for c in codes:
-            body += struct.pack("<Q", c)
-    return b"KFGRPv1\x00" + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
-
-
-def groups_from_bytes(data: bytes) -> list[GroupResult]:
-    if data[:8] != b"KFGRPv1\x00":
-        raise StageError("bad group magic")
-    body = data[8:-4]
-    (crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(body) != crc:
-        raise StageError("group checksum mismatch")
-    (n_groups,) = struct.unpack_from("<Q", body)
-    pos = 8
-    out = []
-    for _ in range(n_groups):
-        t, rid = struct.unpack_from("<BQ", body, pos)
-        pos += 9
-        seed = (Origin.TUMORAL if t else Origin.NORMAL, rid)
-        (n_members,) = struct.unpack_from("<I", body, pos)
-        pos += 4
-        members = set()
-        for _ in range(n_members):
-            mt, mid = struct.unpack_from("<BQ", body, pos)
-            pos += 9
-            members.add((Origin.TUMORAL if mt else Origin.NORMAL, mid))
-        (n_codes,) = struct.unpack_from("<I", body, pos)
-        pos += 4
-        codes = set()
-        for _ in range(n_codes):
-            (c,) = struct.unpack_from("<Q", body, pos)
-            pos += 8
-            codes.add(c)
-        out.append(GroupResult(seed, members, codes))
-    return out

@@ -21,6 +21,11 @@ assert main(["run", "--config", "configs/toy_run.conf", "--out", sys.argv[3]]) =
 for key in ("kmers.windows", "stages.merged_entries", "stages.candidates",
             "spill.flush_table.bytes", "spill.append_blob.bytes"):
     assert tracer.counts.get(key, 0) > 0, key
+# a stage called other than through the wrapped name would read 0 seconds
+times = tracing.self_times(tracer.names, tracer.name_ids, tracer.parents,
+                           tracer.starts, tracer.ends)
+for stage in ("prune", "count", "merge_runs", "filter_candidates", "merge_indexes", "group"):
+    assert times.get(f"stages.{stage}", {}).get("calls", 0) >= 1, stage
 """
 
 TRACED_SIMULATE = """

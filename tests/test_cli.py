@@ -224,8 +224,7 @@ def kill_after_count_p1(out):
     """Leave the manifest a run killed after saving count.p1 leaves behind."""
     manifest = out / "checkpoints.json"
     doc = json.loads(manifest.read_text())
-    for stage in ("filter.p1", "group"):
-        del doc["stages"][stage]
+    del doc["stages"]["filter.p1"]
     manifest.write_text(json.dumps(doc))
 
 
@@ -294,7 +293,6 @@ def test_rerun_recounts_partition_whose_spill_run_is_damaged(toy_inputs, capsys,
     ("count.p0", ["filter.p0"]),
     ("filter.p0", []),
     ("filter.p1", []),
-    ("group", []),
 ])
 def test_rerun_recomputes_checkpoint_that_does_not_decode(toy_inputs, capsys, stage,
                                                           consumers):
@@ -325,9 +323,9 @@ def test_rerun_recomputes_checkpoint_that_does_not_decode(toy_inputs, capsys, st
 
 
 @pytest.mark.parametrize("dropped, loaded", [
-    (("count.p1", "filter.p1", "group"), "filter.p0"),
+    (("count.p1", "filter.p1"), "filter.p0"),
     # a run killed after saving count.p0, before filter.p0
-    (("filter.p0", "count.p1", "filter.p1", "group"), "count.p0"),
+    (("filter.p0", "count.p1", "filter.p1"), "count.p0"),
 ], ids=["filter_p0_loaded", "count_p0_loaded"])
 def test_rerun_recomputes_damaged_prune_before_freeing_a_bucket(toy_inputs, capsys,
                                                                 dropped, loaded):
@@ -369,7 +367,7 @@ def test_rerun_that_counts_nothing_reads_no_prune_checkpoint(toy_inputs, capsys)
     assert "stage prune" not in stage_lines(capsys.readouterr().out)
     with open(out / "trace.csv") as fh:
         reads = [r for r in parse_trace_csv(fh) if r.kind == "read"]
-    assert reads  # the rerun loads the filter.pN and group checkpoints
+    assert reads  # the rerun loads the filter.pN checkpoints
     end = prune["start_address"] + prune["length"]
     assert not [r for r in reads if r.start < end and prune["start_address"] < r.start + r.length]
 
@@ -416,17 +414,40 @@ def test_rerun_in_another_checkpoint_format_is_a_clean_miss(tmp_path, capsys, mo
         assert (out / name).read_bytes() == data
 
 
+def test_rerun_of_a_directory_with_a_group_checkpoint(tmp_path, capsys, monkeypatch):
+    """An output directory written while group was still checkpointed names a
+    `group` blob in its manifest; a rerun never reads it and computes group."""
+    monkeypatch.chdir(CONFIGS.parent)  # toy_run.conf names its inputs from the repo root
+    out = tmp_path / "out"
+    run = ["run", "--config", str(CONFIGS / "toy_run.conf"), "--out", str(out)]
+    assert main(run) == 0
+    first = {name: (out / name).read_bytes() for name in OUTPUTS}
+    manifest = out / "checkpoints.json"
+    doc = json.loads(manifest.read_text())
+    doc["stages"]["group"] = doc["stages"]["filter.p0"]  # a blob that is no group result
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+
+    assert main(run) == 0
+    stages = stage_lines(capsys.readouterr().out)
+    assert stages["stage filter.p0"].endswith("(checkpoint)")
+    assert not stages["stage group"].endswith("(checkpoint)")
+    for name, data in first.items():
+        assert (out / name).read_bytes() == data
+
+
 @pytest.mark.parametrize("partitions", [1, 3])
 def test_each_stage_output_written_once(toy_inputs, partitions):
-    """A fresh run checkpoints each stage output a later stage reads, once:
-    no blob the manifest names repeats another, and the prune blob is the
-    seen-multi filter alone, with half of seen-once's words."""
+    """A fresh run checkpoints each stage output a later stage reads, once,
+    and nothing else (group's output is read by no stage): no blob the
+    manifest names repeats another, and the prune blob is the seen-multi
+    filter alone, with half of seen-once's words."""
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs, partitions=partitions)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     stages = json.loads((out / "checkpoints.json").read_text())["stages"]
-    assert stages.keys() == {"prune", "group", *(f"{kind}.p{p}" for kind in ("count", "filter")
-                                                 for p in range(partitions))}
+    assert stages.keys() == {"prune", *(f"{kind}.p{p}" for kind in ("count", "filter")
+                                        for p in range(partitions))}
     device = (out / "device0.dat").read_bytes()
     payloads = {name: device[h["start_address"] + HEADER_SIZE:h["start_address"] + h["length"]]
                 for name, h in stages.items()}
@@ -489,7 +510,7 @@ def test_rerun_after_kill_at_every_persistent_operation(tmp_path, monkeypatch, t
     kinds = run_killed_at(monkeypatch, ["run", "--config", str(cfg), "--out", str(ref)],
                           point=-1)
     # every stage writes a blob, then replaces the manifest; runs are blobs with no manifest
-    assert kinds.count("replace") == 2 + 2 * 2
+    assert kinds.count("replace") == 1 + 2 * 2
     assert kinds.count("write") > kinds.count("replace")
     points = [i for i, kind in enumerate(kinds) if kind == "write" or not tear]
     for point in points:
@@ -530,17 +551,26 @@ def test_rerun_after_kill_at_every_persistent_operation(tmp_path, monkeypatch, t
     ({"spill_factor": -2}, "'spill_factor'"),
     ({"device_capacity": 0}, "'device_capacity'"),
     ({"instances": 0}, "'instances'"),
+    ({"instances": 3, "device_capacity": 1000000}, "namespace holds 333333"),
 ], ids=["no_hosts", "zero_stripe", "uncalibrated_width", "zero_bw", "negative_bw",
         "fractional_instances", "fractional_repeats", "overflowing_capacity", "infinite_bw",
         "nan_jitter", "nan_avg_bw", "zero_avg_bw", "negative_avg_bw", "avg_bw_above_limit",
         "nan_latency", "zero_spill_chunk", "negative_spill_chunk",
         "zero_flush_chunk", "zero_total_output", "jitter_above_1", "negative_jitter",
         "negative_latency", "negative_working_set", "negative_host_memory",
-        "negative_spill_factor", "zero_capacity", "zero_instances"])
+        "negative_spill_factor", "zero_capacity", "zero_instances", "namespace_too_small"])
 def test_simulate_plan_errors_exit_2(tmp_path, capsys, extra, message):
     cfg = scenario_config(tmp_path, **extra)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_compare_namespace_too_small_exits_2(tmp_path, capsys):
+    """As under simulate: the scenario alone decides that an output cannot fit."""
+    cfg = scenario_config(tmp_path, instances=3, device_capacity=1000000)
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "instance 0 needs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -584,9 +614,11 @@ SHIPPED_DIGESTS = {
     ("run", "toy_run.conf"): {
         "index.bin": "4fa8f0432e3c0a0e1b518b5355fc805cac6b41b5b6296bd8fdd69be80fc468c6",
         "groups.csv": "1b1fc42ea84ab57952e2f415d90be65356f64e0d1013a6e2e506643dc1b07f1d",
-        # the on-device format: a change to it re-pins these and says why
-        "trace.csv": "7288491200baeac5c2e6d261b1a81c1ebf5ac14004015f7b64ddd15ea7b89f49",
-        "device0.dat": "3199b0e6940ccdeb8c7fb69de31a1cf0137ebe37428b36c9a254a6169dd8d1bb",
+        # the on-device format: a change to it re-pins these and says why. Last
+        # re-pinned when group stopped being checkpointed: both files lost the
+        # group blob (2,023 bytes at the end of device0.dat, the last trace line)
+        "trace.csv": "8b3a093ff16caed5c713245e988a5172b6c10bf074cfcc91388ad85cf48634a4",
+        "device0.dat": "cbb7e1a6ac87979e15928e638ad75af0ece43c242f4a9dbf3e655db85c21456a",
     },
 }
 

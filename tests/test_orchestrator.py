@@ -9,7 +9,6 @@ from kmerfab.orchestrator import (
     HostModel,
     PlanError,
     PoolConfig,
-    SimulationError,
     STRATEGY_COMPOSED,
     STRATEGY_DEDICATED,
     STRATEGY_SINGLE,
@@ -169,7 +168,7 @@ def test_namespace_too_small_names_instance():
     pool = PoolConfig(device_capacity=200_000_000)
     host = small_host()
     alloc = plan(STRATEGY_SINGLE, 3, pool, n_hosts=1)  # pressured: > B/instance
-    with pytest.raises(SimulationError, match="instance"):
+    with pytest.raises(PlanError, match="instance 0 needs"):
         simulate(alloc, workload, pool, host, seed=1)
 
 

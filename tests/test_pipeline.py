@@ -1,6 +1,5 @@
 """Pipeline driver: stage composition, invariances, checkpoint semantics."""
 
-import json
 import os
 
 import pytest
@@ -69,7 +68,8 @@ def test_partition_and_spill_invariance(partitions, capacity, small_instance):
 def test_stage_times_recorded(small_instance):
     normal, tumoral = small_instance
     result = run(normal, tumoral, partitions=2)
-    # merge is no stage: the filter.pN outputs are merged in memory
+    # merge is no stage: the filter.pN outputs are merged in memory; group is
+    # none either, but it is timed
     assert result.stage_seconds.keys() == {"prune", "count.p0", "filter.p0", "count.p1",
                                            "filter.p1", "group"}
 
@@ -96,32 +96,13 @@ def test_checkpoints_skip_stages(tmp_path, small_instance):
     store2 = make_store(tmp_path / "dev.dat")
     cp2 = Checkpoints(store2, fingerprint, tmp_path / "manifest.json")
     second = run_pipeline(normal, tumoral, cfg, store2, cp2)
-    # a loaded filter.pN skips its count.pN, and with no count.pN to run, prune
-    assert second.skipped == {"filter.p0", "filter.p1", "group"}
+    # a loaded filter.pN skips its count.pN, and with no count.pN to run, prune;
+    # group is no stage: it is computed again from the merged index
+    assert second.skipped == {"filter.p0", "filter.p1"}
     # every skipped stage was loaded, so it was also timed
     assert second.skipped <= second.stage_seconds.keys()
     assert second.index.to_bytes() == first.index.to_bytes()
     assert len(second.groups) == len(first.groups)
-
-
-def test_deleting_group_checkpoint_reruns_only_group(tmp_path, small_instance):
-    normal, tumoral = small_instance
-    cfg = PipelineConfig(k=K, partitions=1)
-    fingerprint = cfg.fingerprint(normal, tumoral)
-
-    store = make_store(tmp_path / "dev.dat")
-    cp = Checkpoints(store, fingerprint, tmp_path / "manifest.json")
-    first = run_pipeline(normal, tumoral, cfg, store, cp)
-
-    manifest = tmp_path / "manifest.json"
-    doc = json.loads(manifest.read_text())
-    del doc["stages"]["group"]
-    manifest.write_text(json.dumps(doc))
-    store2 = make_store(tmp_path / "dev.dat")
-    cp2 = Checkpoints(store2, fingerprint, manifest)
-    second = run_pipeline(normal, tumoral, cfg, store2, cp2)
-    assert second.skipped == {"filter.p0"}
-    assert [g.seed for g in second.groups] == [g.seed for g in first.groups]
 
 
 def test_manifest_survives_interrupted_persist(tmp_path, small_instance, monkeypatch):
@@ -139,14 +120,14 @@ def test_manifest_survives_interrupted_persist(tmp_path, small_instance, monkeyp
 
     monkeypatch.setattr(os, "replace", killed)
     with pytest.raises(OSError):
-        cp.save("group", b"a later group blob")
+        cp.save("filter.p0", b"a later blob that does not decode")
     monkeypatch.undo()
 
     assert manifest.read_bytes() == before
     store2 = make_store(tmp_path / "dev.dat")
     second = run_pipeline(normal, tumoral, cfg, store2,
                           Checkpoints(store2, fingerprint, manifest))
-    assert second.skipped == {"filter.p0", "group"}
+    assert second.skipped == {"filter.p0"}
     assert second.index.to_bytes() == first.index.to_bytes()
 
 
@@ -175,8 +156,12 @@ def test_each_window_extracted_once_per_run(tmp_path, small_instance, monkeypatc
     store2 = make_store(tmp_path / "dev.dat")
     second = run_pipeline(normal, tumoral, cfg, store2,
                           Checkpoints(store2, fingerprint, tmp_path / "m.json"))
-    assert second.skipped == {"filter.p0", "filter.p1", "filter.p2", "filter.p3", "group"}
-    assert extracted == []
+    assert second.skipped == {"filter.p0", "filter.p1", "filter.p2", "filter.p3"}
+    # group, computed again, extracts only its seed reads' codes, in ascending id
+    assert extracted == [len(canonical_codes(bases, K))
+                         for _, bases in sorted((rid, bases) for (origin, rid), bases
+                                                in first.index.reads.items()
+                                                if origin is Origin.TUMORAL)]
 
 
 def test_fingerprint_mismatch_discards_checkpoints(tmp_path, small_instance):
