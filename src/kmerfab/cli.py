@@ -284,6 +284,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    # a file at --out or above it is a usage error, found before any input is read
+    out = Path(getattr(args, "out", "."))
+    files = [p for p in (out, *out.parents) if p.exists() and not p.is_dir()]
+    if files:
+        print(f"error: --out {out}: {files[0]} is not a directory", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except (cfg.ConfigError, ParseError, ValueError, PlanError, CompositionError) as exc:

@@ -10,8 +10,6 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
-BASE_CODE = {"A": 0, "C": 1, "G": 2, "T": 3}
-CODE_BASE = "ACGT"
 _FWD_DIGITS = str.maketrans("ACGT", "0123")  # a base's code as a base-4 digit
 _REV_DIGITS = str.maketrans("ACGT", "3210")  # its complement's code
 _BLOCK = 256  # windows per int in canonical_codes: a shift costs the int's length
@@ -40,21 +38,6 @@ class Read:
     id: int
     origin: Origin
     bases: str
-
-    @property
-    def length(self) -> int:
-        return len(self.bases)
-
-
-def encode(bases: str) -> int:
-    code = 0
-    for b in bases:
-        code = (code << 2) | BASE_CODE[b]
-    return code
-
-
-def decode(code: int, k: int) -> str:
-    return "".join(CODE_BASE[(code >> (2 * (k - i - 1))) & 3] for i in range(k))
 
 
 def parse_reads(stream: TextIO | Iterable[str], origin: Origin) -> list[Read]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import struct
 import time
 from dataclasses import dataclass, field
@@ -31,7 +32,6 @@ from .spill import (BlobHandle, CorruptionError, SpillStore, decode_handles, dec
                     encode_handles, encode_run)
 from .stages import (
     CandidateIndex,
-    FrequencyTable,
     GroupResult,
     ReadCodes,
     StageError,
@@ -92,7 +92,9 @@ class Checkpoints:
             try:
                 raw = json.loads(path.read_text())
                 if raw.get("fingerprint") == fingerprint:
-                    self._stages = {name: BlobHandle(**h) for name, h in raw["stages"].items()}
+                    # only the names run_pipeline saves: a later save rewrites the manifest
+                    self._stages = {name: BlobHandle(**h) for name, h in raw["stages"].items()
+                                    if re.fullmatch(r"prune|(count|filter)\.p\d+", name)}
                     store.append_cursor = max(store.append_cursor, int(raw.get("cursor", 0)))
             except (ValueError, KeyError, TypeError, AttributeError):
                 self._stages = {}
@@ -180,9 +182,6 @@ def run_pipeline(
             codes.release(p)
         return codes
 
-    def merged(runs: list[BlobHandle]) -> tuple[list[BlobHandle], FrequencyTable]:
-        return runs, merge_runs(runs, store)
-
     pf: BloomFilter | None = None  # the prune stage, resolved by the first filter pass that runs
 
     def filter_pass(p: int) -> CandidateIndex:
@@ -190,10 +189,11 @@ def run_pipeline(
         if pf is None:  # before this pass or its count frees a bucket a computed prune reads
             pf = stage("prune", lambda: prune(read_codes(), config.prune_fp),
                        BloomFilter.to_bytes, BloomFilter.from_bytes)
-        _, table = stage(f"count.p{p}",
-                         lambda: merged(count(read_codes(p), pf, p,
-                                              FrequencyTable(config.capacity_limit), store)),
-                         lambda out: encode_handles(out[0]), lambda b: merged(decode_handles(b)))
+        table = stage(f"count.p{p}",
+                      lambda: merge_runs(count(read_codes(p), pf, p, config.capacity_limit,
+                                               store), store),
+                      lambda t: encode_handles(t.runs),
+                      lambda b: merge_runs(decode_handles(b), store))
         index = filter_candidates(table, read_codes(p), p,
                                   config.tau_t, config.tau_n)
         codes.release(p)

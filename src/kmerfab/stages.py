@@ -106,43 +106,29 @@ def prune(codes: ReadCodes, target_fp: float) -> BloomFilter:
 # Count
 
 
-class FrequencyTable:
-    """Bounded map canonical code -> n_count + (t_count << 32) (capacity_limit
-    None: unbounded); `merge_runs` returns (n_count, t_count) pairs."""
-
-    def __init__(self, capacity_limit: int | None = None):
-        self.entries: dict[int, int] | dict[int, tuple[int, int]] = {}
-        self.capacity_limit = capacity_limit
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def count(
     codes: ReadCodes,
     prune_filter: BloomFilter,
     partition_id: int,
-    table: FrequencyTable,
+    capacity_limit: int | None,
     store: SpillStore,
 ) -> list[BlobHandle]:
     """Count pruned k-mers of one partition, spilling sorted runs when full.
 
-    A normal window adds 1 and a tumoral one 1 << 32; under 2**32 normal
-    windows, no n_count, summed over runs too, carries into t_count. A code
-    is looked up in the table first and probes `prune_filter` only on a miss:
-    one the table holds passed the same filter earlier in this pass. The
-    final partial table is always flushed, so even an unbounded table
-    produces exactly one run.
+    The table maps a code to n_count + (t_count << 32) and holds at most
+    `capacity_limit` codes (None: unbounded). A normal window adds 1 and a
+    tumoral one 1 << 32; under 2**32 normal windows, no n_count, summed over
+    runs too, carries into t_count. A code is looked up in the table first and
+    probes `prune_filter` only on a miss: one the table holds passed the same
+    filter earlier in this pass. The final partial table is always flushed, so
+    even an unbounded table produces exactly one run.
     """
-    if len(table) != 0:
-        raise StageError("count requires an empty table")
     normal, tumoral = codes.origin_spans(partition_id)
     if len(normal) >> 32:
         raise StageError(f"partition {partition_id}: {len(normal)} normal windows, not < 2**32")
     runs: list[BlobHandle] = []
-    entries = table.entries
+    entries: dict[int, int] = {}
     get = entries.get
-    cap = table.capacity_limit
     for one, span in ((1, normal), (1 << 32, tumoral)):
         for code in span:
             packed = get(code)
@@ -150,20 +136,26 @@ def count(
                 entries[code] = packed + one
             elif code in prune_filter:
                 entries[code] = one
-                if cap is not None and len(entries) >= cap:
+                if capacity_limit is not None and len(entries) >= capacity_limit:
                     runs.append(store.flush_table(entries))
                     entries.clear()
     if entries:
         runs.append(store.flush_table(entries))
-        entries.clear()
     return runs
+
+
+@dataclass
+class FrequencyTable:
+    """`merge_runs`' result: the runs it merged, and code -> (n_count, t_count)."""
+
+    runs: list[BlobHandle]
+    entries: dict[int, tuple[int, int]]
 
 
 def merge_runs(run_handles: list[BlobHandle], store: SpillStore) -> FrequencyTable:
     """Sum each code's packed counts over sorted runs, then unpack them to
     (n_count, t_count) pairs, one tuple per distinct packed value."""
-    table = FrequencyTable()
-    entries = table.entries
+    entries = {}
     for handle in run_handles:
         try:
             codes, counts = store.read_run(handle)
@@ -174,7 +166,7 @@ def merge_runs(run_handles: list[BlobHandle], store: SpillStore) -> FrequencyTab
     pairs = {packed: (packed & 0xFFFFFFFF, packed >> 32) for packed in set(entries.values())}
     for code, packed in entries.items():
         entries[code] = pairs[packed]
-    return table
+    return FrequencyTable(run_handles, entries)
 
 
 # --------------------------------------------------------------------------

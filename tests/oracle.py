@@ -24,6 +24,16 @@ def code_of(s: str) -> int:
     return int("".join(str("ACGT".index(c)) for c in s), 4)
 
 
+def kmer_of(code: int, k: int) -> str:
+    """Independent code -> string conversion, base-4 digit by digit: the
+    inverse of code_of on strings of length k."""
+    digits = []
+    for _ in range(k):
+        code, digit = divmod(code, 4)
+        digits.append("ACGT"[digit])
+    return "".join(reversed(digits))
+
+
 def windows_str(bases: str, k: int) -> list[str]:
     return [
         bases[i:i + k]

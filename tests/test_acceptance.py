@@ -20,7 +20,7 @@ from kmerfab.fabric import (
     VirtualDevice,
     partition_namespaces,
 )
-from kmerfab.kmers import Origin, decode, encode
+from kmerfab.kmers import Origin
 from kmerfab.orchestrator import (
     HostModel,
     PoolConfig,
@@ -36,7 +36,7 @@ from kmerfab.pipeline import PipelineConfig, run_pipeline
 from kmerfab.spill import SpillStore
 from kmerfab.traceanalysis import IoRecord, classify
 from conftest import random_instance
-from oracle import bits_of, candidate_view, exact_counts, expected_groups
+from oracle import bits_of, candidate_view, code_of, exact_counts, expected_groups, kmer_of
 
 K = 15
 TAU_T = 4
@@ -81,7 +81,7 @@ def test_criterion_1_pipeline_oracle_equivalence(pipeline_batch):
     mismatches = 0
     for normal, tumoral, result, counts in batch:
         per_kmer, stored = candidate_view(normal, tumoral, K, TAU_T, TAU_N)
-        got = {decode(c, K): e for c, e in result.index.candidates.items()}
+        got = {kmer_of(c, K): e for c, e in result.index.candidates.items()}
         if set(got) != set(per_kmer):
             mismatches += 1
             continue
@@ -101,7 +101,7 @@ def test_criterion_1_pipeline_oracle_equivalence(pipeline_batch):
                 mismatches += 1
                 continue
             want = expected_groups(normal, tumoral, K, TAU_T, TAU_N, MIN_CANDIDATES)
-            got_groups = [(g.seed, g.members, {decode(c, K) for c in g.shared_kmers})
+            got_groups = [(g.seed, g.members, {kmer_of(c, K) for c in g.shared_kmers})
                           for g in result.groups]
             if got_groups != [(s, m, km) for s, m, km in want]:
                 mismatches += 1
@@ -138,7 +138,7 @@ def test_criterion_3_prune_soundness(pipeline_batch):
         from kmerfab.stages import ReadCodes, prune
         pf = prune(ReadCodes(normal, tumoral, K), PRUNE_FP)
         for s, (n, t) in counts.items():
-            code = encode(s)
+            code = code_of(s)
             if n + t >= 2:
                 if code not in pf:
                     false_negatives += 1

@@ -3,13 +3,14 @@
 import hashlib
 import json
 import os
+import re
 import time
 import zlib
 from pathlib import Path
 
 import pytest
 
-from kmerfab import pipeline
+from kmerfab import cli, pipeline
 from kmerfab.bloom import BloomFilter
 from kmerfab.cli import _load_scenario, main
 from kmerfab.fabric import FileBacking
@@ -271,9 +272,9 @@ def test_rerun_recounts_partition_whose_spill_run_is_damaged(toy_inputs, capsys,
     held = []
     count = pipeline.count
 
-    def spy(codes, prune_filter, partition_id, table, store):
+    def spy(codes, prune_filter, partition_id, capacity_limit, store):
         held.append([part is not None for part in codes.codes])
-        return count(codes, prune_filter, partition_id, table, store)
+        return count(codes, prune_filter, partition_id, capacity_limit, store)
 
     monkeypatch.setattr(pipeline, "count", spy)
     capsys.readouterr()
@@ -416,7 +417,8 @@ def test_rerun_in_another_checkpoint_format_is_a_clean_miss(tmp_path, capsys, mo
 
 def test_rerun_of_a_directory_with_a_group_checkpoint(tmp_path, capsys, monkeypatch):
     """An output directory written while group was still checkpointed names a
-    `group` blob in its manifest; a rerun never reads it and computes group."""
+    `group` blob in its manifest; a rerun never reads it and computes group,
+    and the manifest it rewrites (filter.p1 is recomputed) drops the name."""
     monkeypatch.chdir(CONFIGS.parent)  # toy_run.conf names its inputs from the repo root
     out = tmp_path / "out"
     run = ["run", "--config", str(CONFIGS / "toy_run.conf"), "--out", str(out)]
@@ -425,13 +427,17 @@ def test_rerun_of_a_directory_with_a_group_checkpoint(tmp_path, capsys, monkeypa
     manifest = out / "checkpoints.json"
     doc = json.loads(manifest.read_text())
     doc["stages"]["group"] = doc["stages"]["filter.p0"]  # a blob that is no group result
+    del doc["stages"]["filter.p1"]
     manifest.write_text(json.dumps(doc))
     capsys.readouterr()
 
     assert main(run) == 0
     stages = stage_lines(capsys.readouterr().out)
     assert stages["stage filter.p0"].endswith("(checkpoint)")
+    assert not stages["stage filter.p1"].endswith("(checkpoint)")
     assert not stages["stage group"].endswith("(checkpoint)")
+    assert json.loads(manifest.read_text())["stages"].keys() == {
+        "prune", "count.p0", "filter.p0", "count.p1", "filter.p1"}
     for name, data in first.items():
         assert (out / name).read_bytes() == data
 
@@ -698,6 +704,33 @@ def test_scenario_unknown_key(tmp_path, capsys):
     cfg = scenario_config(tmp_path, whatever=3)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "whatever" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "compare"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_out_at_or_under_a_regular_file_exits_2_untouched(toy_inputs, capsys, monkeypatch,
+                                                          command, under):
+    """Checked before any input is parsed or any simulation runs."""
+    cfg = run_config(toy_inputs) if command == "run" else scenario_config(toy_inputs)
+    blocker = toy_inputs / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / "o" if under else blocker
+    started = []
+    monkeypatch.setattr(cli, "parse_reads", lambda *a: started.append("parse"))
+    monkeypatch.setattr(cli, "simulate", lambda *a, **kw: started.append("simulate"))
+    monkeypatch.setattr(cli, "compare_strategies", lambda *a, **kw: started.append("compare"))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out {out}: {blocker} is not a directory\n"
+    assert started == []
+    assert blocker.read_text() == "kept\n"
+
+
+def test_readme_run_key_table_lists_the_run_keys():
+    """Every key `run` accepts has a row in README.md's run-key table, and no
+    row names another."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cells = [line.split("|")[1] for line in readme.splitlines() if line.startswith("| `")]
+    assert {key for cell in cells for key in re.findall(r"`(\w+)`", cell)} == cli._RUN_KEYS
 
 
 def test_usage_error_exit_2():

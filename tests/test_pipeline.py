@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from kmerfab import stages
 from kmerfab.fabric import FileBacking, Namespace, VirtualDevice
-from kmerfab.kmers import Origin, Read, canonical_codes, decode
+from kmerfab.kmers import Origin, Read, canonical_codes
 from kmerfab.pipeline import Checkpoints, PipelineConfig, PipelineResult, run_pipeline
 from kmerfab.spill import SpillStore
 from kmerfab.stages import (
-    FrequencyTable,
     ReadCodes,
     count,
     filter_candidates,
@@ -22,7 +21,7 @@ from kmerfab.stages import (
 )
 from kmerfab.traceanalysis import classify
 from conftest import random_instance
-from oracle import bits_of, candidate_view, expected_groups
+from oracle import bits_of, candidate_view, expected_groups, kmer_of
 
 K = 15
 
@@ -45,7 +44,7 @@ def test_matches_manual_stage_composition(small_instance):
     store = make_store()
     codes = ReadCodes(normal, tumoral, K)
     pf = prune(codes, 0.01)
-    runs = count(codes, pf, 0, FrequencyTable(), store)
+    runs = count(codes, pf, 0, None, store)
     table = merge_runs(runs, store)
     idx = filter_candidates(table, codes, 0, 4, 1)
     groups = group(idx, 3)
@@ -212,7 +211,7 @@ def test_pipeline_matches_oracle_at_every_setting(case, partitions, capacity, ch
     result = run_pipeline(normal, tumoral, cfg, make_store(size=1 << 24, chunk=chunk))
 
     per_kmer, stored = candidate_view(normal, tumoral, k, tau_t, tau_n)
-    got = {decode(code, k): entry for code, entry in result.index.candidates.items()}
+    got = {kmer_of(code, k): entry for code, entry in result.index.candidates.items()}
     assert got.keys() == per_kmer.keys()
     for kmer, want in per_kmer.items():
         entry = got[kmer]
@@ -221,6 +220,6 @@ def test_pipeline_matches_oracle_at_every_setting(case, partitions, capacity, ch
         assert entry.tumoral_bitmap == bits_of(want["tumoral_ids"])
     bases = {(r.origin, r.id): r.bases for r in [*normal, *tumoral]}
     assert result.index.reads == {key: bases[key] for key in stored}
-    assert [(g.seed, g.members, {decode(c, k) for c in g.shared_kmers})
+    assert [(g.seed, g.members, {kmer_of(c, k) for c in g.shared_kmers})
             for g in result.groups] == expected_groups(normal, tumoral, k, tau_t, tau_n,
                                                        min_candidates)

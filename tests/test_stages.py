@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kmerfab.bloom import BloomFilter
 from kmerfab.fabric import Namespace, VirtualDevice
-from kmerfab.kmers import Origin, Read, canonical_codes, decode, encode, partition_of
+from kmerfab.kmers import Origin, Read, canonical_codes, partition_of
 from kmerfab.spill import SpillStore
 from kmerfab.stages import (
     CandidateEntry,
@@ -28,7 +28,8 @@ from kmerfab.stages import (
     prune,
 )
 from conftest import random_instance
-from oracle import bits_of, candidate_view, exact_counts, expected_groups, ids_of
+from oracle import (bits_of, candidate_view, code_of, exact_counts, expected_groups, ids_of,
+                    kmer_of)
 
 K = 15
 
@@ -40,12 +41,12 @@ def make_store(chunk=1 << 20):
 
 def exact_table(normal, tumoral, k=K):
     """No-prune, no-partition frequency table for oracle comparisons."""
-    table = FrequencyTable()
+    entries = {}
     for read in [*normal, *tumoral]:
         idx = 1 if read.origin is Origin.TUMORAL else 0
         for code in canonical_codes(read.bases, k):
-            table.entries.setdefault(code, [0, 0])[idx] += 1
-    return table
+            entries.setdefault(code, [0, 0])[idx] += 1
+    return FrequencyTable([], entries)
 
 
 class _PassFilter:
@@ -78,7 +79,7 @@ def test_prune_single_occurrence_not_contained():
     # every window occurs once (shared prefix windows of this read are unique)
     counts = exact_counts(normal, [], K)
     singles = [s for s, (n, t) in counts.items() if n + t == 1]
-    fp = sum(encode(s) in pf for s in singles)
+    fp = sum(code_of(s) in pf for s in singles)
     assert fp == 0  # tiny filter, well-sized: no false positives here
 
 
@@ -88,7 +89,7 @@ def test_prune_no_false_negatives():
     counts = exact_counts(normal, tumoral, K)
     for s, (n, t) in counts.items():
         if n + t >= 2:
-            assert encode(s) in pf
+            assert code_of(s) in pf
 
 
 def seen_once_after(codes, expected):
@@ -114,13 +115,13 @@ def test_prune_over_buckets_keeps_every_repeat():
     bucketed = prune(bucketed_codes, 0.01)
     for s, (n, t) in exact_counts(normal, tumoral, K).items():
         if n + t >= 2:
-            assert encode(s) in bucketed
+            assert code_of(s) in bucketed
 
 
 def test_prune_triple_occurrence_guaranteed():
     reads = [Read(i, Origin.NORMAL, "ACGTACGTACGTACG") for i in range(3)]
     pf = prune(ReadCodes(reads, [], K), 0.01)
-    assert encode("ACGTACGTACGTACG") in pf
+    assert code_of("ACGTACGTACGTACG") in pf
 
 
 def test_prune_fp_rate_bounded():
@@ -133,7 +134,7 @@ def test_prune_fp_rate_bounded():
         counts = exact_counts(normal, tumoral, K)
         singles = [s for s, (n, t) in counts.items() if n + t == 1]
         total_singles += len(singles)
-        total_fp += sum(encode(s) in pf for s in singles)
+        total_fp += sum(code_of(s) in pf for s in singles)
     assert total_singles >= 10_000
     assert total_fp / total_singles <= 1.5 * target
 
@@ -176,25 +177,23 @@ def test_prune_insert_matches_two_query_reference():
 def test_count_unbounded_single_run():
     normal, tumoral = random_instance(seed=3, n_reads=120)
     store = make_store()
-    runs = count(ReadCodes(normal, tumoral, K), _PassFilter(), 0,
-                 FrequencyTable(), store)
+    runs = count(ReadCodes(normal, tumoral, K), _PassFilter(), 0, None, store)
     assert len(runs) == 1
     merged = merge_runs(runs, store)
     expect = exact_counts(normal, tumoral, K)
-    got = {decode(c, K): (n, t) for c, (n, t) in merged.entries.items()}
+    got = {kmer_of(c, K): (n, t) for c, (n, t) in merged.entries.items()}
     assert got == expect
 
 
 def test_count_capacity_one_spills_every_touch():
     normal, tumoral = random_instance(seed=4, n_reads=30)
     store = make_store()
-    runs = count(ReadCodes(normal, tumoral, K), _PassFilter(), 0,
-                 FrequencyTable(capacity_limit=1), store)
+    runs = count(ReadCodes(normal, tumoral, K), _PassFilter(), 0, 1, store)
     total_occurrences = sum(
         n + t for n, t in exact_counts(normal, tumoral, K).values())
     assert len(runs) == total_occurrences
     merged = merge_runs(runs, store)
-    got = {decode(c, K): (n, t) for c, (n, t) in merged.entries.items()}
+    got = {kmer_of(c, K): (n, t) for c, (n, t) in merged.entries.items()}
     assert got == exact_counts(normal, tumoral, K)
 
 
@@ -203,9 +202,9 @@ def test_count_spill_schedule_invariant(cap):
     normal, tumoral = random_instance(seed=5, n_reads=150)
     store_a = make_store()
     codes = ReadCodes(normal, tumoral, K)
-    runs_a = count(codes, _PassFilter(), 0, FrequencyTable(capacity_limit=cap), store_a)
+    runs_a = count(codes, _PassFilter(), 0, cap, store_a)
     store_b = make_store()
-    runs_b = count(codes, _PassFilter(), 0, FrequencyTable(), store_b)
+    runs_b = count(codes, _PassFilter(), 0, None, store_b)
     assert merge_runs(runs_a, store_a).entries == merge_runs(runs_b, store_b).entries
 
 
@@ -215,12 +214,12 @@ def test_count_partitions_combine_to_whole():
     codes = ReadCodes(normal, tumoral, K, 2)
     combined = {}
     for p in range(2):
-        runs = count(codes, _PassFilter(), p, FrequencyTable(), store)
+        runs = count(codes, _PassFilter(), p, None, store)
         part = merge_runs(runs, store).entries
         assert not (set(combined) & set(part))
         combined.update(part)
     store2 = make_store()
-    runs = count(ReadCodes(normal, tumoral, K), _PassFilter(), 0, FrequencyTable(), store2)
+    runs = count(ReadCodes(normal, tumoral, K), _PassFilter(), 0, None, store2)
     assert combined == merge_runs(runs, store2).entries
 
 
@@ -244,7 +243,7 @@ def test_count_probes_prune_filter_only_in_own_partition():
     for p in range(4):
         own = [c for c in windows if partition_of(c, 4) == p]
         pf.probes = 0
-        count(codes, pf, p, FrequencyTable(capacity_limit=1), make_store())
+        count(codes, pf, p, 1, make_store())
         assert pf.probes == len(own)
         table, misses = set(), 0
         for c in own:
@@ -254,23 +253,22 @@ def test_count_probes_prune_filter_only_in_own_partition():
                     table.add(c)
         assert misses < len(own)
         pf.probes = 0
-        count(codes, pf, p, FrequencyTable(), make_store())
+        count(codes, pf, p, None, make_store())
         assert pf.probes == misses
 
 
-def probe_first_count(codes, prune_filter, partition_id, table, store):
+def probe_first_count(codes, prune_filter, partition_id, capacity_limit, store):
     """Reference count: every window probes the prune filter, then the
     table."""
     runs = []
-    entries = table.entries
-    cap = table.capacity_limit
+    entries = {}
     for t_idx, span in enumerate(codes.origin_spans(partition_id)):
         for code in span:
             if code not in prune_filter:
                 continue
             if code not in entries:
                 entries[code] = 1 << (32 * t_idx)
-                if cap is not None and len(entries) >= cap:
+                if capacity_limit is not None and len(entries) >= capacity_limit:
                     runs.append(store.flush_table(entries))
                     entries.clear()
             else:
@@ -289,17 +287,13 @@ def test_count_spill_runs_match_probe_first_reference(cap, partitions):
     pf = prune(codes, 0.01)
     for p in range(partitions):
         store, ref_store = make_store(), make_store()
-        runs = count(codes, pf, p, FrequencyTable(cap), store)
-        ref_runs = probe_first_count(codes, pf, p, FrequencyTable(cap), ref_store)
+        runs = count(codes, pf, p, cap, store)
+        ref_runs = probe_first_count(codes, pf, p, cap, ref_store)
         assert [store.read_blob(h) for h in runs] == [ref_store.read_blob(h) for h in ref_runs]
         assert runs == ref_runs
-
-
-def test_count_requires_empty_table():
-    table = FrequencyTable()
-    table.entries[1] = 1
-    with pytest.raises(StageError):
-        count(ReadCodes([], [], K), _PassFilter(), 0, table, make_store())
+        # a second count of the same codes starts from an empty table of its own
+        again = count(codes, pf, p, cap, store)
+        assert [store.read_blob(h) for h in again] == [store.read_blob(h) for h in runs]
 
 
 class _HugeSpan:
@@ -328,9 +322,9 @@ def test_count_refuses_a_normal_span_a_32_bit_count_cannot_hold():
     """2**32 normal windows of one code would carry into its t_count."""
     for length in (2**32, 2**40):
         with pytest.raises(StageError, match=r"2\*\*32"):
-            count(_SpanCodes(_HugeSpan(length)), _PassFilter(), 0, FrequencyTable(), make_store())
+            count(_SpanCodes(_HugeSpan(length)), _PassFilter(), 0, None, make_store())
     store = make_store()
-    assert count(_SpanCodes(_HugeSpan(2**32 - 1)), _PassFilter(), 0, FrequencyTable(), store) == []
+    assert count(_SpanCodes(_HugeSpan(2**32 - 1)), _PassFilter(), 0, None, store) == []
     assert store.append_cursor == 0
 
 
@@ -386,7 +380,7 @@ def test_filter_matches_oracle():
     table = exact_table(normal, tumoral)
     idx = filter_candidates(table, ReadCodes(normal, tumoral, K), 0, 4, 1)
     expect, stored = candidate_view(normal, tumoral, K, 4, 1)
-    got = {decode(c, K): e for c, e in idx.candidates.items()}
+    got = {kmer_of(c, K): e for c, e in idx.candidates.items()}
     assert set(got) == set(expect)
     for s, e in expect.items():
         assert got[s].n_count == e["n"]
@@ -476,16 +470,15 @@ def test_filter_index_group_at_read_id_999_999():
     # tumoral bitmap spans 10^6 bits, past every 64-bit and byte edge below it
     kmer = "ACGTACGTACGTACG"
     tumoral = [Read(0, Origin.TUMORAL, kmer), Read(999_999, Origin.TUMORAL, kmer)]
-    table = FrequencyTable()
-    table.entries = {encode(kmer): (0, 2)}
+    table = FrequencyTable([], {code_of(kmer): (0, 2)})
     idx = filter_candidates(table, ReadCodes([], tumoral, K), 0, 2, 0)
-    entry = idx.candidates[encode(kmer)]
+    entry = idx.candidates[code_of(kmer)]
     assert (entry.normal_bitmap, entry.tumoral_bitmap) == (0, 1 | 1 << 999_999)
     data = idx.to_bytes()
     *_, nb_len, tb_len = struct.unpack_from("<QIIII", data, 8 + struct.calcsize("<IQQ"))
     assert (nb_len, tb_len) == (0, 125_000)
     clone = CandidateIndex.from_bytes(data)
-    assert clone.candidates[encode(kmer)] == entry
+    assert clone.candidates[code_of(kmer)] == entry
     groups = group(clone, min_candidates=1)
     assert [g.seed for g in groups] == [(Origin.TUMORAL, 0), (Origin.TUMORAL, 999_999)]
     for g in groups:
@@ -501,14 +494,13 @@ def test_group_single_shared_kmer():
     normal = [Read(i, Origin.NORMAL, "T" * 20) for i in range(3)]
     normal.append(Read(3, Origin.NORMAL, kmer))
     tumoral = [Read(0, Origin.TUMORAL, kmer + "T") for _ in range(1)]
-    table = FrequencyTable()
-    table.entries[encode(kmer)] = [1, 1]
+    table = FrequencyTable([], {code_of(kmer): (1, 1)})
     idx = filter_candidates(table, ReadCodes(normal, tumoral, K), 0, 1, 1)
     groups = group(idx, min_candidates=1)
     assert len(groups) == 1
     assert groups[0].seed == (Origin.TUMORAL, 0)
     assert groups[0].members == {(Origin.TUMORAL, 0), (Origin.NORMAL, 3)}
-    assert groups[0].shared_kmers == {encode(kmer)}
+    assert groups[0].shared_kmers == {code_of(kmer)}
 
 
 def test_group_min_candidates_too_high():
@@ -531,7 +523,7 @@ def test_group_matches_oracle():
         for g, (seed_key, members, kmers) in zip(got, expect):
             assert g.seed == seed_key
             assert g.members == members
-            assert {decode(c, K) for c in g.shared_kmers} == kmers
+            assert {kmer_of(c, K) for c in g.shared_kmers} == kmers
 
 
 def reference_group(index, min_candidates):
@@ -569,7 +561,7 @@ def test_group_at_bitmap_boundaries():
     # candidates, and seed 5000 lies past every candidate bitmap's end
     edge = [0, 7, 8, 63, 64, 65, 999, 1000, 1001]
     kmers = ["AAC", "ACG", "CCA", "ATC"]
-    bitmaps = {encode(s): (edge[i:i + 5], edge[-i - 5:]) for i, s in enumerate(kmers)}
+    bitmaps = {code_of(s): (edge[i:i + 5], edge[-i - 5:]) for i, s in enumerate(kmers)}
     seeds = {0: "AACG", 8: "CCAT", 64: "AACGAT", 1000: "CCAACGAT", 5000: "GATCCA", 7: "TTTT"}
     index = hand_index(3, seeds, bitmaps)
     for min_candidates in (1, 2, 3):
