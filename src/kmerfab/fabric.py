@@ -132,13 +132,6 @@ class VirtualDevice:
     def members(self) -> list["VirtualDevice"]:
         return [self]
 
-    def spans(self, start: int, length: int) -> Iterator[tuple["VirtualDevice", int, int]]:
-        if length:
-            yield (self, start, length)
-
-    def member_bytes(self, start: int, length: int) -> list[tuple["VirtualDevice", int]]:
-        return [(self, length)]
-
     def write_data(self, addr: int, data: bytes) -> None:
         self.backing.write(addr, data)
 
@@ -184,14 +177,14 @@ class ComposedDevice:
         """(member, bytes) of [start, start + length) per member, in the order
         spans first reaches them. After the head stripe, stripe i of the q
         whole ones lands on the i-th member after the head's, so every cycle
-        of m stripes puts s bytes on each member; the tail follows them."""
+        of m stripes puts s bytes on each member; the tail follows them. A
+        range inside the head stripe is q = -1: the head less the tail past
+        it leaves `length` on the head's member alone."""
         s = self.stripe_size
         members = self._members
         m = len(members)
         stripe, within = divmod(start, s)
         k, head = stripe % m, s - within
-        if length <= head:
-            return [(members[k], length)]
         q, tail = divmod(length - head, s)
         full, extra = divmod(q, m)
         totals = [full * s + (s if 0 < j <= extra else 0) for j in range(m)]
@@ -216,7 +209,7 @@ ATTACH_LOCAL = "local"
 ATTACH_FABRIC = "fabric"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Namespace:
     parent: VirtualDevice | ComposedDevice
     offset: int
@@ -273,11 +266,12 @@ class IoRequest:
     lifetime, summed over the members it was striped across."""
 
     __slots__ = ("request_id", "namespace", "start", "length", "issue_time",
-                 "finish_time", "served_bytes", "flows_left", "on_complete")
+                 "finish_time", "served_bytes", "flows_left", "on_complete", "route")
 
-    def __init__(self, request_id, namespace, start, length, issue_time, on_complete):
+    def __init__(self, request_id, route, start, length, issue_time, on_complete):
         self.request_id = request_id
-        self.namespace = namespace
+        self.route = route
+        self.namespace = route[0]
         self.start = start
         self.length = length
         self.issue_time = issue_time
@@ -322,6 +316,9 @@ class FabricEngine:
         self._heap: list = []
         self._seq = 0
         self._states: dict[int, _DeviceState] = {}
+        # id(namespace) -> (namespace, latency, member states, parent, offset,
+        # stripe size or 0 for a plain device); holding the namespace keeps its id
+        self._routes: dict[int, tuple] = {}
         self._stats = stats
         self._rid = 0
 
@@ -400,32 +397,38 @@ class FabricEngine:
             st.finish = math.inf
         return req
 
+    def _route(self, namespace: Namespace) -> tuple:
+        """Resolve once what starting any request on the namespace needs."""
+        parent = namespace.parent
+        route = (namespace, namespace.latency, [self._state(m) for m in parent.members],
+                 parent, namespace.offset, getattr(parent, "stripe_size", 0))
+        self._routes[id(namespace)] = route
+        return route
+
     def submit(
         self,
         namespace: Namespace,
         start: int,
         length: int,
         on_complete: Optional[Callable[[IoRequest], None]] = None,
+        delay: float = 0.0,
     ) -> int:
-        """Issue a request at the current time (`schedule` a later one);
-        returns its id. Only its timing is modelled: the bytes go through
-        the namespace's write_data/read_data."""
+        """Issue a request `delay` seconds from now; returns its id. Only its
+        timing is modelled: the bytes go through the namespace's
+        write_data/read_data."""
         namespace._check(start, length)
+        route = self._routes.get(id(namespace)) or self._route(namespace)
         self._rid += 1
-        req = IoRequest(self._rid, namespace, start, length, self.now, on_complete)
-        self.schedule(self.now + namespace.latency, self._start_request, req)
-        return req.request_id
-
-    def _start_request(self, req: IoRequest) -> None:
-        ns = req.namespace
-        shares = ns.parent.member_bytes(ns.offset + req.start, req.length)
-        req.flows_left = len(shares)
-        for member, nbytes in shares:
-            self._serve(self._state(member), req, nbytes)
+        self._seq += 1
+        when = self.now + delay
+        req = IoRequest(self._rid, route, start, length, when, on_complete)
+        # fn None tags a request start, which run handles inline
+        heapq.heappush(self._heap, (when + route[1], self._seq, None, req))
+        return self._rid
 
     def run(self) -> float:
         """Drain every event; returns the final clock."""
-        heap, states = self._heap, self._states.values()
+        heap, states, serve = self._heap, self._states.values(), self._serve
         while True:
             when, busy = math.inf, None
             for st in states:
@@ -439,9 +442,28 @@ class FabricEngine:
                 self.now = when
             if busy is None:
                 _, _, fn, args = heapq.heappop(heap)
-                fn(*args)
+                if fn is not None:
+                    fn(*args)
+                    continue
+                # a request starts: one flow per member its bytes land on
+                req, length = args, args.length
+                _, _, members, parent, offset, s = req.route
+                addr = offset + req.start
+                if s:  # striped: a range inside its head stripe is on that member alone
+                    stripe, within = divmod(addr, s)
+                    if length > s - within:
+                        shares = parent.member_bytes(addr, length)
+                        req.flows_left = len(shares)
+                        for member, nbytes in shares:
+                            serve(self._states[member.id], req, nbytes)
+                        continue
+                    st = members[stripe % len(members)]
+                else:
+                    st = members[0]
+                req.flows_left = 1
+                serve(st, req, length)
                 continue
-            req = self._serve(busy, retire=True)
+            req = serve(busy, retire=True)
             req.flows_left -= 1
             if req.flows_left == 0:
                 req.finish_time = self.now
@@ -453,9 +475,9 @@ class FabricEngine:
 
     def spawn(self, gen) -> None:
         """Drive a generator yielding ("sleep", dt) or
-        ("write", namespace, start, length); each finished IoRequest is
-        sent back into the generator, and so is the wake time after a
-        sleep."""
+        ("write", namespace, start, length[, delay]), a write issued delay
+        seconds from now; each finished IoRequest is sent back into the
+        generator, and so is the wake time after a sleep."""
 
         def resume(value) -> None:
             try:
@@ -463,11 +485,11 @@ class FabricEngine:
             except StopIteration:
                 return
             op = cmd[0]
-            if op == "sleep":
+            if op == KIND_WRITE:
+                self.submit(cmd[1], cmd[2], cmd[3], resume, cmd[4] if len(cmd) > 4 else 0.0)
+            elif op == "sleep":
                 wake = self.now + cmd[1]
                 self.schedule(wake, resume, wake)
-            elif op == KIND_WRITE:
-                self.submit(cmd[1], cmd[2], cmd[3], on_complete=resume)
             else:
                 raise ValueError(f"unknown process command {op!r}")
 

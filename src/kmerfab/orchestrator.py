@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .fabric import (
     ATTACH_FABRIC,
-    BoundsError,
     ComposedDevice,
     EfficiencyCurve,
     FabricEngine,
@@ -201,38 +200,35 @@ def _instance_proc(idx, namespace, workload, multiplier, rng, engine, done):
     cursor = 0
     bytes_written = 0
     first = True
-    try:
-        while regular_written < total:
-            if first:
-                # start-phase randomization, part of the seeded interval jitter
-                yield ("sleep", rng.uniform(0.0, 2.0 * cycle_est))
-                first = False
-            elif t_upfront > 0:
-                yield ("sleep", t_upfront * rng.uniform(1.0 - jitter, 1.0 + jitter))
-            burst = min(flush, total - regular_written)
-            # memory-pressure spill traffic, paced with the regular output
-            spill_due = spill_total * (regular_written + burst) // total
-            while spill_written < spill_due:
-                chunk = min(spill_chunk, spill_due - spill_written)
-                yield ("write", namespace, cursor, chunk)
-                cursor += chunk
-                spill_written += chunk
-                bytes_written += chunk
-            flushed = 0
-            while flushed < burst:
-                if t_prep > 0:
-                    yield ("sleep", t_prep * rng.uniform(1.0 - jitter, 1.0 + jitter))
-                chunk = min(IO_CHUNK_BYTES, burst - flushed)
-                pace_until = engine.now + chunk / CLIENT_ISSUE_BW
-                yield ("write", namespace, cursor, chunk)
-                if engine.now < pace_until:  # issue ceiling, not device idling
-                    yield ("sleep", pace_until - engine.now)
-                cursor += chunk
-                flushed += chunk
-            regular_written += burst
-            bytes_written += burst
-    except BoundsError as exc:
-        raise SimulationError(f"instance {idx} exceeded its namespace: {exc}") from exc
+    while regular_written < total:
+        if first:
+            # start-phase randomization, part of the seeded interval jitter
+            yield ("sleep", rng.uniform(0.0, 2.0 * cycle_est))
+            first = False
+        elif t_upfront > 0:
+            yield ("sleep", t_upfront * rng.uniform(1.0 - jitter, 1.0 + jitter))
+        burst = min(flush, total - regular_written)
+        # memory-pressure spill traffic, paced with the regular output
+        spill_due = spill_total * (regular_written + burst) // total
+        while spill_written < spill_due:
+            chunk = min(spill_chunk, spill_due - spill_written)
+            yield ("write", namespace, cursor, chunk)
+            cursor += chunk
+            spill_written += chunk
+            bytes_written += chunk
+        flushed = 0
+        while flushed < burst:
+            # the chunk's share of the compute, then its write
+            prep = t_prep * rng.uniform(1.0 - jitter, 1.0 + jitter)
+            chunk = min(IO_CHUNK_BYTES, burst - flushed)
+            pace_until = (engine.now + prep) + chunk / CLIENT_ISSUE_BW
+            yield ("write", namespace, cursor, chunk, prep)
+            if engine.now < pace_until:  # issue ceiling, not device idling
+                yield ("sleep", pace_until - engine.now)
+            cursor += chunk
+            flushed += chunk
+        regular_written += burst
+        bytes_written += burst
     engine.detach(namespace)
     done[idx] = (engine.now, bytes_written)
 

@@ -1,7 +1,8 @@
 """The benchmark's traced run (perfbench/tracing.py) wraps kmerfab functions by
 name and reads fields of their results, so renaming or deleting one of them
 breaks `perfbench/run.py --trace 1`. This runs its wrappers on the toy config
-and on the default simulation scenario."""
+and on the default simulation scenario with all three instances on one host,
+so that memory pressure adds spill writes to the flush writes."""
 
 import subprocess
 import sys
@@ -30,19 +31,49 @@ for stage in ("prune", "count", "merge_runs", "filter_candidates", "merge_indexe
 
 TRACED_SIMULATE = """
 import sys
+import types
+from pathlib import Path
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import tracing
+from kmerfab import fabric, orchestrator
 from kmerfab.cli import main
+
+# the shipped defaults, with one host (an empty scenario file loads the defaults)
+scenario = Path(sys.argv[3]).parent / "one_host.conf"
+scenario.write_text("hosts = 1\\n")
+args = ["simulate", "--config", str(scenario), "--out", sys.argv[3]]
+
+# untraced: count the finished requests the engine sends back to the processes
+completed = 0
+instance_proc = orchestrator._instance_proc
+
+
+def counting_instance_proc(*proc_args):
+    gen = instance_proc(*proc_args)
+
+    def send(value):
+        global completed
+        completed += isinstance(value, fabric.IoRequest)
+        return gen.send(value)
+
+    return types.SimpleNamespace(send=send)
+
+
+orchestrator._instance_proc = counting_instance_proc
+assert main(args) == 0
+orchestrator._instance_proc = instance_proc
 
 tracer = tracing.Tracer()
 tracing.instrument(tracer)
-assert main(["simulate", "--config", "configs/scenario_default.conf",
-             "--out", sys.argv[3]]) == 0
+assert main(args) == 0
 times = tracing.self_times(tracer.names, tracer.name_ids, tracer.parents,
                            tracer.starts, tracer.ends)
 metrics = tracing.layer_metrics(times, tracer.counts)
-for key in ("fabric.heap_ops", "fabric.submit.calls", "fabric.run.s", "fabric.device_stats.s"):
+for key in ("fabric.heap_ops", "fabric.submit.calls", "fabric.run.s", "fabric.device_stats.s",
+            "orchestrator.instance_step.s"):
     assert metrics[key] > 0, key
+# a request started other than through submit would go uncounted
+assert metrics["fabric.submit.calls"] == completed > 0, (metrics["fabric.submit.calls"], completed)
 """
 
 

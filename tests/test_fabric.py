@@ -133,6 +133,7 @@ def test_spans_match_per_byte_reference(width, stripe, start, length):
 @given(width=st.integers(2, 5), stripe=st.integers(1, 64),
        start=st.integers(0, 5000), length=st.integers(1, 700))
 @example(width=3, stripe=64, start=128, length=64)  # exactly one stripe
+@example(width=3, stripe=64, start=130, length=10)  # inside one stripe
 @example(width=3, stripe=64, start=128, length=192)  # exactly one cycle
 @example(width=3, stripe=64, start=128, length=193)  # one byte over a cycle
 @example(width=3, stripe=64, start=63, length=700)  # starts on a stripe's last byte
@@ -141,11 +142,6 @@ def test_member_bytes_match_spans(width, stripe, start, length):
     comp = ComposedDevice([device(i) for i in range(width)], stripe_size=stripe)
     # the engine starts one flow per pair in this order, so the order counts too
     assert comp.member_bytes(start, length) == spans_totals(comp, start, length)
-
-
-def test_member_bytes_of_a_single_device():
-    dev = device()
-    assert dev.member_bytes(12_345, 678) == [(dev, 678)] == spans_totals(dev, 12_345, 678)
 
 
 # -- namespaces ---------------------------------------------------------------
@@ -409,6 +405,57 @@ def test_engine_properties(width, stripe, attachment, jobs, attached, detaches):
     _, again = run_once()
     assert ([(c.request_id, c.finish_time) for c in done]
             == [(c.request_id, c.finish_time) for c in again])
+
+
+_background = st.lists(st.tuples(_space, st.integers(1, 1 << 24), st.floats(0.0, 0.02)),
+                       max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 3),
+    attachment=st.sampled_from([ATTACH_LOCAL, ATTACH_FABRIC]),
+    background=_background,
+    lead=st.floats(0.0, 0.01),
+    delay=st.floats(0.0, 0.01),
+    start=st.integers(0, 1 << 20),
+    length=st.integers(1, 1 << 22),
+)
+def test_delayed_write_equals_sleep_then_write(width, attachment, background, lead, delay,
+                                               start, length):
+    """("write", ns, s, n, d) issues the write exactly where ("sleep", d)
+    then ("write", ns, s, n) does, among other namespaces' writes."""
+
+    def run_once(folded):
+        devs = [device(i) for i in range(width)]
+        parent = devs[0] if width == 1 else ComposedDevice(devs, stripe_size=4096)
+        spaces = partition_namespaces(parent, [parent.capacity // 4] * 4,
+                                      attachment=attachment)
+        engine = FabricEngine(stats=True)
+        for ns in spaces:
+            engine.attach(ns)
+        cursors = [0] * 4
+        for c, size, when in background:
+            engine.schedule(when, engine.submit, spaces[c], cursors[c], size)
+            cursors[c] += size
+        done = []
+
+        def proc():
+            yield ("sleep", lead)
+            if folded:
+                req = yield ("write", spaces[0], start, length, delay)
+            else:
+                yield ("sleep", delay)
+                req = yield ("write", spaces[0], start, length)
+            done.append(req)
+
+        engine.spawn(proc())
+        engine.run()
+        (req,) = done
+        return (req.issue_time, req.finish_time, req.served_bytes,
+                [engine.device_stats(dev) for dev in devs])
+
+    assert run_once(folded=True) == run_once(folded=False)
 
 
 # -- stats --------------------------------------------------------------------
