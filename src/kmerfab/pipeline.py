@@ -43,7 +43,7 @@ from .stages import (
     prune,
 )
 
-CHECKPOINT_FORMAT = "blocked-bloom-prune"  # fingerprinted: another format is a clean miss
+CHECKPOINT_FORMAT = "blocked-bloom-mum-prune"  # fingerprinted: another format is a clean miss
 # a damaged checkpoint as it loads: a failed header or CRC, or bytes that do not decode
 LOAD_ERRORS = (CorruptionError, StageError, struct.error, ValueError)
 

@@ -126,6 +126,10 @@ class SpillStore:
             take = min(self.chunk_size, length - pos)
             self._io(KIND_READ, start + pos, take)
             parts.append(self.namespace.read_data(start + pos, take))
+            if pos < HEADER_SIZE <= pos + take:  # so a damaged length reads no further
+                magic, version, _, size, _ = _HEADER.unpack_from(b"".join(parts))
+                if magic != BLOB_MAGIC or version != 1 or length != HEADER_SIZE + size:
+                    raise CorruptionError("bad blob header")
             pos += take
         return b"".join(parts)
 
@@ -147,11 +151,9 @@ class SpillStore:
     def read_blob(self, handle: BlobHandle) -> bytes:
         """The payload `handle` names, checked against the blob's header and CRC."""
         data = self._read(handle.start_address, handle.length)
-        magic, version, _, size, checksum = _HEADER.unpack_from(data)
-        if magic != BLOB_MAGIC or version != 1:
-            raise CorruptionError("bad blob header")
+        checksum = _HEADER.unpack_from(data)[4]
         payload = data[HEADER_SIZE:]
-        if len(payload) != size or zlib.crc32(payload) != checksum or checksum != handle.checksum:
+        if zlib.crc32(payload) != checksum or checksum != handle.checksum:
             raise CorruptionError("blob checksum mismatch")
         return payload
 

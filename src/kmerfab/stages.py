@@ -95,10 +95,8 @@ def prune(codes: ReadCodes, target_fp: float) -> BloomFilter:
     seen-once is freed when prune returns."""
     seen_once = BloomFilter.with_capacity(sum(len(part) for part in codes.codes), target_fp)
     seen_multi = BloomFilter(64 * -(-seen_once.n_bits // 128), seen_once.n_hashes)
-    insert = seen_once.add_or_promote
     for part in codes.codes:
-        for code in part:
-            insert(code, seen_multi)
+        seen_once.add_or_promote(part, seen_multi)
     return seen_multi
 
 

@@ -415,6 +415,28 @@ def test_rerun_in_another_checkpoint_format_is_a_clean_miss(tmp_path, capsys, mo
         assert (out / name).read_bytes() == data
 
 
+def test_rerun_on_a_manifest_cut_to_prune_alone(tmp_path, capsys, monkeypatch):
+    """Every count pass of the rerun probes the loaded prune blob: a filter
+    whose bits the program would no longer set there drops candidates."""
+    monkeypatch.chdir(CONFIGS.parent)  # toy_run.conf names its inputs from the repo root
+    out = tmp_path / "out"
+    run = ["run", "--config", str(CONFIGS / "toy_run.conf"), "--out", str(out)]
+    assert main(run) == 0
+    first = {name: (out / name).read_bytes() for name in OUTPUTS}
+    manifest = out / "checkpoints.json"
+    doc = json.loads(manifest.read_text())
+    doc["stages"] = {"prune": doc["stages"]["prune"]}
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+
+    assert main(run) == 0
+    stages = stage_lines(capsys.readouterr().out)
+    assert [name for name, line in stages.items() if line.endswith("(checkpoint)")] == [
+        "stage prune"]
+    for name, data in first.items():
+        assert (out / name).read_bytes() == data
+
+
 def test_rerun_of_a_directory_with_a_group_checkpoint(tmp_path, capsys, monkeypatch):
     """An output directory written while group was still checkpointed names a
     `group` blob in its manifest; a rerun never reads it and computes group,
@@ -621,10 +643,11 @@ SHIPPED_DIGESTS = {
         "index.bin": "4fa8f0432e3c0a0e1b518b5355fc805cac6b41b5b6296bd8fdd69be80fc468c6",
         "groups.csv": "1b1fc42ea84ab57952e2f415d90be65356f64e0d1013a6e2e506643dc1b07f1d",
         # the on-device format: a change to it re-pins these and says why. Last
-        # re-pinned when group stopped being checkpointed: both files lost the
-        # group blob (2,023 bytes at the end of device0.dat, the last trace line)
+        # re-pinned when the bloom hash became the folded product: device0.dat
+        # holds other prune bits, and count spills other false promotions (as
+        # many of them here, so trace.csv did not move)
         "trace.csv": "8b3a093ff16caed5c713245e988a5172b6c10bf074cfcc91388ad85cf48634a4",
-        "device0.dat": "cbb7e1a6ac87979e15928e638ad75af0ece43c242f4a9dbf3e655db85c21456a",
+        "device0.dat": "e46f40b2fb56ee673c582c0eeab44b9391edde298b78d9eff1bcb2f6119daf89",
     },
 }
 

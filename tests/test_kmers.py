@@ -32,6 +32,12 @@ def test_parse_case_folding_and_ids():
     assert all(r.origin is Origin.TUMORAL for r in reads)
 
 
+def test_parse_strips_a_carriage_return():
+    # newline="" keeps "\r\n" as a library caller's stream may: the CLI's text mode does not
+    reads = parse_reads(io.StringIO(">r\r\nACGT\r\n", newline=""), Origin.NORMAL)
+    assert [r.bases for r in reads] == ["ACGT"]
+
+
 def test_parse_illegal_character_line_number():
     with pytest.raises(ParseError) as exc:
         parse_reads(io.StringIO(">x\nAC1T\n"), Origin.NORMAL)

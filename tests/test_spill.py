@@ -92,6 +92,16 @@ def test_tampered_length_detected():
         store.read_run(bad)
 
 
+@pytest.mark.parametrize("chunk", [16, 4096])  # the header spans two chunks, or opens one
+def test_damaged_length_reads_no_further_than_the_header(chunk):
+    store = make_store(chunk=chunk)
+    h = store.flush_table(table([(i, 1, 0) for i in range(300)]))
+    writes = len(store.io_trace())
+    with pytest.raises(CorruptionError, match="bad blob header"):
+        store.read_run(BlobHandle(h.start_address, 90_000_000, h.checksum))
+    assert [rec.length for rec in store.io_trace()[writes:]] == [chunk] * -(-HEADER_SIZE // chunk)
+
+
 def test_corrupted_payload_detected():
     store = make_store()
     h = store.flush_table(table([(i, 1, 1) for i in range(100)]))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmerfab import pipeline
 from kmerfab.bloom import BloomFilter
 from kmerfab.fabric import Namespace, VirtualDevice
 from kmerfab.kmers import Origin, Read, canonical_codes, partition_of
@@ -96,8 +97,7 @@ def seen_once_after(codes, expected):
     """The seen-once filter prune builds from `codes`, in their order."""
     seen_once = BloomFilter.with_capacity(expected, 0.01)
     seen_multi = BloomFilter.with_capacity(expected, 0.01)
-    for code in codes:
-        seen_once.add_or_promote(code, seen_multi)
+    seen_once.add_or_promote(codes, seen_multi)
     return seen_once
 
 
@@ -148,16 +148,26 @@ def test_prune_seen_multi_has_half_the_words():
     assert seen_multi.n_hashes == seen_once.n_hashes
 
 
+# sha256 of the seen-once and seen-multi bitmaps below, keyed by the checkpoint
+# format: bits that change under the same format would load stale prune blobs
+PRUNE_BITMAP_DIGESTS = {
+    "blocked-bloom-mum-prune": (
+        "6d4d6e15a6773edb7847f2d24369972e6c8765c6242c1ce5ff54a898bac2d8f0",
+        "c84b8202b8dfb373062bd3d76a8cdbc4927f67f82c7c5fa2d6142a1189fa8a10",
+    ),
+}
+
+
 def test_prune_insert_matches_two_query_reference():
     """The fused insert sets the same bits as `in seen_once` then `.add`, and
-    both bitmaps are pinned: a change to them changes the prune checkpoint."""
+    both bitmaps are pinned under the checkpoint format that stores them."""
     rng = random.Random(7)
     pool = [rng.getrandbits(2 * K) for _ in range(3000)]
     codes = [rng.choice(pool) for _ in range(9000)]
     fused_once, fused_multi, ref_once, ref_multi = (
         BloomFilter.with_capacity(len(codes), 0.01) for _ in range(4))
+    fused_once.add_or_promote(codes, fused_multi)
     for code in codes:
-        fused_once.add_or_promote(code, fused_multi)
         if code in ref_once:
             ref_multi.add(code)
         else:
@@ -165,10 +175,9 @@ def test_prune_insert_matches_two_query_reference():
     assert fused_once.to_bytes() == ref_once.to_bytes()
     assert fused_multi.to_bytes() == ref_multi.to_bytes()
     head = 12  # the <QI n_bits, n_hashes header
-    assert hashlib.sha256(fused_once.to_bytes()[head:]).hexdigest() == (
-        "4ef69df1924d111416a81e9710d80cb0ae91d6542383edec33725556bf1830fc")
-    assert hashlib.sha256(fused_multi.to_bytes()[head:]).hexdigest() == (
-        "0c658c22158bba269b8abd1e4bc50b7e2214e78c597eb7f960e79e61a47234f9")
+    assert tuple(hashlib.sha256(bf.to_bytes()[head:]).hexdigest()
+                 for bf in (fused_once, fused_multi)) == (
+        PRUNE_BITMAP_DIGESTS[pipeline.CHECKPOINT_FORMAT])
 
 
 # -- count ---------------------------------------------------------------
