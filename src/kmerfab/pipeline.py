@@ -61,10 +61,12 @@ class PipelineConfig:
     prune_fp: float = 0.01
 
     def fingerprint(self, normal: list[Read], tumoral: list[Read]) -> str:
+        """The checkpoints' key: every setting a checkpointed stage reads, and
+        the reads. `min_candidates` is left out, as only group reads it."""
         h = hashlib.sha256(CHECKPOINT_FORMAT.encode())
         h.update(
             f"{self.k},{self.partitions},{self.capacity_limit},{self.tau_t},"
-            f"{self.tau_n},{self.min_candidates},{self.prune_fp}".encode()
+            f"{self.tau_n},{self.prune_fp}".encode()
         )
         for reads in (normal, tumoral):
             h.update(str(len(reads)).encode())

@@ -3,9 +3,9 @@
 Prune runs a seen-once/seen-multi bloom pair and keeps seen-multi, so
 multiplicity-1 k-mers are dropped early. Count accumulates bounded
 normal/tumoral counters, spilling sorted runs when full. Filter keeps
-imbalanced k-mers and indexes the reads that contain them. Merge unifies
-per-partition indexes; Group expands candidate tumoral reads into
-related-read sets.
+imbalanced k-mers and lists, per candidate and origin, the ascending ids of
+the reads that hold it. Merge unites per-partition indexes, whose candidates
+are disjoint; Group expands candidate tumoral reads into related-read sets.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 import zlib
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .bloom import BloomFilter
@@ -171,45 +171,42 @@ def merge_runs(run_handles: list[BlobHandle], store: SpillStore) -> FrequencyTab
 # Filter
 
 
-def ids_to_bits(ids: list[int]) -> int:
-    """The int with bit i set for each i in `ids`, built in one bytearray:
-    an `x |= 1 << i` per id would copy a max-id-bit int on every set."""
+def ids_to_bitmap(ids: list[int]) -> bytearray:
+    """The little-endian bitmap of `ids` (bit i set for each id i), trimmed
+    after the byte of the largest id: [] is empty."""
     buf = bytearray((max(ids) >> 3) + 1) if ids else bytearray()
     for i in ids:
         buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
+    return buf
 
 
-def bits_to_bytes(bits: int) -> bytes:
-    """Little-endian bytes of `bits`, trailing zero bytes trimmed (0 is b"")."""
-    return bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-
-
-def bit_ids(bits: int) -> Iterator[int]:
-    """The set bits of `bits`, ascending, by one scan of its bytes (a
-    `bits & -bits` loop would cost O(members x int size))."""
-    for i, byte in enumerate(bits_to_bytes(bits)):
+def bitmap_ids(bitmap: bytes) -> list[int]:
+    """The set bits of a little-endian bitmap, ascending."""
+    ids = []
+    for i, byte in enumerate(bitmap):
         if byte:
             base = i << 3
             for bit in range(8):
                 if byte >> bit & 1:
-                    yield base + bit
+                    ids.append(base + bit)
+    return ids
 
 
 @dataclass
 class CandidateEntry:
-    """A candidate's counts and the ids of the reads that hold it, as ints
-    (bit i set: read i of that origin holds the k-mer)."""
+    """A candidate's counts and, per origin, the ids of the reads that hold
+    it, ascending (`parse_reads` numbers reads in input order)."""
 
     n_count: int
     t_count: int
-    normal_bitmap: int = 0
-    tumoral_bitmap: int = 0
+    normal_ids: list[int] = field(default_factory=list)
+    tumoral_ids: list[int] = field(default_factory=list)
 
 
 class CandidateIndex:
-    """Imbalanced k-mers plus read-membership bitmaps and the bases of every
-    read that holds one, keyed by (origin, id)."""
+    """Imbalanced k-mers with the ids of the reads that hold each, plus the
+    bases of every such read, keyed by (origin, id). On disk each id list is
+    a read-membership bitmap."""
 
     def __init__(self, k: int):
         self.k = k
@@ -225,8 +222,8 @@ class CandidateIndex:
         body += struct.pack("<IQQ", self.k, len(self.candidates), len(self.reads))
         for code in sorted(self.candidates):
             e = self.candidates[code]
-            nb = bits_to_bytes(e.normal_bitmap)
-            tb = bits_to_bytes(e.tumoral_bitmap)
+            nb = ids_to_bitmap(e.normal_ids)
+            tb = ids_to_bitmap(e.tumoral_ids)
             body += struct.pack("<QIIII", code, e.n_count, e.t_count, len(nb), len(tb))
             body += nb
             body += tb
@@ -252,9 +249,9 @@ class CandidateIndex:
         for _ in range(n_cand):
             code, n, t, nb_len, tb_len = struct.unpack_from("<QIIII", body, pos)
             pos += struct.calcsize("<QIIII")
-            nb = int.from_bytes(body[pos:pos + nb_len], "little")
+            nb = bitmap_ids(body[pos:pos + nb_len])
             pos += nb_len
-            tb = int.from_bytes(body[pos:pos + tb_len], "little")
+            tb = bitmap_ids(body[pos:pos + tb_len])
             pos += tb_len
             idx.candidates[code] = CandidateEntry(n, t, nb, tb)
         for _ in range(n_reads):
@@ -281,8 +278,7 @@ def filter_candidates(
 
     The table holds partition `partition_id`'s codes, so each read is
     intersected with its codes in that partition only. Each candidate's read
-    ids are listed per origin during the scan, and each list becomes its
-    int once, at the end."""
+    ids are listed per origin during the scan, in read order."""
     index = CandidateIndex(codes.k)
     entries = table.entries
     # candidate code -> (normal read ids, tumoral read ids)
@@ -298,8 +294,7 @@ def filter_candidates(
         for code in hits:
             ids[code][tumoral].append(read.id)
     for code, (normal_ids, tumoral_ids) in ids.items():
-        index.candidates[code] = CandidateEntry(*entries[code], ids_to_bits(normal_ids),
-                                                ids_to_bits(tumoral_ids))
+        index.candidates[code] = CandidateEntry(*entries[code], normal_ids, tumoral_ids)
     return index
 
 
@@ -308,20 +303,15 @@ def filter_candidates(
 
 
 def merge_indexes(a: CandidateIndex, b: CandidateIndex) -> CandidateIndex:
-    """Fold b into a and return a: union the candidate maps (summing counts,
-    OR-ing bitmaps) and read maps (a's bases win on a shared key). Inputs are
-    consumed."""
+    """Fold b into a and return a. A code lives in one partition, so the
+    candidate maps are disjoint (StageError if not); the read maps overlap,
+    and a's bases win on a shared key. Inputs are consumed."""
     if a.k != b.k:
         raise StageError(f"cannot merge indexes with k={a.k} and k={b.k}")
-    for code, entry in b.candidates.items():
-        mine = a.candidates.get(code)
-        if mine is None:
-            a.candidates[code] = entry
-        else:
-            mine.n_count += entry.n_count
-            mine.t_count += entry.t_count
-            mine.normal_bitmap |= entry.normal_bitmap
-            mine.tumoral_bitmap |= entry.tumoral_bitmap
+    shared = a.candidates.keys() & b.candidates.keys()
+    if shared:
+        raise StageError(f"cannot merge indexes that share candidate {min(shared)}")
+    a.candidates.update(b.candidates)
     for key, bases in b.reads.items():
         a.reads.setdefault(key, bases)
     return a
@@ -342,8 +332,9 @@ def group(index: CandidateIndex, min_candidates: int) -> list[GroupResult]:
     """Seed on tumoral reads holding >= min_candidates candidate k-mers
     (ascending id); a group is every read sharing one of the seed's k-mers.
 
-    Per seed, the candidates' normal bitmaps are OR-ed, and so are their
-    tumoral bitmaps with the seed's own bit; each OR is decoded once."""
+    Per seed, the candidates' normal ids are united in one int set, and their
+    tumoral ids with the seed's own in another; each member's (origin, id)
+    is built once, from those sets."""
     candidates = index.candidates
     tumoral_reads = sorted(
         (rid, bases)
@@ -355,13 +346,13 @@ def group(index: CandidateIndex, min_candidates: int) -> list[GroupResult]:
         codes = {c for c in canonical_codes(bases, index.k) if c in candidates}
         if len(codes) < min_candidates:
             continue
-        normal, tumoral = 0, 1 << rid
+        normal, tumoral = set(), {rid}
         for code in codes:
             e = candidates[code]
-            normal |= e.normal_bitmap
-            tumoral |= e.tumoral_bitmap
-        members = {(Origin.NORMAL, i) for i in bit_ids(normal)}
-        members.update((Origin.TUMORAL, i) for i in bit_ids(tumoral))
+            normal.update(e.normal_ids)
+            tumoral.update(e.tumoral_ids)
+        members = {(Origin.NORMAL, i) for i in normal}
+        members.update((Origin.TUMORAL, i) for i in tumoral)
         results.append(GroupResult((Origin.TUMORAL, rid), members, codes))
     return results
 

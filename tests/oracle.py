@@ -64,16 +64,6 @@ def candidate_kmers(counts: dict[str, tuple[int, int]], tau_t: int, tau_n: int) 
     return {s for s, (n, t) in counts.items() if t >= tau_t and n <= tau_n}
 
 
-def bits_of(ids) -> int:
-    """A read-id set as the package stores it: bit i set for each id i."""
-    return sum(1 << i for i in ids)
-
-
-def ids_of(bits: int) -> set[int]:
-    """The read ids whose bits are set in `bits`, bit by bit."""
-    return {i for i in range(bits.bit_length()) if bits >> i & 1}
-
-
 def candidate_view(normal, tumoral, k, tau_t, tau_n):
     """Expected filter output: per-candidate counts and member-id sets plus
     the set of stored reads."""

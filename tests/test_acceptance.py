@@ -36,7 +36,7 @@ from kmerfab.pipeline import PipelineConfig, run_pipeline
 from kmerfab.spill import SpillStore
 from kmerfab.traceanalysis import IoRecord, classify
 from conftest import random_instance
-from oracle import bits_of, candidate_view, code_of, exact_counts, expected_groups, kmer_of
+from oracle import candidate_view, code_of, exact_counts, expected_groups, kmer_of
 
 K = 15
 TAU_T = 4
@@ -90,10 +90,10 @@ def test_criterion_1_pipeline_oracle_equivalence(pipeline_batch):
             if (entry.n_count, entry.t_count) != (e["n"], e["t"]):
                 mismatches += 1
                 break
-            if entry.normal_bitmap != bits_of(e["normal_ids"]):
+            if entry.normal_ids != sorted(e["normal_ids"]):
                 mismatches += 1
                 break
-            if entry.tumoral_bitmap != bits_of(e["tumoral_ids"]):
+            if entry.tumoral_ids != sorted(e["tumoral_ids"]):
                 mismatches += 1
                 break
         else:

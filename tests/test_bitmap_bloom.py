@@ -5,44 +5,42 @@ import struct
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kmerfab import bloom
 from kmerfab.bloom import MAX_HASHES, BloomFilter, blocked_fp, optimal_bits
 from kmerfab.kmers import canonical_codes, mix64
-from kmerfab.stages import PRUNE_FP, bit_ids, bits_to_bytes, ids_to_bits
+from kmerfab.stages import PRUNE_FP, bitmap_ids, ids_to_bitmap
 
 
 def test_bitmap_set_test_iterate():
-    bits = ids_to_bits([1000, 0, 64, 3])
-    assert list(bit_ids(bits)) == [0, 3, 64, 1000]
-
-
-def test_bitmap_or_merge():
-    a = ids_to_bits([1, 900])
-    b = ids_to_bits([2, 900])
-    assert list(bit_ids(a | b)) == [1, 2, 900]
+    bitmap = ids_to_bitmap([1000, 0, 64, 3])
+    assert len(bitmap) == 126 and bitmap[0] == 0b1001 and bitmap[125] == 1
+    assert bitmap_ids(bitmap) == [0, 3, 64, 1000]
 
 
 def test_bitmap_canonical_bytes():
-    bits = ids_to_bits([3])
-    padded = b"\x08" + b"\x00" * 50  # same bit, trailing zeros
-    assert bits_to_bytes(bits) == bits_to_bytes(int.from_bytes(padded, "little")) == b"\x08"
-    assert int.from_bytes(bits_to_bytes(bits), "little") == bits
-    assert bits_to_bytes(0) == b"" and ids_to_bits([]) == 0
+    # the last byte is the largest id's, so equal id sets give equal bytes
+    assert ids_to_bitmap([3]) == ids_to_bitmap([3, 3]) == b"\x08"
+    assert ids_to_bitmap([8]) == b"\x00\x01"
+    assert ids_to_bitmap([]) == b"" and bitmap_ids(b"") == []
+    assert bitmap_ids(b"\x08" + b"\x00" * 50) == [3]
 
 
 def test_bitmap_random_against_set():
     rng = random.Random(3)
     ids = [rng.randrange(0, 5000) for _ in range(2000)]
-    assert list(bit_ids(ids_to_bits(ids))) == sorted(set(ids))
+    assert bitmap_ids(ids_to_bitmap(ids)) == sorted(set(ids))
 
 
-@given(st.lists(st.integers(0, 5000), max_size=60), st.integers(0, 1 << 300))
-def test_bitmap_round_trips(ids, x):
-    assert list(bit_ids(ids_to_bits(ids))) == sorted(set(ids))
-    assert int.from_bytes(bits_to_bytes(x), "little") == x
+@given(st.lists(st.integers(0, 5000), max_size=60))
+@example([])
+@example([7, 8])
+def test_bitmap_round_trips(ids):
+    bitmap = ids_to_bitmap(ids)
+    assert bitmap_ids(bitmap) == sorted(set(ids))
+    assert len(bitmap) == (max(ids) // 8 + 1 if ids else 0)  # trimmed after the last id's byte
 
 
 def test_bloom_sizing_formulas():

@@ -437,6 +437,29 @@ def test_rerun_on_a_manifest_cut_to_prune_alone(tmp_path, capsys, monkeypatch):
         assert (out / name).read_bytes() == data
 
 
+def test_rerun_with_another_min_candidates_loads_every_filter(tmp_path, capsys, monkeypatch):
+    """Only group reads min_candidates, and group is no checkpointed stage:
+    a rerun at another value loads every filter.pN and groups anew."""
+    monkeypatch.chdir(CONFIGS.parent)  # toy_run.conf names its inputs from the repo root
+    toy = (CONFIGS / "toy_run.conf").read_text()
+    assert "min_candidates = 3 " in toy
+    other = tmp_path / "min1.conf"
+    other.write_text(toy.replace("min_candidates = 3 ", "min_candidates = 1 "))
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["run", "--config", str(CONFIGS / "toy_run.conf"), "--out", str(out)]) == 0
+    first = {name: (out / name).read_bytes() for name in OUTPUTS}
+    capsys.readouterr()
+
+    assert main(["run", "--config", str(other), "--out", str(out)]) == 0
+    stages = stage_lines(capsys.readouterr().out)
+    assert [name for name, line in stages.items() if line.endswith("(checkpoint)")] == [
+        "stage filter.p0", "stage filter.p1"]
+    assert main(["run", "--config", str(other), "--out", str(fresh)]) == 0
+    assert (out / "index.bin").read_bytes() == first["index.bin"]
+    assert (out / "groups.csv").read_bytes() == (fresh / "groups.csv").read_bytes()
+    assert (out / "groups.csv").read_bytes() != first["groups.csv"]
+
+
 def test_rerun_of_a_directory_with_a_group_checkpoint(tmp_path, capsys, monkeypatch):
     """An output directory written while group was still checkpointed names a
     `group` blob in its manifest; a rerun never reads it and computes group,

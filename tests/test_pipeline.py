@@ -21,7 +21,7 @@ from kmerfab.stages import (
 )
 from kmerfab.traceanalysis import classify
 from conftest import random_instance
-from oracle import bits_of, candidate_view, expected_groups, kmer_of
+from oracle import candidate_view, expected_groups, kmer_of
 
 K = 15
 
@@ -216,8 +216,8 @@ def test_pipeline_matches_oracle_at_every_setting(case, partitions, capacity, ch
     for kmer, want in per_kmer.items():
         entry = got[kmer]
         assert (entry.n_count, entry.t_count) == (want["n"], want["t"])
-        assert entry.normal_bitmap == bits_of(want["normal_ids"])
-        assert entry.tumoral_bitmap == bits_of(want["tumoral_ids"])
+        assert entry.normal_ids == sorted(want["normal_ids"])
+        assert entry.tumoral_ids == sorted(want["tumoral_ids"])
     bases = {(r.origin, r.id): r.bases for r in [*normal, *tumoral]}
     assert result.index.reads == {key: bases[key] for key in stored}
     assert [(g.seed, g.members, {kmer_of(c, k) for c in g.shared_kmers})

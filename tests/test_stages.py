@@ -3,6 +3,7 @@
 import hashlib
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +30,7 @@ from kmerfab.stages import (
     prune,
 )
 from conftest import random_instance
-from oracle import (bits_of, candidate_view, code_of, exact_counts, expected_groups, ids_of,
-                    kmer_of)
+from oracle import candidate_view, code_of, exact_counts, expected_groups, kmer_of
 
 K = 15
 
@@ -394,8 +394,8 @@ def test_filter_matches_oracle():
     for s, e in expect.items():
         assert got[s].n_count == e["n"]
         assert got[s].t_count == e["t"]
-        assert got[s].normal_bitmap == bits_of(e["normal_ids"])
-        assert got[s].tumoral_bitmap == bits_of(e["tumoral_ids"])
+        assert got[s].normal_ids == sorted(e["normal_ids"])
+        assert got[s].tumoral_ids == sorted(e["tumoral_ids"])
     assert set(idx.reads) == stored
 
 
@@ -464,6 +464,17 @@ def test_merge_k_mismatch():
         merge_indexes(CandidateIndex(15), CandidateIndex(16))
 
 
+def test_merge_rejects_a_shared_candidate():
+    # a code lives in one partition, so two filter.pN indexes never share one
+    a, b = CandidateIndex(K), CandidateIndex(K)
+    a.candidates[5] = CandidateEntry(0, 4, [], [1])
+    a.candidates[7] = CandidateEntry(0, 4, [], [2])
+    b.candidates[9] = CandidateEntry(1, 4, [3], [2])
+    b.candidates[7] = CandidateEntry(0, 5, [], [3])
+    with pytest.raises(StageError, match="share candidate 7"):
+        merge_indexes(a, b)
+
+
 def test_index_serialization_roundtrip():
     normal, tumoral = random_instance(seed=13, n_reads=150)
     idx = build_index(normal, tumoral)
@@ -480,9 +491,16 @@ def test_filter_index_group_at_read_id_999_999():
     kmer = "ACGTACGTACGTACG"
     tumoral = [Read(0, Origin.TUMORAL, kmer), Read(999_999, Origin.TUMORAL, kmer)]
     table = FrequencyTable([], {code_of(kmer): (0, 2)})
-    idx = filter_candidates(table, ReadCodes([], tumoral, K), 0, 2, 0)
+    codes = ReadCodes([], tumoral, K)
+    tracemalloc.start()
+    try:
+        idx = filter_candidates(table, codes, 0, 2, 0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 10_000  # the id list, not a 125 KB int as wide as the largest id
     entry = idx.candidates[code_of(kmer)]
-    assert (entry.normal_bitmap, entry.tumoral_bitmap) == (0, 1 | 1 << 999_999)
+    assert (entry.normal_ids, entry.tumoral_ids) == ([], [0, 999_999])
     data = idx.to_bytes()
     *_, nb_len, tb_len = struct.unpack_from("<QIIII", data, 8 + struct.calcsize("<IQQ"))
     assert (nb_len, tb_len) == (0, 125_000)
@@ -536,8 +554,8 @@ def test_group_matches_oracle():
 
 
 def reference_group(index, min_candidates):
-    """Reference group: each seed iterates every candidate bitmap of each of
-    its codes."""
+    """Reference group: each seed adds every candidate id list of each of its
+    codes to its member set, id by id."""
     results = []
     for (origin, rid), bases in sorted(index.reads.items(), key=lambda r: r[0][1]):
         if origin is not Origin.TUMORAL:
@@ -548,34 +566,36 @@ def reference_group(index, min_candidates):
         members = {(Origin.TUMORAL, rid)}
         for code in codes:
             entry = index.candidates[code]
-            members.update((Origin.NORMAL, i) for i in ids_of(entry.normal_bitmap))
-            members.update((Origin.TUMORAL, i) for i in ids_of(entry.tumoral_bitmap))
+            members.update((Origin.NORMAL, i) for i in entry.normal_ids)
+            members.update((Origin.TUMORAL, i) for i in entry.tumoral_ids)
         results.append(GroupResult((Origin.TUMORAL, rid), members, codes))
     return results
 
 
-def hand_index(k, seeds, bitmaps):
+def hand_index(k, seeds, read_sets):
     """A CandidateIndex of tumoral reads `seeds` (id -> bases) and candidates
-    `bitmaps` (code -> (normal ids, tumoral ids))."""
+    `read_sets` (code -> (normal ids, tumoral ids), each listed ascending)."""
     index = CandidateIndex(k)
     for rid, bases in seeds.items():
         index.reads[(Origin.TUMORAL, rid)] = bases
-    for code, (normal_ids, tumoral_ids) in bitmaps.items():
-        index.candidates[code] = CandidateEntry(1, 1, bits_of(normal_ids), bits_of(tumoral_ids))
+    for code, (normal_ids, tumoral_ids) in read_sets.items():
+        index.candidates[code] = CandidateEntry(1, 1, sorted(normal_ids), sorted(tumoral_ids))
     return index
 
 
 def test_group_at_bitmap_boundaries():
-    # ids on either side of the byte and 64-bit word edges, shared across
-    # candidates, and seed 5000 lies past every candidate bitmap's end
+    # ids on either side of the byte and 64-bit word edges of the stored
+    # bitmaps, shared across candidates, and seed 5000 lies past every
+    # candidate bitmap's end; group runs on the index and on its reload
     edge = [0, 7, 8, 63, 64, 65, 999, 1000, 1001]
     kmers = ["AAC", "ACG", "CCA", "ATC"]
-    bitmaps = {code_of(s): (edge[i:i + 5], edge[-i - 5:]) for i, s in enumerate(kmers)}
+    read_sets = {code_of(s): (edge[i:i + 5], edge[-i - 5:]) for i, s in enumerate(kmers)}
     seeds = {0: "AACG", 8: "CCAT", 64: "AACGAT", 1000: "CCAACGAT", 5000: "GATCCA", 7: "TTTT"}
-    index = hand_index(3, seeds, bitmaps)
+    index = hand_index(3, seeds, read_sets)
+    reloaded = CandidateIndex.from_bytes(index.to_bytes())
     for min_candidates in (1, 2, 3):
-        got = group(index, min_candidates)
-        assert got == reference_group(index, min_candidates)
+        want = reference_group(index, min_candidates)
+        assert group(index, min_candidates) == group(reloaded, min_candidates) == want
     got = {g.seed[1]: g for g in group(index, 1)}
     assert set(got) == {0, 8, 64, 1000, 5000}
     assert (Origin.TUMORAL, 5000) in got[5000].members
@@ -586,12 +606,12 @@ def test_group_at_bitmap_boundaries():
 @given(
     seeds=st.dictionaries(st.integers(0, 300), st.text("ACGT", min_size=2, max_size=10),
                           max_size=8),
-    bitmaps=st.dictionaries(st.integers(0, 15), st.tuples(
+    read_sets=st.dictionaries(st.integers(0, 15), st.tuples(
         st.sets(st.integers(0, 300), max_size=6), st.sets(st.integers(0, 300), max_size=6)),
         max_size=10),
     min_candidates=st.integers(1, 3),
 )
-def test_group_matches_per_bitmap_reference(seeds, bitmaps, min_candidates):
-    index = hand_index(2, seeds, bitmaps)
+def test_group_matches_per_bitmap_reference(seeds, read_sets, min_candidates):
+    index = hand_index(2, seeds, read_sets)
     got = group(index, min_candidates)
     assert got == reference_group(index, min_candidates)
