@@ -84,10 +84,9 @@ class MemoryBacking:
         self._data[addr:end] = data
 
     def read(self, addr: int, length: int) -> bytes:
-        end = addr + length
-        if end > len(self._data):
-            self._data.extend(b"\x00" * (end - len(self._data)))
-        return bytes(self._data[addr:end])
+        """Zeros past the written end, as a sparse file reads; the store does not grow."""
+        data = bytes(self._data[addr:addr + length])
+        return data + b"\x00" * (length - len(data))
 
 
 class FileBacking:

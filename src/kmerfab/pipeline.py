@@ -1,16 +1,16 @@
 """Partitioned pipeline driver: Prune, per-partition Count+Filter, Merge, Group.
 
-Every stage output a later stage reads is checkpointed, once. Stage outputs
-are serialized to the bound namespace through the spill store; a small
-manifest (stage -> blob handle, plus a config/input fingerprint and the store
-cursor) makes reruns skip completed stages. count.pN runs nested in the
-filter.pN that consumes it, so a checkpointed filter.pN also skips its count.
-A count.pN checkpoint is the blob handles of the partition's spill runs,
-which are already on the device. Prune is loaded or computed by the first
-filter.pN that is computed, before any bucket is freed, so a rerun that
-loads every filter.pN never reads it.
-Merge and group are no stages, as no later stage reads their output: the
-filter.pN outputs are merged in memory and grouped on every run, a rerun too.
+Prune and each partition's filter.pN are checkpointed, once: a small
+manifest (stage -> blob handle on the bound namespace, plus a config/input
+fingerprint and the store cursor) makes reruns skip completed stages.
+count.pN runs, timed, inside the filter.pN that consumes it and is never
+checkpointed: a loaded count would spare only its loop, as its filter pass
+extracts every read's codes anyway. A filter.pN lists read ids, not bases;
+the merged index takes the bases from the inputs, which every run parses.
+Prune is loaded or computed by the first filter.pN that is computed, before
+any bucket is freed, so a rerun that loads every filter.pN never reads it.
+Merge and group are no stages either: the filter.pN outputs are merged in
+memory and grouped on every run, a rerun too.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from pathlib import Path
 from .bloom import BloomFilter
 from .kmers import Read
 # encode_run and decode_run go unused here, but perfbench/tracing.py wraps these names
-from .spill import (BlobHandle, CorruptionError, SpillStore, decode_handles, decode_run,
-                    encode_handles, encode_run)
+from .spill import BlobHandle, CorruptionError, SpillStore, decode_run, encode_run
 from .stages import (
     CandidateIndex,
     GroupResult,
@@ -61,13 +60,13 @@ class PipelineConfig:
     prune_fp: float = 0.01
 
     def fingerprint(self, normal: list[Read], tumoral: list[Read]) -> str:
-        """The checkpoints' key: every setting a checkpointed stage reads, and
-        the reads. `min_candidates` is left out, as only group reads it."""
+        """The checkpoints' key: every setting a checkpointed output depends
+        on, and the reads. `capacity_limit` is left out, as the merged table
+        filter reads is the same at any capacity, and `min_candidates`, as
+        only group reads it."""
         h = hashlib.sha256(CHECKPOINT_FORMAT.encode())
-        h.update(
-            f"{self.k},{self.partitions},{self.capacity_limit},{self.tau_t},"
-            f"{self.tau_n},{self.prune_fp}".encode()
-        )
+        h.update(f"{self.k},{self.partitions},{self.tau_t},{self.tau_n},"
+                 f"{self.prune_fp}".encode())
         for reads in (normal, tumoral):
             h.update(str(len(reads)).encode())
             for r in reads:
@@ -96,7 +95,7 @@ class Checkpoints:
                 if raw.get("fingerprint") == fingerprint:
                     # only the names run_pipeline saves: a later save rewrites the manifest
                     self._stages = {name: BlobHandle(**h) for name, h in raw["stages"].items()
-                                    if re.fullmatch(r"prune|(count|filter)\.p\d+", name)}
+                                    if re.fullmatch(r"prune|filter\.p\d+", name)}
                     store.append_cursor = max(store.append_cursor, int(raw.get("cursor", 0)))
             except (ValueError, KeyError, TypeError, AttributeError):
                 self._stages = {}
@@ -148,8 +147,9 @@ def run_pipeline(
     result = PipelineResult(index=CandidateIndex(config.k), groups=[])
     nested = 0.0  # seconds the running stage has spent in the stages it consumes
 
-    def stage(name: str, compute, to_bytes, from_bytes):
-        """Load stage `name` from its checkpoint, or compute it and save it.
+    def stage(name: str, compute, to_bytes=None, from_bytes=None):
+        """Load stage `name` from its checkpoint, or compute it and save it; a
+        stage given no codec is computed on every run and never saved.
 
         Its recorded time covers its own load or compute only: neither its
         checkpoint write nor the stages nested in it.
@@ -158,13 +158,13 @@ def run_pipeline(
         outer, nested = nested, 0.0
         t0 = time.perf_counter()
         try:
-            out = cp.load(name, from_bytes)
+            out = cp.load(name, from_bytes) if from_bytes else None
             if out is not None:
                 result.skipped.add(name)
             else:
                 out = compute()
             result.stage_seconds[name] = time.perf_counter() - t0 - nested
-            if name not in result.skipped:
+            if to_bytes and name not in result.skipped:
                 cp.save(name, to_bytes(out))
         except StageError:
             raise
@@ -191,11 +191,8 @@ def run_pipeline(
         if pf is None:  # before this pass or its count frees a bucket a computed prune reads
             pf = stage("prune", lambda: prune(read_codes(), config.prune_fp),
                        BloomFilter.to_bytes, BloomFilter.from_bytes)
-        table = stage(f"count.p{p}",
-                      lambda: merge_runs(count(read_codes(p), pf, p, config.capacity_limit,
-                                               store), store),
-                      lambda t: encode_handles(t.runs),
-                      lambda b: merge_runs(decode_handles(b), store))
+        table = stage(f"count.p{p}", lambda: merge_runs(
+            count(read_codes(p), pf, p, config.capacity_limit, store), store))
         index = filter_candidates(table, read_codes(p), p,
                                   config.tau_t, config.tau_n)
         codes.release(p)
@@ -207,8 +204,7 @@ def run_pipeline(
     # frees the buckets only prune read and those of partitions whose filter.pN
     # was loaded; group extracts its own reads
     codes = None
-    t0 = time.perf_counter()
-    result.groups = group(index, config.min_candidates)
-    result.stage_seconds["group"] = time.perf_counter() - t0
+    index.fill_reads(normal, tumoral)
+    result.groups = stage("group", lambda: group(index, config.min_candidates))
     result.index = index
     return result

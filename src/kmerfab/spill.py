@@ -15,7 +15,7 @@ import struct
 import sys
 import zlib
 from array import array
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 from .fabric import CapacityError, Namespace, KIND_READ, KIND_WRITE
 from .traceanalysis import IoRecord
@@ -24,7 +24,6 @@ DEFAULT_CHUNK = 8 * 1024 * 1024
 
 BLOB_MAGIC = b"KFBLOBv1"
 _HEADER = struct.Struct("<8sIIQQ")  # magic, version, reserved, payload length, checksum
-_HANDLE = struct.Struct("<QQQ")  # BlobHandle fields, in declaration order
 HEADER_SIZE = _HEADER.size
 RECORD_SIZE = 16  # `<QII` code, n_count, t_count: the u64s code, n_count + (t_count << 32)
 
@@ -40,17 +39,6 @@ class BlobHandle:
     start_address: int
     length: int
     checksum: int
-
-
-def encode_handles(handles: list[BlobHandle]) -> bytes:
-    """Serialize blob handles as fixed 24-byte records."""
-    return b"".join(_HANDLE.pack(*astuple(h)) for h in handles)
-
-
-def decode_handles(data: bytes) -> list[BlobHandle]:
-    if len(data) % _HANDLE.size:
-        raise CorruptionError("handle list is not a whole number of records")
-    return [BlobHandle(*fields) for fields in _HANDLE.iter_unpack(data)]
 
 
 def encode_run(entries: dict[int, int]) -> bytes:

@@ -5,7 +5,8 @@ multiplicity-1 k-mers are dropped early. Count accumulates bounded
 normal/tumoral counters, spilling sorted runs when full. Filter keeps
 imbalanced k-mers and lists, per candidate and origin, the ascending ids of
 the reads that hold it. Merge unites per-partition indexes, whose candidates
-are disjoint; Group expands candidate tumoral reads into related-read sets.
+are disjoint; the merged index then takes the bases of the reads it lists,
+and Group expands candidate tumoral reads into related-read sets.
 """
 
 from __future__ import annotations
@@ -144,9 +145,8 @@ def count(
 
 @dataclass
 class FrequencyTable:
-    """`merge_runs`' result: the runs it merged, and code -> (n_count, t_count)."""
+    """`merge_runs`' result: code -> (n_count, t_count)."""
 
-    runs: list[BlobHandle]
     entries: dict[int, tuple[int, int]]
 
 
@@ -164,7 +164,7 @@ def merge_runs(run_handles: list[BlobHandle], store: SpillStore) -> FrequencyTab
     pairs = {packed: (packed & 0xFFFFFFFF, packed >> 32) for packed in set(entries.values())}
     for code, packed in entries.items():
         entries[code] = pairs[packed]
-    return FrequencyTable(run_handles, entries)
+    return FrequencyTable(entries)
 
 
 # --------------------------------------------------------------------------
@@ -204,42 +204,58 @@ class CandidateEntry:
 
 
 class CandidateIndex:
-    """Imbalanced k-mers with the ids of the reads that hold each, plus the
-    bases of every such read, keyed by (origin, id). On disk each id list is
-    a read-membership bitmap."""
+    """Imbalanced k-mers with the ids of the reads that hold each and, once
+    `fill_reads` has run, the bases of every such read, keyed by (origin,
+    id). On disk each id list is a read-membership bitmap."""
 
     def __init__(self, k: int):
         self.k = k
         self.candidates: dict[int, CandidateEntry] = {}
         self.reads: dict[tuple[Origin, int], str] = {}
 
-    def add_read(self, read: Read) -> None:
-        self.reads.setdefault((read.origin, read.id), read.bases)
+    def fill_reads(self, normal: list[Read], tumoral: list[Read]) -> None:
+        """Take the bases of every read a candidate lists from the parsed
+        inputs. A read's id is its position in its input, as `parse_reads`
+        numbers reads, so normal read i is `normal[i]`; StageError if not."""
+        normal_ids, tumoral_ids = set(), set()
+        for e in self.candidates.values():
+            normal_ids.update(e.normal_ids)
+            tumoral_ids.update(e.tumoral_ids)
+        for origin, reads, ids in ((Origin.NORMAL, normal, normal_ids),
+                                   (Origin.TUMORAL, tumoral, tumoral_ids)):
+            for i in sorted(ids):
+                read = reads[i]
+                if read.id != i:
+                    raise StageError(f"{origin.value} read at position {i} has id {read.id}")
+                self.reads[(origin, i)] = read.bases
 
-    def to_bytes(self) -> bytes:
-        """Canonical serialization: equal indexes give equal bytes."""
-        body = bytearray()
-        body += struct.pack("<IQQ", self.k, len(self.candidates), len(self.reads))
+    def to_bytes(self) -> bytearray:
+        """Canonical serialization: equal indexes give equal bytes. Built in
+        one buffer, which is returned without a copy."""
+        buf = bytearray(b"KFIDXv1\x00")
+        buf += struct.pack("<IQQ", self.k, len(self.candidates), len(self.reads))
         for code in sorted(self.candidates):
             e = self.candidates[code]
             nb = ids_to_bitmap(e.normal_ids)
             tb = ids_to_bitmap(e.tumoral_ids)
-            body += struct.pack("<QIIII", code, e.n_count, e.t_count, len(nb), len(tb))
-            body += nb
-            body += tb
+            buf += struct.pack("<QIIII", code, e.n_count, e.t_count, len(nb), len(tb))
+            buf += nb
+            buf += tb
         for (origin, rid), bases in sorted(
             self.reads.items(), key=lambda r: (r[0][0] is Origin.TUMORAL, r[0][1])
         ):
             raw = bases.encode("ascii")
-            body += struct.pack("<BQI", 1 if origin is Origin.TUMORAL else 0, rid, len(raw))
-            body += raw
-        return b"KFIDXv1\x00" + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+            buf += struct.pack("<BQI", 1 if origin is Origin.TUMORAL else 0, rid, len(raw))
+            buf += raw
+        crc = zlib.crc32(memoryview(buf)[8:])  # the view is gone before buf grows again
+        buf += struct.pack("<I", crc)
+        return buf
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CandidateIndex":
         if data[:8] != b"KFIDXv1\x00":
             raise StageError("bad index magic")
-        body = data[8:-4]
+        body = memoryview(data)[8:-4]
         (crc,) = struct.unpack_from("<I", data, len(data) - 4)
         if zlib.crc32(body) != crc:
             raise StageError("index checksum mismatch")
@@ -257,7 +273,7 @@ class CandidateIndex:
         for _ in range(n_reads):
             o, rid, blen = struct.unpack_from("<BQI", body, pos)
             pos += struct.calcsize("<BQI")
-            bases = body[pos:pos + blen].decode("ascii")
+            bases = str(body[pos:pos + blen], "ascii")
             pos += blen
             idx.reads[(Origin.TUMORAL if o else Origin.NORMAL, rid)] = bases
         return idx
@@ -274,11 +290,12 @@ def filter_candidates(
     tau_t: int,
     tau_n: int,
 ) -> CandidateIndex:
-    """Select imbalanced k-mers, then index every read containing one.
+    """Select imbalanced k-mers, then list the ids of every read containing
+    one, per candidate and origin, in read order.
 
     The table holds partition `partition_id`'s codes, so each read is
-    intersected with its codes in that partition only. Each candidate's read
-    ids are listed per origin during the scan, in read order."""
+    intersected with its codes in that partition only. The index holds no
+    read bases: `CandidateIndex.fill_reads` adds them once, after merge."""
     index = CandidateIndex(codes.k)
     entries = table.entries
     # candidate code -> (normal read ids, tumoral read ids)
@@ -289,7 +306,6 @@ def filter_candidates(
         hits = ids.keys() & span
         if not hits:
             continue
-        index.add_read(read)
         tumoral = read.origin is Origin.TUMORAL
         for code in hits:
             ids[code][tumoral].append(read.id)
@@ -303,17 +319,15 @@ def filter_candidates(
 
 
 def merge_indexes(a: CandidateIndex, b: CandidateIndex) -> CandidateIndex:
-    """Fold b into a and return a. A code lives in one partition, so the
-    candidate maps are disjoint (StageError if not); the read maps overlap,
-    and a's bases win on a shared key. Inputs are consumed."""
+    """Fold b's candidates into a and return a. A code lives in one
+    partition, so the candidate maps are disjoint (StageError if not).
+    Inputs are consumed."""
     if a.k != b.k:
         raise StageError(f"cannot merge indexes with k={a.k} and k={b.k}")
     shared = a.candidates.keys() & b.candidates.keys()
     if shared:
         raise StageError(f"cannot merge indexes that share candidate {min(shared)}")
     a.candidates.update(b.candidates)
-    for key, bases in b.reads.items():
-        a.reads.setdefault(key, bases)
     return a
 
 

@@ -2,7 +2,9 @@
 name and reads fields of their results, so renaming or deleting one of them
 breaks `perfbench/run.py --trace 1`. This runs its wrappers on the toy config
 and on the default simulation scenario with all three instances on one host,
-so that memory pressure adds spill writes to the flush writes."""
+so that memory pressure adds spill writes to the flush writes. It also runs
+one untraced pipeline_spill iteration of the benchmark, whose checks read the
+files the program writes."""
 
 import subprocess
 import sys
@@ -27,6 +29,28 @@ times = tracing.self_times(tracer.names, tracer.name_ids, tracer.parents,
                            tracer.starts, tracer.ends)
 for stage in ("prune", "count", "merge_runs", "filter_candidates", "merge_indexes", "group"):
     assert times.get(f"stages.{stage}", {}).get("calls", 0) >= 1, stage
+metrics = tracing.layer_metrics(times, tracer.counts)
+for key in ("stages.count.s", "stages.merge_runs.s"):
+    assert metrics[key] > 0, key
+"""
+
+PIPELINE_ITERATION = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import inputs
+import run
+
+work = Path(sys.argv[2])
+inputs.write_inputs(101, work)
+conf = work / "pipeline_spill.conf"
+conf.write_text(inputs.run_config(work / "normal.fa", work / "tumoral.fa",
+                                  chunk_size=run.CHUNK_SIZE, **run.PIPELINES["pipeline_spill"]))
+ledger = run.Ledger()
+sample = run.pipeline_iteration(ledger, conf, work / "out", None)
+# kmerfab run, kmerfab trace, and the two output checks made without a reference
+assert (ledger.attempted, ledger.failed) == (4, 0), (ledger.attempted, ledger.failed)
+assert sample["device_write_bytes"] > 0
 """
 
 TRACED_SIMULATE = """
@@ -95,3 +119,12 @@ def test_benchmark_wrappers_trace_a_simulation(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "instances:" in proc.stdout
+
+
+def test_benchmark_pipeline_iteration_passes_its_checks(tmp_path):
+    """P = 4 with a 512-entry table, as the pipeline_spill workload runs it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PIPELINE_ITERATION, str(REPO / "perfbench"), str(tmp_path)],
+        cwd=REPO, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -16,7 +16,8 @@ from kmerfab.cli import _load_scenario, main
 from kmerfab.fabric import FileBacking
 from kmerfab.kmers import Origin, canonical_codes, parse_reads
 from kmerfab.pipeline import Checkpoints
-from kmerfab.spill import HEADER_SIZE, decode_handles
+from kmerfab.spill import HEADER_SIZE
+from kmerfab.stages import CandidateIndex
 from kmerfab.traceanalysis import parse_trace_csv
 from conftest import random_instance
 
@@ -222,20 +223,21 @@ OUTPUTS = ("index.bin", "groups.csv")
 
 
 def kill_after_count_p1(out):
-    """Leave the manifest a run killed after saving count.p1 leaves behind."""
+    """Leave the manifest a run killed after count.p1 spilled its runs, before
+    filter.p1 was saved, leaves behind: no manifest entry names those runs."""
     manifest = out / "checkpoints.json"
     doc = json.loads(manifest.read_text())
     del doc["stages"]["filter.p1"]
     manifest.write_text(json.dumps(doc))
 
 
-def flip_byte_in_run_of(out, stage):
-    """Damage the payload of the first spill run a count.pN checkpoint names."""
-    blob = json.loads((out / "checkpoints.json").read_text())["stages"][stage]
+def flip_byte_in_first_run_of_p1(out):
+    """Damage the payload of partition 1's first spill run, the blob just
+    after filter.p0's: stages are saved in partition order, each after its
+    partition's spill runs."""
+    blob = json.loads((out / "checkpoints.json").read_text())["stages"]["filter.p0"]
     device = bytearray((out / "device0.dat").read_bytes())
-    payload = device[blob["start_address"] + HEADER_SIZE:blob["start_address"] + blob["length"]]
-    run = decode_handles(bytes(payload))[0]
-    device[run.start_address + HEADER_SIZE + 3] ^= 0xFF
+    device[blob["start_address"] + blob["length"] + HEADER_SIZE + 3] ^= 0xFF
     (out / "device0.dat").write_bytes(bytes(device))
 
 
@@ -255,7 +257,8 @@ def test_rerun_after_kill_between_count_and_filter(toy_inputs, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     stages = stage_lines(capsys.readouterr().out)
     assert stages["stage filter.p0"].endswith("(checkpoint)")
-    assert stages["stage count.p1"].endswith("(checkpoint)")  # loaded, not counted again
+    assert "stage count.p0" not in stages  # a loaded filter.p0 skips its count
+    assert not stages["stage count.p1"].endswith("(checkpoint)")  # count is never loaded
     assert not stages["stage filter.p1"].endswith("(checkpoint)")
     for name, data in first.items():
         assert (out / name).read_bytes() == data
@@ -268,7 +271,7 @@ def test_rerun_recounts_partition_whose_spill_run_is_damaged(toy_inputs, capsys,
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     first = {name: (out / name).read_bytes() for name in OUTPUTS}
     kill_after_count_p1(out)
-    flip_byte_in_run_of(out, "count.p1")
+    flip_byte_in_first_run_of_p1(out)  # the rerun counts anew and never reads it
     held = []
     count = pipeline.count
 
@@ -291,7 +294,7 @@ def test_rerun_recounts_partition_whose_spill_run_is_damaged(toy_inputs, capsys,
 
 @pytest.mark.parametrize("stage, consumers", [
     ("prune", ["filter.p0"]),  # only a computed filter.pN loads prune
-    ("count.p0", ["filter.p0"]),
+    ("prune", ["filter.p1"]),  # the first filter.pN computed is filter.p1
     ("filter.p0", []),
     ("filter.p1", []),
 ])
@@ -324,16 +327,13 @@ def test_rerun_recomputes_checkpoint_that_does_not_decode(toy_inputs, capsys, st
 
 
 @pytest.mark.parametrize("dropped, loaded", [
-    (("count.p1", "filter.p1"), "filter.p0"),
-    # a run killed after saving count.p0, before filter.p0
-    (("filter.p0", "count.p1", "filter.p1"), "count.p0"),
-], ids=["filter_p0_loaded", "count_p0_loaded"])
+    (("filter.p1",), "filter.p0"),
+], ids=["filter_p0_loaded"])
 def test_rerun_recomputes_damaged_prune_before_freeing_a_bucket(toy_inputs, capsys,
                                                                 dropped, loaded):
-    """A damaged prune checkpoint at P = 2 under a loaded filter.p0, or under a
-    loaded count.p0 whose filter.p0 is computed: the first filter pass that
-    runs recomputes prune over every bucket, bucket 0 included, before any
-    pass frees bucket 0."""
+    """A damaged prune checkpoint at P = 2 under a loaded filter.p0: the
+    first filter pass that runs recomputes prune over every bucket, bucket 0
+    included, before any pass frees bucket 0."""
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
@@ -374,6 +374,8 @@ def test_rerun_that_counts_nothing_reads_no_prune_checkpoint(toy_inputs, capsys)
 
 
 def test_rerun_after_kill_between_count_blob_and_manifest(toy_inputs, monkeypatch):
+    """Killed after count.p1's spill runs landed, as filter.p1's manifest
+    replace began: no manifest names those runs, and the rerun counts anew."""
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs)
     assert main(["run", "--config", str(cfg), "--out", str(toy_inputs / "ref")]) == 0
@@ -383,14 +385,15 @@ def test_rerun_after_kill_between_count_blob_and_manifest(toy_inputs, monkeypatc
         raise OSError("killed before the rename")
 
     def save_then_die(self, stage, payload):
-        if stage == "count.p1":
+        if stage == "filter.p1":
             monkeypatch.setattr(os, "replace", killed)
         save(self, stage, payload)
 
     monkeypatch.setattr(Checkpoints, "save", save_then_die)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     monkeypatch.undo()
-    assert "count.p1" not in json.loads((out / "checkpoints.json").read_text())["stages"]
+    assert json.loads((out / "checkpoints.json").read_text())["stages"].keys() == {
+        "prune", "filter.p0"}
 
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     for name in OUTPUTS:
@@ -439,21 +442,28 @@ def test_rerun_on_a_manifest_cut_to_prune_alone(tmp_path, capsys, monkeypatch):
 
 def test_rerun_with_another_min_candidates_loads_every_filter(tmp_path, capsys, monkeypatch):
     """Only group reads min_candidates, and group is no checkpointed stage:
-    a rerun at another value loads every filter.pN and groups anew."""
+    a rerun at another value loads every filter.pN and groups anew. Nor does
+    a checkpoint depend on capacity_limit, which bounds count's table only."""
     monkeypatch.chdir(CONFIGS.parent)  # toy_run.conf names its inputs from the repo root
     toy = (CONFIGS / "toy_run.conf").read_text()
-    assert "min_candidates = 3 " in toy
+    assert "min_candidates = 3 " in toy and "capacity_limit = 256 " in toy
     other = tmp_path / "min1.conf"
     other.write_text(toy.replace("min_candidates = 3 ", "min_candidates = 1 "))
+    capacity = tmp_path / "capacity128.conf"
+    capacity.write_text(toy.replace("capacity_limit = 256 ", "capacity_limit = 128 "))
     out, fresh = tmp_path / "out", tmp_path / "fresh"
     assert main(["run", "--config", str(CONFIGS / "toy_run.conf"), "--out", str(out)]) == 0
     first = {name: (out / name).read_bytes() for name in OUTPUTS}
     capsys.readouterr()
 
+    for conf in (other, capacity):
+        assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
+        stages = stage_lines(capsys.readouterr().out)
+        assert [name for name, line in stages.items() if line.endswith("(checkpoint)")] == [
+            "stage filter.p0", "stage filter.p1"], conf.name
+    for name, data in first.items():  # the capacity-128 rerun's outputs
+        assert (out / name).read_bytes() == data
     assert main(["run", "--config", str(other), "--out", str(out)]) == 0
-    stages = stage_lines(capsys.readouterr().out)
-    assert [name for name, line in stages.items() if line.endswith("(checkpoint)")] == [
-        "stage filter.p0", "stage filter.p1"]
     assert main(["run", "--config", str(other), "--out", str(fresh)]) == 0
     assert (out / "index.bin").read_bytes() == first["index.bin"]
     assert (out / "groups.csv").read_bytes() == (fresh / "groups.csv").read_bytes()
@@ -461,9 +471,10 @@ def test_rerun_with_another_min_candidates_loads_every_filter(tmp_path, capsys, 
 
 
 def test_rerun_of_a_directory_with_a_group_checkpoint(tmp_path, capsys, monkeypatch):
-    """An output directory written while group was still checkpointed names a
-    `group` blob in its manifest; a rerun never reads it and computes group,
-    and the manifest it rewrites (filter.p1 is recomputed) drops the name."""
+    """An output directory written while group and count.pN were still
+    checkpointed names a `group` and a `count.pN` blob in its manifest; a
+    rerun never reads them and computes group, and the manifest it rewrites
+    (filter.p1 is recomputed) drops the names."""
     monkeypatch.chdir(CONFIGS.parent)  # toy_run.conf names its inputs from the repo root
     out = tmp_path / "out"
     run = ["run", "--config", str(CONFIGS / "toy_run.conf"), "--out", str(out)]
@@ -472,6 +483,7 @@ def test_rerun_of_a_directory_with_a_group_checkpoint(tmp_path, capsys, monkeypa
     manifest = out / "checkpoints.json"
     doc = json.loads(manifest.read_text())
     doc["stages"]["group"] = doc["stages"]["filter.p0"]  # a blob that is no group result
+    doc["stages"]["count.p1"] = doc["stages"]["prune"]  # nor a list of spill runs
     del doc["stages"]["filter.p1"]
     manifest.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -481,28 +493,32 @@ def test_rerun_of_a_directory_with_a_group_checkpoint(tmp_path, capsys, monkeypa
     assert stages["stage filter.p0"].endswith("(checkpoint)")
     assert not stages["stage filter.p1"].endswith("(checkpoint)")
     assert not stages["stage group"].endswith("(checkpoint)")
+    assert not stages["stage count.p1"].endswith("(checkpoint)")
     assert json.loads(manifest.read_text())["stages"].keys() == {
-        "prune", "count.p0", "filter.p0", "count.p1", "filter.p1"}
+        "prune", "filter.p0", "filter.p1"}
     for name, data in first.items():
         assert (out / name).read_bytes() == data
 
 
 @pytest.mark.parametrize("partitions", [1, 3])
 def test_each_stage_output_written_once(toy_inputs, partitions):
-    """A fresh run checkpoints each stage output a later stage reads, once,
-    and nothing else (group's output is read by no stage): no blob the
-    manifest names repeats another, and the prune blob is the seen-multi
-    filter alone, with half of seen-once's words."""
+    """A fresh run checkpoints prune and each filter.pN, once, and nothing
+    else (count's runs are not named, and group's output is read by no
+    stage): no blob the manifest names repeats another, each filter.pN holds
+    no read's bases, and the prune blob is the seen-multi filter alone, with
+    half of seen-once's words."""
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs, partitions=partitions)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     stages = json.loads((out / "checkpoints.json").read_text())["stages"]
-    assert stages.keys() == {"prune", *(f"{kind}.p{p}" for kind in ("count", "filter")
-                                        for p in range(partitions))}
+    assert stages.keys() == {"prune", *(f"filter.p{p}" for p in range(partitions))}
     device = (out / "device0.dat").read_bytes()
     payloads = {name: device[h["start_address"] + HEADER_SIZE:h["start_address"] + h["length"]]
                 for name, h in stages.items()}
     assert len(set(payloads.values())) == len(payloads)
+    for p in range(partitions):
+        index = CandidateIndex.from_bytes(payloads[f"filter.p{p}"])
+        assert index.candidates and index.reads == {}
 
     reads = []
     for name, origin in (("normal", Origin.NORMAL), ("tumoral", Origin.TUMORAL)):
@@ -561,7 +577,7 @@ def test_rerun_after_kill_at_every_persistent_operation(tmp_path, monkeypatch, t
     kinds = run_killed_at(monkeypatch, ["run", "--config", str(cfg), "--out", str(ref)],
                           point=-1)
     # every stage writes a blob, then replaces the manifest; runs are blobs with no manifest
-    assert kinds.count("replace") == 1 + 2 * 2
+    assert kinds.count("replace") == 1 + 2
     assert kinds.count("write") > kinds.count("replace")
     points = [i for i, kind in enumerate(kinds) if kind == "write" or not tear]
     for point in points:
@@ -666,11 +682,11 @@ SHIPPED_DIGESTS = {
         "index.bin": "4fa8f0432e3c0a0e1b518b5355fc805cac6b41b5b6296bd8fdd69be80fc468c6",
         "groups.csv": "1b1fc42ea84ab57952e2f415d90be65356f64e0d1013a6e2e506643dc1b07f1d",
         # the on-device format: a change to it re-pins these and says why. Last
-        # re-pinned when the bloom hash became the folded product: device0.dat
-        # holds other prune bits, and count spills other false promotions (as
-        # many of them here, so trace.csv did not move)
-        "trace.csv": "8b3a093ff16caed5c713245e988a5172b6c10bf074cfcc91388ad85cf48634a4",
-        "device0.dat": "e46f40b2fb56ee673c582c0eeab44b9391edde298b78d9eff1bcb2f6119daf89",
+        # re-pinned when count.pN stopped being checkpointed and filter.pN
+        # stopped holding read bases: the two count.pN handle blobs are gone,
+        # each filter.pN blob is shorter, and the device writes 2,820 bytes less
+        "trace.csv": "20b203b32222f45edd29b0fad7d24ab9223975c011eecb514eb61cffbbb3246e",
+        "device0.dat": "263bde159a4cf794a7f339f59c8cac64820d9381412cabc2b6d383427cc1973c",
     },
 }
 

@@ -1,12 +1,13 @@
 """Pipeline driver: stage composition, invariances, checkpoint semantics."""
 
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmerfab import stages
+from kmerfab import pipeline, stages
 from kmerfab.fabric import FileBacking, Namespace, VirtualDevice
 from kmerfab.kmers import Origin, Read, canonical_codes
 from kmerfab.pipeline import Checkpoints, PipelineConfig, PipelineResult, run_pipeline
@@ -47,6 +48,7 @@ def test_matches_manual_stage_composition(small_instance):
     runs = count(codes, pf, 0, None, store)
     table = merge_runs(runs, store)
     idx = filter_candidates(table, codes, 0, 4, 1)
+    idx.fill_reads(normal, tumoral)
     groups = group(idx, 3)
 
     assert result.index.to_bytes() == idx.to_bytes()
@@ -67,10 +69,24 @@ def test_partition_and_spill_invariance(partitions, capacity, small_instance):
 def test_stage_times_recorded(small_instance):
     normal, tumoral = small_instance
     result = run(normal, tumoral, partitions=2)
-    # merge is no stage: the filter.pN outputs are merged in memory; group is
-    # none either, but it is timed
+    # merge is no stage: the filter.pN outputs are merged in memory; count.pN
+    # and group are none either, but they are timed
     assert result.stage_seconds.keys() == {"prune", "count.p0", "filter.p0", "count.p1",
                                            "filter.p1", "group"}
+
+
+def test_filter_time_leaves_its_count_out(small_instance, monkeypatch):
+    count_ = pipeline.count
+
+    def slow_count(*args):
+        time.sleep(0.05)
+        return count_(*args)
+
+    monkeypatch.setattr(pipeline, "count", slow_count)
+    result = run(*small_instance, partitions=2)
+    for p in range(2):
+        assert result.stage_seconds[f"count.p{p}"] >= 0.05
+        assert result.stage_seconds[f"filter.p{p}"] < 0.05
 
 
 def test_spill_trace_is_append_sequential(small_instance):

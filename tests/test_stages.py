@@ -47,7 +47,7 @@ def exact_table(normal, tumoral, k=K):
         idx = 1 if read.origin is Origin.TUMORAL else 0
         for code in canonical_codes(read.bases, k):
             entries.setdefault(code, [0, 0])[idx] += 1
-    return FrequencyTable([], entries)
+    return FrequencyTable(entries)
 
 
 class _PassFilter:
@@ -396,6 +396,8 @@ def test_filter_matches_oracle():
         assert got[s].t_count == e["t"]
         assert got[s].normal_ids == sorted(e["normal_ids"])
         assert got[s].tumoral_ids == sorted(e["tumoral_ids"])
+    assert idx.reads == {}  # the bases come after merge, from the parsed inputs
+    idx.fill_reads(normal, tumoral)
     assert set(idx.reads) == stored
 
 
@@ -403,6 +405,7 @@ def test_filter_read_store_unique():
     normal, tumoral = random_instance(seed=8, n_reads=200)
     idx = filter_candidates(exact_table(normal, tumoral),
                             ReadCodes(normal, tumoral, K), 0, 4, 1)
+    idx.fill_reads(normal, tumoral)
     _, stored = candidate_view(normal, tumoral, K, 4, 1)
     assert len(idx.reads) == len(stored)
     bases = {(r.origin, r.id): r.bases for r in [*normal, *tumoral]}
@@ -444,6 +447,10 @@ def test_merge_partitions_equals_whole():
     for nxt in parts[1:]:
         merged = merge_indexes(merged, nxt)
     assert merged.to_bytes() == whole.to_bytes()
+    # index.bin holds the merged index with its reads filled in
+    merged.fill_reads(normal, tumoral)
+    whole.fill_reads(normal, tumoral)
+    assert merged.to_bytes() == whole.to_bytes()
 
 
 def test_merge_associative_and_commutative():
@@ -478,11 +485,40 @@ def test_merge_rejects_a_shared_candidate():
 def test_index_serialization_roundtrip():
     normal, tumoral = random_instance(seed=13, n_reads=150)
     idx = build_index(normal, tumoral)
+    idx.fill_reads(normal, tumoral)
     data = idx.to_bytes()
     clone = CandidateIndex.from_bytes(data)
     assert clone.to_bytes() == data
     assert clone.k == idx.k
-    assert set(clone.candidates) == set(idx.candidates)
+    assert clone.candidates == idx.candidates
+    assert clone.reads == idx.reads
+
+
+def test_fill_reads_takes_read_i_from_position_i():
+    normal, tumoral = random_instance(seed=13, n_reads=150)
+    idx = build_index(normal, tumoral)
+    listed = min(i for e in idx.candidates.values() for i in e.tumoral_ids)
+    shifted = [Read(r.id + 1, r.origin, r.bases) for r in tumoral]
+    with pytest.raises(StageError, match=f"tumoral read at position {listed} has id "
+                                         f"{listed + 1}"):
+        idx.fill_reads(normal, shifted)
+
+
+def test_to_bytes_holds_one_buffer():
+    # 1,000 candidates whose tumoral bitmaps span 10,000 bytes each: a 10 MB index
+    idx = CandidateIndex(K)
+    for code in range(1000):
+        idx.candidates[code] = CandidateEntry(0, 4, [], [code, 79_999])
+    idx.reads[(Origin.TUMORAL, 0)] = "ACGT" * 25
+    tracemalloc.start()
+    try:
+        data = idx.to_bytes()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data) > 10_000_000
+    assert peak <= 1.5 * len(data), peak / len(data)
+    assert CandidateIndex.from_bytes(data).candidates == idx.candidates
 
 
 def test_filter_index_group_at_read_id_999_999():
@@ -490,7 +526,7 @@ def test_filter_index_group_at_read_id_999_999():
     # tumoral bitmap spans 10^6 bits, past every 64-bit and byte edge below it
     kmer = "ACGTACGTACGTACG"
     tumoral = [Read(0, Origin.TUMORAL, kmer), Read(999_999, Origin.TUMORAL, kmer)]
-    table = FrequencyTable([], {code_of(kmer): (0, 2)})
+    table = FrequencyTable({code_of(kmer): (0, 2)})
     codes = ReadCodes([], tumoral, K)
     tracemalloc.start()
     try:
@@ -501,6 +537,8 @@ def test_filter_index_group_at_read_id_999_999():
     assert held < 10_000  # the id list, not a 125 KB int as wide as the largest id
     entry = idx.candidates[code_of(kmer)]
     assert (entry.normal_ids, entry.tumoral_ids) == ([], [0, 999_999])
+    # read i sits at position i of its input: a mapping stands in for the list
+    idx.fill_reads([], {0: tumoral[0], 999_999: tumoral[1]})
     data = idx.to_bytes()
     *_, nb_len, tb_len = struct.unpack_from("<QIIII", data, 8 + struct.calcsize("<IQQ"))
     assert (nb_len, tb_len) == (0, 125_000)
@@ -521,8 +559,9 @@ def test_group_single_shared_kmer():
     normal = [Read(i, Origin.NORMAL, "T" * 20) for i in range(3)]
     normal.append(Read(3, Origin.NORMAL, kmer))
     tumoral = [Read(0, Origin.TUMORAL, kmer + "T") for _ in range(1)]
-    table = FrequencyTable([], {code_of(kmer): (1, 1)})
+    table = FrequencyTable({code_of(kmer): (1, 1)})
     idx = filter_candidates(table, ReadCodes(normal, tumoral, K), 0, 1, 1)
+    idx.fill_reads(normal, tumoral)
     groups = group(idx, min_candidates=1)
     assert len(groups) == 1
     assert groups[0].seed == (Origin.TUMORAL, 0)
@@ -533,6 +572,7 @@ def test_group_single_shared_kmer():
 def test_group_min_candidates_too_high():
     normal, tumoral = random_instance(seed=14, n_reads=150)
     idx = build_index(normal, tumoral)
+    idx.fill_reads(normal, tumoral)
     max_per_read = 0
     for bases in idx.reads.values():
         max_per_read = max(max_per_read,
@@ -544,6 +584,7 @@ def test_group_matches_oracle():
     for seed in (15, 16, 17):
         normal, tumoral = random_instance(seed=seed, n_reads=200)
         idx = build_index(normal, tumoral)
+        idx.fill_reads(normal, tumoral)
         got = group(idx, min_candidates=2)
         expect = expected_groups(normal, tumoral, K, 4, 1, min_candidates=2)
         assert len(got) == len(expect)
