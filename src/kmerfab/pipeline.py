@@ -2,15 +2,16 @@
 
 Prune and each partition's filter.pN are checkpointed, once: a small
 manifest (stage -> blob handle on the bound namespace, plus a config/input
-fingerprint and the store cursor) makes reruns skip completed stages.
-count.pN runs, timed, inside the filter.pN that consumes it and is never
+fingerprint) makes reruns skip completed stages. A run loads first: every
+filter.pN that loads skips its partition. Then it computes what is missing:
+every read's codes, once; prune, loaded or computed; then count.pN and
+filter.pN for each missing partition in order. So a rerun that loads every
+filter.pN extracts no codes and never reads prune. count.pN is never
 checkpointed: a loaded count would spare only its loop, as its filter pass
-extracts every read's codes anyway. A filter.pN lists read ids, not bases;
-the merged index takes the bases from the inputs, which every run parses.
-Prune is loaded or computed by the first filter.pN that is computed, before
-any bucket is freed, so a rerun that loads every filter.pN never reads it.
-Merge and group are no stages either: the filter.pN outputs are merged in
-memory and grouped on every run, a rerun too.
+reads every code of its partition anyway. A filter.pN lists read ids, not
+bases; the merged index takes the bases from the inputs, which every run
+parses. Merge and group are no stages either: the filter.pN outputs are
+merged in memory and grouped on every run, a rerun too.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 import re
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
 
@@ -80,8 +81,9 @@ class Checkpoints:
 
     The manifest can be persisted as JSON so a later process run resumes;
     a fingerprint mismatch or an unreadable manifest discards all recorded
-    stages, and a stage whose checkpoint fails to load counts as absent.
-    Either way the pipeline recomputes what is missing.
+    stages, and an entry whose handle holds a field that is no int, or
+    whose checkpoint fails to load, is dropped. Either way the pipeline
+    recomputes what is missing, appended behind the furthest blob still named.
     """
 
     def __init__(self, store: SpillStore, fingerprint: str, path: Path | None = None):
@@ -93,12 +95,14 @@ class Checkpoints:
             try:
                 raw = json.loads(path.read_text())
                 if raw.get("fingerprint") == fingerprint:
-                    # only the names run_pipeline saves: a later save rewrites the manifest
+                    # only the names run_pipeline saves, with the int fields the cursor
+                    # adds up: a later save rewrites the manifest
                     self._stages = {name: BlobHandle(**h) for name, h in raw["stages"].items()
-                                    if re.fullmatch(r"prune|filter\.p\d+", name)}
-                    store.append_cursor = max(store.append_cursor, int(raw.get("cursor", 0)))
+                                    if re.fullmatch(r"prune|filter\.p\d+", name)
+                                    and all(type(v) is int for v in h.values())}
             except (ValueError, KeyError, TypeError, AttributeError):
                 self._stages = {}
+        self._place_cursor()
 
     def save(self, stage: str, payload: bytes) -> None:
         self._stages[stage] = self.store.append_blob(payload)
@@ -111,14 +115,20 @@ class Checkpoints:
         try:
             return from_bytes(self.store.read_blob(self._stages[stage]))
         except LOAD_ERRORS:
+            del self._stages[stage]
+            self._place_cursor()
             return None
+
+    def _place_cursor(self) -> None:
+        # run_pipeline loads every blob it reads before it appends: a damaged handle moves none
+        self.store.append_cursor = max(
+            (h.start_address + h.length for h in self._stages.values()), default=0)
 
     def _persist(self) -> None:
         if self.path is None:
             return
         doc = {
             "fingerprint": self.fingerprint,
-            "cursor": self.store.append_cursor,
             "stages": {name: vars(h) for name, h in self._stages.items()},
         }
         # a killed writer leaves the old manifest or the new one, never a torn one
@@ -131,8 +141,8 @@ class Checkpoints:
 class PipelineResult:
     index: CandidateIndex
     groups: list[GroupResult]
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    skipped: set[str] = field(default_factory=set)
+    stage_seconds: dict[str, float]
+    skipped: set[str]
 
 
 def run_pipeline(
@@ -142,69 +152,57 @@ def run_pipeline(
     store: SpillStore,
     checkpoints: Checkpoints | None = None,
 ) -> PipelineResult:
-    """Execute the whole pipeline, honoring existing stage checkpoints."""
+    """Execute the whole pipeline: load what loads, then compute what is missing."""
     cp = checkpoints or Checkpoints(store, fingerprint="", path=None)
-    result = PipelineResult(index=CandidateIndex(config.k), groups=[])
-    nested = 0.0  # seconds the running stage has spent in the stages it consumes
+    seconds: dict[str, float] = {}
+    loaded: set[str] = set()
 
-    def stage(name: str, compute, to_bytes=None, from_bytes=None):
-        """Load stage `name` from its checkpoint, or compute it and save it; a
-        stage given no codec is computed on every run and never saved.
-
-        Its recorded time covers its own load or compute only: neither its
-        checkpoint write nor the stages nested in it.
-        """
-        nonlocal nested
-        outer, nested = nested, 0.0
-        t0 = time.perf_counter()
+    def named(name: str, work):
+        """`work()`; a failure in it raises StageError naming stage `name`."""
         try:
-            out = cp.load(name, from_bytes) if from_bytes else None
-            if out is not None:
-                result.skipped.add(name)
-            else:
-                out = compute()
-            result.stage_seconds[name] = time.perf_counter() - t0 - nested
-            if to_bytes and name not in result.skipped:
-                cp.save(name, to_bytes(out))
+            return work()
         except StageError:
             raise
         except Exception as exc:
             raise StageError(f"stage {name} failed: {exc}") from exc
-        nested = outer + time.perf_counter() - t0
+
+    def timed(name: str, work):
+        """`work()` as stage `name`, timed alone."""
+        t0 = time.perf_counter()
+        out = named(name, work)
+        seconds[name] = time.perf_counter() - t0
         return out
 
-    # each read's codes, extracted and bucketed by the first stage that is not checkpointed
-    codes: ReadCodes | None = None
+    def load(name: str, from_bytes):
+        """Stage `name` from its checkpoint, timed; None if it does not load."""
+        t0 = time.perf_counter()
+        out = named(name, lambda: cp.load(name, from_bytes))
+        if out is not None:
+            seconds[name] = time.perf_counter() - t0
+            loaded.add(name)
+        return out
 
-    def read_codes(done: int = 0) -> ReadCodes:
-        nonlocal codes
-        if codes is None:
-            codes = ReadCodes(normal, tumoral, config.k, config.partitions)
-        for p in range(done):  # partitions run in order: no pass reads these buckets again
+    partitions = range(config.partitions)
+    indexes = [load(f"filter.p{p}", CandidateIndex.from_bytes) for p in partitions]
+    missing = [p for p in partitions if indexes[p] is None]
+    if missing:
+        codes = ReadCodes(normal, tumoral, config.k, config.partitions)
+        pf = load("prune", BloomFilter.from_bytes)
+        if pf is None:
+            pf = timed("prune", lambda: prune(codes, config.prune_fp))
+            named("prune", lambda: cp.save("prune", pf.to_bytes()))
+        for p in partitions:
+            if indexes[p] is not None:  # loaded: no pass reads its bucket
+                codes.release(p)
+        for p in missing:
+            table = timed(f"count.p{p}", lambda: merge_runs(
+                count(codes, pf, p, config.capacity_limit, store), store))
+            indexes[p] = timed(f"filter.p{p}", lambda: filter_candidates(
+                table, codes, p, config.tau_t, config.tau_n))
             codes.release(p)
-        return codes
-
-    pf: BloomFilter | None = None  # the prune stage, resolved by the first filter pass that runs
-
-    def filter_pass(p: int) -> CandidateIndex:
-        nonlocal pf
-        if pf is None:  # before this pass or its count frees a bucket a computed prune reads
-            pf = stage("prune", lambda: prune(read_codes(), config.prune_fp),
-                       BloomFilter.to_bytes, BloomFilter.from_bytes)
-        table = stage(f"count.p{p}", lambda: merge_runs(
-            count(read_codes(p), pf, p, config.capacity_limit, store), store))
-        index = filter_candidates(table, read_codes(p), p,
-                                  config.tau_t, config.tau_n)
-        codes.release(p)
-        return index
-
-    index = reduce(merge_indexes, [stage(f"filter.p{p}", lambda: filter_pass(p),
-                                         CandidateIndex.to_bytes, CandidateIndex.from_bytes)
-                                   for p in range(config.partitions)])
-    # frees the buckets only prune read and those of partitions whose filter.pN
-    # was loaded; group extracts its own reads
-    codes = None
-    index.fill_reads(normal, tumoral)
-    result.groups = stage("group", lambda: group(index, config.min_candidates))
-    result.index = index
-    return result
+            del table  # before the next count builds its own: one table lives at a time
+            named(f"filter.p{p}", lambda: cp.save(f"filter.p{p}", indexes[p].to_bytes()))
+    index = reduce(merge_indexes, indexes)
+    index.fill_reads(normal, tumoral)  # group extracts its own reads' codes
+    groups = timed("group", lambda: group(index, config.min_candidates))
+    return PipelineResult(index, groups, seconds, loaded)

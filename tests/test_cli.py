@@ -231,11 +231,11 @@ def kill_after_count_p1(out):
     manifest.write_text(json.dumps(doc))
 
 
-def flip_byte_in_first_run_of_p1(out):
-    """Damage the payload of partition 1's first spill run, the blob just
-    after filter.p0's: stages are saved in partition order, each after its
-    partition's spill runs."""
-    blob = json.loads((out / "checkpoints.json").read_text())["stages"]["filter.p0"]
+def flip_byte_in_first_run_after(out, stage):
+    """Damage the payload of the spill run just after `stage`'s blob: prune's
+    for partition 0, filter.p0's for partition 1. Stages are saved in
+    partition order, each after its partition's spill runs."""
+    blob = json.loads((out / "checkpoints.json").read_text())["stages"][stage]
     device = bytearray((out / "device0.dat").read_bytes())
     device[blob["start_address"] + blob["length"] + HEADER_SIZE + 3] ^= 0xFF
     (out / "device0.dat").write_bytes(bytes(device))
@@ -264,14 +264,22 @@ def test_rerun_after_kill_between_count_and_filter(toy_inputs, capsys):
         assert (out / name).read_bytes() == data
 
 
-def test_rerun_recounts_partition_whose_spill_run_is_damaged(toy_inputs, capsys,
-                                                             monkeypatch):
+@pytest.mark.parametrize("missing, loaded, run_after, buckets", [
+    (1, 0, "filter.p0", [False, True]),
+    (0, 1, "prune", [True, False]),  # bucket 1 is freed before count.p0 runs
+], ids=["filter_p1_missing", "filter_p0_missing"])
+def test_rerun_recounts_partition_whose_spill_run_is_damaged(toy_inputs, capsys, monkeypatch,
+                                                             missing, loaded, run_after,
+                                                             buckets):
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     first = {name: (out / name).read_bytes() for name in OUTPUTS}
-    kill_after_count_p1(out)
-    flip_byte_in_first_run_of_p1(out)  # the rerun counts anew and never reads it
+    flip_byte_in_first_run_after(out, run_after)  # the rerun counts anew and never reads it
+    manifest = out / "checkpoints.json"
+    doc = json.loads(manifest.read_text())
+    del doc["stages"][f"filter.p{missing}"]
+    manifest.write_text(json.dumps(doc))
     held = []
     count = pipeline.count
 
@@ -284,10 +292,10 @@ def test_rerun_recounts_partition_whose_spill_run_is_damaged(toy_inputs, capsys,
 
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     stages = stage_lines(capsys.readouterr().out)
-    assert stages["stage filter.p0"].endswith("(checkpoint)")
-    assert not stages["stage count.p1"].endswith("(checkpoint)")
-    # only count.p1 ran; filter.p0 was loaded, so bucket 0 was freed unread
-    assert held == [[False, True]]
+    assert stages[f"stage filter.p{loaded}"].endswith("(checkpoint)")
+    assert not stages[f"stage count.p{missing}"].endswith("(checkpoint)")
+    # only the missing partition's count ran; the loaded one's bucket was freed unread
+    assert held == [buckets]
     for name, data in first.items():
         assert (out / name).read_bytes() == data
 
@@ -400,6 +408,53 @@ def test_rerun_after_kill_between_count_blob_and_manifest(toy_inputs, monkeypatc
         assert (out / name).read_bytes() == (toy_inputs / "ref" / name).read_bytes()
 
 
+@pytest.mark.parametrize("damage", ["cursor_past_the_end", "start_past_the_end",
+                                    "ends_10_bytes_short"])
+def test_rerun_appends_behind_the_furthest_blob_that_loads(toy_inputs, damage):
+    """No manifest field and no damaged handle moves an append: the rerun's
+    first write starts where filter.p0, the furthest blob that loads, ends."""
+    namespace_end = 100000000  # run_config's namespace_size
+    out = toy_inputs / "out"
+    cfg = run_config(toy_inputs)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    first = {name: (out / name).read_bytes() for name in OUTPUTS}
+    manifest = out / "checkpoints.json"
+    doc = json.loads(manifest.read_text())
+    handle = doc["stages"]["filter.p1"]
+    if damage == "cursor_past_the_end":  # as a manifest that stored its cursor could say
+        doc["cursor"] = 10**15
+        del doc["stages"]["filter.p1"]
+    elif damage == "start_past_the_end":
+        handle["start_address"] = namespace_end + 1
+    else:
+        handle["length"] = namespace_end - 10 - handle["start_address"]
+    manifest.write_text(json.dumps(doc))
+
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    for name, data in first.items():
+        assert (out / name).read_bytes() == data
+    with open(out / "trace.csv") as fh:
+        writes = [r for r in parse_trace_csv(fh) if r.kind == "write"]
+    loaded = doc["stages"]["filter.p0"]
+    assert writes[0].start == loaded["start_address"] + loaded["length"]
+
+
+@pytest.mark.parametrize("start", ["64", None, 1.5], ids=["str", "null", "float"])
+def test_rerun_drops_a_manifest_entry_whose_field_is_no_int(toy_inputs, start):
+    out = toy_inputs / "out"
+    cfg = run_config(toy_inputs)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    first = {name: (out / name).read_bytes() for name in OUTPUTS}
+    manifest = out / "checkpoints.json"
+    doc = json.loads(manifest.read_text())
+    doc["stages"]["filter.p0"]["start_address"] = start
+    manifest.write_text(json.dumps(doc))
+
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    for name, data in first.items():
+        assert (out / name).read_bytes() == data
+
+
 def test_rerun_in_another_checkpoint_format_is_a_clean_miss(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(CONFIGS.parent)  # toy_run.conf names its inputs from the repo root
     out = tmp_path / "out"
@@ -510,7 +565,9 @@ def test_each_stage_output_written_once(toy_inputs, partitions):
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs, partitions=partitions)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    stages = json.loads((out / "checkpoints.json").read_text())["stages"]
+    doc = json.loads((out / "checkpoints.json").read_text())
+    assert doc.keys() == {"fingerprint", "stages"}  # the store appends behind the last blob
+    stages = doc["stages"]
     assert stages.keys() == {"prune", *(f"filter.p{p}" for p in range(partitions))}
     device = (out / "device0.dat").read_bytes()
     payloads = {name: device[h["start_address"] + HEADER_SIZE:h["start_address"] + h["length"]]

@@ -2,6 +2,7 @@
 
 import os
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,27 @@ def test_filter_time_leaves_its_count_out(small_instance, monkeypatch):
     for p in range(2):
         assert result.stage_seconds[f"count.p{p}"] >= 0.05
         assert result.stage_seconds[f"filter.p{p}"] < 0.05
+
+
+def test_each_partition_table_is_freed_before_the_next_count(small_instance, monkeypatch):
+    """Two partitions' merged tables never live at once: partition p's is
+    dead when partition p + 1 starts counting."""
+    tables, live = [], []
+    count_, merge_runs_ = pipeline.count, pipeline.merge_runs
+
+    def tracked_merge(runs, store):
+        table = merge_runs_(runs, store)
+        tables.append(weakref.ref(table))
+        return table
+
+    def checked_count(*args):
+        live.append([ref() is not None for ref in tables])
+        return count_(*args)
+
+    monkeypatch.setattr(pipeline, "merge_runs", tracked_merge)
+    monkeypatch.setattr(pipeline, "count", checked_count)
+    run(*small_instance, partitions=3, capacity_limit=64)
+    assert live == [[], [False], [False, False]]
 
 
 def test_spill_trace_is_append_sequential(small_instance):
