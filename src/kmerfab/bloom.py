@@ -45,12 +45,19 @@ def blocked_fp(load: float, k: int) -> float:
     Poisson sum over i of each term is exp(-load (1 - (1 - l/64)^k)). The
     query's own repeated draws and the spread of the set-bit count both
     raise the rate above (1 - (63/64)^(i k))^k, by ~7 % at k = 6."""
+    return sum(c * math.exp(-load * e) for c, e in _fp_terms(k))
+
+
+@cache
+def _fp_terms(k: int) -> tuple[tuple[float, float], ...]:
+    """`blocked_fp`'s load-free factors per l = 0..k: the signed coefficient
+    (-1)^l sum_j P(j distinct bits) C(j, l), and 1 - (1 - l/64)^k."""
     distinct = [1.0] + [0.0] * k  # P(the query's k draws hit j distinct bits)
     for _ in range(k):
         distinct = [distinct[j] * j / 64 + (distinct[j - 1] * (65 - j) / 64 if j else 0.0)
                     for j in range(k + 1)]
-    return sum((-1) ** l * sum(p * math.comb(j, l) for j, p in enumerate(distinct))
-               * math.exp(-load * (1 - (1 - l / 64) ** k)) for l in range(k + 1))
+    return tuple(((-1) ** l * sum(p * math.comb(j, l) for j, p in enumerate(distinct)),
+                  1 - (1 - l / 64) ** k) for l in range(k + 1))
 
 
 def _best_hashes(n: int, n_words: int, fp: float) -> int | None:
@@ -120,6 +127,7 @@ class BloomFilter:
         words[(h >> 24) % len(words)] |= self._lo[h & 4095] | self._hi[(h >> 12) & 4095]
 
     def __contains__(self, code: int) -> bool:
+        """The definition of a probe; `stages.count` computes it inline."""
         h = code * _MUM
         h = (h & _MASK64) ^ (h >> 64)
         mask = self._lo[h & 4095] | self._hi[(h >> 12) & 4095]

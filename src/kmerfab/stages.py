@@ -17,8 +17,8 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .bloom import BloomFilter
-from .kmers import Origin, Read, canonical_codes, partition_of
+from .bloom import _MUM, BloomFilter
+from .kmers import _MASK64, Origin, Read, canonical_codes, partition_of
 from .spill import BlobHandle, CorruptionError, SpillStore
 
 
@@ -119,8 +119,10 @@ def count(
     tumoral one 1 << 32; under 2**32 normal windows, no n_count, summed over
     runs too, carries into t_count. A code is looked up in the table first and
     probes `prune_filter` only on a miss: one the table holds passed the same
-    filter earlier in this pass. The final partial table is always flushed, so
-    even an unbounded table produces exactly one run.
+    filter earlier in this pass. The probe is `BloomFilter.__contains__`'s,
+    computed in the loop from the filter's words and pattern tables. The final
+    partial table is always flushed, so even an unbounded table produces
+    exactly one run.
     """
     normal, tumoral = codes.origin_spans(partition_id)
     if len(normal) >> 32:
@@ -128,12 +130,18 @@ def count(
     runs: list[BlobHandle] = []
     entries: dict[int, int] = {}
     get = entries.get
+    words, lo, hi = prune_filter._words, prune_filter._lo, prune_filter._hi
+    n_words = len(words)
     for one, span in ((1, normal), (1 << 32, tumoral)):
         for code in span:
             packed = get(code)
             if packed is not None:
                 entries[code] = packed + one
-            elif code in prune_filter:
+                continue
+            h = code * _MUM  # `code in prune_filter`, inline
+            h = (h & _MASK64) ^ (h >> 64)
+            mask = lo[h & 4095] | hi[(h >> 12) & 4095]
+            if words[(h >> 24) % n_words] & mask == mask:
                 entries[code] = one
                 if capacity_limit is not None and len(entries) >= capacity_limit:
                     runs.append(store.flush_table(entries))

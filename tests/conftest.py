@@ -1,10 +1,11 @@
-"""Shared helpers: randomized read-pair instances with planted repeats."""
+"""Shared helpers: randomized read-pair instances with planted repeats, and
+the codes of low-complexity reads."""
 
 import random
 
 import pytest
 
-from kmerfab.kmers import Origin, Read
+from kmerfab.kmers import Origin, Read, canonical_codes
 
 
 def random_instance(seed, n_reads=None, read_len=(80, 120), k=15,
@@ -50,3 +51,17 @@ def random_instance(seed, n_reads=None, read_len=(80, 120), k=15,
 @pytest.fixture
 def small_instance():
     return random_instance(seed=11, n_reads=160)
+
+
+def tandem_repeat_keys(rng, k=31, read_len=150):
+    """Canonical k-mer codes of reads made of short tandem repeats: a 1-6-base
+    unit repeated to the read length, then ~3 % of its bases redrawn at random.
+    Microsatellites like these are common in real genomes, and their codes
+    share long runs of bits that a weak hash does not spread."""
+    while True:
+        unit = "".join(rng.choice("ACGT") for _ in range(rng.randint(1, 6)))
+        bases = list((unit * -(-read_len // len(unit)))[:read_len])
+        for i in range(read_len):
+            if rng.random() < 0.03:
+                bases[i] = rng.choice("ACGT")
+        yield from canonical_codes("".join(bases), k)

@@ -4,6 +4,7 @@ Everything here works on plain strings and sets, independent of the
 package's bit-packed structures, so the two sides can disagree.
 """
 
+import math
 from collections import Counter
 
 from kmerfab.kmers import Origin
@@ -105,3 +106,15 @@ def expected_groups(normal, tumoral, k, tau_t, tau_n, min_candidates):
                 members.add(other_key)
         groups.append(((Origin.TUMORAL, rid), members, seed_kmers))
     return groups
+
+
+def blocked_fp_reference(load: float, k: int) -> float:
+    """The blocked false-positive formula as one expression, computed from
+    scratch on every call: what `bloom.blocked_fp` computes from its cached
+    per-k terms, in the same float operations."""
+    distinct = [1.0] + [0.0] * k  # P(the query's k draws hit j distinct bits)
+    for _ in range(k):
+        distinct = [distinct[j] * j / 64 + (distinct[j - 1] * (65 - j) / 64 if j else 0.0)
+                    for j in range(k + 1)]
+    return sum((-1) ** l * sum(p * math.comb(j, l) for j, p in enumerate(distinct))
+               * math.exp(-load * (1 - (1 - l / 64) ** k)) for l in range(k + 1))

@@ -4,11 +4,18 @@ breaks `perfbench/run.py --trace 1`. This runs its wrappers on the toy config
 and on the default simulation scenario with all three instances on one host,
 so that memory pressure adds spill writes to the flush writes. It also runs
 one untraced pipeline_spill iteration of the benchmark, whose checks read the
-files the program writes."""
+files the program writes, and pins the files `kmerfab run` writes on the
+benchmark's input under both pipeline workloads' settings."""
 
+import hashlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from kmerfab.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -128,3 +135,46 @@ def test_benchmark_pipeline_iteration_passes_its_checks(tmp_path):
         cwd=REPO, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def load_benchmark_inputs():
+    """perfbench/inputs.py, loaded from its file under a name of its own."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  REPO / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of `kmerfab run`'s files on the benchmark's seed-101 input with 4 KiB
+# chunks, per workload's (partitions, capacity_limit). The shipped toy config
+# runs P = 2 at capacity 256 only; a change to them re-pins these and says why
+BENCHMARK_DIGESTS = {
+    "pipeline_spill": ((4, 512), {
+        "index.bin": "97a3c839e84f2c9934dc82716c4fa3fdc8c8ff4edb1f02dfef3cba6630922ffc",
+        "groups.csv": "61f6bf9033ab610aa972963be2b435e0f490e629c09728484c4e10a264875b9c",
+        "device0.dat": "416bcd65946a4bb06d4df14969d2297a9dd5b57e78353525aba66a6802622571",
+        "trace.csv": "291d332cf9adb9b14b400d90e8992cd4154527c7c8020cc5f19a3770fc7f440d",
+    }),
+    "pipeline_inmem": ((1, 0), {
+        "index.bin": "97a3c839e84f2c9934dc82716c4fa3fdc8c8ff4edb1f02dfef3cba6630922ffc",
+        "groups.csv": "61f6bf9033ab610aa972963be2b435e0f490e629c09728484c4e10a264875b9c",
+        "device0.dat": "79c8e0e65121f6ac201bfdd2a14522241dadf5bd51f24d9df38d5a3034039bdf",
+        "trace.csv": "dab57ab1836f47470ee5ebd1caea4938a4b4516ca2c212383d5725477466d2aa",
+    }),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_input_outputs_are_pinned(tmp_path, workload):
+    (partitions, capacity_limit), expect = BENCHMARK_DIGESTS[workload]
+    inputs = load_benchmark_inputs()
+    inputs.write_inputs(101, tmp_path)
+    conf = tmp_path / "run.conf"
+    conf.write_text(inputs.run_config(tmp_path / "normal.fa", tmp_path / "tumoral.fa",
+                                      partitions=partitions, capacity_limit=capacity_limit,
+                                      chunk_size=4096))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in expect} == expect

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from kmerfab import bloom
 from kmerfab.bloom import MAX_HASHES, BloomFilter, blocked_fp, optimal_bits
-from kmerfab.kmers import canonical_codes, mix64
+from kmerfab.kmers import mix64
 from kmerfab.stages import PRUNE_FP, bitmap_ids, ids_to_bitmap
+from conftest import tandem_repeat_keys
+from oracle import blocked_fp_reference
 
 
 def test_bitmap_set_test_iterate():
@@ -105,20 +107,6 @@ def random_keys(rng):
         yield rng.randrange(0, 1 << 62)
 
 
-def tandem_repeat_keys(rng, k=31, read_len=150):
-    """Canonical k-mer codes of reads made of short tandem repeats: a 1-6-base
-    unit repeated to the read length, then ~3 % of its bases redrawn at random.
-    Microsatellites like these are common in real genomes, and their codes
-    share long runs of bits that a weak hash does not spread."""
-    while True:
-        unit = "".join(rng.choice("ACGT") for _ in range(rng.randint(1, 6)))
-        bases = list((unit * -(-read_len // len(unit)))[:read_len])
-        for i in range(read_len):
-            if rng.random() < 0.03:
-                bases[i] = rng.choice("ACGT")
-        yield from canonical_codes("".join(bases), k)
-
-
 def measured_fp(target, keys, n=20_000):
     """The rate at which a filter sized for n keys at `target`, holding the
     first n distinct keys of `keys`, answers yes for its later distinct keys."""
@@ -162,6 +150,25 @@ def test_with_capacity_quick_and_bounded_at_the_range_ends(target, monkeypatch):
     words = -(-optimal_bits(n, target) // 64)
     assert len(calls) <= 1 + 3 + (4 * words).bit_length() + 1
     assert blocked_fp(n / (bf.n_bits // 64), bf.n_hashes) <= target
+
+
+def test_blocked_fp_equals_the_uncached_formula():
+    """The per-k terms are cached; the rate is still the formula's, to the bit."""
+    rng = random.Random(29)
+    loads = [0.0, 1e-9, 1e3, *(rng.uniform(0, 40) for _ in range(300)),
+             *(10 ** rng.uniform(-9, 3) for _ in range(300))]
+    for k in range(1, MAX_HASHES + 1):
+        for load in loads:
+            assert blocked_fp(load, k) == blocked_fp_reference(load, k), (load, k)
+
+
+@pytest.mark.parametrize("fp, n_bits, n_hashes", [
+    (PRUNE_FP[0], 16_680_512, 12), (0.01, 1_192_960, 5), (PRUNE_FP[1], 141_824, 1),
+])
+def test_with_capacity_at_the_benchmark_window_count(fp, n_bits, n_hashes):
+    """Sizes for the 98,277 windows of the benchmark's input at seed 101."""
+    bf = BloomFilter.with_capacity(98_277, fp)
+    assert (bf.n_bits, bf.n_hashes) == (n_bits, n_hashes)
 
 
 @pytest.mark.parametrize("fp", [PRUNE_FP[0], 1e-4, 0.01, 0.05, PRUNE_FP[1]])

@@ -4,6 +4,8 @@ import hashlib
 import random
 import struct
 import tracemalloc
+from array import array
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from kmerfab.stages import (
     merge_runs,
     prune,
 )
-from conftest import random_instance
+from conftest import random_instance, tandem_repeat_keys
 from oracle import candidate_view, code_of, exact_counts, expected_groups, kmer_of
 
 K = 15
@@ -50,9 +52,10 @@ def exact_table(normal, tumoral, k=K):
     return FrequencyTable(entries)
 
 
-class _PassFilter:
-    def __contains__(self, code):
-        return True
+def saturated_filter(n_words=1, n_hashes=1):
+    """A filter every code passes: each word has all 64 bits set."""
+    return BloomFilter.from_bytes(struct.pack("<QI", 64 * n_words, n_hashes)
+                                  + b"\xff" * (8 * n_words))
 
 
 # -- read codes ----------------------------------------------------------
@@ -186,7 +189,7 @@ def test_prune_insert_matches_two_query_reference():
 def test_count_unbounded_single_run():
     normal, tumoral = random_instance(seed=3, n_reads=120)
     store = make_store()
-    runs = count(ReadCodes(normal, tumoral, K), _PassFilter(), 0, None, store)
+    runs = count(ReadCodes(normal, tumoral, K), saturated_filter(), 0, None, store)
     assert len(runs) == 1
     merged = merge_runs(runs, store)
     expect = exact_counts(normal, tumoral, K)
@@ -197,7 +200,7 @@ def test_count_unbounded_single_run():
 def test_count_capacity_one_spills_every_touch():
     normal, tumoral = random_instance(seed=4, n_reads=30)
     store = make_store()
-    runs = count(ReadCodes(normal, tumoral, K), _PassFilter(), 0, 1, store)
+    runs = count(ReadCodes(normal, tumoral, K), saturated_filter(), 0, 1, store)
     total_occurrences = sum(
         n + t for n, t in exact_counts(normal, tumoral, K).values())
     assert len(runs) == total_occurrences
@@ -211,9 +214,9 @@ def test_count_spill_schedule_invariant(cap):
     normal, tumoral = random_instance(seed=5, n_reads=150)
     store_a = make_store()
     codes = ReadCodes(normal, tumoral, K)
-    runs_a = count(codes, _PassFilter(), 0, cap, store_a)
+    runs_a = count(codes, saturated_filter(), 0, cap, store_a)
     store_b = make_store()
-    runs_b = count(codes, _PassFilter(), 0, None, store_b)
+    runs_b = count(codes, saturated_filter(), 0, None, store_b)
     assert merge_runs(runs_a, store_a).entries == merge_runs(runs_b, store_b).entries
 
 
@@ -223,21 +226,23 @@ def test_count_partitions_combine_to_whole():
     codes = ReadCodes(normal, tumoral, K, 2)
     combined = {}
     for p in range(2):
-        runs = count(codes, _PassFilter(), p, None, store)
+        runs = count(codes, saturated_filter(), p, None, store)
         part = merge_runs(runs, store).entries
         assert not (set(combined) & set(part))
         combined.update(part)
     store2 = make_store()
-    runs = count(ReadCodes(normal, tumoral, K), _PassFilter(), 0, None, store2)
+    runs = count(ReadCodes(normal, tumoral, K), saturated_filter(), 0, None, store2)
     assert combined == merge_runs(runs, store2).entries
 
 
-class _CountingPrune(BloomFilter):
+class _CountingWords(array):
+    """A filter's words that count their reads: a probe reads one word."""
+
     probes = 0
 
-    def __contains__(self, code):
+    def __getitem__(self, i):
         self.probes += 1
-        return super().__contains__(code)
+        return super().__getitem__(i)
 
 
 def test_count_probes_prune_filter_only_in_own_partition():
@@ -246,14 +251,15 @@ def test_count_probes_prune_filter_only_in_own_partition():
     is not yet in the table (its code failed the filter, or comes first)."""
     normal, tumoral = random_instance(seed=9, n_reads=120)
     plain = prune(ReadCodes(normal, tumoral, K), 0.01)
-    pf = _CountingPrune.from_bytes(plain.to_bytes())
+    pf = BloomFilter.from_bytes(plain.to_bytes())
+    pf._words = words = _CountingWords("Q", pf._words)
     windows = [c for r in [*normal, *tumoral] for c in canonical_codes(r.bases, K)]
     codes = ReadCodes(normal, tumoral, K, 4)
     for p in range(4):
         own = [c for c in windows if partition_of(c, 4) == p]
-        pf.probes = 0
+        words.probes = 0
         count(codes, pf, p, 1, make_store())
-        assert pf.probes == len(own)
+        assert words.probes == len(own)
         table, misses = set(), 0
         for c in own:
             if c not in table:
@@ -261,9 +267,9 @@ def test_count_probes_prune_filter_only_in_own_partition():
                 if c in plain:
                     table.add(c)
         assert misses < len(own)
-        pf.probes = 0
+        words.probes = 0
         count(codes, pf, p, None, make_store())
-        assert pf.probes == misses
+        assert words.probes == misses
 
 
 def probe_first_count(codes, prune_filter, partition_id, capacity_limit, store):
@@ -305,6 +311,58 @@ def test_count_spill_runs_match_probe_first_reference(cap, partitions):
         assert [store.read_blob(h) for h in again] == [store.read_blob(h) for h in runs]
 
 
+def probe_inputs(kind):
+    """One partition's normal and tumoral spans: random 62-bit codes drawn
+    with repeats from a pool, or the codes of tandem-repeat reads."""
+    rng = random.Random(31)
+    if kind == "random":
+        pool = [rng.getrandbits(62) for _ in range(600)]
+        keys = iter(lambda: rng.choice(pool), None)
+    else:
+        keys = tandem_repeat_keys(rng)
+    return _SpanCodes(array("Q", islice(keys, 900)), array("Q", islice(keys, 900)))
+
+
+def probe_filter(kind, codes):
+    """A filter of `kind`; one with set words holds four of the distinct
+    codes in `codes` per word, so some codes pass and some do not."""
+    if kind == "empty":
+        return BloomFilter(5 * 64, 4)
+    if kind == "saturated":
+        return saturated_filter(3, 6)
+    n_words, n_hashes = {"1 word": (1, 3), "3 words": (3, 5)}.get(kind, (37, 7))
+    bf = BloomFilter(64 * n_words, n_hashes)
+    distinct = sorted({c for span in codes.origin_spans(0) for c in span})
+    for code in distinct[::3][:4 * n_words]:
+        bf.add(code)
+    return BloomFilter.from_bytes(bf.to_bytes()) if kind == "reloaded" else bf
+
+
+@pytest.mark.parametrize("inputs", ["random", "tandem repeats"])
+@pytest.mark.parametrize("kind", ["1 word", "3 words", "37 words", "reloaded", "empty",
+                                  "saturated"])
+def test_count_probe_is_the_filters_membership_test(kind, inputs):
+    """count's inline probe passes exactly the codes `in` passes, and its runs
+    are those of a count that probes with `in` before the table."""
+    codes = probe_inputs(inputs)
+    pf = probe_filter(kind, codes)
+    windows = [c for span in codes.origin_spans(0) for c in span]
+    passed = {c for c in windows if c in pf}
+    if kind == "empty":
+        assert not passed
+    elif kind == "saturated":
+        assert passed == set(windows)
+    else:
+        assert 0 < len(passed) < len(set(windows))
+    store = make_store()
+    assert merge_runs(count(codes, pf, 0, None, store), store).entries.keys() == passed
+    for cap in (1, 7, None):
+        store, ref_store = make_store(), make_store()
+        runs = count(codes, pf, 0, cap, store)
+        ref_runs = probe_first_count(codes, pf, 0, cap, ref_store)
+        assert [store.read_blob(h) for h in runs] == [ref_store.read_blob(h) for h in ref_runs]
+
+
 class _HugeSpan:
     """A normal span of `length` windows that holds none: count must check
     its length before it counts."""
@@ -320,20 +378,22 @@ class _HugeSpan:
 
 
 class _SpanCodes:
-    def __init__(self, normal):
-        self.normal = normal
+    """Fixed normal and tumoral spans, one partition's as count reads them."""
+
+    def __init__(self, normal, tumoral=()):
+        self.spans = normal, tumoral
 
     def origin_spans(self, partition_id):
-        return self.normal, []
+        return self.spans
 
 
 def test_count_refuses_a_normal_span_a_32_bit_count_cannot_hold():
     """2**32 normal windows of one code would carry into its t_count."""
     for length in (2**32, 2**40):
         with pytest.raises(StageError, match=r"2\*\*32"):
-            count(_SpanCodes(_HugeSpan(length)), _PassFilter(), 0, None, make_store())
+            count(_SpanCodes(_HugeSpan(length)), saturated_filter(), 0, None, make_store())
     store = make_store()
-    assert count(_SpanCodes(_HugeSpan(2**32 - 1)), _PassFilter(), 0, None, store) == []
+    assert count(_SpanCodes(_HugeSpan(2**32 - 1)), saturated_filter(), 0, None, store) == []
     assert store.append_cursor == 0
 
 
