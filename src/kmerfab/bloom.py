@@ -4,12 +4,19 @@ Each code sets and tests bits of one 64-bit word: one hash picks the word
 and a k-bit mask, and a test is `word & mask == mask` (Putze, Sanders and
 Singler, "Cache-, Hash- and Space-Efficient Bloom Filters", WEA 2007). The
 hash is wyhash's folded product ("mum"), the low XOR the high half of the
-code times an odd constant: under half a `mix64`'s cost, and on target on
-short tandem repeats, where the high half alone is not. The mask is the OR
-of two pattern-table entries, ceil(k/2) bits from `lo` and floor(k/2) from
-`hi`, so two keys in one word share a whole mask about once in 2^24 rather
-than once in 4,096. Blocking costs bits: `with_capacity` sizes the word
-count from the blocked false-positive formula, not from the standard one.
+code times an odd constant: under half a splitmix64 finalizer's cost, and on
+target on short tandem repeats, where the high half alone is not. The mask
+is the OR of two pattern-table entries, ceil(k/2) bits from `lo` and
+floor(k/2) from `hi`, so two keys in one word share a whole mask about once
+in 2^24 rather than once in 4,096. Blocking costs bits: `with_capacity`
+sizes the word count from the blocked false-positive formula, not from the
+standard one.
+
+Bulk hashing is SWAR: one big-int operation acts on every 128-bit slot of
+an int. `_hashes` folds 1,024 codes per multiply for `add_or_promote`, and
+`_patterns` builds a table in one splitmix64 run over its 4,096 inputs. The
+slots are little-endian words, swapped on a big-endian host, so hashes and
+masks are the same on every platform.
 """
 
 from __future__ import annotations
@@ -19,11 +26,13 @@ import struct
 import sys
 from array import array
 from functools import cache
-from typing import Iterable
+from operator import or_
+from typing import Iterator, Sequence
 
-from .kmers import _MASK64, mix64
+from .kmers import _MASK64
 
-MAX_HASHES = 16  # mask bits: lo and hi hold at most 8 draws, within mix64's ten 6-bit chunks
+MAX_HASHES = 16  # mask bits: lo and hi hold at most 8 draws, within a u64's ten 6-bit chunks
+_BLOCK = 1024  # codes per multiply in _hashes: 16 KiB of slots, so memory stays flat
 _TABLE = 4096  # entries per pattern table, indexed by 12 bits of the hash
 _HEAD = struct.Struct("<QI")  # n_bits u64, n_hashes u32
 _MUM = 0xA0761D6478BD642F  # wyhash's first prime; not kmers._HASH_MULT, which partitions codes
@@ -68,19 +77,58 @@ def _best_hashes(n: int, n_words: int, fp: float) -> int | None:
     return k if rate <= fp else None
 
 
+def _slots(values: Sequence[int]) -> int:
+    """u64 `values` as one int, value i in bits 128i to 128i + 63 (its slot)."""
+    slots = array("Q", bytes(16 * len(values)))
+    slots[::2] = array("Q", values)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
+
+
+def _low_words(x: int, n: int) -> array:
+    """The low 64 bits of each of the n 128-bit slots of x < 2**(128 n)."""
+    words = array("Q", x.to_bytes(16 * n, "little"))[::2]
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _hashes(codes: Sequence[int]) -> Iterator[array]:
+    """Each code's folded product, `(p & _MASK64) ^ (p >> 64)` for
+    p = code * _MUM, as `array('Q')` blocks of up to _BLOCK codes.
+
+    A block's codes sit in the 128-bit slots of one int, so one multiply
+    forms every product. Each product is under 2**128, so none carries into
+    the next slot, and one xor-shift folds them all (SWAR, Fisher and Dietz,
+    LCPC 1998)."""
+    for start in range(0, len(codes), _BLOCK):
+        block = codes[start:start + _BLOCK]
+        p = _slots(block) * _MUM
+        yield _low_words(p ^ (p >> 64), len(block))
+
+
 @cache
 def _patterns(bits: int, seed: int) -> tuple[int, ...]:
     """4,096 masks, each the OR of `bits` independent draws of a bit, taken
-    from the 6-bit chunks of mix64(seed + i)."""
-    out = []
-    for i in range(seed, seed + _TABLE):
-        h = mix64(i)
-        mask = 0
-        for _ in range(bits):
-            mask |= 1 << (h & 63)
-            h >>= 6
-        out.append(mask)
-    return tuple(out)
+    from the 6-bit chunks of splitmix64's finalizer of seed + i.
+
+    The finalizer runs on all 4,096 inputs at once, one per 128-bit slot of
+    one int: each add, xor-shift and multiply acts on the whole int, and
+    masking every slot to its low 64 bits before the next xor-shift drops
+    what spilled over (a product's high half, a shift from the slot above)."""
+    ones = _slots([1] * _TABLE)
+    low = ones * _MASK64
+    x = (_slots(range(seed, seed + _TABLE)) + ones * 0x9E3779B97F4A7C15) & low
+    x = ((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    x = ((x ^ (x >> 27)) & low) * 0x94D049BB133111EB & low
+    x ^= x >> 31
+    bit, six = [1 << i for i in range(64)], ones * 63
+    masks = [0] * _TABLE
+    for draw in range(bits):
+        chunk = _low_words((x >> 6 * draw) & six, _TABLE)
+        masks = list(map(or_, masks, map(bit.__getitem__, chunk)))
+    return tuple(masks)
 
 
 class BloomFilter:
@@ -88,8 +136,8 @@ class BloomFilter:
 
     Code c lives in word `(h >> 24) % n_words` under mask
     `lo[h & 4095] | hi[(h >> 12) & 4095]`, h = (p & _MASK64) ^ (p >> 64) for
-    p = c * _MUM; the tables come from `mix64`. The arithmetic is fixed, so
-    membership is reproducible across runs and platforms.
+    p = c * _MUM; the tables come from splitmix64's finalizer. The arithmetic
+    is fixed, so membership is reproducible across runs and platforms.
     """
 
     __slots__ = ("n_bits", "n_hashes", "_words", "_lo", "_hi")
@@ -134,21 +182,22 @@ class BloomFilter:
         words = self._words
         return words[(h >> 24) % len(words)] & mask == mask
 
-    def add_or_promote(self, codes: Iterable[int], repeats: "BloomFilter") -> None:
+    def add_or_promote(self, codes: Sequence[int], repeats: "BloomFilter") -> None:
         """For each code in turn, `repeats.add(c) if c in self else self.add(c)`
-        with one hash. `repeats` must share n_hashes; it may have fewer words."""
+        with one hash, taken from `_hashes` a block at a time. `codes` holds
+        u64s (an `array('Q')`, a memoryview of one, or a list). `repeats`
+        must share n_hashes; it may have fewer words."""
         words, lo, hi, multi = self._words, self._lo, self._hi, repeats._words
         n_words, n_multi = len(words), len(multi)
-        for code in codes:
-            h = code * _MUM
-            h = (h & _MASK64) ^ (h >> 64)
-            mask = lo[h & 4095] | hi[(h >> 12) & 4095]
-            i = (h >> 24) % n_words
-            word = words[i]
-            if word & mask == mask:
-                multi[(h >> 24) % n_multi] |= mask
-            else:
-                words[i] = word | mask
+        for hashes in _hashes(codes):
+            for h in hashes:
+                mask = lo[h & 4095] | hi[(h >> 12) & 4095]
+                i = (h >> 24) % n_words
+                word = words[i]
+                if word & mask == mask:
+                    multi[(h >> 24) % n_multi] |= mask
+                else:
+                    words[i] = word | mask
 
     def to_bytes(self) -> bytes:
         """n_bits and n_hashes, then the words as little-endian u64."""

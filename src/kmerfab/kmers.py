@@ -95,14 +95,6 @@ def canonical_codes(bases: str, k: int) -> list[int]:
     return out
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer; deterministic 64-bit mix."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
 def partition_of(code: int, partitions: int) -> int:
     """Partition id of a canonical code: multiply-shift hash modulo P (P >= 1)."""
     h = ((code * _HASH_MULT) & _MASK64) >> 17

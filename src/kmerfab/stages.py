@@ -118,17 +118,20 @@ def count(
     `capacity_limit` codes (None: unbounded). A normal window adds 1 and a
     tumoral one 1 << 32; under 2**32 normal windows, no n_count, summed over
     runs too, carries into t_count. A code is looked up in the table first and
-    probes `prune_filter` only on a miss: one the table holds passed the same
-    filter earlier in this pass. The probe is `BloomFilter.__contains__`'s,
-    computed in the loop from the filter's words and pattern tables. The final
-    partial table is always flushed, so even an unbounded table produces
-    exactly one run.
+    probes `prune_filter` only on a miss, and only if no earlier run of this
+    pass held it: a code the table holds, or a flush wrote out, passed the
+    same filter earlier in the pass. So each code that passes probes once per
+    pass at any capacity, and one that fails probes at each of its windows.
+    The probe is `BloomFilter.__contains__`'s, computed in the loop from the
+    filter's words and pattern tables. The final partial table is always
+    flushed, so even an unbounded table produces exactly one run.
     """
     normal, tumoral = codes.origin_spans(partition_id)
     if len(normal) >> 32:
         raise StageError(f"partition {partition_id}: {len(normal)} normal windows, not < 2**32")
     runs: list[BlobHandle] = []
     entries: dict[int, int] = {}
+    flushed: set[int] = set()  # the codes of earlier runs; empty while unbounded
     get = entries.get
     words, lo, hi = prune_filter._words, prune_filter._lo, prune_filter._hi
     n_words = len(words)
@@ -138,14 +141,17 @@ def count(
             if packed is not None:
                 entries[code] = packed + one
                 continue
-            h = code * _MUM  # `code in prune_filter`, inline
-            h = (h & _MASK64) ^ (h >> 64)
-            mask = lo[h & 4095] | hi[(h >> 12) & 4095]
-            if words[(h >> 24) % n_words] & mask == mask:
-                entries[code] = one
-                if capacity_limit is not None and len(entries) >= capacity_limit:
-                    runs.append(store.flush_table(entries))
-                    entries.clear()
+            if code not in flushed:
+                h = code * _MUM  # `code in prune_filter`, inline
+                h = (h & _MASK64) ^ (h >> 64)
+                mask = lo[h & 4095] | hi[(h >> 12) & 4095]
+                if words[(h >> 24) % n_words] & mask != mask:
+                    continue
+            entries[code] = one
+            if capacity_limit is not None and len(entries) >= capacity_limit:
+                runs.append(store.flush_table(entries))
+                flushed.update(entries)
+                entries.clear()
     if entries:
         runs.append(store.flush_table(entries))
     return runs

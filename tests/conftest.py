@@ -1,7 +1,8 @@
-"""Shared helpers: randomized read-pair instances with planted repeats, and
-the codes of low-complexity reads."""
+"""Shared helpers: randomized read-pair instances with planted repeats, the
+codes of low-complexity reads, and bloom words that count their reads."""
 
 import random
+from array import array
 
 import pytest
 
@@ -65,3 +66,13 @@ def tandem_repeat_keys(rng, k=31, read_len=150):
             if rng.random() < 0.03:
                 bases[i] = rng.choice("ACGT")
         yield from canonical_codes("".join(bases), k)
+
+
+class CountingWords(array):
+    """A filter's words that count their reads: a probe reads one word."""
+
+    probes = 0
+
+    def __getitem__(self, i):
+        self.probes += 1
+        return super().__getitem__(i)

@@ -118,3 +118,29 @@ def blocked_fp_reference(load: float, k: int) -> float:
                     for j in range(k + 1)]
     return sum((-1) ** l * sum(p * math.comb(j, l) for j, p in enumerate(distinct))
                * math.exp(-load * (1 - (1 - l / 64) ** k)) for l in range(k + 1))
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def mix64(x: int) -> int:
+    """splitmix64 finalizer; deterministic 64-bit mix."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def patterns_reference(bits: int, seed: int) -> tuple[int, ...]:
+    """The bloom filter's 4,096 pattern masks, one `mix64` call per entry:
+    mask i is the OR of bit `(h >> 6j) & 63` for j < bits, h = mix64(seed + i).
+    `bloom._patterns` computes all of them in one int."""
+    out = []
+    for i in range(seed, seed + 4096):
+        h = mix64(i)
+        mask = 0
+        for _ in range(bits):
+            mask |= 1 << (h & 63)
+            h >>= 6
+        out.append(mask)
+    return tuple(out)

@@ -16,6 +16,11 @@ from pathlib import Path
 import pytest
 
 from kmerfab.cli import main
+from kmerfab.fabric import Namespace, VirtualDevice
+from kmerfab.kmers import Origin, parse_reads
+from kmerfab.spill import SpillStore
+from kmerfab.stages import ReadCodes, count, prune
+from conftest import CountingWords
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -178,3 +183,25 @@ def test_benchmark_input_outputs_are_pinned(tmp_path, workload):
     assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in expect} == expect
+
+
+# count's prune-filter probes over all partitions on the same input: a code
+# that passes probes once per pass, so the total is the same at any capacity
+BENCHMARK_COUNT_PROBES = 53_264
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_DIGESTS))
+def test_benchmark_input_count_probes_are_pinned(tmp_path, workload):
+    (partitions, capacity_limit), _ = BENCHMARK_DIGESTS[workload]
+    inputs = load_benchmark_inputs()
+    inputs.write_inputs(101, tmp_path)
+    reads = [parse_reads((tmp_path / f"{origin.value}.fa").read_text().splitlines(), origin)
+             for origin in (Origin.NORMAL, Origin.TUMORAL)]
+    codes = ReadCodes(*reads, inputs.K, partitions)
+    pf = prune(codes, inputs.RUN_SETTINGS["prune_fp"])
+    pf._words = words = CountingWords("Q", pf._words)
+    store = SpillStore(Namespace(VirtualDevice(0, capacity=1 << 30), 0, 1 << 30),
+                       chunk_size=4096)
+    for p in range(partitions):
+        count(codes, pf, p, capacity_limit or None, store)
+    assert words.probes == BENCHMARK_COUNT_PROBES

@@ -3,6 +3,7 @@
 import random
 import struct
 import sys
+from array import array
 
 import pytest
 from hypothesis import example, given
@@ -10,10 +11,9 @@ from hypothesis import strategies as st
 
 from kmerfab import bloom
 from kmerfab.bloom import MAX_HASHES, BloomFilter, blocked_fp, optimal_bits
-from kmerfab.kmers import mix64
 from kmerfab.stages import PRUNE_FP, bitmap_ids, ids_to_bitmap
 from conftest import tandem_repeat_keys
-from oracle import blocked_fp_reference
+from oracle import blocked_fp_reference, mix64, patterns_reference
 
 
 def test_bitmap_set_test_iterate():
@@ -178,6 +178,48 @@ def test_with_capacity_takes_the_fewest_words_that_fit(n, fp):
     words = bf.n_bits // 64
     assert bloom._best_hashes(n, words, fp) == bf.n_hashes
     assert words == 1 or bloom._best_hashes(n, words - 1, fp) is None
+
+
+def folded_product(code):
+    """`BloomFilter.__contains__`'s hash of one code."""
+    p = code * bloom._MUM
+    return (p & ((1 << 64) - 1)) ^ (p >> 64)
+
+
+def bswap64(x):
+    return int.from_bytes(x.to_bytes(8, "little"), "big")
+
+
+U64_EDGES = [0, 2**62 - 1, 2**64 - 1]
+
+
+@pytest.mark.parametrize("wrap", [array, lambda tc, v: memoryview(array(tc, v))],
+                         ids=["array", "memoryview"])
+@given(n=st.sampled_from([0, 1, 1023, 1024, 1025, 2049]),
+       values=st.lists(st.one_of(st.sampled_from(U64_EDGES), st.integers(0, 2**64 - 1)),
+                       min_size=1, max_size=40))
+@example(n=2049, values=U64_EDGES)
+def test_block_hashes_equal_the_per_code_fold(wrap, n, values):
+    codes = (values * n)[:n]
+    blocks = list(bloom._hashes(wrap("Q", codes)))
+    assert [len(b) for b in blocks] == [min(1024, n - i) for i in range(0, n, 1024)]
+    assert [h for block in blocks for h in block] == [folded_product(c) for c in codes]
+
+
+def test_block_hashes_on_a_host_of_the_other_byte_order(monkeypatch):
+    """Told the other byte order, `_hashes` swaps its slots in and its
+    hashes out: fed the codes' bytes as that host holds them, it yields the
+    hashes' bytes as that host holds them."""
+    codes = [*U64_EDGES, *(mix64(i) for i in range(2000))]
+    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+    blocks = bloom._hashes(array("Q", map(bswap64, codes)))
+    assert [bswap64(h) for block in blocks for h in block] == list(map(folded_product, codes))
+
+
+@pytest.mark.parametrize("seed", [0, 4096])
+def test_pattern_tables_equal_the_per_entry_loop(seed):
+    for bits in range(9):
+        assert bloom._patterns(bits, seed) == patterns_reference(bits, seed), bits
 
 
 def test_bloom_words_are_little_endian():

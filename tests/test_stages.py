@@ -31,7 +31,7 @@ from kmerfab.stages import (
     merge_runs,
     prune,
 )
-from conftest import random_instance, tandem_repeat_keys
+from conftest import CountingWords, random_instance, tandem_repeat_keys
 from oracle import candidate_view, code_of, exact_counts, expected_groups, kmer_of
 
 K = 15
@@ -235,31 +235,19 @@ def test_count_partitions_combine_to_whole():
     assert combined == merge_runs(runs, store2).entries
 
 
-class _CountingWords(array):
-    """A filter's words that count their reads: a probe reads one word."""
-
-    probes = 0
-
-    def __getitem__(self, i):
-        self.probes += 1
-        return super().__getitem__(i)
-
-
 def test_count_probes_prune_filter_only_in_own_partition():
-    """At capacity 1 the table is empty at every window, so each of the
-    partition's windows probes; unbounded, a window probes only if its code
-    is not yet in the table (its code failed the filter, or comes first)."""
+    """A window probes only if its code is not in the table and passed the
+    filter in no earlier run of the pass (its code failed the filter, or
+    comes first). So every capacity makes the unbounded table's probes, and
+    the merged counts are the same."""
     normal, tumoral = random_instance(seed=9, n_reads=120)
     plain = prune(ReadCodes(normal, tumoral, K), 0.01)
     pf = BloomFilter.from_bytes(plain.to_bytes())
-    pf._words = words = _CountingWords("Q", pf._words)
+    pf._words = words = CountingWords("Q", pf._words)
     windows = [c for r in [*normal, *tumoral] for c in canonical_codes(r.bases, K)]
     codes = ReadCodes(normal, tumoral, K, 4)
     for p in range(4):
         own = [c for c in windows if partition_of(c, 4) == p]
-        words.probes = 0
-        count(codes, pf, p, 1, make_store())
-        assert words.probes == len(own)
         table, misses = set(), 0
         for c in own:
             if c not in table:
@@ -267,9 +255,14 @@ def test_count_probes_prune_filter_only_in_own_partition():
                 if c in plain:
                     table.add(c)
         assert misses < len(own)
-        words.probes = 0
-        count(codes, pf, p, None, make_store())
-        assert words.probes == misses
+        merged = []
+        for cap in (1, 7, None):
+            store = make_store()
+            words.probes = 0
+            runs = count(codes, pf, p, cap, store)
+            assert words.probes == misses, cap
+            merged.append(merge_runs(runs, store).entries)
+        assert merged[0] == merged[1] == merged[2]
 
 
 def probe_first_count(codes, prune_filter, partition_id, capacity_limit, store):
