@@ -169,7 +169,7 @@ def cmd_run(args) -> int:
 
     result = run_pipeline(normal, tumoral, pipe_cfg, store, checkpoints)
 
-    (out / "index.bin").write_bytes(result.index.to_bytes())
+    (out / "index.bin").write_bytes(result.index.to_bytes(normal, tumoral))
     group_lines = ["seed_origin,seed_id,n_members,members,shared_kmers"]
     for g in result.groups:
         members = ";".join(

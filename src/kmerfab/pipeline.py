@@ -9,9 +9,10 @@ filter.pN for each missing partition in order. So a rerun that loads every
 filter.pN extracts no codes and never reads prune. count.pN is never
 checkpointed: a loaded count would spare only its loop, as its filter pass
 reads every code of its partition anyway. A filter.pN lists read ids, not
-bases; the merged index takes the bases from the inputs, which every run
-parses. Merge and group are no stages either: the filter.pN outputs are
-merged in memory and grouped on every run, a rerun too.
+bases, and so does the merged index: group reads only its id lists, and
+index.bin takes the bases from the inputs, which every run parses. Merge and
+group are no stages either: the filter.pN outputs are merged in memory and
+grouped on every run, a rerun too.
 """
 
 from __future__ import annotations
@@ -203,6 +204,5 @@ def run_pipeline(
             del table  # before the next count builds its own: one table lives at a time
             named(f"filter.p{p}", lambda: cp.save(f"filter.p{p}", indexes[p].to_bytes()))
     index = reduce(merge_indexes, indexes)
-    index.fill_reads(normal, tumoral)  # group extracts its own reads' codes
     groups = timed("group", lambda: group(index, config.min_candidates))
     return PipelineResult(index, groups, seconds, loaded)

@@ -5,8 +5,8 @@ multiplicity-1 k-mers are dropped early. Count accumulates bounded
 normal/tumoral counters, spilling sorted runs when full. Filter keeps
 imbalanced k-mers and lists, per candidate and origin, the ascending ids of
 the reads that hold it. Merge unites per-partition indexes, whose candidates
-are disjoint; the merged index then takes the bases of the reads it lists,
-and Group expands candidate tumoral reads into related-read sets.
+are disjoint, and Group inverts the merged index's tumoral id lists to expand
+candidate tumoral reads into related-read sets: it reads no bases.
 """
 
 from __future__ import annotations
@@ -218,36 +218,34 @@ class CandidateEntry:
 
 
 class CandidateIndex:
-    """Imbalanced k-mers with the ids of the reads that hold each and, once
-    `fill_reads` has run, the bases of every such read, keyed by (origin,
-    id). On disk each id list is a read-membership bitmap."""
+    """Imbalanced k-mers with the ids of the reads that hold each. On disk
+    each id list is a read-membership bitmap, and index.bin also holds the
+    bases of every listed read, taken from the inputs as it is written."""
 
     def __init__(self, k: int):
         self.k = k
         self.candidates: dict[int, CandidateEntry] = {}
-        self.reads: dict[tuple[Origin, int], str] = {}
 
-    def fill_reads(self, normal: list[Read], tumoral: list[Read]) -> None:
-        """Take the bases of every read a candidate lists from the parsed
-        inputs. A read's id is its position in its input, as `parse_reads`
-        numbers reads, so normal read i is `normal[i]`; StageError if not."""
-        normal_ids, tumoral_ids = set(), set()
-        for e in self.candidates.values():
-            normal_ids.update(e.normal_ids)
-            tumoral_ids.update(e.tumoral_ids)
-        for origin, reads, ids in ((Origin.NORMAL, normal, normal_ids),
-                                   (Origin.TUMORAL, tumoral, tumoral_ids)):
-            for i in sorted(ids):
-                read = reads[i]
-                if read.id != i:
-                    raise StageError(f"{origin.value} read at position {i} has id {read.id}")
-                self.reads[(origin, i)] = read.bases
-
-    def to_bytes(self) -> bytearray:
-        """Canonical serialization: equal indexes give equal bytes. Built in
-        one buffer, which is returned without a copy."""
+    def to_bytes(self, normal: list[Read] = (), tumoral: list[Read] = ()) -> bytearray:
+        """Canonical serialization: equal indexes give equal bytes. Given the
+        parsed inputs, the reads section holds the bases of every read a
+        candidate lists, normal then tumoral, each by ascending id. A read's
+        id is its position in its input, as `parse_reads` numbers reads, so
+        normal read i is `normal[i]`; StageError if not. Without inputs, as
+        for a filter.pN checkpoint, it holds no read. Built in one buffer,
+        which is returned without a copy."""
+        listed = []  # (origin, read) of every stored read, in stored order
+        if normal or tumoral:
+            for origin, reads, attr in ((Origin.NORMAL, normal, "normal_ids"),
+                                        (Origin.TUMORAL, tumoral, "tumoral_ids")):
+                for i in sorted(set().union(*(getattr(e, attr)
+                                              for e in self.candidates.values()))):
+                    read = reads[i]
+                    if read.id != i:
+                        raise StageError(f"{origin.value} read at position {i} has id {read.id}")
+                    listed.append((origin, read))
         buf = bytearray(b"KFIDXv1\x00")
-        buf += struct.pack("<IQQ", self.k, len(self.candidates), len(self.reads))
+        buf += struct.pack("<IQQ", self.k, len(self.candidates), len(listed))
         for code in sorted(self.candidates):
             e = self.candidates[code]
             nb = ids_to_bitmap(e.normal_ids)
@@ -255,11 +253,9 @@ class CandidateIndex:
             buf += struct.pack("<QIIII", code, e.n_count, e.t_count, len(nb), len(tb))
             buf += nb
             buf += tb
-        for (origin, rid), bases in sorted(
-            self.reads.items(), key=lambda r: (r[0][0] is Origin.TUMORAL, r[0][1])
-        ):
-            raw = bases.encode("ascii")
-            buf += struct.pack("<BQI", 1 if origin is Origin.TUMORAL else 0, rid, len(raw))
+        for origin, read in listed:
+            raw = read.bases.encode("ascii")
+            buf += struct.pack("<BQI", 1 if origin is Origin.TUMORAL else 0, read.id, len(raw))
             buf += raw
         crc = zlib.crc32(memoryview(buf)[8:])  # the view is gone before buf grows again
         buf += struct.pack("<I", crc)
@@ -267,13 +263,15 @@ class CandidateIndex:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CandidateIndex":
+        """The candidates of `to_bytes`' output; the reads section is checked
+        by the CRC, not decoded."""
         if data[:8] != b"KFIDXv1\x00":
             raise StageError("bad index magic")
         body = memoryview(data)[8:-4]
         (crc,) = struct.unpack_from("<I", data, len(data) - 4)
         if zlib.crc32(body) != crc:
             raise StageError("index checksum mismatch")
-        k, n_cand, n_reads = struct.unpack_from("<IQQ", body)
+        k, n_cand, _ = struct.unpack_from("<IQQ", body)
         idx = cls(k)
         pos = struct.calcsize("<IQQ")
         for _ in range(n_cand):
@@ -284,12 +282,6 @@ class CandidateIndex:
             tb = bitmap_ids(body[pos:pos + tb_len])
             pos += tb_len
             idx.candidates[code] = CandidateEntry(n, t, nb, tb)
-        for _ in range(n_reads):
-            o, rid, blen = struct.unpack_from("<BQI", body, pos)
-            pos += struct.calcsize("<BQI")
-            bases = str(body[pos:pos + blen], "ascii")
-            pos += blen
-            idx.reads[(Origin.TUMORAL if o else Origin.NORMAL, rid)] = bases
         return idx
 
 
@@ -308,8 +300,8 @@ def filter_candidates(
     one, per candidate and origin, in read order.
 
     The table holds partition `partition_id`'s codes, so each read is
-    intersected with its codes in that partition only. The index holds no
-    read bases: `CandidateIndex.fill_reads` adds them once, after merge."""
+    intersected with its codes in that partition only, and a read is listed
+    under exactly the candidates it holds."""
     index = CandidateIndex(codes.k)
     entries = table.entries
     # candidate code -> (normal read ids, tumoral read ids)
@@ -360,21 +352,21 @@ def group(index: CandidateIndex, min_candidates: int) -> list[GroupResult]:
     """Seed on tumoral reads holding >= min_candidates candidate k-mers
     (ascending id); a group is every read sharing one of the seed's k-mers.
 
-    Per seed, the candidates' normal ids are united in one int set, and their
-    tumoral ids with the seed's own in another; each member's (origin, id)
-    is built once, from those sets."""
+    Filter lists a tumoral read under exactly the candidates it holds (a
+    code lives in one partition), so inverting the tumoral id lists gives
+    each seed's candidate k-mers. Per seed, the candidates' normal ids are
+    united in one int set, and their tumoral ids, the seed's own among them,
+    in another; each member's (origin, id) is built once, from those sets."""
     candidates = index.candidates
-    tumoral_reads = sorted(
-        (rid, bases)
-        for (origin, rid), bases in index.reads.items()
-        if origin is Origin.TUMORAL
-    )
+    held: dict[int, set[int]] = {}  # tumoral read id -> the candidates that list it
+    for code, e in candidates.items():
+        for rid in e.tumoral_ids:
+            held.setdefault(rid, set()).add(code)
     results = []
-    for rid, bases in tumoral_reads:
-        codes = {c for c in canonical_codes(bases, index.k) if c in candidates}
+    for rid, codes in sorted(held.items()):
         if len(codes) < min_candidates:
             continue
-        normal, tumoral = set(), {rid}
+        normal, tumoral = set(), set()
         for code in codes:
             e = candidates[code]
             normal.update(e.normal_ids)
@@ -383,4 +375,3 @@ def group(index: CandidateIndex, min_candidates: int) -> list[GroupResult]:
         members.update((Origin.TUMORAL, i) for i in tumoral)
         results.append(GroupResult((Origin.TUMORAL, rid), members, codes))
     return results
-

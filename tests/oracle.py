@@ -5,6 +5,7 @@ package's bit-packed structures, so the two sides can disagree.
 """
 
 import math
+import struct
 from collections import Counter
 
 from kmerfab.kmers import Origin
@@ -106,6 +107,35 @@ def expected_groups(normal, tumoral, k, tau_t, tau_n, min_candidates):
                 members.add(other_key)
         groups.append(((Origin.TUMORAL, rid), members, seed_kmers))
     return groups
+
+
+def read_store(normal, tumoral, stored):
+    """What index.bin's reads section holds for the stored reads `stored`:
+    ((origin, id), bases) per read, normal reads then tumoral, each by id."""
+    bases = {(r.origin, r.id): r.bases for r in [*normal, *tumoral]}
+    return [(key, bases[key])
+            for key in sorted(stored, key=lambda key: (key[0] is Origin.TUMORAL, key[1]))]
+
+
+def index_reads(data: bytes) -> list:
+    """The reads section of a serialized index, in stored order: ((origin,
+    id), bases) per read. It steps over the candidate records by their
+    stated bitmap lengths and decodes none of them, and it checks that the
+    section ends at the 4-byte CRC."""
+    _, n_candidates, n_reads = struct.unpack_from("<IQQ", data, 8)
+    pos = 8 + 20
+    for _ in range(n_candidates):
+        nb_len, tb_len = struct.unpack_from("<II", data, pos + 16)
+        pos += 24 + nb_len + tb_len
+    reads = []
+    for _ in range(n_reads):
+        origin, rid, length = struct.unpack_from("<BQI", data, pos)
+        pos += 13
+        reads.append((((Origin.NORMAL, Origin.TUMORAL)[origin], rid),
+                      data[pos:pos + length].decode("ascii")))
+        pos += length
+    assert pos == len(data) - 4, (pos, len(data))
+    return reads
 
 
 def blocked_fp_reference(load: float, k: int) -> float:

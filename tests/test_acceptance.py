@@ -36,7 +36,15 @@ from kmerfab.pipeline import PipelineConfig, run_pipeline
 from kmerfab.spill import SpillStore
 from kmerfab.traceanalysis import IoRecord, classify
 from conftest import random_instance
-from oracle import candidate_view, code_of, exact_counts, expected_groups, kmer_of
+from oracle import (
+    candidate_view,
+    code_of,
+    exact_counts,
+    expected_groups,
+    index_reads,
+    kmer_of,
+    read_store,
+)
 
 K = 15
 TAU_T = 4
@@ -97,7 +105,8 @@ def test_criterion_1_pipeline_oracle_equivalence(pipeline_batch):
                 mismatches += 1
                 break
         else:
-            if set(result.index.reads) != stored:
+            if index_reads(result.index.to_bytes(normal, tumoral)) != read_store(
+                    normal, tumoral, stored):
                 mismatches += 1
                 continue
             want = expected_groups(normal, tumoral, K, TAU_T, TAU_N, MIN_CANDIDATES)
@@ -119,7 +128,7 @@ def test_criterion_2_partition_spill_invariance():
         for partitions in (1, 2, 4):
             for capacity in (64, 1024, None):
                 result = run_pipe(normal, tumoral, partitions, capacity)
-                blob = result.index.to_bytes()
+                blob = result.index.to_bytes(normal, tumoral)
                 if reference is None:
                     reference = blob
                 elif blob != reference:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 import time
 import zlib
 from pathlib import Path
@@ -574,8 +575,9 @@ def test_each_stage_output_written_once(toy_inputs, partitions):
                 for name, h in stages.items()}
     assert len(set(payloads.values())) == len(payloads)
     for p in range(partitions):
-        index = CandidateIndex.from_bytes(payloads[f"filter.p{p}"])
-        assert index.candidates and index.reads == {}
+        payload = payloads[f"filter.p{p}"]
+        assert CandidateIndex.from_bytes(payload).candidates
+        assert struct.unpack_from("<IQQ", payload, 8)[2] == 0  # n_reads
 
     reads = []
     for name, origin in (("normal", Origin.NORMAL), ("tumoral", Origin.TUMORAL)):

@@ -3,6 +3,7 @@
 import os
 import time
 import weakref
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -14,16 +15,18 @@ from kmerfab.kmers import Origin, Read, canonical_codes
 from kmerfab.pipeline import Checkpoints, PipelineConfig, PipelineResult, run_pipeline
 from kmerfab.spill import SpillStore
 from kmerfab.stages import (
+    CandidateIndex,
     ReadCodes,
     count,
     filter_candidates,
     group,
+    merge_indexes,
     merge_runs,
     prune,
 )
 from kmerfab.traceanalysis import classify
 from conftest import random_instance
-from oracle import candidate_view, expected_groups, kmer_of
+from oracle import candidate_view, expected_groups, index_reads, kmer_of, read_store
 
 K = 15
 
@@ -49,10 +52,9 @@ def test_matches_manual_stage_composition(small_instance):
     runs = count(codes, pf, 0, None, store)
     table = merge_runs(runs, store)
     idx = filter_candidates(table, codes, 0, 4, 1)
-    idx.fill_reads(normal, tumoral)
     groups = group(idx, 3)
 
-    assert result.index.to_bytes() == idx.to_bytes()
+    assert result.index.to_bytes(normal, tumoral) == idx.to_bytes(normal, tumoral)
     assert [(g.seed, g.members, g.shared_kmers) for g in result.groups] == [
         (g.seed, g.members, g.shared_kmers) for g in groups
     ]
@@ -183,22 +185,32 @@ def test_each_window_extracted_once_per_run(tmp_path, small_instance, monkeypatc
     store = make_store(tmp_path / "dev.dat")
     first = run_pipeline(normal, tumoral, cfg, store,
                          Checkpoints(store, fingerprint, tmp_path / "m.json"))
-    input_windows = sum(len(canonical_codes(r.bases, K)) for r in [*normal, *tumoral])
-    group_windows = sum(len(canonical_codes(bases, K))
-                        for (origin, _), bases in first.index.reads.items()
-                        if origin is Origin.TUMORAL)
-    assert input_windows <= sum(extracted) <= input_windows + group_windows
+    # each read's codes once, in input order, and group extracts none
+    assert extracted == [len(canonical_codes(r.bases, K)) for r in [*normal, *tumoral]]
+    assert first.groups
 
     extracted.clear()
     store2 = make_store(tmp_path / "dev.dat")
     second = run_pipeline(normal, tumoral, cfg, store2,
                           Checkpoints(store2, fingerprint, tmp_path / "m.json"))
     assert second.skipped == {"filter.p0", "filter.p1", "filter.p2", "filter.p3"}
-    # group, computed again, extracts only its seed reads' codes, in ascending id
-    assert extracted == [len(canonical_codes(bases, K))
-                         for _, bases in sorted((rid, bases) for (origin, rid), bases
-                                                in first.index.reads.items()
-                                                if origin is Origin.TUMORAL)]
+    # group, computed again, reads only the loaded id lists
+    assert extracted == []
+    assert second.groups == first.groups
+
+
+def test_group_from_checkpoints_alone(tmp_path, small_instance):
+    """The filter.pN checkpoints hold no read bases, yet their merged index
+    groups as the run did: group reads only the candidates' id lists."""
+    normal, tumoral = small_instance
+    cfg = PipelineConfig(k=K, partitions=3)
+    store = make_store(tmp_path / "dev.dat")
+    cp = Checkpoints(store, cfg.fingerprint(normal, tumoral), tmp_path / "m.json")
+    result = run_pipeline(normal, tumoral, cfg, store, cp)
+    assert result.groups
+    merged = reduce(merge_indexes, [cp.load(f"filter.p{p}", CandidateIndex.from_bytes)
+                                    for p in range(3)])
+    assert group(merged, cfg.min_candidates) == result.groups
 
 
 def test_fingerprint_mismatch_discards_checkpoints(tmp_path, small_instance):
@@ -256,8 +268,8 @@ def test_pipeline_matches_oracle_at_every_setting(case, partitions, capacity, ch
         assert (entry.n_count, entry.t_count) == (want["n"], want["t"])
         assert entry.normal_ids == sorted(want["normal_ids"])
         assert entry.tumoral_ids == sorted(want["tumoral_ids"])
-    bases = {(r.origin, r.id): r.bases for r in [*normal, *tumoral]}
-    assert result.index.reads == {key: bases[key] for key in stored}
+    assert index_reads(result.index.to_bytes(normal, tumoral)) == read_store(normal, tumoral,
+                                                                             stored)
     assert [(g.seed, g.members, {kmer_of(c, k) for c in g.shared_kmers})
             for g in result.groups] == expected_groups(normal, tumoral, k, tau_t, tau_n,
                                                        min_candidates)

@@ -32,7 +32,16 @@ from kmerfab.stages import (
     prune,
 )
 from conftest import CountingWords, random_instance, tandem_repeat_keys
-from oracle import candidate_view, code_of, exact_counts, expected_groups, kmer_of
+from oracle import (
+    candidate_view,
+    canonical_windows,
+    code_of,
+    exact_counts,
+    expected_groups,
+    index_reads,
+    kmer_of,
+    read_store,
+)
 
 K = 15
 
@@ -449,20 +458,18 @@ def test_filter_matches_oracle():
         assert got[s].t_count == e["t"]
         assert got[s].normal_ids == sorted(e["normal_ids"])
         assert got[s].tumoral_ids == sorted(e["tumoral_ids"])
-    assert idx.reads == {}  # the bases come after merge, from the parsed inputs
-    idx.fill_reads(normal, tumoral)
-    assert set(idx.reads) == stored
+    assert index_reads(idx.to_bytes()) == []  # a filter.pN checkpoint holds no read
+    assert {key for key, _ in index_reads(idx.to_bytes(normal, tumoral))} == stored
 
 
 def test_filter_read_store_unique():
     normal, tumoral = random_instance(seed=8, n_reads=200)
     idx = filter_candidates(exact_table(normal, tumoral),
                             ReadCodes(normal, tumoral, K), 0, 4, 1)
-    idx.fill_reads(normal, tumoral)
+    reads = index_reads(idx.to_bytes(normal, tumoral))
     _, stored = candidate_view(normal, tumoral, K, 4, 1)
-    assert len(idx.reads) == len(stored)
-    bases = {(r.origin, r.id): r.bases for r in [*normal, *tumoral]}
-    assert idx.reads == {key: bases[key] for key in stored}
+    assert len(reads) == len(stored)
+    assert reads == read_store(normal, tumoral, stored)
 
 
 # -- merge_indexes -------------------------------------------------------
@@ -500,10 +507,8 @@ def test_merge_partitions_equals_whole():
     for nxt in parts[1:]:
         merged = merge_indexes(merged, nxt)
     assert merged.to_bytes() == whole.to_bytes()
-    # index.bin holds the merged index with its reads filled in
-    merged.fill_reads(normal, tumoral)
-    whole.fill_reads(normal, tumoral)
-    assert merged.to_bytes() == whole.to_bytes()
+    # index.bin holds the merged index and the bases of the reads it lists
+    assert merged.to_bytes(normal, tumoral) == whole.to_bytes(normal, tumoral)
 
 
 def test_merge_associative_and_commutative():
@@ -538,40 +543,43 @@ def test_merge_rejects_a_shared_candidate():
 def test_index_serialization_roundtrip():
     normal, tumoral = random_instance(seed=13, n_reads=150)
     idx = build_index(normal, tumoral)
-    idx.fill_reads(normal, tumoral)
-    data = idx.to_bytes()
+    data = idx.to_bytes(normal, tumoral)
     clone = CandidateIndex.from_bytes(data)
-    assert clone.to_bytes() == data
+    assert clone.to_bytes(normal, tumoral) == data
     assert clone.k == idx.k
     assert clone.candidates == idx.candidates
-    assert clone.reads == idx.reads
+    _, stored = candidate_view(normal, tumoral, K, 4, 1)
+    assert index_reads(data) == read_store(normal, tumoral, stored)
 
 
-def test_fill_reads_takes_read_i_from_position_i():
+def test_to_bytes_takes_read_i_from_position_i():
     normal, tumoral = random_instance(seed=13, n_reads=150)
     idx = build_index(normal, tumoral)
     listed = min(i for e in idx.candidates.values() for i in e.tumoral_ids)
     shifted = [Read(r.id + 1, r.origin, r.bases) for r in tumoral]
     with pytest.raises(StageError, match=f"tumoral read at position {listed} has id "
                                          f"{listed + 1}"):
-        idx.fill_reads(normal, shifted)
+        idx.to_bytes(normal, shifted)
 
 
 def test_to_bytes_holds_one_buffer():
-    # 1,000 candidates whose tumoral bitmaps span 10,000 bytes each: a 10 MB index
+    # 1,000 candidates whose tumoral bitmaps span 10,000 bytes each: a 10 MB
+    # index, with the bases of the 1,001 reads it lists; read i sits at
+    # position i of its input: a mapping stands in for the list
     idx = CandidateIndex(K)
     for code in range(1000):
         idx.candidates[code] = CandidateEntry(0, 4, [], [code, 79_999])
-    idx.reads[(Origin.TUMORAL, 0)] = "ACGT" * 25
+    tumoral = {i: Read(i, Origin.TUMORAL, "ACGT" * 25) for i in [*range(1000), 79_999]}
     tracemalloc.start()
     try:
-        data = idx.to_bytes()
+        data = idx.to_bytes([], tumoral)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(data) > 10_000_000
     assert peak <= 1.5 * len(data), peak / len(data)
     assert CandidateIndex.from_bytes(data).candidates == idx.candidates
+    assert [key for key, _ in index_reads(data)] == [(Origin.TUMORAL, i) for i in sorted(tumoral)]
 
 
 def test_filter_index_group_at_read_id_999_999():
@@ -591,10 +599,10 @@ def test_filter_index_group_at_read_id_999_999():
     entry = idx.candidates[code_of(kmer)]
     assert (entry.normal_ids, entry.tumoral_ids) == ([], [0, 999_999])
     # read i sits at position i of its input: a mapping stands in for the list
-    idx.fill_reads([], {0: tumoral[0], 999_999: tumoral[1]})
-    data = idx.to_bytes()
+    data = idx.to_bytes([], {0: tumoral[0], 999_999: tumoral[1]})
     *_, nb_len, tb_len = struct.unpack_from("<QIIII", data, 8 + struct.calcsize("<IQQ"))
     assert (nb_len, tb_len) == (0, 125_000)
+    assert index_reads(data) == [((Origin.TUMORAL, 0), kmer), ((Origin.TUMORAL, 999_999), kmer)]
     clone = CandidateIndex.from_bytes(data)
     assert clone.candidates[code_of(kmer)] == entry
     groups = group(clone, min_candidates=1)
@@ -614,7 +622,6 @@ def test_group_single_shared_kmer():
     tumoral = [Read(0, Origin.TUMORAL, kmer + "T") for _ in range(1)]
     table = FrequencyTable({code_of(kmer): (1, 1)})
     idx = filter_candidates(table, ReadCodes(normal, tumoral, K), 0, 1, 1)
-    idx.fill_reads(normal, tumoral)
     groups = group(idx, min_candidates=1)
     assert len(groups) == 1
     assert groups[0].seed == (Origin.TUMORAL, 0)
@@ -625,9 +632,8 @@ def test_group_single_shared_kmer():
 def test_group_min_candidates_too_high():
     normal, tumoral = random_instance(seed=14, n_reads=150)
     idx = build_index(normal, tumoral)
-    idx.fill_reads(normal, tumoral)
     max_per_read = 0
-    for bases in idx.reads.values():
+    for _, bases in index_reads(idx.to_bytes(normal, tumoral)):
         max_per_read = max(max_per_read,
                            len(set(canonical_codes(bases, K)) & set(idx.candidates)))
     assert group(idx, min_candidates=max_per_read + 1) == []
@@ -637,7 +643,6 @@ def test_group_matches_oracle():
     for seed in (15, 16, 17):
         normal, tumoral = random_instance(seed=seed, n_reads=200)
         idx = build_index(normal, tumoral)
-        idx.fill_reads(normal, tumoral)
         got = group(idx, min_candidates=2)
         expect = expected_groups(normal, tumoral, K, 4, 1, min_candidates=2)
         assert len(got) == len(expect)
@@ -647,13 +652,12 @@ def test_group_matches_oracle():
             assert {kmer_of(c, K) for c in g.shared_kmers} == kmers
 
 
-def reference_group(index, min_candidates):
-    """Reference group: each seed adds every candidate id list of each of its
-    codes to its member set, id by id."""
+def reference_group(index, seeds, min_candidates):
+    """Reference group: each seed, by ascending id, extracts its codes from
+    its bases `seeds[id]` and adds every candidate id list of each code to its
+    member set, id by id."""
     results = []
-    for (origin, rid), bases in sorted(index.reads.items(), key=lambda r: r[0][1]):
-        if origin is not Origin.TUMORAL:
-            continue
+    for rid, bases in sorted(seeds.items()):
         codes = {c for c in canonical_codes(bases, index.k) if c in index.candidates}
         if len(codes) < min_candidates:
             continue
@@ -666,46 +670,51 @@ def reference_group(index, min_candidates):
     return results
 
 
-def hand_index(k, seeds, read_sets):
-    """A CandidateIndex of tumoral reads `seeds` (id -> bases) and candidates
-    `read_sets` (code -> (normal ids, tumoral ids), each listed ascending)."""
+def hand_index(k, seeds, normal_sets):
+    """A CandidateIndex of candidates `normal_sets` (code -> normal ids) over
+    tumoral reads `seeds` (id -> bases), as filter lists them: each candidate
+    lists, ascending, the normal ids given and every seed whose bases hold it
+    (by the string oracle), so every tumoral id it lists is a seed."""
     index = CandidateIndex(k)
-    for rid, bases in seeds.items():
-        index.reads[(Origin.TUMORAL, rid)] = bases
-    for code, (normal_ids, tumoral_ids) in read_sets.items():
-        index.candidates[code] = CandidateEntry(1, 1, sorted(normal_ids), sorted(tumoral_ids))
+    held = {rid: {code_of(w) for w in canonical_windows(bases, k)}
+            for rid, bases in seeds.items()}
+    for code, normal_ids in normal_sets.items():
+        tumoral_ids = sorted(rid for rid, codes in held.items() if code in codes)
+        index.candidates[code] = CandidateEntry(1, 1, sorted(normal_ids), tumoral_ids)
     return index
 
 
 def test_group_at_bitmap_boundaries():
-    # ids on either side of the byte and 64-bit word edges of the stored
-    # bitmaps, shared across candidates, and seed 5000 lies past every
-    # candidate bitmap's end; group runs on the index and on its reload
+    # seed and normal ids on either side of the byte and 64-bit word edges of
+    # the stored bitmaps, shared across candidates; group runs on the index
+    # and on its reload
     edge = [0, 7, 8, 63, 64, 65, 999, 1000, 1001]
     kmers = ["AAC", "ACG", "CCA", "ATC"]
-    read_sets = {code_of(s): (edge[i:i + 5], edge[-i - 5:]) for i, s in enumerate(kmers)}
-    seeds = {0: "AACG", 8: "CCAT", 64: "AACGAT", 1000: "CCAACGAT", 5000: "GATCCA", 7: "TTTT"}
-    index = hand_index(3, seeds, read_sets)
+    normal_sets = {code_of(s): edge[i:i + 5] for i, s in enumerate(kmers)}
+    seeds = {0: "AACG", 7: "TTTT", 8: "CCAT", 63: "ATCG", 64: "AACGAT", 65: "GGTT",
+             999: "CCAACG", 1000: "CCAACGAT", 1001: "GATCCA"}
+    index = hand_index(3, seeds, normal_sets)
+    assert index.candidates[code_of("CCA")].tumoral_ids == [8, 999, 1000, 1001]
     reloaded = CandidateIndex.from_bytes(index.to_bytes())
     for min_candidates in (1, 2, 3):
-        want = reference_group(index, min_candidates)
+        want = reference_group(index, seeds, min_candidates)
         assert group(index, min_candidates) == group(reloaded, min_candidates) == want
     got = {g.seed[1]: g for g in group(index, 1)}
-    assert set(got) == {0, 8, 64, 1000, 5000}
-    assert (Origin.TUMORAL, 5000) in got[5000].members
+    assert set(got) == {0, 8, 63, 64, 65, 999, 1000, 1001}
+    assert got[1000].shared_kmers == {code_of(s) for s in kmers}
     assert {(Origin.NORMAL, 0), (Origin.TUMORAL, 1001)} <= got[1000].members
+    assert {g.seed[1] for g in group(index, 3)} == {64, 999, 1000}
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     seeds=st.dictionaries(st.integers(0, 300), st.text("ACGT", min_size=2, max_size=10),
                           max_size=8),
-    read_sets=st.dictionaries(st.integers(0, 15), st.tuples(
-        st.sets(st.integers(0, 300), max_size=6), st.sets(st.integers(0, 300), max_size=6)),
-        max_size=10),
+    normal_sets=st.dictionaries(st.integers(0, 15), st.sets(st.integers(0, 300), max_size=6),
+                                max_size=10),
     min_candidates=st.integers(1, 3),
 )
-def test_group_matches_per_bitmap_reference(seeds, read_sets, min_candidates):
-    index = hand_index(2, seeds, read_sets)
+def test_group_matches_per_bitmap_reference(seeds, normal_sets, min_candidates):
+    index = hand_index(2, seeds, normal_sets)
     got = group(index, min_candidates)
-    assert got == reference_group(index, min_candidates)
+    assert got == reference_group(index, seeds, min_candidates)
