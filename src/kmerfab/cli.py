@@ -165,7 +165,7 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     device.backing = FileBacking(out / "device0.dat")
     checkpoints = Checkpoints(store, pipe_cfg.fingerprint(normal, tumoral),
-                              path=out / "checkpoints.json")
+                              pipe_cfg.partitions, path=out / "checkpoints.json")
 
     result = run_pipeline(normal, tumoral, pipe_cfg, store, checkpoints)
 

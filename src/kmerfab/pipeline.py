@@ -1,18 +1,18 @@
 """Partitioned pipeline driver: Prune, per-partition Count+Filter, Merge, Group.
 
-Prune and each partition's filter.pN are checkpointed, once: a small
-manifest (stage -> blob handle on the bound namespace, plus a config/input
-fingerprint) makes reruns skip completed stages. A run loads first: every
-filter.pN that loads skips its partition. Then it computes what is missing:
-every read's codes, once; prune, loaded or computed; then count.pN and
-filter.pN for each missing partition in order. So a rerun that loads every
-filter.pN extracts no codes and never reads prune. count.pN is never
-checkpointed: a loaded count would spare only its loop, as its filter pass
-reads every code of its partition anyway. A filter.pN lists read ids, not
-bases, and so does the merged index: group reads only its id lists, and
-index.bin takes the bases from the inputs, which every run parses. Merge and
-group are no stages either: the filter.pN outputs are merged in memory and
-grouped on every run, a rerun too.
+Prune and each partition's filter.pN are checkpointed, once: a small manifest
+(stage -> blob handle on the bound namespace, plus a config/input fingerprint)
+makes reruns skip completed stages. A run loads first: every filter.pN that
+loads skips its partition. Then it computes what is missing: every read's
+codes, once; prune, loaded or computed; then count.pN and filter.pN for each
+missing partition in order. So a rerun that loads every filter.pN extracts no
+codes and never reads prune. The device holds nothing but checkpoints and the
+runs count.pN spills from a full table. count.pN is never checkpointed: a
+loaded count would spare only its loop, as its filter pass reads every code of
+its partition anyway. A filter.pN lists read ids, not bases, and so does the
+merged index: group reads only its id lists, and index.bin takes the bases
+from the inputs, which every run parses. Merge and group are no stages either:
+each run merges the filter.pN outputs in memory and groups them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import struct
 import time
 from dataclasses import dataclass
@@ -82,12 +81,14 @@ class Checkpoints:
 
     The manifest can be persisted as JSON so a later process run resumes;
     a fingerprint mismatch or an unreadable manifest discards all recorded
-    stages, and an entry whose handle holds a field that is no int, or
-    whose checkpoint fails to load, is dropped. Either way the pipeline
-    recomputes what is missing, appended behind the furthest blob still named.
+    stages. An entry named for no stage of a `partitions`-way run, whose
+    handle holds a field that is no int, or whose checkpoint fails to load
+    is dropped. Either way the pipeline recomputes what is missing, appended
+    behind the furthest blob still named.
     """
 
-    def __init__(self, store: SpillStore, fingerprint: str, path: Path | None = None):
+    def __init__(self, store: SpillStore, fingerprint: str, partitions: int,
+                 path: Path | None = None):
         self.store = store
         self.fingerprint = fingerprint
         self.path = path
@@ -96,11 +97,11 @@ class Checkpoints:
             try:
                 raw = json.loads(path.read_text())
                 if raw.get("fingerprint") == fingerprint:
-                    # only the names run_pipeline saves, with the int fields the cursor
+                    # only the names run_pipeline loads, with the int fields the cursor
                     # adds up: a later save rewrites the manifest
+                    names = {"prune", *(f"filter.p{p}" for p in range(partitions))}
                     self._stages = {name: BlobHandle(**h) for name, h in raw["stages"].items()
-                                    if re.fullmatch(r"prune|filter\.p\d+", name)
-                                    and all(type(v) is int for v in h.values())}
+                                    if name in names and all(type(v) is int for v in h.values())}
             except (ValueError, KeyError, TypeError, AttributeError):
                 self._stages = {}
         self._place_cursor()
@@ -154,7 +155,7 @@ def run_pipeline(
     checkpoints: Checkpoints | None = None,
 ) -> PipelineResult:
     """Execute the whole pipeline: load what loads, then compute what is missing."""
-    cp = checkpoints or Checkpoints(store, fingerprint="", path=None)
+    cp = checkpoints or Checkpoints(store, "", config.partitions)
     seconds: dict[str, float] = {}
     loaded: set[str] = set()
 
@@ -197,7 +198,7 @@ def run_pipeline(
                 codes.release(p)
         for p in missing:
             table = timed(f"count.p{p}", lambda: merge_runs(
-                count(codes, pf, p, config.capacity_limit, store), store))
+                *count(codes, pf, p, config.capacity_limit, store), store))
             indexes[p] = timed(f"filter.p{p}", lambda: filter_candidates(
                 table, codes, p, config.tau_t, config.tau_n))
             codes.release(p)

@@ -2,7 +2,7 @@
 
 Prune runs a seen-once/seen-multi bloom pair and keeps seen-multi, so
 multiplicity-1 k-mers are dropped early. Count accumulates bounded
-normal/tumoral counters, spilling sorted runs when full. Filter keeps
+normal/tumoral counters, spilling sorted runs only when full. Filter keeps
 imbalanced k-mers and lists, per candidate and origin, the ascending ids of
 the reads that hold it. Merge unites per-partition indexes, whose candidates
 are disjoint, and Group inverts the merged index's tumoral id lists to expand
@@ -111,20 +111,20 @@ def count(
     partition_id: int,
     capacity_limit: int | None,
     store: SpillStore,
-) -> list[BlobHandle]:
-    """Count pruned k-mers of one partition, spilling sorted runs when full.
+) -> tuple[list[BlobHandle], dict[int, int]]:
+    """One partition's pruned k-mer counts: the sorted runs spilled, and the last table.
 
     The table maps a code to n_count + (t_count << 32) and holds at most
-    `capacity_limit` codes (None: unbounded). A normal window adds 1 and a
-    tumoral one 1 << 32; under 2**32 normal windows, no n_count, summed over
-    runs too, carries into t_count. A code is looked up in the table first and
-    probes `prune_filter` only on a miss, and only if no earlier run of this
-    pass held it: a code the table holds, or a flush wrote out, passed the
-    same filter earlier in the pass. So each code that passes probes once per
-    pass at any capacity, and one that fails probes at each of its windows.
-    The probe is `BloomFilter.__contains__`'s, computed in the loop from the
-    filter's words and pattern tables. The final partial table is always
-    flushed, so even an unbounded table produces exactly one run.
+    `capacity_limit` codes (None: unbounded): only a full table is flushed, so
+    an unbounded one writes no run. A normal window adds 1 and a tumoral one
+    1 << 32; under 2**32 normal windows, no n_count, summed over runs too,
+    carries into t_count. A code is looked up in the table first and probes
+    `prune_filter` only on a miss, and only if no earlier run of this pass held
+    it: a code the table holds, or a flush wrote out, passed the same filter
+    earlier in the pass. So each code that passes probes once per pass at any
+    capacity, and one that fails probes at each of its windows. The probe is
+    `BloomFilter.__contains__`'s, computed in the loop from the filter's words
+    and pattern tables.
     """
     normal, tumoral = codes.origin_spans(partition_id)
     if len(normal) >> 32:
@@ -152,9 +152,7 @@ def count(
                 runs.append(store.flush_table(entries))
                 flushed.update(entries)
                 entries.clear()
-    if entries:
-        runs.append(store.flush_table(entries))
-    return runs
+    return runs, entries
 
 
 @dataclass
@@ -164,21 +162,21 @@ class FrequencyTable:
     entries: dict[int, tuple[int, int]]
 
 
-def merge_runs(run_handles: list[BlobHandle], store: SpillStore) -> FrequencyTable:
-    """Sum each code's packed counts over sorted runs, then unpack them to
-    (n_count, t_count) pairs, one tuple per distinct packed value."""
-    entries = {}
-    for handle in run_handles:
+def merge_runs(runs: list[BlobHandle], table: dict[int, int], store: SpillStore) -> FrequencyTable:
+    """Add sorted runs' packed counts to `table`, count's last table, then
+    unpack them in place to (n_count, t_count) pairs, one tuple per distinct
+    packed value."""
+    for handle in runs:
         try:
             codes, counts = store.read_run(handle)
         except CorruptionError as exc:
             raise StageError(f"unreadable run at {handle.start_address}: {exc}") from exc
         for code, packed in zip(codes, counts):
-            entries[code] = entries.get(code, 0) + packed
-    pairs = {packed: (packed & 0xFFFFFFFF, packed >> 32) for packed in set(entries.values())}
-    for code, packed in entries.items():
-        entries[code] = pairs[packed]
-    return FrequencyTable(entries)
+            table[code] = table.get(code, 0) + packed
+    pairs = {packed: (packed & 0xFFFFFFFF, packed >> 32) for packed in set(table.values())}
+    for code, packed in table.items():
+        table[code] = pairs[packed]
+    return FrequencyTable(table)
 
 
 # --------------------------------------------------------------------------

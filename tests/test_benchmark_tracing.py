@@ -3,9 +3,9 @@ name and reads fields of their results, so renaming or deleting one of them
 breaks `perfbench/run.py --trace 1`. This runs its wrappers on the toy config
 and on the default simulation scenario with all three instances on one host,
 so that memory pressure adds spill writes to the flush writes. It also runs
-one untraced pipeline_spill iteration of the benchmark, whose checks read the
-files the program writes, and pins the files `kmerfab run` writes on the
-benchmark's input under both pipeline workloads' settings."""
+one untraced iteration of each pipeline workload of the benchmark, whose
+checks read the files the program writes, and pins the files `kmerfab run`
+writes on the benchmark's input under both pipeline workloads' settings."""
 
 import hashlib
 import importlib.util
@@ -53,11 +53,13 @@ sys.path.insert(0, sys.argv[1])
 import inputs
 import run
 
-work = Path(sys.argv[2])
+work, workload = Path(sys.argv[2]), sys.argv[3]
+# the pipeline workloads the test runs this for are every one the benchmark has
+assert sorted(run.PIPELINES) == sys.argv[4:], sorted(run.PIPELINES)
 inputs.write_inputs(101, work)
-conf = work / "pipeline_spill.conf"
+conf = work / f"{workload}.conf"
 conf.write_text(inputs.run_config(work / "normal.fa", work / "tumoral.fa",
-                                  chunk_size=run.CHUNK_SIZE, **run.PIPELINES["pipeline_spill"]))
+                                  chunk_size=run.CHUNK_SIZE, **run.PIPELINES[workload]))
 ledger = run.Ledger()
 sample = run.pipeline_iteration(ledger, conf, work / "out", None)
 # kmerfab run, kmerfab trace, and the two output checks made without a reference
@@ -113,6 +115,10 @@ assert metrics["fabric.submit.calls"] == completed > 0, (metrics["fabric.submit.
 """
 
 
+# perfbench/run.py's PIPELINES, which the iteration script checks against
+PIPELINE_WORKLOADS = ["pipeline_inmem", "pipeline_spill"]
+
+
 def test_benchmark_wrappers_trace_a_toy_run(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(REPO / "src"), str(REPO / "perfbench"),
@@ -133,10 +139,14 @@ def test_benchmark_wrappers_trace_a_simulation(tmp_path):
     assert "instances:" in proc.stdout
 
 
-def test_benchmark_pipeline_iteration_passes_its_checks(tmp_path):
-    """P = 4 with a 512-entry table, as the pipeline_spill workload runs it."""
+@pytest.mark.parametrize("workload", PIPELINE_WORKLOADS)
+def test_benchmark_pipeline_iteration_passes_its_checks(tmp_path, workload):
+    """Each pipeline workload's settings, as the benchmark runs them: P = 4
+    with a 512-entry table, and P = 1 with an unbounded one, whose trace
+    holds the checkpoint writes alone."""
     proc = subprocess.run(
-        [sys.executable, "-c", PIPELINE_ITERATION, str(REPO / "perfbench"), str(tmp_path)],
+        [sys.executable, "-c", PIPELINE_ITERATION, str(REPO / "perfbench"), str(tmp_path),
+         workload, *PIPELINE_WORKLOADS],
         cwd=REPO, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -153,19 +163,22 @@ def load_benchmark_inputs():
 
 # sha256 of `kmerfab run`'s files on the benchmark's seed-101 input with 4 KiB
 # chunks, per workload's (partitions, capacity_limit). The shipped toy config
-# runs P = 2 at capacity 256 only; a change to them re-pins these and says why
+# runs P = 2 at capacity 256 only; a change to them re-pins these and says why.
+# device0.dat and trace.csv were last re-pinned when count stopped flushing its
+# last table: pipeline_spill loses its four final partial runs (12,112 bytes),
+# and pipeline_inmem its one run, so its device holds prune and filter.p0 alone
 BENCHMARK_DIGESTS = {
     "pipeline_spill": ((4, 512), {
         "index.bin": "97a3c839e84f2c9934dc82716c4fa3fdc8c8ff4edb1f02dfef3cba6630922ffc",
         "groups.csv": "61f6bf9033ab610aa972963be2b435e0f490e629c09728484c4e10a264875b9c",
-        "device0.dat": "416bcd65946a4bb06d4df14969d2297a9dd5b57e78353525aba66a6802622571",
-        "trace.csv": "291d332cf9adb9b14b400d90e8992cd4154527c7c8020cc5f19a3770fc7f440d",
+        "device0.dat": "2b721110739792747d13baac181190f2a67a025ac8ec0dfb2c30c5a3653c1999",
+        "trace.csv": "8427f58e571806d4f0a18d6eb8b539937d807ed13650f034643b5dcbd992e366",
     }),
     "pipeline_inmem": ((1, 0), {
         "index.bin": "97a3c839e84f2c9934dc82716c4fa3fdc8c8ff4edb1f02dfef3cba6630922ffc",
         "groups.csv": "61f6bf9033ab610aa972963be2b435e0f490e629c09728484c4e10a264875b9c",
-        "device0.dat": "79c8e0e65121f6ac201bfdd2a14522241dadf5bd51f24d9df38d5a3034039bdf",
-        "trace.csv": "dab57ab1836f47470ee5ebd1caea4938a4b4516ca2c212383d5725477466d2aa",
+        "device0.dat": "2b3e2e7ea9d7f8d8a76c512884a64dfa7239516368befb2ec90ffcbceeae03bd",
+        "trace.csv": "1a8f9a9a0db1aa88844a66c5e554ed2637d8c63e0bc4797cf573fa4b53d4f61f",
     }),
 }
 

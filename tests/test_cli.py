@@ -456,6 +456,39 @@ def test_rerun_drops_a_manifest_entry_whose_field_is_no_int(toy_inputs, start):
         assert (out / name).read_bytes() == data
 
 
+def test_rerun_drops_a_manifest_entry_for_a_partition_the_run_has_not(toy_inputs):
+    """filter.p7 names no stage of a 2-partition run: no load tries it, so
+    it must not place the cursor behind its far-off blob either."""
+    out = toy_inputs / "out"
+    cfg = run_config(toy_inputs)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    first = {name: (out / name).read_bytes() for name in OUTPUTS}
+    manifest = out / "checkpoints.json"
+    doc = json.loads(manifest.read_text())
+    del doc["stages"]["filter.p1"]
+    doc["stages"]["filter.p7"] = {"start_address": 10**15, "length": 64, "checksum": 0}
+    manifest.write_text(json.dumps(doc))
+
+    for _ in range(2):  # the second rerun reads the manifest the first one saved
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        for name, data in first.items():
+            assert (out / name).read_bytes() == data
+        assert "filter.p7" not in json.loads(manifest.read_text())["stages"]
+
+
+def test_unbounded_run_writes_only_its_checkpoints(toy_inputs):
+    """At P = 1 with an unbounded table, count spills no run: the device holds
+    prune and filter.p0 back to back, and nothing is read back."""
+    out = toy_inputs / "out"
+    cfg = run_config(toy_inputs, partitions=1, capacity_limit=0)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    stages = json.loads((out / "checkpoints.json").read_text())["stages"]
+    assert stages.keys() == {"prune", "filter.p0"}
+    assert (out / "device0.dat").stat().st_size == sum(h["length"] for h in stages.values())
+    with open(out / "trace.csv") as fh:
+        assert {r.kind for r in parse_trace_csv(fh)} == {"write"}
+
+
 def test_rerun_in_another_checkpoint_format_is_a_clean_miss(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(CONFIGS.parent)  # toy_run.conf names its inputs from the repo root
     out = tmp_path / "out"
@@ -741,11 +774,11 @@ SHIPPED_DIGESTS = {
         "index.bin": "4fa8f0432e3c0a0e1b518b5355fc805cac6b41b5b6296bd8fdd69be80fc468c6",
         "groups.csv": "1b1fc42ea84ab57952e2f415d90be65356f64e0d1013a6e2e506643dc1b07f1d",
         # the on-device format: a change to it re-pins these and says why. Last
-        # re-pinned when count.pN stopped being checkpointed and filter.pN
-        # stopped holding read bases: the two count.pN handle blobs are gone,
-        # each filter.pN blob is shorter, and the device writes 2,820 bytes less
-        "trace.csv": "20b203b32222f45edd29b0fad7d24ab9223975c011eecb514eb61cffbbb3246e",
-        "device0.dat": "263bde159a4cf794a7f339f59c8cac64820d9381412cabc2b6d383427cc1973c",
+        # re-pinned when count stopped flushing its last table, which merge now
+        # reads from memory: each partition's final partial run is gone from the
+        # device and from the trace, and the device writes 2,400 bytes less
+        "trace.csv": "2f191679cef3ea61acc5199bee415211919f0e99b9e47c7749a2d3fdf0caa378",
+        "device0.dat": "a2bc3b9586a19ee390ff63cb1869a918d28dd82a841e23829fb1ba35396aad65",
     },
 }
 

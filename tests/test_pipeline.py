@@ -49,8 +49,7 @@ def test_matches_manual_stage_composition(small_instance):
     store = make_store()
     codes = ReadCodes(normal, tumoral, K)
     pf = prune(codes, 0.01)
-    runs = count(codes, pf, 0, None, store)
-    table = merge_runs(runs, store)
+    table = merge_runs(*count(codes, pf, 0, None, store), store)
     idx = filter_candidates(table, codes, 0, 4, 1)
     groups = group(idx, 3)
 
@@ -98,8 +97,8 @@ def test_each_partition_table_is_freed_before_the_next_count(small_instance, mon
     tables, live = [], []
     count_, merge_runs_ = pipeline.count, pipeline.merge_runs
 
-    def tracked_merge(runs, store):
-        table = merge_runs_(runs, store)
+    def tracked_merge(runs, last_table, store):
+        table = merge_runs_(runs, last_table, store)
         tables.append(weakref.ref(table))
         return table
 
@@ -128,12 +127,12 @@ def test_checkpoints_skip_stages(tmp_path, small_instance):
     fingerprint = cfg.fingerprint(normal, tumoral)
 
     store = make_store(tmp_path / "dev.dat")
-    cp = Checkpoints(store, fingerprint, tmp_path / "manifest.json")
+    cp = Checkpoints(store, fingerprint, cfg.partitions, tmp_path / "manifest.json")
     first = run_pipeline(normal, tumoral, cfg, store, cp)
     assert first.skipped == set()
 
     store2 = make_store(tmp_path / "dev.dat")
-    cp2 = Checkpoints(store2, fingerprint, tmp_path / "manifest.json")
+    cp2 = Checkpoints(store2, fingerprint, cfg.partitions, tmp_path / "manifest.json")
     second = run_pipeline(normal, tumoral, cfg, store2, cp2)
     # a loaded filter.pN skips its count.pN, and with no count.pN to run, prune;
     # group is no stage: it is computed again from the merged index
@@ -150,7 +149,7 @@ def test_manifest_survives_interrupted_persist(tmp_path, small_instance, monkeyp
     fingerprint = cfg.fingerprint(normal, tumoral)
     manifest = tmp_path / "manifest.json"
     store = make_store(tmp_path / "dev.dat")
-    cp = Checkpoints(store, fingerprint, manifest)
+    cp = Checkpoints(store, fingerprint, cfg.partitions, manifest)
     first = run_pipeline(normal, tumoral, cfg, store, cp)
     before = manifest.read_bytes()
 
@@ -165,7 +164,7 @@ def test_manifest_survives_interrupted_persist(tmp_path, small_instance, monkeyp
     assert manifest.read_bytes() == before
     store2 = make_store(tmp_path / "dev.dat")
     second = run_pipeline(normal, tumoral, cfg, store2,
-                          Checkpoints(store2, fingerprint, manifest))
+                          Checkpoints(store2, fingerprint, cfg.partitions, manifest))
     assert second.skipped == {"filter.p0"}
     assert second.index.to_bytes() == first.index.to_bytes()
 
@@ -184,7 +183,7 @@ def test_each_window_extracted_once_per_run(tmp_path, small_instance, monkeypatc
     monkeypatch.setattr(stages, "canonical_codes", counting)
     store = make_store(tmp_path / "dev.dat")
     first = run_pipeline(normal, tumoral, cfg, store,
-                         Checkpoints(store, fingerprint, tmp_path / "m.json"))
+                         Checkpoints(store, fingerprint, cfg.partitions, tmp_path / "m.json"))
     # each read's codes once, in input order, and group extracts none
     assert extracted == [len(canonical_codes(r.bases, K)) for r in [*normal, *tumoral]]
     assert first.groups
@@ -192,7 +191,7 @@ def test_each_window_extracted_once_per_run(tmp_path, small_instance, monkeypatc
     extracted.clear()
     store2 = make_store(tmp_path / "dev.dat")
     second = run_pipeline(normal, tumoral, cfg, store2,
-                          Checkpoints(store2, fingerprint, tmp_path / "m.json"))
+                          Checkpoints(store2, fingerprint, cfg.partitions, tmp_path / "m.json"))
     assert second.skipped == {"filter.p0", "filter.p1", "filter.p2", "filter.p3"}
     # group, computed again, reads only the loaded id lists
     assert extracted == []
@@ -205,7 +204,7 @@ def test_group_from_checkpoints_alone(tmp_path, small_instance):
     normal, tumoral = small_instance
     cfg = PipelineConfig(k=K, partitions=3)
     store = make_store(tmp_path / "dev.dat")
-    cp = Checkpoints(store, cfg.fingerprint(normal, tumoral), tmp_path / "m.json")
+    cp = Checkpoints(store, cfg.fingerprint(normal, tumoral), cfg.partitions, tmp_path / "m.json")
     result = run_pipeline(normal, tumoral, cfg, store, cp)
     assert result.groups
     merged = reduce(merge_indexes, [cp.load(f"filter.p{p}", CandidateIndex.from_bytes)
@@ -217,12 +216,13 @@ def test_fingerprint_mismatch_discards_checkpoints(tmp_path, small_instance):
     normal, tumoral = small_instance
     cfg = PipelineConfig(k=K)
     store = make_store(tmp_path / "dev.dat")
-    cp = Checkpoints(store, cfg.fingerprint(normal, tumoral), tmp_path / "m.json")
+    cp = Checkpoints(store, cfg.fingerprint(normal, tumoral), cfg.partitions, tmp_path / "m.json")
     run_pipeline(normal, tumoral, cfg, store, cp)
 
     cfg2 = PipelineConfig(k=K, tau_t=5)
     store2 = make_store(tmp_path / "dev.dat")
-    cp2 = Checkpoints(store2, cfg2.fingerprint(normal, tumoral), tmp_path / "m.json")
+    cp2 = Checkpoints(store2, cfg2.fingerprint(normal, tumoral), cfg2.partitions,
+                      tmp_path / "m.json")
     result = run_pipeline(normal, tumoral, cfg2, store2, cp2)
     assert result.skipped == set()
 

@@ -195,12 +195,15 @@ def test_prune_insert_matches_two_query_reference():
 # -- count ---------------------------------------------------------------
 
 
-def test_count_unbounded_single_run():
+def test_count_unbounded_writes_no_run():
+    """An unbounded table never fills: count returns it whole and the store
+    sees no request."""
     normal, tumoral = random_instance(seed=3, n_reads=120)
     store = make_store()
-    runs = count(ReadCodes(normal, tumoral, K), saturated_filter(), 0, None, store)
-    assert len(runs) == 1
-    merged = merge_runs(runs, store)
+    runs, table = count(ReadCodes(normal, tumoral, K), saturated_filter(), 0, None, store)
+    assert runs == []
+    assert store.io_trace() == []
+    merged = merge_runs(runs, table, store)
     expect = exact_counts(normal, tumoral, K)
     got = {kmer_of(c, K): (n, t) for c, (n, t) in merged.entries.items()}
     assert got == expect
@@ -209,11 +212,12 @@ def test_count_unbounded_single_run():
 def test_count_capacity_one_spills_every_touch():
     normal, tumoral = random_instance(seed=4, n_reads=30)
     store = make_store()
-    runs = count(ReadCodes(normal, tumoral, K), saturated_filter(), 0, 1, store)
+    runs, table = count(ReadCodes(normal, tumoral, K), saturated_filter(), 0, 1, store)
     total_occurrences = sum(
         n + t for n, t in exact_counts(normal, tumoral, K).values())
     assert len(runs) == total_occurrences
-    merged = merge_runs(runs, store)
+    assert table == {}  # each code fills the table as it enters
+    merged = merge_runs(runs, table, store)
     got = {kmer_of(c, K): (n, t) for c, (n, t) in merged.entries.items()}
     assert got == exact_counts(normal, tumoral, K)
 
@@ -223,10 +227,12 @@ def test_count_spill_schedule_invariant(cap):
     normal, tumoral = random_instance(seed=5, n_reads=150)
     store_a = make_store()
     codes = ReadCodes(normal, tumoral, K)
-    runs_a = count(codes, saturated_filter(), 0, cap, store_a)
+    runs_a, table_a = count(codes, saturated_filter(), 0, cap, store_a)
+    assert runs_a and len(table_a) < cap
     store_b = make_store()
-    runs_b = count(codes, saturated_filter(), 0, None, store_b)
-    assert merge_runs(runs_a, store_a).entries == merge_runs(runs_b, store_b).entries
+    runs_b, table_b = count(codes, saturated_filter(), 0, None, store_b)
+    merged_a = merge_runs(runs_a, table_a, store_a).entries
+    assert merged_a == merge_runs(runs_b, table_b, store_b).entries
 
 
 def test_count_partitions_combine_to_whole():
@@ -235,13 +241,12 @@ def test_count_partitions_combine_to_whole():
     codes = ReadCodes(normal, tumoral, K, 2)
     combined = {}
     for p in range(2):
-        runs = count(codes, saturated_filter(), p, None, store)
-        part = merge_runs(runs, store).entries
+        part = merge_runs(*count(codes, saturated_filter(), p, None, store), store).entries
         assert not (set(combined) & set(part))
         combined.update(part)
     store2 = make_store()
-    runs = count(ReadCodes(normal, tumoral, K), saturated_filter(), 0, None, store2)
-    assert combined == merge_runs(runs, store2).entries
+    runs, table = count(ReadCodes(normal, tumoral, K), saturated_filter(), 0, None, store2)
+    assert combined == merge_runs(runs, table, store2).entries
 
 
 def test_count_probes_prune_filter_only_in_own_partition():
@@ -268,15 +273,15 @@ def test_count_probes_prune_filter_only_in_own_partition():
         for cap in (1, 7, None):
             store = make_store()
             words.probes = 0
-            runs = count(codes, pf, p, cap, store)
+            runs, table = count(codes, pf, p, cap, store)
             assert words.probes == misses, cap
-            merged.append(merge_runs(runs, store).entries)
+            merged.append(merge_runs(runs, table, store).entries)
         assert merged[0] == merged[1] == merged[2]
 
 
 def probe_first_count(codes, prune_filter, partition_id, capacity_limit, store):
     """Reference count: every window probes the prune filter, then the
-    table."""
+    table. Returns the runs and the last table, which it does not flush."""
     runs = []
     entries = {}
     for t_idx, span in enumerate(codes.origin_spans(partition_id)):
@@ -290,10 +295,7 @@ def probe_first_count(codes, prune_filter, partition_id, capacity_limit, store):
                     entries.clear()
             else:
                 entries[code] += 1 << (32 * t_idx)
-    if entries:
-        runs.append(store.flush_table(entries))
-        entries.clear()
-    return runs
+    return runs, entries
 
 
 @pytest.mark.parametrize("partitions", [1, 3])
@@ -304,13 +306,15 @@ def test_count_spill_runs_match_probe_first_reference(cap, partitions):
     pf = prune(codes, 0.01)
     for p in range(partitions):
         store, ref_store = make_store(), make_store()
-        runs = count(codes, pf, p, cap, store)
-        ref_runs = probe_first_count(codes, pf, p, cap, ref_store)
+        runs, table = count(codes, pf, p, cap, store)
+        ref_runs, ref_table = probe_first_count(codes, pf, p, cap, ref_store)
         assert [store.read_blob(h) for h in runs] == [ref_store.read_blob(h) for h in ref_runs]
         assert runs == ref_runs
+        assert table == ref_table
         # a second count of the same codes starts from an empty table of its own
-        again = count(codes, pf, p, cap, store)
+        again, again_table = count(codes, pf, p, cap, store)
         assert [store.read_blob(h) for h in again] == [store.read_blob(h) for h in runs]
+        assert again_table == table and again_table is not table
 
 
 def probe_inputs(kind):
@@ -357,12 +361,13 @@ def test_count_probe_is_the_filters_membership_test(kind, inputs):
     else:
         assert 0 < len(passed) < len(set(windows))
     store = make_store()
-    assert merge_runs(count(codes, pf, 0, None, store), store).entries.keys() == passed
+    assert merge_runs(*count(codes, pf, 0, None, store), store).entries.keys() == passed
     for cap in (1, 7, None):
         store, ref_store = make_store(), make_store()
-        runs = count(codes, pf, 0, cap, store)
-        ref_runs = probe_first_count(codes, pf, 0, cap, ref_store)
+        runs, table = count(codes, pf, 0, cap, store)
+        ref_runs, ref_table = probe_first_count(codes, pf, 0, cap, ref_store)
         assert [store.read_blob(h) for h in runs] == [ref_store.read_blob(h) for h in ref_runs]
+        assert table == ref_table
 
 
 class _HugeSpan:
@@ -395,7 +400,7 @@ def test_count_refuses_a_normal_span_a_32_bit_count_cannot_hold():
         with pytest.raises(StageError, match=r"2\*\*32"):
             count(_SpanCodes(_HugeSpan(length)), saturated_filter(), 0, None, make_store())
     store = make_store()
-    assert count(_SpanCodes(_HugeSpan(2**32 - 1)), saturated_filter(), 0, None, store) == []
+    assert count(_SpanCodes(_HugeSpan(2**32 - 1)), saturated_filter(), 0, None, store) == ([], {})
     assert store.append_cursor == 0
 
 
@@ -404,7 +409,7 @@ def test_merge_keeps_a_t_count_past_32_bits():
     index, whose u32 fields cannot hold it, refuses to serialize it."""
     store = make_store()
     runs = [store.flush_table({7: (2**32 - 1) << 32}), store.flush_table({7: 3 + (1 << 32)})]
-    table = merge_runs(runs, store)
+    table = merge_runs(runs, {}, store)
     assert table.entries == {7: (3, 2**32)}
     index = filter_candidates(table, ReadCodes([], [], K), 0, tau_t=4, tau_n=3)
     assert index.candidates[7].t_count == 2**32
@@ -418,14 +423,25 @@ def test_merge_keeps_a_t_count_past_32_bits():
 def test_merge_single_run_identity():
     store = make_store()
     h = store.flush_table({1: 1 + (2 << 32), 9: 3 << 32})
-    assert merge_runs([h], store).entries == {1: (1, 2), 9: (0, 3)}
+    assert merge_runs([h], {}, store).entries == {1: (1, 2), 9: (0, 3)}
 
 
 def test_merge_adds_counts():
     store = make_store()
     h1 = store.flush_table({7: 1})
     h2 = store.flush_table({7: 2 + (3 << 32)})
-    assert merge_runs([h1, h2], store).entries == {7: (3, 3)}
+    assert merge_runs([h1, h2], {}, store).entries == {7: (3, 3)}
+
+
+def test_merge_folds_runs_into_the_last_table_in_place():
+    """count's last table is summed with its runs, codes of either alone kept."""
+    store = make_store()
+    h = store.flush_table({7: 2 + (1 << 32), 9: 1})
+    table = {7: 1 << 32, 8: 3}
+    merged = merge_runs([h], table, store)
+    assert merged.entries is table
+    assert table == {7: (2, 2), 8: (3, 0), 9: (1, 0)}
+    assert merge_runs([], {5: 4 + (6 << 32)}, store).entries == {5: (4, 6)}
 
 
 def test_merge_unreadable_run_named():
@@ -433,7 +449,7 @@ def test_merge_unreadable_run_named():
     h = store.flush_table({1: 1 + (1 << 32)})
     store.namespace.write_data(h.start_address + 40, b"\x00\x01")
     with pytest.raises(StageError, match=str(h.start_address)):
-        merge_runs([h], store)
+        merge_runs([h], {}, store)
 
 
 # -- filter --------------------------------------------------------------
