@@ -22,7 +22,6 @@ masks are the same on every platform.
 from __future__ import annotations
 
 import math
-import struct
 import sys
 from array import array
 from functools import cache
@@ -34,7 +33,6 @@ from .kmers import _MASK64
 MAX_HASHES = 16  # mask bits: lo and hi hold at most 8 draws, within a u64's ten 6-bit chunks
 _BLOCK = 1024  # codes per multiply in _hashes: 16 KiB of slots, so memory stays flat
 _TABLE = 4096  # entries per pattern table, indexed by 12 bits of the hash
-_HEAD = struct.Struct("<QI")  # n_bits u64, n_hashes u32
 _MUM = 0xA0761D6478BD642F  # wyhash's first prime; not kmers._HASH_MULT, which partitions codes
 
 
@@ -198,24 +196,3 @@ class BloomFilter:
                     multi[(h >> 24) % n_multi] |= mask
                 else:
                     words[i] = word | mask
-
-    def to_bytes(self) -> bytes:
-        """n_bits and n_hashes, then the words as little-endian u64."""
-        words = self._words
-        if sys.byteorder == "big":
-            words = array("Q", words)
-            words.byteswap()
-        return _HEAD.pack(self.n_bits, self.n_hashes) + words.tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BloomFilter":
-        n_bits, n_hashes = _HEAD.unpack_from(data)
-        if n_bits == 0 or n_bits % 64 or not 1 <= n_hashes <= MAX_HASHES:
-            raise ValueError("bloom header out of range")
-        if len(data) != _HEAD.size + n_bits // 8:
-            raise ValueError("bloom payload size mismatch")
-        bf = cls(n_bits, n_hashes)
-        bf._words = array("Q", data[_HEAD.size:])
-        if sys.byteorder == "big":
-            bf._words.byteswap()
-        return bf

@@ -71,6 +71,10 @@ def _load_pool(kv: dict[str, str]) -> PoolConfig:
         if key.startswith("efficiency.width"):
             width = int(key.removeprefix("efficiency.width"))
             pool.curves[width] = cfg.get_curve(kv, key)
+            try:  # checked as it loads, so simulate and compare accept one set of files
+                pool.curve_for(width)
+            except ValueError as exc:
+                raise cfg.ConfigError(f"key {key!r}: {exc}") from exc
     return pool
 
 
@@ -91,7 +95,8 @@ def _load_workload(kv: dict[str, str]) -> WorkloadModel:
 
 def _load_scenario(path: Path):
     kv = cfg.load_kv(path)
-    cfg.check_keys(kv, _SCENARIO_KEYS, patterns=[r"efficiency\.width\d+"])
+    # one key per width: no width 0, and no leading zero to name a width twice
+    cfg.check_keys(kv, _SCENARIO_KEYS, patterns=[r"efficiency\.width[1-9]\d*"])
     pool = _load_pool(kv)
     workload = _load_workload(kv)
     host = HostModel(

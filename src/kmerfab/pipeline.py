@@ -1,18 +1,20 @@
 """Partitioned pipeline driver: Prune, per-partition Count+Filter, Merge, Group.
 
-Prune and each partition's filter.pN are checkpointed, once: a small manifest
-(stage -> blob handle on the bound namespace, plus a config/input fingerprint)
-makes reruns skip completed stages. A run loads first: every filter.pN that
-loads skips its partition. Then it computes what is missing: every read's
-codes, once; prune, loaded or computed; then count.pN and filter.pN for each
-missing partition in order. So a rerun that loads every filter.pN extracts no
-codes and never reads prune. The device holds nothing but checkpoints and the
-runs count.pN spills from a full table. count.pN is never checkpointed: a
-loaded count would spare only its loop, as its filter pass reads every code of
-its partition anyway. A filter.pN lists read ids, not bases, and so does the
-merged index: group reads only its id lists, and index.bin takes the bases
-from the inputs, which every run parses. Merge and group are no stages either:
-each run merges the filter.pN outputs in memory and groups them.
+Each partition's filter.pN is checkpointed, once, and nothing else is: a small
+manifest (stage -> blob handle on the bound namespace, plus a config/input
+fingerprint) makes reruns skip completed partitions. A run loads first: every
+filter.pN that loads skips its partition. Then it computes what is missing:
+every read's codes, once; prune over every bucket; then count.pN and filter.pN
+for each missing partition in order. So a rerun that loads every filter.pN
+extracts no codes and runs no prune. The device holds nothing but the
+filter.pN blobs and the runs count.pN spills from a full table. No other stage
+is checkpointed, as a loaded output would spare only its own loop: prune's is
+one pass over the codes a partial rerun extracts anyway, and count.pN's filter
+pass reads every code of its partition. A filter.pN lists read ids, not bases,
+and so does the merged index: group reads only its id lists, and index.bin
+takes the bases from the inputs, which every run parses. Merge and group are
+no stages either: each run merges the filter.pN outputs in memory and groups
+them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
 
-from .bloom import BloomFilter
 from .kmers import Read
 # encode_run and decode_run go unused here, but perfbench/tracing.py wraps these names
 from .spill import BlobHandle, CorruptionError, SpillStore, decode_run, encode_run
@@ -44,8 +45,9 @@ from .stages import (
 )
 
 CHECKPOINT_FORMAT = "blocked-bloom-mum-prune"  # fingerprinted: another format is a clean miss
-# a damaged checkpoint as it loads: a failed header or CRC, or bytes that do not decode
-LOAD_ERRORS = (CorruptionError, StageError, struct.error, ValueError)
+# a damaged filter.pN as it loads: a failed header or CRC (read_blob), or bytes
+# that do not decode (CandidateIndex.from_bytes)
+LOAD_ERRORS = (CorruptionError, StageError, struct.error)
 
 
 @dataclass
@@ -61,13 +63,14 @@ class PipelineConfig:
     prune_fp: float = 0.01
 
     def fingerprint(self, normal: list[Read], tumoral: list[Read]) -> str:
-        """The checkpoints' key: every setting a checkpointed output depends
-        on, and the reads. `capacity_limit` is left out, as the merged table
-        filter reads is the same at any capacity, and `min_candidates`, as
-        only group reads it."""
+        """The checkpoints' key: every setting a filter.pN depends on, and
+        the reads. `capacity_limit` is left out, as the merged table filter
+        reads is the same at any capacity; `min_candidates`, as only group
+        reads it; and `prune_fp`, as prune drops only k-mers seen once, and a
+        candidate is seen at least tau_t >= 2 times (`cli.cmd_run` enforces
+        it), so filter.pN is the same at any rate."""
         h = hashlib.sha256(CHECKPOINT_FORMAT.encode())
-        h.update(f"{self.k},{self.partitions},{self.tau_t},{self.tau_n},"
-                 f"{self.prune_fp}".encode())
+        h.update(f"{self.k},{self.partitions},{self.tau_t},{self.tau_n}".encode())
         for reads in (normal, tumoral):
             h.update(str(len(reads)).encode())
             for r in reads:
@@ -77,11 +80,11 @@ class PipelineConfig:
 
 
 class Checkpoints:
-    """Stage-output directory over a spill store.
+    """Stage-output directory over a spill store; its stages are the filter.pN.
 
     The manifest can be persisted as JSON so a later process run resumes;
     a fingerprint mismatch or an unreadable manifest discards all recorded
-    stages. An entry named for no stage of a `partitions`-way run, whose
+    stages. An entry that names no filter.pN of a `partitions`-way run, whose
     handle holds a field that is no int, or whose checkpoint fails to load
     is dropped. Either way the pipeline recomputes what is missing, appended
     behind the furthest blob still named.
@@ -99,7 +102,7 @@ class Checkpoints:
                 if raw.get("fingerprint") == fingerprint:
                     # only the names run_pipeline loads, with the int fields the cursor
                     # adds up: a later save rewrites the manifest
-                    names = {"prune", *(f"filter.p{p}" for p in range(partitions))}
+                    names = {f"filter.p{p}" for p in range(partitions)}
                     self._stages = {name: BlobHandle(**h) for name, h in raw["stages"].items()
                                     if name in names and all(type(v) is int for v in h.values())}
             except (ValueError, KeyError, TypeError, AttributeError):
@@ -189,10 +192,7 @@ def run_pipeline(
     missing = [p for p in partitions if indexes[p] is None]
     if missing:
         codes = ReadCodes(normal, tumoral, config.k, config.partitions)
-        pf = load("prune", BloomFilter.from_bytes)
-        if pf is None:
-            pf = timed("prune", lambda: prune(codes, config.prune_fp))
-            named("prune", lambda: cp.save("prune", pf.to_bytes()))
+        pf = timed("prune", lambda: prune(codes, config.prune_fp))
         for p in partitions:
             if indexes[p] is not None:  # loaded: no pass reads its bucket
                 codes.release(p)

@@ -1,5 +1,6 @@
 """Shared helpers: randomized read-pair instances with planted repeats, the
-codes of low-complexity reads, and bloom words that count their reads."""
+codes of low-complexity reads, bloom words that count their reads, and a
+bloom filter's state and word bytes."""
 
 import random
 from array import array
@@ -76,3 +77,13 @@ class CountingWords(array):
     def __getitem__(self, i):
         self.probes += 1
         return super().__getitem__(i)
+
+
+def filter_state(bf):
+    """What makes two bloom filters equal: their size, mask width and words."""
+    return bf.n_bits, bf.n_hashes, bf._words
+
+
+def word_bytes(bf):
+    """A filter's words as little-endian u64s, the same bytes on every host."""
+    return b"".join(w.to_bytes(8, "little") for w in bf._words)

@@ -164,21 +164,21 @@ def load_benchmark_inputs():
 # sha256 of `kmerfab run`'s files on the benchmark's seed-101 input with 4 KiB
 # chunks, per workload's (partitions, capacity_limit). The shipped toy config
 # runs P = 2 at capacity 256 only; a change to them re-pins these and says why.
-# device0.dat and trace.csv were last re-pinned when count stopped flushing its
-# last table: pipeline_spill loses its four final partial runs (12,112 bytes),
-# and pipeline_inmem its one run, so its device holds prune and filter.p0 alone
+# device0.dat and trace.csv were last re-pinned when prune stopped being
+# checkpointed: both workloads lose the 74,604-byte prune blob at address 0, so
+# pipeline_inmem's device holds filter.p0 alone
 BENCHMARK_DIGESTS = {
     "pipeline_spill": ((4, 512), {
         "index.bin": "97a3c839e84f2c9934dc82716c4fa3fdc8c8ff4edb1f02dfef3cba6630922ffc",
         "groups.csv": "61f6bf9033ab610aa972963be2b435e0f490e629c09728484c4e10a264875b9c",
-        "device0.dat": "2b721110739792747d13baac181190f2a67a025ac8ec0dfb2c30c5a3653c1999",
-        "trace.csv": "8427f58e571806d4f0a18d6eb8b539937d807ed13650f034643b5dcbd992e366",
+        "device0.dat": "39e12c4dbea52665f1c007361f941c55be1badc7658a88c6f2c22a400133cdd3",
+        "trace.csv": "1c45cf460158f0462c67ad60b99443e335437ca2ba45ea025f579c6872fdd380",
     }),
     "pipeline_inmem": ((1, 0), {
         "index.bin": "97a3c839e84f2c9934dc82716c4fa3fdc8c8ff4edb1f02dfef3cba6630922ffc",
         "groups.csv": "61f6bf9033ab610aa972963be2b435e0f490e629c09728484c4e10a264875b9c",
-        "device0.dat": "2b3e2e7ea9d7f8d8a76c512884a64dfa7239516368befb2ec90ffcbceeae03bd",
-        "trace.csv": "1a8f9a9a0db1aa88844a66c5e554ed2637d8c63e0bc4797cf573fa4b53d4f61f",
+        "device0.dat": "d8a2503ec858e3228aac8724b9879e749d6bea174a691e928905d1ce759d2c00",
+        "trace.csv": "23d1c8b8efe40d1744e3d660618181087da73232ad91b28567c470425a5ae898",
     }),
 }
 

@@ -1,7 +1,6 @@
 """Read-set bitmap and bloom-filter primitives."""
 
 import random
-import struct
 import sys
 from array import array
 
@@ -84,21 +83,6 @@ def test_bloom_fp_rate_near_target():
         probes += 1
         hits += x in bf
     assert hits / probes <= 1.5 * target
-
-
-def test_bloom_serialization_roundtrip():
-    bf = BloomFilter.with_capacity(100, 0.05)
-    for x in (1, 5, 99, 12345):
-        bf.add(x)
-    data = bf.to_bytes()
-    assert len(data) == 12 + (bf.n_bits + 7) // 8  # <QI n_bits, n_hashes, then the bitmap
-    clone = BloomFilter.from_bytes(data)
-    assert (clone.n_bits, clone.n_hashes) == (bf.n_bits, bf.n_hashes)
-    assert all(x in clone for x in (1, 5, 99, 12345))
-    assert clone.to_bytes() == data
-    for bad in (data[:-1], data + b"\x00"):
-        with pytest.raises(ValueError):
-            BloomFilter.from_bytes(bad)
 
 
 def random_keys(rng):
@@ -223,37 +207,12 @@ def test_pattern_tables_equal_the_per_entry_loop(seed):
 
 
 def test_bloom_words_are_little_endian():
+    """A code's word and mask are fixed on every host; PRUNE_BITMAP_DIGESTS
+    hash the words as little-endian u64s."""
     bf = BloomFilter(4 * 64, 6)
     code = 0x1234_5678_9ABC
     bf.add(code)
     word = 1  # (h >> 24) % 4, h the folded product of code and bloom._MUM
     mask = 0x214000010040  # this code's 6 draws from the pattern tables, two on one bit
-    payload = bf.to_bytes()[12:]
-    assert payload == bytes(8 * word) + mask.to_bytes(8, "little") + bytes(8 * (3 - word))
-    assert code in BloomFilter.from_bytes(bf.to_bytes())
-
-
-def test_bloom_words_on_a_host_of_the_other_byte_order(monkeypatch):
-    """to_bytes/from_bytes take the host's word order from `sys.byteorder`:
-    told the other order, each swaps every word and leaves the header be."""
-    codes = [mix64(i) >> 2 for i in range(300)]
-    bf = BloomFilter.with_capacity(len(codes), 0.01)
-    for code in codes:
-        bf.add(code)
-    native = bf.to_bytes()
-    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
-    swapped = bf.to_bytes()
-    assert swapped[:12] == native[:12]
-    assert swapped[12:] == b"".join(native[i:i + 8][::-1] for i in range(12, len(native), 8))
-    assert swapped != native
-    clone = BloomFilter.from_bytes(swapped)
-    assert clone.to_bytes() == swapped
-    assert all(code in clone for code in codes)
-
-
-@pytest.mark.parametrize("n_bits, n_hashes", [(100, 3), (0, 3), (64, 0), (64, MAX_HASHES + 1)])
-def test_bloom_from_bytes_rejects_a_bad_header(n_bits, n_hashes):
-    # 100 bits is not a whole number of words, whatever the payload length
-    for payload in (bytes(-(-n_bits // 8)), bytes(8 * -(-n_bits // 64))):
-        with pytest.raises(ValueError):
-            BloomFilter.from_bytes(struct.pack("<QI", n_bits, n_hashes) + payload)
+    assert list(bf._words) == [0] * word + [mask] + [0] * (3 - word)
+    assert code in bf

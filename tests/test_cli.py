@@ -12,10 +12,8 @@ from pathlib import Path
 import pytest
 
 from kmerfab import cli, pipeline
-from kmerfab.bloom import BloomFilter
 from kmerfab.cli import _load_scenario, main
 from kmerfab.fabric import FileBacking
-from kmerfab.kmers import Origin, canonical_codes, parse_reads
 from kmerfab.pipeline import Checkpoints
 from kmerfab.spill import HEADER_SIZE
 from kmerfab.stages import CandidateIndex
@@ -205,7 +203,7 @@ def test_rerun_recomputes_damaged_checkpoints(toy_inputs, damage):
     elif damage == "truncate_device":
         data = device.read_bytes()
         device.write_bytes(data[:len(data) // 2])
-    else:  # filter.p0, which a rerun reads; only a filter pass that runs reads prune
+    else:  # filter.p0, which a rerun reads
         handle = json.loads(manifest.read_text())["stages"]["filter.p0"]
         data = bytearray(device.read_bytes())
         payload_length = handle["length"] - HEADER_SIZE
@@ -232,13 +230,19 @@ def kill_after_count_p1(out):
     manifest.write_text(json.dumps(doc))
 
 
-def flip_byte_in_first_run_after(out, stage):
-    """Damage the payload of the spill run just after `stage`'s blob: prune's
-    for partition 0, filter.p0's for partition 1. Stages are saved in
-    partition order, each after its partition's spill runs."""
-    blob = json.loads((out / "checkpoints.json").read_text())["stages"][stage]
+def flip_byte_in_first_run_of(out, partition):
+    """Damage the payload of `partition`'s first spill run: the device's first
+    blob for partition 0, the blob just after filter.p{partition - 1}'s
+    otherwise. Stages are saved in partition order, each after its
+    partition's spill runs."""
+    stages = json.loads((out / "checkpoints.json").read_text())["stages"]
+    start = 0
+    if partition:
+        blob = stages[f"filter.p{partition - 1}"]
+        start = blob["start_address"] + blob["length"]
+    assert start not in {h["start_address"] for h in stages.values()}  # a run, no filter.pN
     device = bytearray((out / "device0.dat").read_bytes())
-    device[blob["start_address"] + blob["length"] + HEADER_SIZE + 3] ^= 0xFF
+    device[start + HEADER_SIZE + 3] ^= 0xFF
     (out / "device0.dat").write_bytes(bytes(device))
 
 
@@ -265,18 +269,17 @@ def test_rerun_after_kill_between_count_and_filter(toy_inputs, capsys):
         assert (out / name).read_bytes() == data
 
 
-@pytest.mark.parametrize("missing, loaded, run_after, buckets", [
-    (1, 0, "filter.p0", [False, True]),
-    (0, 1, "prune", [True, False]),  # bucket 1 is freed before count.p0 runs
+@pytest.mark.parametrize("missing, loaded, buckets", [
+    (1, 0, [False, True]),
+    (0, 1, [True, False]),  # bucket 1 is freed before count.p0 runs
 ], ids=["filter_p1_missing", "filter_p0_missing"])
 def test_rerun_recounts_partition_whose_spill_run_is_damaged(toy_inputs, capsys, monkeypatch,
-                                                             missing, loaded, run_after,
-                                                             buckets):
+                                                             missing, loaded, buckets):
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     first = {name: (out / name).read_bytes() for name in OUTPUTS}
-    flip_byte_in_first_run_after(out, run_after)  # the rerun counts anew and never reads it
+    flip_byte_in_first_run_of(out, missing)  # the rerun counts anew and never reads it
     manifest = out / "checkpoints.json"
     doc = json.loads(manifest.read_text())
     del doc["stages"][f"filter.p{missing}"]
@@ -301,26 +304,14 @@ def test_rerun_recounts_partition_whose_spill_run_is_damaged(toy_inputs, capsys,
         assert (out / name).read_bytes() == data
 
 
-@pytest.mark.parametrize("stage, consumers", [
-    ("prune", ["filter.p0"]),  # only a computed filter.pN loads prune
-    ("prune", ["filter.p1"]),  # the first filter.pN computed is filter.p1
-    ("filter.p0", []),
-    ("filter.p1", []),
-])
-def test_rerun_recomputes_checkpoint_that_does_not_decode(toy_inputs, capsys, stage,
-                                                          consumers):
+@pytest.mark.parametrize("stage", ["filter.p0", "filter.p1"])
+def test_rerun_recomputes_checkpoint_that_does_not_decode(toy_inputs, capsys, stage):
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     first = {name: (out / name).read_bytes() for name in OUTPUTS}
-    # a loaded consumer would skip the damaged stage: drop its checkpoint
-    manifest = out / "checkpoints.json"
-    doc = json.loads(manifest.read_text())
-    for name in consumers:
-        del doc["stages"][name]
-    manifest.write_text(json.dumps(doc))
     # zeros of the same length, behind a header whose CRC they pass
-    handle = doc["stages"][stage]
+    handle = json.loads((out / "checkpoints.json").read_text())["stages"][stage]
     payload = bytes(handle["length"] - HEADER_SIZE)
     device = bytearray((out / "device0.dat").read_bytes())
     start = handle["start_address"]
@@ -335,42 +326,52 @@ def test_rerun_recomputes_checkpoint_that_does_not_decode(toy_inputs, capsys, st
         assert (out / name).read_bytes() == data
 
 
-@pytest.mark.parametrize("dropped, loaded", [
-    (("filter.p1",), "filter.p0"),
-], ids=["filter_p0_loaded"])
-def test_rerun_recomputes_damaged_prune_before_freeing_a_bucket(toy_inputs, capsys,
-                                                                dropped, loaded):
-    """A damaged prune checkpoint at P = 2 under a loaded filter.p0: the
-    first filter pass that runs recomputes prune over every bucket, bucket 0
-    included, before any pass frees bucket 0."""
+@pytest.mark.parametrize("partitions, dropped", [(2, 1), (3, 1), (3, 2)])
+def test_partial_rerun_recomputes_the_first_runs_prune_filter(toy_inputs, capsys, monkeypatch,
+                                                              partitions, dropped):
+    """A rerun with one filter.pN dropped runs prune once, before any bucket
+    is freed, the loaded partitions' included, so it sets the first run's
+    bits word for word, and count probes the filter the first run probed."""
     out = toy_inputs / "out"
-    cfg = run_config(toy_inputs)
+    cfg = run_config(toy_inputs, partitions=partitions)
+    filters = []
+    prune = pipeline.prune
+
+    def spy(codes, fp):
+        held = [part is not None for part in codes.codes]
+        pf = prune(codes, fp)
+        filters.append((held, pf.n_bits, pf.n_hashes, list(pf._words)))
+        return pf
+
+    monkeypatch.setattr(pipeline, "prune", spy)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     first = {name: (out / name).read_bytes() for name in OUTPUTS}
     manifest = out / "checkpoints.json"
     doc = json.loads(manifest.read_text())
-    for name in dropped:
-        del doc["stages"][name]
+    del doc["stages"][f"filter.p{dropped}"]
     manifest.write_text(json.dumps(doc))
-    handle = doc["stages"]["prune"]
-    device = bytearray((out / "device0.dat").read_bytes())
-    device[handle["start_address"] + HEADER_SIZE] ^= 0xFF
-    (out / "device0.dat").write_bytes(bytes(device))
     capsys.readouterr()
 
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     stages = stage_lines(capsys.readouterr().out)
-    assert stages[f"stage {loaded}"].endswith("(checkpoint)")
+    assert [name for name, line in stages.items() if line.endswith("(checkpoint)")] == [
+        f"stage filter.p{p}" for p in range(partitions) if p != dropped]
     assert not stages["stage prune"].endswith("(checkpoint)")
+    assert len(filters) == 2
+    assert filters[1] == filters[0]
+    assert filters[1][0] == [True] * partitions
     for name, data in first.items():
         assert (out / name).read_bytes() == data
 
 
 def test_rerun_that_counts_nothing_reads_no_prune_checkpoint(toy_inputs, capsys):
+    """A rerun that loads every filter.pN runs no prune, and it reads from
+    the device nothing but the filter.pN blobs."""
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    prune = json.loads((out / "checkpoints.json").read_text())["stages"]["prune"]
+    blobs = json.loads((out / "checkpoints.json").read_text())["stages"]
+    assert blobs.keys() == {"filter.p0", "filter.p1"}
     capsys.readouterr()
 
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
@@ -378,8 +379,9 @@ def test_rerun_that_counts_nothing_reads_no_prune_checkpoint(toy_inputs, capsys)
     with open(out / "trace.csv") as fh:
         reads = [r for r in parse_trace_csv(fh) if r.kind == "read"]
     assert reads  # the rerun loads the filter.pN checkpoints
-    end = prune["start_address"] + prune["length"]
-    assert not [r for r in reads if r.start < end and prune["start_address"] < r.start + r.length]
+    assert not [r for r in reads if not any(
+        h["start_address"] <= r.start and r.start + r.length <= h["start_address"] + h["length"]
+        for h in blobs.values())]
 
 
 def test_rerun_after_kill_between_count_blob_and_manifest(toy_inputs, monkeypatch):
@@ -402,7 +404,7 @@ def test_rerun_after_kill_between_count_blob_and_manifest(toy_inputs, monkeypatc
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     monkeypatch.undo()
     assert json.loads((out / "checkpoints.json").read_text())["stages"].keys() == {
-        "prune", "filter.p0"}
+        "filter.p0"}
 
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     for name in OUTPUTS:
@@ -478,12 +480,12 @@ def test_rerun_drops_a_manifest_entry_for_a_partition_the_run_has_not(toy_inputs
 
 def test_unbounded_run_writes_only_its_checkpoints(toy_inputs):
     """At P = 1 with an unbounded table, count spills no run: the device holds
-    prune and filter.p0 back to back, and nothing is read back."""
+    filter.p0 alone, and nothing is read back."""
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs, partitions=1, capacity_limit=0)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     stages = json.loads((out / "checkpoints.json").read_text())["stages"]
-    assert stages.keys() == {"prune", "filter.p0"}
+    assert stages.keys() == {"filter.p0"}
     assert (out / "device0.dat").stat().st_size == sum(h["length"] for h in stages.values())
     with open(out / "trace.csv") as fh:
         assert {r.kind for r in parse_trace_csv(fh)} == {"write"}
@@ -508,8 +510,9 @@ def test_rerun_in_another_checkpoint_format_is_a_clean_miss(tmp_path, capsys, mo
 
 
 def test_rerun_on_a_manifest_cut_to_prune_alone(tmp_path, capsys, monkeypatch):
-    """Every count pass of the rerun probes the loaded prune blob: a filter
-    whose bits the program would no longer set there drops candidates."""
+    """A manifest that names a prune blob alone, as a run that still
+    checkpointed prune could leave: the rerun never reads it, computes every
+    stage, appends from the device's start and saves a manifest without it."""
     monkeypatch.chdir(CONFIGS.parent)  # toy_run.conf names its inputs from the repo root
     out = tmp_path / "out"
     run = ["run", "--config", str(CONFIGS / "toy_run.conf"), "--out", str(out)]
@@ -517,14 +520,18 @@ def test_rerun_on_a_manifest_cut_to_prune_alone(tmp_path, capsys, monkeypatch):
     first = {name: (out / name).read_bytes() for name in OUTPUTS}
     manifest = out / "checkpoints.json"
     doc = json.loads(manifest.read_text())
-    doc["stages"] = {"prune": doc["stages"]["prune"]}
+    doc["stages"] = {"prune": doc["stages"]["filter.p1"]}  # a blob that is no filter either
     manifest.write_text(json.dumps(doc))
     capsys.readouterr()
 
     assert main(run) == 0
     stages = stage_lines(capsys.readouterr().out)
-    assert [name for name, line in stages.items() if line.endswith("(checkpoint)")] == [
-        "stage prune"]
+    assert "stage prune" in stages
+    assert not [name for name, line in stages.items() if line.endswith("(checkpoint)")]
+    with open(out / "trace.csv") as fh:
+        records = list(parse_trace_csv(fh))
+    assert records[0].kind == "write" and records[0].start == 0
+    assert json.loads(manifest.read_text())["stages"].keys() == {"filter.p0", "filter.p1"}
     for name, data in first.items():
         assert (out / name).read_bytes() == data
 
@@ -532,26 +539,33 @@ def test_rerun_on_a_manifest_cut_to_prune_alone(tmp_path, capsys, monkeypatch):
 def test_rerun_with_another_min_candidates_loads_every_filter(tmp_path, capsys, monkeypatch):
     """Only group reads min_candidates, and group is no checkpointed stage:
     a rerun at another value loads every filter.pN and groups anew. Nor does
-    a checkpoint depend on capacity_limit, which bounds count's table only."""
+    a checkpoint depend on capacity_limit, which bounds count's table only,
+    or on prune_fp: prune drops only k-mers seen once, which no candidate is."""
     monkeypatch.chdir(CONFIGS.parent)  # toy_run.conf names its inputs from the repo root
     toy = (CONFIGS / "toy_run.conf").read_text()
     assert "min_candidates = 3 " in toy and "capacity_limit = 256 " in toy
+    assert "prune_fp = 0.01\n" in toy
     other = tmp_path / "min1.conf"
     other.write_text(toy.replace("min_candidates = 3 ", "min_candidates = 1 "))
     capacity = tmp_path / "capacity128.conf"
     capacity.write_text(toy.replace("capacity_limit = 256 ", "capacity_limit = 128 "))
+    rate = tmp_path / "fp0.3.conf"
+    rate.write_text(toy.replace("prune_fp = 0.01\n", "prune_fp = 0.3\n"))
     out, fresh = tmp_path / "out", tmp_path / "fresh"
     assert main(["run", "--config", str(CONFIGS / "toy_run.conf"), "--out", str(out)]) == 0
     first = {name: (out / name).read_bytes() for name in OUTPUTS}
     capsys.readouterr()
 
-    for conf in (other, capacity):
+    for conf in (other, capacity, rate):
         assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
         stages = stage_lines(capsys.readouterr().out)
         assert [name for name, line in stages.items() if line.endswith("(checkpoint)")] == [
             "stage filter.p0", "stage filter.p1"], conf.name
-    for name, data in first.items():  # the capacity-128 rerun's outputs
+    for name, data in first.items():  # the prune_fp-0.3 rerun's outputs
         assert (out / name).read_bytes() == data
+    assert main(["run", "--config", str(rate), "--out", str(tmp_path / "fresh_rate")]) == 0
+    for name, data in first.items():  # a fresh run at that rate computes the same
+        assert (tmp_path / "fresh_rate" / name).read_bytes() == data
     assert main(["run", "--config", str(other), "--out", str(out)]) == 0
     assert main(["run", "--config", str(other), "--out", str(fresh)]) == 0
     assert (out / "index.bin").read_bytes() == first["index.bin"]
@@ -560,10 +574,10 @@ def test_rerun_with_another_min_candidates_loads_every_filter(tmp_path, capsys, 
 
 
 def test_rerun_of_a_directory_with_a_group_checkpoint(tmp_path, capsys, monkeypatch):
-    """An output directory written while group and count.pN were still
-    checkpointed names a `group` and a `count.pN` blob in its manifest; a
-    rerun never reads them and computes group, and the manifest it rewrites
-    (filter.p1 is recomputed) drops the names."""
+    """An output directory written while group, count.pN and prune were still
+    checkpointed names a `group`, a `count.pN` and a `prune` blob in its
+    manifest; a rerun never reads them and computes group and prune, and the
+    manifest it rewrites (filter.p1 is recomputed) drops the names."""
     monkeypatch.chdir(CONFIGS.parent)  # toy_run.conf names its inputs from the repo root
     out = tmp_path / "out"
     run = ["run", "--config", str(CONFIGS / "toy_run.conf"), "--out", str(out)]
@@ -572,8 +586,8 @@ def test_rerun_of_a_directory_with_a_group_checkpoint(tmp_path, capsys, monkeypa
     manifest = out / "checkpoints.json"
     doc = json.loads(manifest.read_text())
     doc["stages"]["group"] = doc["stages"]["filter.p0"]  # a blob that is no group result
-    doc["stages"]["count.p1"] = doc["stages"]["prune"]  # nor a list of spill runs
-    del doc["stages"]["filter.p1"]
+    doc["stages"]["count.p1"] = doc["stages"]["filter.p1"]  # nor a list of spill runs
+    doc["stages"]["prune"] = doc["stages"].pop("filter.p1")  # nor a bloom filter
     manifest.write_text(json.dumps(doc))
     capsys.readouterr()
 
@@ -583,26 +597,25 @@ def test_rerun_of_a_directory_with_a_group_checkpoint(tmp_path, capsys, monkeypa
     assert not stages["stage filter.p1"].endswith("(checkpoint)")
     assert not stages["stage group"].endswith("(checkpoint)")
     assert not stages["stage count.p1"].endswith("(checkpoint)")
-    assert json.loads(manifest.read_text())["stages"].keys() == {
-        "prune", "filter.p0", "filter.p1"}
+    assert not stages["stage prune"].endswith("(checkpoint)")
+    assert json.loads(manifest.read_text())["stages"].keys() == {"filter.p0", "filter.p1"}
     for name, data in first.items():
         assert (out / name).read_bytes() == data
 
 
 @pytest.mark.parametrize("partitions", [1, 3])
 def test_each_stage_output_written_once(toy_inputs, partitions):
-    """A fresh run checkpoints prune and each filter.pN, once, and nothing
-    else (count's runs are not named, and group's output is read by no
-    stage): no blob the manifest names repeats another, each filter.pN holds
-    no read's bases, and the prune blob is the seen-multi filter alone, with
-    half of seen-once's words."""
+    """A fresh run checkpoints each filter.pN, once, and nothing else
+    (count's runs are not named, prune is recomputed by any run that counts,
+    and group's output is read by no stage): no blob the manifest names
+    repeats another, and each filter.pN holds no read's bases."""
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs, partitions=partitions)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads((out / "checkpoints.json").read_text())
     assert doc.keys() == {"fingerprint", "stages"}  # the store appends behind the last blob
     stages = doc["stages"]
-    assert stages.keys() == {"prune", *(f"filter.p{p}" for p in range(partitions))}
+    assert stages.keys() == {f"filter.p{p}" for p in range(partitions)}
     device = (out / "device0.dat").read_bytes()
     payloads = {name: device[h["start_address"] + HEADER_SIZE:h["start_address"] + h["length"]]
                 for name, h in stages.items()}
@@ -611,14 +624,6 @@ def test_each_stage_output_written_once(toy_inputs, partitions):
         payload = payloads[f"filter.p{p}"]
         assert CandidateIndex.from_bytes(payload).candidates
         assert struct.unpack_from("<IQQ", payload, 8)[2] == 0  # n_reads
-
-    reads = []
-    for name, origin in (("normal", Origin.NORMAL), ("tumoral", Origin.TUMORAL)):
-        with open(toy_inputs / f"{name}.fa") as fh:
-            reads += parse_reads(fh, origin)
-    n_codes = sum(len(canonical_codes(r.bases, 15)) for r in reads)
-    seen_once_words = BloomFilter.with_capacity(n_codes, 0.01).n_bits // 64
-    assert len(payloads["prune"]) == 12 + 8 * -(-seen_once_words // 2)
 
 
 class Killed(BaseException):
@@ -668,8 +673,8 @@ def test_rerun_after_kill_at_every_persistent_operation(tmp_path, monkeypatch, t
     ref = tmp_path / "ref"
     kinds = run_killed_at(monkeypatch, ["run", "--config", str(cfg), "--out", str(ref)],
                           point=-1)
-    # every stage writes a blob, then replaces the manifest; runs are blobs with no manifest
-    assert kinds.count("replace") == 1 + 2
+    # each filter.pN writes a blob, then replaces the manifest; runs are blobs with no manifest
+    assert kinds.count("replace") == 2
     assert kinds.count("write") > kinds.count("replace")
     points = [i for i, kind in enumerate(kinds) if kind == "write" or not tear]
     for point in points:
@@ -747,6 +752,33 @@ def test_scenario_ranges_are_one_for_simulate_and_compare(tmp_path, capsys, comm
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("key, value, message", [
+    ("efficiency.width2", "1.0, 1.5", "key 'efficiency.width2': efficiency curve must be "
+                                      "non-increasing"),
+    ("efficiency.width3", "0.5", "key 'efficiency.width3': e(1) must be 1.0"),
+    ("efficiency.width0", "1.0", "unknown config key 'efficiency.width0'"),
+    ("efficiency.width01", "1.0", "unknown config key 'efficiency.width01'"),  # width 1 again
+    ("efficiency.width2", "", "key 'efficiency.width2': efficiency curve needs at least one "
+                              "point"),
+], ids=["rising", "first_point_below_1", "width_0", "width_01", "empty"])
+def test_scenario_curves_are_checked_as_they_load(tmp_path, capsys, monkeypatch, command, key,
+                                                  value, message):
+    """An efficiency curve no composition builds is still checked, by both
+    commands, before any simulation runs."""
+    shipped = (CONFIGS / "scenario_default.conf").read_text()
+    cfg = tmp_path / "scenario.conf"
+    cfg.write_text(re.sub(rf"^{re.escape(key)} = .*$", lambda _: f"{key} = {value}", shipped,
+                          flags=re.M) if key in shipped else shipped + f"{key} = {value}\n")
+    started = []
+    monkeypatch.setattr(cli, "simulate", lambda *a, **kw: started.append("simulate"))
+    monkeypatch.setattr(cli, "compare_strategies", lambda *a, **kw: started.append("compare"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert started == []
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_accepts_scenario_count_boundaries(tmp_path):
     cfg = scenario_config(tmp_path, instances=1, hosts=1, devices=1, repeats=3,
                           composed_width=2, stripe_size=1)
@@ -774,11 +806,11 @@ SHIPPED_DIGESTS = {
         "index.bin": "4fa8f0432e3c0a0e1b518b5355fc805cac6b41b5b6296bd8fdd69be80fc468c6",
         "groups.csv": "1b1fc42ea84ab57952e2f415d90be65356f64e0d1013a6e2e506643dc1b07f1d",
         # the on-device format: a change to it re-pins these and says why. Last
-        # re-pinned when count stopped flushing its last table, which merge now
-        # reads from memory: each partition's final partial run is gone from the
-        # device and from the trace, and the device writes 2,400 bytes less
-        "trace.csv": "2f191679cef3ea61acc5199bee415211919f0e99b9e47c7749a2d3fdf0caa378",
-        "device0.dat": "a2bc3b9586a19ee390ff63cb1869a918d28dd82a841e23829fb1ba35396aad65",
+        # re-pinned when prune stopped being checkpointed: its 13,700-byte blob
+        # at address 0 is gone from the device and from the trace, and every
+        # later blob starts that much earlier
+        "trace.csv": "2a8b5d0921b253ca09d0254e3e11fd3f8e7218e92f6356e907ce5001de3400cc",
+        "device0.dat": "d3b766593626c3838af72b1a59593584b2c82a5ffab5ad03b0fe5b98ed99e152",
     },
 }
 

@@ -31,7 +31,13 @@ from kmerfab.stages import (
     merge_runs,
     prune,
 )
-from conftest import CountingWords, random_instance, tandem_repeat_keys
+from conftest import (
+    CountingWords,
+    filter_state,
+    random_instance,
+    tandem_repeat_keys,
+    word_bytes,
+)
 from oracle import (
     candidate_view,
     canonical_windows,
@@ -63,8 +69,9 @@ def exact_table(normal, tumoral, k=K):
 
 def saturated_filter(n_words=1, n_hashes=1):
     """A filter every code passes: each word has all 64 bits set."""
-    return BloomFilter.from_bytes(struct.pack("<QI", 64 * n_words, n_hashes)
-                                  + b"\xff" * (8 * n_words))
+    bf = BloomFilter(64 * n_words, n_hashes)
+    bf._words = array("Q", [2**64 - 1] * n_words)
+    return bf
 
 
 # -- read codes ----------------------------------------------------------
@@ -122,7 +129,7 @@ def test_prune_over_buckets_keeps_every_repeat():
     expected = len(whole_codes.codes[0])
     whole = seen_once_after(whole_codes.codes[0], expected)
     bucketed = seen_once_after([c for part in bucketed_codes.codes for c in part], expected)
-    assert bucketed.to_bytes() == whole.to_bytes()
+    assert filter_state(bucketed) == filter_state(whole)
     assert list(whole_codes.codes[0]) != [c for part in bucketed_codes.codes for c in part]
     bucketed = prune(bucketed_codes, 0.01)
     for s, (n, t) in exact_counts(normal, tumoral, K).items():
@@ -160,8 +167,10 @@ def test_prune_seen_multi_has_half_the_words():
     assert seen_multi.n_hashes == seen_once.n_hashes
 
 
-# sha256 of the seen-once and seen-multi bitmaps below, keyed by the checkpoint
-# format: bits that change under the same format would load stale prune blobs
+# sha256 of the seen-once and seen-multi words below as little-endian u64s,
+# keyed by the checkpoint format. No prune filter is stored: these pin the
+# hash, the pattern tables and the word layout, which decide the codes count
+# passes and so the spill runs on the device
 PRUNE_BITMAP_DIGESTS = {
     "blocked-bloom-mum-prune": (
         "6d4d6e15a6773edb7847f2d24369972e6c8765c6242c1ce5ff54a898bac2d8f0",
@@ -172,7 +181,7 @@ PRUNE_BITMAP_DIGESTS = {
 
 def test_prune_insert_matches_two_query_reference():
     """The fused insert sets the same bits as `in seen_once` then `.add`, and
-    both bitmaps are pinned under the checkpoint format that stores them."""
+    both bitmaps are pinned under the checkpoint format."""
     rng = random.Random(7)
     pool = [rng.getrandbits(2 * K) for _ in range(3000)]
     codes = [rng.choice(pool) for _ in range(9000)]
@@ -184,10 +193,9 @@ def test_prune_insert_matches_two_query_reference():
             ref_multi.add(code)
         else:
             ref_once.add(code)
-    assert fused_once.to_bytes() == ref_once.to_bytes()
-    assert fused_multi.to_bytes() == ref_multi.to_bytes()
-    head = 12  # the <QI n_bits, n_hashes header
-    assert tuple(hashlib.sha256(bf.to_bytes()[head:]).hexdigest()
+    assert filter_state(fused_once) == filter_state(ref_once)
+    assert filter_state(fused_multi) == filter_state(ref_multi)
+    assert tuple(hashlib.sha256(word_bytes(bf)).hexdigest()
                  for bf in (fused_once, fused_multi)) == (
         PRUNE_BITMAP_DIGESTS[pipeline.CHECKPOINT_FORMAT])
 
@@ -256,8 +264,8 @@ def test_count_probes_prune_filter_only_in_own_partition():
     the merged counts are the same."""
     normal, tumoral = random_instance(seed=9, n_reads=120)
     plain = prune(ReadCodes(normal, tumoral, K), 0.01)
-    pf = BloomFilter.from_bytes(plain.to_bytes())
-    pf._words = words = CountingWords("Q", pf._words)
+    pf = BloomFilter(plain.n_bits, plain.n_hashes)
+    pf._words = words = CountingWords("Q", plain._words)
     windows = [c for r in [*normal, *tumoral] for c in canonical_codes(r.bases, K)]
     codes = ReadCodes(normal, tumoral, K, 4)
     for p in range(4):
@@ -341,12 +349,11 @@ def probe_filter(kind, codes):
     distinct = sorted({c for span in codes.origin_spans(0) for c in span})
     for code in distinct[::3][:4 * n_words]:
         bf.add(code)
-    return BloomFilter.from_bytes(bf.to_bytes()) if kind == "reloaded" else bf
+    return bf
 
 
 @pytest.mark.parametrize("inputs", ["random", "tandem repeats"])
-@pytest.mark.parametrize("kind", ["1 word", "3 words", "37 words", "reloaded", "empty",
-                                  "saturated"])
+@pytest.mark.parametrize("kind", ["1 word", "3 words", "37 words", "empty", "saturated"])
 def test_count_probe_is_the_filters_membership_test(kind, inputs):
     """count's inline probe passes exactly the codes `in` passes, and its runs
     are those of a count that probes with `in` before the table."""
