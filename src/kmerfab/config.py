@@ -107,10 +107,17 @@ def get_str(kv: dict[str, str], key: str, default: str | None = None,
     return value
 
 
-def get_curve(kv: dict[str, str], key: str) -> list[float] | None:
-    if key not in kv:
-        return None
+def get_curve(kv: dict[str, str], key: str) -> list[float]:
+    """Comma-separated floats. An empty value is a curve of no points, which
+    the curve's own check rejects; an empty item, trailing comma included,
+    is an error here."""
+    value = kv[key].strip()
+    if not value:
+        return []
+    items = [v.strip() for v in value.split(",")]
+    if "" in items:
+        raise ConfigError(f"key {key!r}: empty item in comma-separated floats {value!r}")
     try:
-        return [float(v) for v in kv[key].split(",") if v.strip()]
+        return [float(v) for v in items]
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: expected comma-separated floats") from exc

@@ -8,7 +8,9 @@ through write_data/read_data): each physical device splits an efficiency-
 scaled bandwidth equally among its active requests (processor sharing). One
 virtual clock per device counts the service each active request has had, so
 a request finishes when the clock reaches its finish tag and only the
-earliest tag per device is ever a pending event.
+earliest tag per device is ever a pending event. A write may be a chain of
+pieces: the engine issues each next piece itself when the previous one has
+finished, and hands the write back to its process once, at the end.
 
 The efficiency factor is keyed on the number of attached sharers (clients
 with an open attachment window on the device), which is what makes bursts
@@ -21,7 +23,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from itertools import repeat
+from typing import Callable, Iterator, Optional, Sequence
 
 KIND_WRITE = "write"
 KIND_READ = "read"
@@ -259,21 +262,30 @@ def partition_namespaces(
 
 
 class IoRequest:
-    """One submitted request; handed to its on_complete once finish_time is set.
+    """One submitted write: `length` bytes from namespace offset `start`, as
+    pieces of `chunk` bytes, the last taking the rest; `at` and `piece` are
+    the piece in flight. issue_time is when the first piece was issued, and
+    finish_time when the write is handed to its on_complete: its last piece
+    has finished and the pace wait after it is over.
 
     served_bytes is the integral of the granted rate over the request's
-    lifetime, summed over the members it was striped across."""
+    lifetime, summed over its pieces and the members they were striped across."""
 
-    __slots__ = ("request_id", "namespace", "start", "length", "issue_time",
-                 "finish_time", "served_bytes", "flows_left", "on_complete", "route")
+    __slots__ = ("request_id", "start", "length", "chunk", "delays", "issue_bw", "at",
+                 "piece", "pace_until", "issue_time", "finish_time", "served_bytes",
+                 "flows_left", "on_complete", "route")
 
-    def __init__(self, request_id, route, start, length, issue_time, on_complete):
+    def __init__(self, request_id, route, start, length, chunk, delays, issue_bw,
+                 on_complete):
         self.request_id = request_id
         self.route = route
-        self.namespace = route[0]
         self.start = start
         self.length = length
-        self.issue_time = issue_time
+        self.chunk = chunk
+        self.delays = delays
+        self.issue_bw = issue_bw
+        self.at = start
+        self.piece = 0
         self.finish_time = math.nan
         self.served_bytes = 0.0
         self.flows_left = 0
@@ -410,20 +422,45 @@ class FabricEngine:
         start: int,
         length: int,
         on_complete: Optional[Callable[[IoRequest], None]] = None,
-        delay: float = 0.0,
+        delay: float | Sequence[float] = 0.0,
+        chunk: int = 0,
+        issue_bw: float = math.inf,
     ) -> int:
-        """Issue a request `delay` seconds from now; returns its id. Only its
-        timing is modelled: the bytes go through the namespace's
+        """Issue a write of `length` bytes as pieces of `chunk` bytes (0: one
+        piece); returns its id. The engine may issue the first piece now and
+        each next one once the previous piece has finished, and no sooner
+        than piece / issue_bw after the previous issue; it issues each piece
+        `delay` seconds later, one float for every piece or one per piece.
+        Only the timing is modelled: the bytes go through the namespace's
         write_data/read_data."""
         namespace._check(start, length)
         route = self._routes.get(id(namespace)) or self._route(namespace)
         self._rid += 1
-        self._seq += 1
-        when = self.now + delay
-        req = IoRequest(self._rid, route, start, length, when, on_complete)
-        # fn None tags a request start, which run handles inline
-        heapq.heappush(self._heap, (when + route[1], self._seq, None, req))
+        delays = repeat(delay) if isinstance(delay, (int, float)) else iter(delay)
+        req = IoRequest(self._rid, route, start, length, chunk or length, delays, issue_bw,
+                        on_complete)
+        self._advance(req)
         return self._rid
+
+    def _advance(self, req: IoRequest) -> None:
+        """Issue req's next piece after its delay, or hand req back once no
+        piece is left."""
+        at = req.at + req.piece
+        left = req.start + req.length - at
+        if left <= 0:
+            req.finish_time = self.now
+            if req.on_complete is not None:
+                req.on_complete(req)
+            return
+        req.at = at
+        req.piece = piece = req.chunk if req.chunk < left else left
+        when = self.now + next(req.delays)
+        if at == req.start:
+            req.issue_time = when
+        req.pace_until = when + piece / req.issue_bw
+        self._seq += 1
+        # fn None tags a piece start, which run handles inline
+        heapq.heappush(self._heap, (when + req.route[1], self._seq, None, req))
 
     def run(self) -> float:
         """Drain every event; returns the final clock."""
@@ -444,10 +481,10 @@ class FabricEngine:
                 if fn is not None:
                     fn(*args)
                     continue
-                # a request starts: one flow per member its bytes land on
-                req, length = args, args.length
+                # a piece starts: one flow per member its bytes land on
+                req, length = args, args.piece
                 _, _, members, parent, offset, s = req.route
-                addr = offset + req.start
+                addr = offset + req.at
                 if s:  # striped: a range inside its head stripe is on that member alone
                     stripe, within = divmod(addr, s)
                     if length > s - within:
@@ -465,18 +502,20 @@ class FabricEngine:
             req = serve(busy, retire=True)
             req.flows_left -= 1
             if req.flows_left == 0:
-                req.finish_time = self.now
-                if req.on_complete is not None:
-                    req.on_complete(req)
+                if self.now < req.pace_until:  # the issue ceiling holds the next step back
+                    self.schedule(self.now + (req.pace_until - self.now), self._advance, req)
+                else:
+                    self._advance(req)
         return self.now
 
     # -- generator-based client processes -------------------------------------
 
     def spawn(self, gen) -> None:
         """Drive a generator yielding ("sleep", dt) or
-        ("write", namespace, start, length[, delay]), a write issued delay
-        seconds from now; each finished IoRequest is sent back into the
-        generator, and so is the wake time after a sleep."""
+        ("write", namespace, start, length[, delay[, chunk[, issue_bw]]]), the
+        arguments of submit; each finished IoRequest is sent back into the
+        generator, once per write however many pieces it has, and so is the
+        wake time after a sleep."""
 
         def resume(value) -> None:
             try:
@@ -485,7 +524,7 @@ class FabricEngine:
                 return
             op = cmd[0]
             if op == KIND_WRITE:
-                self.submit(cmd[1], cmd[2], cmd[3], resume, cmd[4] if len(cmd) > 4 else 0.0)
+                self.submit(cmd[1], cmd[2], cmd[3], resume, *cmd[4:])
             elif op == "sleep":
                 wake = self.now + cmd[1]
                 self.schedule(wake, resume, wake)

@@ -197,8 +197,7 @@ def _instance_proc(idx, namespace, workload, multiplier, rng, engine, done):
 
     regular_written = 0
     spill_written = 0
-    cursor = 0
-    bytes_written = 0
+    cursor = 0  # bytes written so far, spill and regular
     first = True
     while regular_written < total:
         if first:
@@ -208,29 +207,23 @@ def _instance_proc(idx, namespace, workload, multiplier, rng, engine, done):
         elif t_upfront > 0:
             yield ("sleep", t_upfront * rng.uniform(1.0 - jitter, 1.0 + jitter))
         burst = min(flush, total - regular_written)
-        # memory-pressure spill traffic, paced with the regular output
+        # memory-pressure spill traffic, paced with the regular output: one
+        # chain of spill chunks, written back to back
         spill_due = spill_total * (regular_written + burst) // total
-        while spill_written < spill_due:
-            chunk = min(spill_chunk, spill_due - spill_written)
-            yield ("write", namespace, cursor, chunk)
-            cursor += chunk
-            spill_written += chunk
-            bytes_written += chunk
-        flushed = 0
-        while flushed < burst:
-            # the chunk's share of the compute, then its write
-            prep = t_prep * rng.uniform(1.0 - jitter, 1.0 + jitter)
-            chunk = min(IO_CHUNK_BYTES, burst - flushed)
-            pace_until = (engine.now + prep) + chunk / CLIENT_ISSUE_BW
-            yield ("write", namespace, cursor, chunk, prep)
-            if engine.now < pace_until:  # issue ceiling, not device idling
-                yield ("sleep", pace_until - engine.now)
-            cursor += chunk
-            flushed += chunk
+        if spill_written < spill_due:
+            n = spill_due - spill_written
+            yield ("write", namespace, cursor, n, 0.0, spill_chunk)
+            cursor += n
+            spill_written = spill_due
+        # each chunk's share of the compute before its write, no faster than
+        # the host issues chunks
+        preps = [t_prep * rng.uniform(1.0 - jitter, 1.0 + jitter)
+                 for _ in range(-(-burst // IO_CHUNK_BYTES))]
+        yield ("write", namespace, cursor, burst, preps, IO_CHUNK_BYTES, CLIENT_ISSUE_BW)
+        cursor += burst
         regular_written += burst
-        bytes_written += burst
     engine.detach(namespace)
-    done[idx] = (engine.now, bytes_written)
+    done[idx] = (engine.now, cursor)
 
 
 def simulate(

@@ -761,7 +761,12 @@ def test_scenario_ranges_are_one_for_simulate_and_compare(tmp_path, capsys, comm
     ("efficiency.width01", "1.0", "unknown config key 'efficiency.width01'"),  # width 1 again
     ("efficiency.width2", "", "key 'efficiency.width2': efficiency curve needs at least one "
                               "point"),
-], ids=["rising", "first_point_below_1", "width_0", "width_01", "empty"])
+    ("efficiency.width2", "1.0,, 0.9", "key 'efficiency.width2': empty item in "
+                                       "comma-separated floats '1.0,, 0.9'"),
+    ("efficiency.width2", "1.0, 0.9,", "key 'efficiency.width2': empty item in "
+                                       "comma-separated floats '1.0, 0.9,'"),
+], ids=["rising", "first_point_below_1", "width_0", "width_01", "empty", "empty_item",
+        "trailing_comma"])
 def test_scenario_curves_are_checked_as_they_load(tmp_path, capsys, monkeypatch, command, key,
                                                   value, message):
     """An efficiency curve no composition builds is still checked, by both
@@ -851,6 +856,23 @@ def test_width3_spill_scenario_is_pinned_under_local_attachment(tmp_path):
         "completions.csv": "868e92b87990a51ba1bdb5d2768850dffd8943a811f42a460acad4dd5e26947d",
         "bandwidth.csv": "ccda4aa293d22573d88368c6d30b7452e17615f52ddb7548fa7c24a5b6d59808",
     }
+
+
+# completions.csv rounds to 1 us and bandwidth.csv to 1 B/s, so a reordered
+# tie could leave both as they are: pin the floats themselves too
+@pytest.mark.parametrize("attachment, digest", [
+    ("fabric", "ee5c6c7b560db4698cd28e9961ec745b0ddeb4a9b287ef75122f9ec61406b60a"),
+    ("local", "6f820fdca6f8a796f67e0ee0b2b8625acbb5469138acf4d6bf36d00a42f32b7b"),
+])
+def test_width3_spill_floats_are_pinned(tmp_path, monkeypatch, attachment, digest):
+    results = []
+    simulate = cli.simulate
+    monkeypatch.setattr(cli, "simulate",
+                        lambda *a, **kw: results.append(simulate(*a, **kw)) or results[-1])
+    width3_spill_digests(tmp_path, attachment)
+    (result,) = results
+    assert hashlib.sha256(repr((result.completion_s, result.device_stats)).encode()
+                          ).hexdigest() == digest
 
 
 def test_simulate_deterministic_csv(tmp_path):

@@ -1,5 +1,6 @@
 """Fabric simulator: striping, namespaces, arbitration, conservation."""
 
+import math
 import random
 import tracemalloc
 from unittest import mock
@@ -185,7 +186,7 @@ def test_namespace_isolation_addresses():
         if with_neighbor:
             jobs += [(b, i * 777, 777) for i in range(5)]
         comps = run_writes(engine, jobs)
-        return [(c.namespace.name, c.start, c.length) for c in comps[:5]]
+        return [(c.route[0].name, c.start, c.length) for c in comps[:5]]
 
     assert addresses(False) == addresses(True)
 
@@ -456,6 +457,86 @@ def test_delayed_write_equals_sleep_then_write(width, attachment, background, le
                 [engine.device_stats(dev) for dev in devs])
 
     assert run_once(folded=True) == run_once(folded=False)
+
+
+def piece_by_piece(engine, ns, start, length, delays, chunk, issue_bw):
+    """The reference for a chained write: one write per piece after its delay,
+    then a sleep while the issue ceiling holds the next piece back. Returns
+    the served bytes, summed in piece order."""
+    served, at = 0.0, start
+    for delay in delays:
+        piece = min(chunk, start + length - at)
+        pace_until = (engine.now + delay) + piece / issue_bw
+        req = yield ("write", ns, at, piece, delay)
+        served += req.served_bytes
+        if engine.now < pace_until:
+            yield ("sleep", pace_until - engine.now)
+        at += piece
+    return served
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 3),
+    attachment=st.sampled_from([ATTACH_LOCAL, ATTACH_FABRIC]),
+    background=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 1 << 16),
+                                  st.floats(0.0, 0.002)), max_size=12),
+    lead=st.floats(0.0, 0.001),
+    delays=st.lists(st.floats(0.0, 0.0002), min_size=1, max_size=6),
+    chunk=st.integers(1, 3 * 4096),
+    last=st.floats(0.0, 1.0),
+    start=st.integers(0, 1 << 16),
+    issue_bw=st.sampled_from([math.inf, 4e9, 1e8, 1e6]),
+)
+# an issue ceiling so low that the pace wait follows every piece, the middle
+# one and the last one among them; here now + (pace_until - now) rounds away
+# from pace_until, so a wake at pace_until itself shows
+@example(width=2, attachment=ATTACH_FABRIC, background=[(1, 8192, 0.0)], lead=0.0,
+         delays=[0.00016281052717601218, 0.00017157680560219094, 0.0], chunk=6766,
+         last=1.0, start=33806, issue_bw=1e6)
+def test_chained_write_equals_piece_by_piece(width, attachment, background, lead, delays,
+                                             chunk, last, start, issue_bw):
+    """("write", ns, s, n, delays, chunk, issue_bw) resumes its process where
+    the per-piece loop of writes and pace sleeps does, having served the
+    same bytes, among other namespaces' writes."""
+    length = (len(delays) - 1) * chunk + max(1, round(last * chunk))
+
+    def run_once(chained):
+        devs = [device(i) for i in range(width)]
+        parent = devs[0] if width == 1 else ComposedDevice(devs, stripe_size=4096)
+        spaces = partition_namespaces(parent, [parent.capacity // 4] * 4,
+                                      attachment=attachment)
+        engine = FabricEngine(stats=True)
+        for ns in spaces:
+            engine.attach(ns)
+        cursors = [0] * 4
+        for c, size, when in background:
+            engine.schedule(when, engine.submit, spaces[c], cursors[c], size)
+            cursors[c] += size
+        done = []
+
+        def proc():
+            yield ("sleep", lead)
+            if chained:
+                req = yield ("write", spaces[0], start, length, delays, chunk, issue_bw)
+                served = req.served_bytes
+            else:
+                served = yield from piece_by_piece(engine, spaces[0], start, length, delays,
+                                                   chunk, issue_bw)
+            done.append((engine.now, served))
+
+        engine.spawn(proc())
+        engine.run()
+        (resumed,) = done
+        return resumed, [engine.device_stats(dev) for dev in devs]
+
+    (resumed, served), stats = run_once(chained=True)
+    (ref_resumed, ref_served), ref_stats = run_once(chained=False)
+    assert resumed == ref_resumed
+    assert stats == ref_stats
+    # one running sum against a sum of per-piece sums: equal up to rounding
+    assert served == pytest.approx(ref_served, rel=1e-12)
+    assert served == pytest.approx(length, abs=1.0)
 
 
 # -- stats --------------------------------------------------------------------
