@@ -37,8 +37,8 @@ _MUM = 0xA0761D6478BD642F  # wyhash's first prime; not kmers._HASH_MULT, which p
 
 
 def optimal_bits(n: int, fp: float) -> int:
-    """m = -n ln p / (ln 2)^2 for p in (0, 1), floored at 64 bits."""
-    n = max(1, n)
+    """m = -n ln p / (ln 2)^2 for n >= 1 keys and p in (0, 1), floored at 64
+    bits."""
     return max(64, int(-n * math.log(fp) / (math.log(2) ** 2)))
 
 

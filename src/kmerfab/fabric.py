@@ -1,10 +1,11 @@
 """Simulated disaggregated storage fabric.
 
-Virtual devices expose sequential-write bandwidth and real byte storage;
-they can be striped into a RAID0-style composition or partitioned into
-namespaces that clients treat as exclusive devices. A discrete-event engine
-models the timing of concurrent requests, never their bytes (those go
-through write_data/read_data): each physical device splits an efficiency-
+Virtual devices expose sequential-write bandwidth, a capacity and a byte
+store; they can be striped into a RAID0-style composition or partitioned
+into namespaces that clients treat as exclusive devices. Only a namespace on
+a plain device stores bytes (write_data/read_data): a composition models
+timing alone. A discrete-event engine models the timing of concurrent
+requests, never their bytes: each physical device splits an efficiency-
 scaled bandwidth equally among its active requests (processor sharing). One
 virtual clock per device counts the service each active request has had, so
 a request finishes when the clock reaches its finish tag and only the
@@ -24,7 +25,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 KIND_WRITE = "write"
 KIND_READ = "read"
@@ -82,8 +83,7 @@ class MemoryBacking:
 
     def write(self, addr: int, data: bytes) -> None:
         end = addr + len(data)
-        if end > len(self._data):
-            self._data.extend(b"\x00" * (end - len(self._data)))
+        self._data.extend(b"\x00" * (end - len(self._data)))  # nothing once end fits
         self._data[addr:end] = data
 
     def read(self, addr: int, length: int) -> bytes:
@@ -134,12 +134,6 @@ class VirtualDevice:
     def members(self) -> list["VirtualDevice"]:
         return [self]
 
-    def write_data(self, addr: int, data: bytes) -> None:
-        self.backing.write(addr, data)
-
-    def read_data(self, addr: int, length: int) -> bytes:
-        return self.backing.read(addr, length)
-
 
 class ComposedDevice:
     """RAID0 striping over equal-capacity members; flat summed address space.
@@ -151,39 +145,23 @@ class ComposedDevice:
         caps = {m.capacity for m in members}
         if len(caps) != 1:
             raise CompositionError(f"members must have equal capacity, got {sorted(caps)}")
-        self._members = list(members)
+        self.members = list(members)
         self.stripe_size = stripe_size
         self.capacity = sum(m.capacity for m in members)
         self.max_seq_write_bw = sum(m.max_seq_write_bw for m in members)
         self.fabric_latency = max(m.fabric_latency for m in members)
 
-    @property
-    def members(self) -> list[VirtualDevice]:
-        return self._members
-
-    def spans(self, start: int, length: int) -> Iterator[tuple[VirtualDevice, int, int]]:
-        """(member, member offset, bytes) per stripe of [start, start + length),
-        in address order: stripe k lives on member k % m at offset (k // m) * s."""
-        s = self.stripe_size
-        m = len(self._members)
-        addr = start
-        left = length
-        while left > 0:
-            stripe, within = divmod(addr, s)
-            take = min(s - within, left)
-            yield (self._members[stripe % m], (stripe // m) * s + within, take)
-            addr += take
-            left -= take
-
     def member_bytes(self, start: int, length: int) -> list[tuple[VirtualDevice, int]]:
         """(member, bytes) of [start, start + length) per member, in the order
-        spans first reaches them. After the head stripe, stripe i of the q
-        whole ones lands on the i-th member after the head's, so every cycle
-        of m stripes puts s bytes on each member; the tail follows them. A
-        range inside the head stripe is q = -1: the head less the tail past
-        it leaves `length` on the head's member alone."""
+        a walk over its stripes in address order first reaches them, where
+        stripe k lives on member k % m at offset (k // m) * s. After the head
+        stripe, stripe i of the q whole ones lands on the i-th member after
+        the head's, so every cycle of m stripes puts s bytes on each member;
+        the tail follows them. A range inside the head stripe is q = -1: the
+        head less the tail past it leaves `length` on the head's member
+        alone."""
         s = self.stripe_size
-        members = self._members
+        members = self.members
         m = len(members)
         stripe, within = divmod(start, s)
         k, head = stripe % m, s - within
@@ -193,18 +171,6 @@ class ComposedDevice:
         totals[0] += head
         totals[(q + 1) % m] += tail
         return [(members[(k + j) % m], totals[j]) for j in range(min(m, q + 1 + (tail > 0)))]
-
-    def write_data(self, addr: int, data: bytes) -> None:
-        pos = 0
-        for member, off, take in self.spans(addr, len(data)):
-            member.write_data(off, data[pos:pos + take])
-            pos += take
-
-    def read_data(self, addr: int, length: int) -> bytes:
-        parts = []
-        for member, off, take in self.spans(addr, length):
-            parts.append(member.read_data(off, take))
-        return b"".join(parts)
 
 
 ATTACH_LOCAL = "local"
@@ -234,11 +200,11 @@ class Namespace:
 
     def write_data(self, start: int, data: bytes) -> None:
         self._check(start, len(data))
-        self.parent.write_data(self.offset + start, data)
+        self.parent.backing.write(self.offset + start, data)
 
     def read_data(self, start: int, length: int) -> bytes:
         self._check(start, length)
-        return self.parent.read_data(self.offset + start, length)
+        return self.parent.backing.read(self.offset + start, length)
 
 
 def partition_namespaces(
@@ -264,20 +230,18 @@ def partition_namespaces(
 class IoRequest:
     """One submitted write: `length` bytes from namespace offset `start`, as
     pieces of `chunk` bytes, the last taking the rest; `at` and `piece` are
-    the piece in flight. issue_time is when the first piece was issued, and
-    finish_time when the write is handed to its on_complete: its last piece
-    has finished and the pace wait after it is over.
+    the piece in flight. finish_time is when the write is handed to its
+    on_complete: its last piece has finished and the pace wait after it is
+    over.
 
     served_bytes is the integral of the granted rate over the request's
     lifetime, summed over its pieces and the members they were striped across."""
 
-    __slots__ = ("request_id", "start", "length", "chunk", "delays", "issue_bw", "at",
-                 "piece", "pace_until", "issue_time", "finish_time", "served_bytes",
-                 "flows_left", "on_complete", "route")
+    __slots__ = ("start", "length", "chunk", "delays", "issue_bw", "at", "piece",
+                 "pace_until", "finish_time", "served_bytes", "flows_left", "on_complete",
+                 "route")
 
-    def __init__(self, request_id, route, start, length, chunk, delays, issue_bw,
-                 on_complete):
-        self.request_id = request_id
+    def __init__(self, route, start, length, chunk, delays, issue_bw, on_complete):
         self.route = route
         self.start = start
         self.length = length
@@ -286,7 +250,6 @@ class IoRequest:
         self.issue_bw = issue_bw
         self.at = start
         self.piece = 0
-        self.finish_time = math.nan
         self.served_bytes = 0.0
         self.flows_left = 0
         self.on_complete = on_complete
@@ -303,7 +266,7 @@ class _DeviceState:
     def __init__(self, device: VirtualDevice):
         # min-heap of (tag, seq, vtime at arrival, request)
         self.flows: list[tuple[float, int, float, IoRequest]] = []
-        self.sharers: dict[int, int] = {}  # id(namespace) -> refcount (attachments)
+        self.sharers: set[int] = set()  # id(namespace) of each attached namespace
         self.set_peak(device)
         self.last_update = 0.0
         self.vtime = 0.0
@@ -331,7 +294,6 @@ class FabricEngine:
         # stripe size or 0 for a plain device); holding the namespace keeps its id
         self._routes: dict[int, tuple] = {}
         self._stats = stats
-        self._rid = 0
 
     # -- device/sharer bookkeeping ------------------------------------------
 
@@ -343,11 +305,12 @@ class FabricEngine:
         return st
 
     def attach(self, namespace: Namespace) -> None:
-        """Open a sharer window on every member device of the namespace parent."""
+        """Open a sharer window on every member device of the namespace parent;
+        a namespace already attached stays one sharer."""
         key = id(namespace)
         for member in namespace.parent.members:
             st = self._state(member)
-            st.sharers[key] = st.sharers.get(key, 0) + 1
+            st.sharers.add(key)
             st.set_peak(member)
             self._serve(st)
 
@@ -355,13 +318,10 @@ class FabricEngine:
         key = id(namespace)
         for member in namespace.parent.members:
             st = self._state(member)
-            if key not in st.sharers:
-                continue
-            st.sharers[key] -= 1
-            if st.sharers[key] <= 0:
-                del st.sharers[key]
-            st.set_peak(member)
-            self._serve(st)
+            if key in st.sharers:
+                st.sharers.remove(key)
+                st.set_peak(member)
+                self._serve(st)
 
     # -- event plumbing ------------------------------------------------------
 
@@ -425,22 +385,19 @@ class FabricEngine:
         delay: float | Sequence[float] = 0.0,
         chunk: int = 0,
         issue_bw: float = math.inf,
-    ) -> int:
+    ) -> None:
         """Issue a write of `length` bytes as pieces of `chunk` bytes (0: one
-        piece); returns its id. The engine may issue the first piece now and
-        each next one once the previous piece has finished, and no sooner
-        than piece / issue_bw after the previous issue; it issues each piece
-        `delay` seconds later, one float for every piece or one per piece.
-        Only the timing is modelled: the bytes go through the namespace's
-        write_data/read_data."""
+        piece); on_complete gets the request once its last piece is done. The
+        engine issues the first piece now and each next one once the previous
+        piece has finished, and no sooner than piece / issue_bw after the
+        previous issue; it issues each piece `delay` seconds later, one float
+        for every piece or one per piece. Only the timing is modelled, never
+        the bytes."""
         namespace._check(start, length)
         route = self._routes.get(id(namespace)) or self._route(namespace)
-        self._rid += 1
         delays = repeat(delay) if isinstance(delay, (int, float)) else iter(delay)
-        req = IoRequest(self._rid, route, start, length, chunk or length, delays, issue_bw,
-                        on_complete)
-        self._advance(req)
-        return self._rid
+        self._advance(IoRequest(route, start, length, chunk or length, delays, issue_bw,
+                                on_complete))
 
     def _advance(self, req: IoRequest) -> None:
         """Issue req's next piece after its delay, or hand req back once no
@@ -455,8 +412,6 @@ class FabricEngine:
         req.at = at
         req.piece = piece = req.chunk if req.chunk < left else left
         when = self.now + next(req.delays)
-        if at == req.start:
-            req.issue_time = when
         req.pace_until = when + piece / req.issue_bw
         self._seq += 1
         # fn None tags a piece start, which run handles inline

@@ -24,7 +24,7 @@ import json
 import os
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from pathlib import Path
 
@@ -48,6 +48,7 @@ CHECKPOINT_FORMAT = "blocked-bloom-mum-prune"  # fingerprinted: another format i
 # a damaged filter.pN as it loads: a failed header or CRC (read_blob), or bytes
 # that do not decode (CandidateIndex.from_bytes)
 LOAD_ERRORS = (CorruptionError, StageError, struct.error)
+HANDLE_FIELDS = {f.name for f in fields(BlobHandle)}
 
 
 @dataclass
@@ -85,9 +86,9 @@ class Checkpoints:
     The manifest can be persisted as JSON so a later process run resumes;
     a fingerprint mismatch or an unreadable manifest discards all recorded
     stages. An entry that names no filter.pN of a `partitions`-way run, whose
-    handle holds a field that is no int, or whose checkpoint fails to load
-    is dropped. Either way the pipeline recomputes what is missing, appended
-    behind the furthest blob still named.
+    handle is no object of exactly the handle's fields, each an int, or whose
+    checkpoint fails to load is dropped alone. Either way the pipeline
+    recomputes what is missing, appended behind the furthest blob still named.
     """
 
     def __init__(self, store: SpillStore, fingerprint: str, partitions: int,
@@ -100,11 +101,13 @@ class Checkpoints:
             try:
                 raw = json.loads(path.read_text())
                 if raw.get("fingerprint") == fingerprint:
-                    # only the names run_pipeline loads, with the int fields the cursor
-                    # adds up: a later save rewrites the manifest
+                    # only the names run_pipeline loads, each with exactly the int fields
+                    # the cursor adds up: a later save rewrites the manifest
                     names = {f"filter.p{p}" for p in range(partitions)}
                     self._stages = {name: BlobHandle(**h) for name, h in raw["stages"].items()
-                                    if name in names and all(type(v) is int for v in h.values())}
+                                    if name in names and type(h) is dict
+                                    and h.keys() == HANDLE_FIELDS
+                                    and all(type(v) is int for v in h.values())}
             except (ValueError, KeyError, TypeError, AttributeError):
                 self._stages = {}
         self._place_cursor()
@@ -122,7 +125,6 @@ class Checkpoints:
         except LOAD_ERRORS:
             del self._stages[stage]
             self._place_cursor()
-            return None
 
     def _place_cursor(self) -> None:
         # run_pipeline loads every blob it reads before it appends: a damaged handle moves none

@@ -150,6 +150,23 @@ def blocked_fp_reference(load: float, k: int) -> float:
                * math.exp(-load * (1 - (1 - l / 64) ** k)) for l in range(k + 1))
 
 
+def spans(comp, start: int, length: int):
+    """(member, member offset, bytes) per stripe of [start, start + length) on
+    a composition, in address order: stripe k lives on member k % m at offset
+    (k // m) * s. The stripe-by-stripe walk that `ComposedDevice.member_bytes`
+    computes per member in closed form."""
+    s = comp.stripe_size
+    m = len(comp.members)
+    addr = start
+    left = length
+    while left > 0:
+        stripe, within = divmod(addr, s)
+        take = min(s - within, left)
+        yield (comp.members[stripe % m], (stripe // m) * s + within, take)
+        addr += take
+        left -= take
+
+
 _MASK64 = (1 << 64) - 1
 
 

@@ -44,6 +44,7 @@ from oracle import (
     index_reads,
     kmer_of,
     read_store,
+    spans,
 )
 
 K = 15
@@ -225,7 +226,7 @@ def test_criterion_5_conservation_and_linearity():
     comp = ComposedDevice([VirtualDevice(i, capacity=1 << 40) for i in range(2)],
                           stripe_size=128 * 1024)
     split = [0, 0]
-    for member, _, take in comp.spans(0, 1 << 30):
+    for member, _, take in spans(comp, 0, 1 << 30):
         split[comp.members.index(member)] += take
     balance_ok = abs(split[0] - split[1]) <= 128 * 1024
 

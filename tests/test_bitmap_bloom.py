@@ -53,6 +53,8 @@ def test_bloom_sizing_formulas():
     assert bf.n_bits % 64 == 0 and bf.n_bits >= m
     assert blocked_fp(10_000 / words, bf.n_hashes) <= 0.01
     assert min(blocked_fp(10_000 / (words - 1), k) for k in range(1, MAX_HASHES + 1)) > 0.01
+    # at a load of 1/256 each added draw lowers the rate, so the search takes the cap
+    assert bloom._best_hashes(1, 256, 1.0) == MAX_HASHES
 
 
 def test_bloom_no_false_negatives():
@@ -132,6 +134,7 @@ def test_with_capacity_quick_and_bounded_at_the_range_ends(target, monkeypatch):
     # the search's cost: the first check, one per doubling (at most 3 within
     # 6x), one per bisection step over at most 4x the starting words, the last
     words = -(-optimal_bits(n, target) // 64)
+    assert calls[0][1] == words  # the search starts at the standard filter's size
     assert len(calls) <= 1 + 3 + (4 * words).bit_length() + 1
     assert blocked_fp(n / (bf.n_bits // 64), bf.n_hashes) <= target
 

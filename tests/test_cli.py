@@ -105,6 +105,16 @@ def test_run_missing_input_exit_2(toy_inputs, capsys):
         assert not (toy_inputs / "o").exists()
 
 
+@pytest.mark.parametrize("key", ["normal", "tumoral"])
+def test_run_missing_required_key_exit_2(toy_inputs, capsys, key):
+    cfg = run_config(toy_inputs)
+    cfg.write_text("".join(line + "\n" for line in cfg.read_text().splitlines()
+                           if not line.startswith(f"{key} =")))
+    assert main(["run", "--config", str(cfg), "--out", str(toy_inputs / "o")]) == 2
+    assert capsys.readouterr().err == f"error: missing required key {key!r}\n"
+    assert not (toy_inputs / "o").exists()
+
+
 def test_run_unknown_config_key_exit_2(toy_inputs, capsys):
     cfg = run_config(toy_inputs, bogus_key=1)
     assert main(["run", "--config", str(cfg), "--out", str(toy_inputs / "o")]) == 2
@@ -442,20 +452,36 @@ def test_rerun_appends_behind_the_furthest_blob_that_loads(toy_inputs, damage):
     assert writes[0].start == loaded["start_address"] + loaded["length"]
 
 
-@pytest.mark.parametrize("start", ["64", None, 1.5], ids=["str", "null", "float"])
-def test_rerun_drops_a_manifest_entry_whose_field_is_no_int(toy_inputs, start):
+@pytest.mark.parametrize("damage", [
+    lambda h: h.update(start_address="64"),
+    lambda h: h.update(start_address=None),
+    lambda h: h.update(start_address=1.5),
+    lambda h: h.update(extra=1),
+    lambda h: h.pop("checksum"),
+    lambda h: [h["start_address"], h["length"], h["checksum"]],
+    lambda h: 64,
+], ids=["str", "null", "float", "extra_key", "missing_key", "list", "number"])
+def test_rerun_drops_a_manifest_entry_whose_field_is_no_int(toy_inputs, capsys, damage):
+    """A malformed filter.p0 handle drops that entry alone: filter.p1 still
+    loads from its checkpoint."""
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     first = {name: (out / name).read_bytes() for name in OUTPUTS}
     manifest = out / "checkpoints.json"
     doc = json.loads(manifest.read_text())
-    doc["stages"]["filter.p0"]["start_address"] = start
+    handle = doc["stages"]["filter.p0"]
+    doc["stages"]["filter.p0"] = damage(handle) or handle
     manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
 
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     for name, data in first.items():
         assert (out / name).read_bytes() == data
+    stages = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("stage "))
+    assert stages["stage filter.p1"].endswith("(checkpoint)")
+    assert not stages["stage filter.p0"].endswith("(checkpoint)")
 
 
 def test_rerun_drops_a_manifest_entry_for_a_partition_the_run_has_not(toy_inputs):
@@ -765,8 +791,10 @@ def test_scenario_ranges_are_one_for_simulate_and_compare(tmp_path, capsys, comm
                                        "comma-separated floats '1.0,, 0.9'"),
     ("efficiency.width2", "1.0, 0.9,", "key 'efficiency.width2': empty item in "
                                        "comma-separated floats '1.0, 0.9,'"),
+    ("efficiency.width2", "1.0, x", "key 'efficiency.width2': expected comma-separated "
+                                    "floats"),
 ], ids=["rising", "first_point_below_1", "width_0", "width_01", "empty", "empty_item",
-        "trailing_comma"])
+        "trailing_comma", "no_float"])
 def test_scenario_curves_are_checked_as_they_load(tmp_path, capsys, monkeypatch, command, key,
                                                   value, message):
     """An efficiency curve no composition builds is still checked, by both
@@ -828,6 +856,8 @@ def test_shipped_outputs_are_pinned(tmp_path, capsys, monkeypatch, command, conf
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in SHIPPED_DIGESTS[command, config]}
     assert digests == SHIPPED_DIGESTS[command, config]
+    if command == "compare":  # compare prints the summary it writes
+        assert capsys.readouterr().out == (out / "summary.txt").read_text()
 
 
 def width3_spill_digests(tmp_path, attachment):
@@ -952,5 +982,20 @@ def test_readme_run_key_table_lists_the_run_keys():
     assert {key for cell in cells for key in re.findall(r"`(\w+)`", cell)} == cli._RUN_KEYS
 
 
+def test_readme_run_key_defaults_are_the_pipeline_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {line.split("|")[1].strip(" `"): line.split("|")[3].strip()
+            for line in readme.splitlines() if line.startswith("| `")}
+    defaults = pipeline.PipelineConfig()
+    for key in ("k", "partitions", "tau_t", "tau_n", "min_candidates", "prune_fp"):
+        assert float(rows[key]) == getattr(defaults, key), key
+    assert rows["capacity_limit"] == "0" and defaults.capacity_limit is None  # unbounded
+
+
 def test_usage_error_exit_2():
     assert main(["unknown-subcommand"]) == 2
+    assert main([]) == 2  # a command is required, and so is each of its flags below
+    for command in ("run", "simulate", "compare"):
+        assert main([command, "--out", "unused"]) == 2
+        assert main([command, "--config", "unused"]) == 2
+    assert main(["trace"]) == 2

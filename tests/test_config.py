@@ -1,4 +1,5 @@
-"""Config value parsing: integers must be integral, numbers finite and in range."""
+"""Config parsing: one `key = value` per line; integers must be integral,
+numbers finite and in range."""
 
 import math
 
@@ -7,7 +8,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kmerfab.config import (ABOVE_ZERO, NON_NEGATIVE, POSITIVE, ConfigError,
-                            get_float, get_int)
+                            get_float, get_int, load_kv, parse_kv)
+
+
+def test_parse_kv_skips_comments_and_blank_lines():
+    assert parse_kv("# a comment\n\n a = 1 # trailing\nb=2=3\n") == {"a": "1", "b": "2=3"}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a = 1\nk 3", "line 2: expected key = value, got 'k 3'"),
+    (" = 3", "line 1: empty key"),
+    ("k = 1\n# c\nk = 2", "line 3: duplicate key 'k'"),
+])
+def test_parse_kv_rejects_a_malformed_line(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_kv(text)
+    assert str(exc.value) == message
+
+
+def test_load_kv_names_a_missing_file(tmp_path):
+    with pytest.raises(ConfigError) as exc:
+        load_kv(tmp_path / "nope.conf")
+    assert str(exc.value) == f"config file not found: {tmp_path / 'nope.conf'}"
 
 
 @pytest.mark.parametrize("text, value", [("2", 2), ("2.0", 2), ("1e9", 10**9), ("-3", -3),

@@ -42,6 +42,7 @@ def test_parse_illegal_character_line_number():
     with pytest.raises(ParseError) as exc:
         parse_reads(io.StringIO(">x\nAC1T\n"), Origin.NORMAL)
     assert exc.value.line_no == 2
+    assert str(exc.value).startswith("line 2: ")
 
 
 def test_parse_sequence_before_header():

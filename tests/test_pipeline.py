@@ -227,6 +227,36 @@ def test_fingerprint_mismatch_discards_checkpoints(tmp_path, small_instance):
     assert result.skipped == set()
 
 
+@pytest.mark.parametrize("normal, tumoral", [
+    (["ACGA", "TACGT"], []),  # one base differs
+    (["ACG", "TTACGT"], []),  # the same bases, split at another read boundary
+    (["ACGT"], ["TACGT"]),  # a read moved to the other sample
+])
+def test_fingerprint_covers_every_read(normal, tumoral):
+    def fingerprint(normal, tumoral):
+        return PipelineConfig(k=3).fingerprint(
+            [Read(i, Origin.NORMAL, bases) for i, bases in enumerate(normal)],
+            [Read(i, Origin.TUMORAL, bases) for i, bases in enumerate(tumoral)])
+
+    assert fingerprint(normal, tumoral) != fingerprint(["ACGT", "TACGT"], [])
+
+
+def test_a_failure_inside_a_stage_names_the_stage(small_instance):
+    normal, tumoral = small_instance
+    with pytest.raises(stages.StageError, match=r"^stage count\.p0 failed: store full"):
+        run_pipeline(normal, tumoral, PipelineConfig(k=K, capacity_limit=4), make_store(size=64))
+
+
+def test_each_partition_frees_its_codes_after_its_filter(small_instance, monkeypatch):
+    normal, tumoral = small_instance
+    released = []
+    release = ReadCodes.release
+    monkeypatch.setattr(ReadCodes, "release",
+                        lambda self, p: released.append(p) or release(self, p))
+    run_pipeline(normal, tumoral, PipelineConfig(k=K, partitions=3), make_store())
+    assert released == [0, 1, 2]
+
+
 @st.composite
 def instance(draw):
     """k, then normal and tumoral reads over ACGTN, some shorter than k. Reads

@@ -154,6 +154,12 @@ def test_handle_read_by_a_fresh_store():
     assert rows_of(fresh.read_run(h)) == rows
 
 
+def test_a_blob_may_fill_the_namespace_exactly():
+    store = make_store(size=1024, chunk=512)
+    h = store.append_blob(bytes(1024 - HEADER_SIZE))
+    assert store.append_cursor == h.length == 1024
+
+
 def test_capacity_error_keeps_directory_clean():
     store = make_store(size=1024, chunk=512)
     rows = [(i, 1, 1) for i in range(200)]  # 3232 bytes > 1024

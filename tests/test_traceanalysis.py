@@ -79,6 +79,14 @@ def test_stream_limit_eviction():
     assert limited.append_aware_sequential <= 1 / 3 + 0.05
 
 
+def test_a_reused_tail_becomes_the_newest():
+    """A write that ends on a tracked tail refreshes it, so a newer tail is
+    evicted first. At limit 1, one tail is tracked, and it still works."""
+    trace = [wr(0, 0, 10), wr(1, 100, 10), wr(2, 5, 5), wr(3, 200, 10), wr(4, 10, 10)]
+    assert classify(trace, open_stream_limit=2).append_aware_sequential == 1
+    assert classify([wr(0, 0, 8), wr(1, 8, 8)], open_stream_limit=1).append_aware_sequential == 1
+
+
 def test_empty_trace_defined_empty():
     report = classify([])
     assert report.total_writes == 0
@@ -102,6 +110,7 @@ def test_parse_store_csv():
     ]
     records = parse_trace_csv(lines)
     assert len(records) == 3
+    assert records[1].time == 12.5e-6  # microseconds in the file, seconds parsed
     assert records[1].start == 8192
     assert records[2].kind == "read"
     report = classify(records)
@@ -111,13 +120,16 @@ def test_parse_store_csv():
 
 def test_parse_blktrace_sectors():
     lines = [
+        "# a comment, then a blank line",
+        "",
         "0.000 W 100 8",
-        "0.001 W 108 8",
+        "0.001 W 108 8 extra fields",
         "0.002 R 0 8",
         "0.003 D 5 1",
     ]
     records = parse_blktrace(lines)
     assert len(records) == 3  # D skipped
+    assert [r.kind for r in records] == ["write", "write", "read"]
     assert records[0].start == 100 * 512
     assert records[0].length == 8 * 512
     report = classify(records)
@@ -125,8 +137,8 @@ def test_parse_blktrace_sectors():
 
 
 def test_parse_errors():
-    with pytest.raises(ValueError):
-        parse_trace_csv(["1,write,0"])
+    with pytest.raises(ValueError, match="^trace line 2: expected 4 fields, got 3$"):
+        parse_trace_csv(["time_us,kind,start,length", "1,write,0"])
     with pytest.raises(ValueError):
         parse_blktrace(["oops"])
     with pytest.raises(ValueError):
