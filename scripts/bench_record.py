@@ -2,7 +2,6 @@
 trajectory files at the repository root.
 
     python3 scripts/bench_record.py [--tree DIR] [--seed 101] [--seconds 33]
-                                    [--skip-bench] [--skip-scale]
 
 --tree names a clean checkout of the commit to measure (default: this
 repository); the records always go to this repository's root, so older
@@ -150,8 +149,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--tree", type=Path, default=ROOT)
     ap.add_argument("--seed", type=int, default=101)
     ap.add_argument("--seconds", type=float, default=33)
-    ap.add_argument("--skip-bench", action="store_true")
-    ap.add_argument("--skip-scale", action="store_true")
     args = ap.parse_args(argv)
     tree = args.tree.resolve()
     stamp = {"commit": commit_of(tree),
@@ -159,15 +156,13 @@ def main(argv: list[str] | None = None) -> int:
              "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                       "python": platform.python_version()},
              "seed": args.seed}
-    if not args.skip_bench:
-        for workload in WORKLOADS:
-            record = {**stamp, "seconds": args.seconds, **bench(tree, workload, args.seed,
-                                                                  args.seconds)}
-            append(ROOT / f"BENCH_{workload}.json", record)
-            print(workload, json.dumps(record), flush=True)
-    if not args.skip_scale:
-        append(ROOT / "BENCH_scale.json", {**stamp, "chunk_size": CHUNK,
-                                           "rows": scale_probe(tree, args.seed)})
+    for workload in WORKLOADS:
+        record = {**stamp, "seconds": args.seconds, **bench(tree, workload, args.seed,
+                                                              args.seconds)}
+        append(ROOT / f"BENCH_{workload}.json", record)
+        print(workload, json.dumps(record), flush=True)
+    append(ROOT / "BENCH_scale.json", {**stamp, "chunk_size": CHUNK,
+                                       "rows": scale_probe(tree, args.seed)})
     return 0
 
 
