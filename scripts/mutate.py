@@ -1,7 +1,7 @@
 """Mutation audit of `src/kmerfab`: which changes to the code does no test notice?
 
     python3 scripts/mutate.py [--modules fabric pipeline ...] [--sample N]
-                              [--workers 2] [--report mutants.json] [--list]
+                              [--report mutants.json]
 
 Each mutant changes one site of one module, built from the module's AST:
 - operator: an arithmetic, shift, bitwise or boolean operator swapped for a
@@ -15,12 +15,12 @@ Each mutant changes one site of one module, built from the module's AST:
 `--sample N` runs N mutants per module, drawn with a fixed seed, where the
 whole set (about 2,000) would take hours on two cores.
 
-The program never runs in this checkout: each worker copies the tree to a
-temporary directory once and writes its mutants there, one at a time. A mutant
-first runs its own module's test files (`tests/test_*<module>.py`) with `-x`;
-one that survives them runs the whole Tier-1 suite with `-x`. A mutant is
-killed when a test fails, the run errors, or it outlives a timeout of several
-times the unmutated run. The report lists the survivors by file and line; a
+The program never runs in this checkout: each of the two workers copies the
+tree to a temporary directory once and writes its mutants there, one at a
+time. A mutant first runs its own module's test files
+(`tests/test_*<module>.py`) with `-x`; one that survives them runs the whole
+Tier-1 suite with `-x`. A mutant is killed when a test fails, the run errors,
+or it outlives a timeout of several times the unmutated run. The report lists the survivors by file and line; a
 survivor is either a gap in the tests or an equivalent mutant, which no test
 can kill.
 """
@@ -53,6 +53,7 @@ PYTEST = ("import resource, sys, pytest; "
           f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_LIMIT}, {MEMORY_LIMIT})); "
           "sys.exit(pytest.main(sys.argv[1:]))")
 PYTEST_ARGS = ["-q", "-x", "-p", "no:cacheprovider"]
+WORKERS = 2
 
 BINOPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.Div: ast.Mult,
           ast.FloorDiv: ast.Mult, ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult,
@@ -198,9 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--modules", nargs="*", help="module names under src/kmerfab (default: all)")
     ap.add_argument("--sample", type=int, help="run this many mutants per module (fixed seed)")
-    ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--report", type=Path, help="write every mutant's outcome here as JSON")
-    ap.add_argument("--list", action="store_true", help="count the mutants and run nothing")
     args = ap.parse_args(argv)
 
     modules = args.modules or sorted(p.stem for p in (ROOT / PACKAGE).glob("*.py")
@@ -211,13 +210,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.sample is not None and args.sample < len(mutants[m]):
             picked = random.Random(f"kmerfab-{m}").sample(mutants[m], args.sample)
             mutants[m] = sorted(picked, key=lambda x: (x.line, x.kind, x.change))
-    if args.list:
-        return 0
 
     t_start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="kmerfab-mutate-") as scratch:
         trees: queue.Queue[Path] = queue.Queue()
-        for w in range(args.workers):
+        for w in range(WORKERS):
             tree = Path(scratch) / f"tree{w}"
             shutil.copytree(ROOT, tree, ignore=COPY_IGNORE)
             trees.put(tree)
@@ -261,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
                 elif done[0] % 50 == 0:
                     print(f"[{done[0]}/{total}]", flush=True)
 
-        with ThreadPoolExecutor(args.workers) as pool:
+        with ThreadPoolExecutor(WORKERS) as pool:
             for future in [pool.submit(run, mt) for v in mutants.values() for mt in v]:
                 future.result()
     wall = time.perf_counter() - t_start
@@ -273,12 +270,12 @@ def main(argv: list[str] | None = None) -> int:
         rate = 100 * (n["killed"] + n["timeout"]) / len(ms) if ms else 100.0
         print(f"{m:<16}{len(ms):>8}{n['killed']:>8}{n['timeout']:>8}{n['survived']:>9}"
               f"{rate:>7.1f}%")
-    print(f"wall {wall:.0f} s, {args.workers} workers")
+    print(f"wall {wall:.0f} s, {WORKERS} workers")
     survivors = [x for v in mutants.values() for x in v if x.outcome == "survived"]
     for x in survivors:
         print(f"survivor {x.module}.py:{x.line} {x.kind}: {x.change}")
     if args.report:
-        doc = {"wall_s": wall, "workers": args.workers, "sample": args.sample,
+        doc = {"wall_s": wall, "workers": WORKERS, "sample": args.sample,
                "mutants": [{k: v for k, v in asdict(x).items() if k != "source"}
                            for v in mutants.values() for x in v]}
         args.report.write_text(json.dumps(doc, indent=1))

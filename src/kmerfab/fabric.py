@@ -83,7 +83,8 @@ class MemoryBacking:
 
     def write(self, addr: int, data: bytes) -> None:
         end = addr + len(data)
-        self._data.extend(b"\x00" * (end - len(self._data)))  # nothing once end fits
+        if end > len(self._data):
+            self._data.extend(b"\x00" * (end - len(self._data)))
         self._data[addr:end] = data
 
     def read(self, addr: int, length: int) -> bytes:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -377,7 +378,25 @@ def test_small_stripes_take_no_stripe_walk():
     # the reference takes its per-member totals from the spans walk, one step per stripe
     with mock.patch.object(ComposedDevice, "member_bytes", spans_totals):
         reference = serve()
-    assert serve() == reference
+    # the 1 GiB request covers two million stripes; the engine runs far fewer
+    # lines of fabric.py than that, and a walk inline would fail at the limit
+    limit, lines = 20_000, 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        if lines > limit:
+            raise AssertionError(f"more than {limit} lines of fabric.py ran")
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 count if frame.f_code.co_filename == fabric.__file__ else None)
+    try:
+        served = serve()
+    finally:
+        sys.settrace(previous)
+    assert served == reference
     assert len(reference) == 4
 
 
