@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("trace", help="classify a write trace")
     p_tr.add_argument("--input", required=True)
     p_tr.add_argument("--format", default="csv", choices=["csv", "blktrace"])
-    p_tr.add_argument("--stream-limit", type=int, default=64)
+    p_tr.add_argument("--stream-limit", type=int, default=traceanalysis.DEFAULT_STREAM_LIMIT)
     p_tr.set_defaults(fn=cmd_trace)
     return parser
 

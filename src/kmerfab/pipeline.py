@@ -10,11 +10,11 @@ extracts no codes and runs no prune. The device holds nothing but the
 filter.pN blobs and the runs count.pN spills from a full table. No other stage
 is checkpointed, as a loaded output would spare only its own loop: prune's is
 one pass over the codes a partial rerun extracts anyway, and count.pN's filter
-pass reads every code of its partition. A filter.pN lists read ids, not bases,
-and so does the merged index: group reads only its id lists, and index.bin
-takes the bases from the inputs, which every run parses. Merge and group are
-no stages either: each run merges the filter.pN outputs in memory and groups
-them.
+pass reads every code of its partition. A filter.pN lists read ids, not bases
+(each read set as LEB128 gaps: `CandidateIndex.to_checkpoint`), and so does
+the merged index: group reads only its id lists, and index.bin takes the bases
+from the inputs, which every run parses. Merge and group are no stages either:
+each run merges the filter.pN outputs in memory and groups them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
 import time
 from dataclasses import dataclass, fields
 from functools import reduce
@@ -44,10 +43,10 @@ from .stages import (
     prune,
 )
 
-CHECKPOINT_FORMAT = "blocked-bloom-mum-prune"  # fingerprinted: another format is a clean miss
+CHECKPOINT_FORMAT = "kfidxv2-leb128-gaps"  # fingerprinted: another format is a clean miss
 # a damaged filter.pN as it loads: a failed header or CRC (read_blob), or bytes
-# that do not decode (CandidateIndex.from_bytes)
-LOAD_ERRORS = (CorruptionError, StageError, struct.error)
+# that do not decode (CandidateIndex.from_checkpoint)
+LOAD_ERRORS = (CorruptionError, StageError)
 HANDLE_FIELDS = {f.name for f in fields(BlobHandle)}
 
 
@@ -190,7 +189,7 @@ def run_pipeline(
         return out
 
     partitions = range(config.partitions)
-    indexes = [load(f"filter.p{p}", CandidateIndex.from_bytes) for p in partitions]
+    indexes = [load(f"filter.p{p}", CandidateIndex.from_checkpoint) for p in partitions]
     missing = [p for p in partitions if indexes[p] is None]
     if missing:
         codes = ReadCodes(normal, tumoral, config.k, config.partitions)
@@ -205,7 +204,7 @@ def run_pipeline(
                 table, codes, p, config.tau_t, config.tau_n))
             codes.release(p)
             del table  # before the next count builds its own: one table lives at a time
-            named(f"filter.p{p}", lambda: cp.save(f"filter.p{p}", indexes[p].to_bytes()))
+            named(f"filter.p{p}", lambda: cp.save(f"filter.p{p}", indexes[p].to_checkpoint()))
     index = reduce(merge_indexes, indexes)
     groups = timed("group", lambda: group(index, config.min_candidates))
     return PipelineResult(index, groups, seconds, loaded)

@@ -192,15 +192,41 @@ def ids_to_bitmap(ids: list[int]) -> bytearray:
     return buf
 
 
-def bitmap_ids(bitmap: bytes) -> list[int]:
-    """The set bits of a little-endian bitmap, ascending."""
+def ids_to_gaps(ids: list[int]) -> bytearray:
+    """Ascending `ids` as unsigned LEB128 gaps, `id - previous - 1` with the
+    first previous -1: [] is empty."""
+    buf = bytearray()
+    append = buf.append
+    previous = -1
+    for i in ids:
+        gap = i - previous - 1
+        previous = i
+        while gap > 0x7F:
+            append(gap & 0x7F | 0x80)
+            gap >>= 7
+        append(gap)
+    return buf
+
+
+def gap_ids(data: bytes) -> list[int]:
+    """The ids `ids_to_gaps` wrote. StageError on a gap the end of `data`
+    cuts, or one longer than a u64's 10 bytes."""
     ids = []
-    for i, byte in enumerate(bitmap):
-        if byte:
-            base = i << 3
-            for bit in range(8):
-                if byte >> bit & 1:
-                    ids.append(base + bit)
+    append = ids.append
+    previous = -1
+    gap = shift = 0
+    for byte in data:
+        if byte < 0x80:
+            previous += (gap | byte << shift) + 1
+            append(previous)
+            gap = shift = 0
+        else:
+            gap |= (byte & 0x7F) << shift
+            shift += 7
+            if shift == 70:
+                raise StageError("over-long gap in checkpoint")
+    if shift:
+        raise StageError("truncated gap in checkpoint")
     return ids
 
 
@@ -216,22 +242,25 @@ class CandidateEntry:
 
 
 class CandidateIndex:
-    """Imbalanced k-mers with the ids of the reads that hold each. On disk
-    each id list is a read-membership bitmap, and index.bin also holds the
-    bases of every listed read, taken from the inputs as it is written."""
+    """Imbalanced k-mers with the ids of the reads that hold each. On disk an
+    index is a frame: a magic, `<IQQ` k, candidate and read counts, one `<QIIII`
+    record (code, n_count, t_count and the byte lengths of its two read sets)
+    per candidate by ascending code, each followed by its read sets, then the
+    reads and a CRC-32. index.bin (`KFIDXv1`) stores each read set as a
+    bitmap and holds the bases of every listed read; a filter.pN checkpoint
+    (`KFIDXv2`) stores each as LEB128 gaps and holds no read."""
 
     def __init__(self, k: int):
         self.k = k
         self.candidates: dict[int, CandidateEntry] = {}
 
     def to_bytes(self, normal: list[Read] = (), tumoral: list[Read] = ()) -> bytearray:
-        """Canonical serialization: equal indexes give equal bytes. Given the
+        """index.bin, canonical: equal indexes give equal bytes. Given the
         parsed inputs, the reads section holds the bases of every read a
         candidate lists, normal then tumoral, each by ascending id. A read's
         id is its position in its input, as `parse_reads` numbers reads, so
-        normal read i is `normal[i]`; StageError if not. Without inputs, as
-        for a filter.pN checkpoint, it holds no read. Built in one buffer,
-        which is returned without a copy."""
+        normal read i is `normal[i]`; StageError if not. Without inputs it
+        holds no read."""
         listed = []  # (origin, read) of every stored read, in stored order
         if normal or tumoral:
             for origin, reads, attr in ((Origin.NORMAL, normal, "normal_ids"),
@@ -242,12 +271,23 @@ class CandidateIndex:
                     if read.id != i:
                         raise StageError(f"{origin.value} read at position {i} has id {read.id}")
                     listed.append((origin, read))
-        buf = bytearray(b"KFIDXv1\x00")
+        return self._frame(b"KFIDXv1\x00", ids_to_bitmap, listed)
+
+    def to_checkpoint(self) -> bytearray:
+        """The filter.pN payload, canonical: the frame with each read set as
+        LEB128 gaps (`ids_to_gaps`), and no read."""
+        return self._frame(b"KFIDXv2\x00", ids_to_gaps, [])
+
+    def _frame(self, magic: bytes, encode_ids, listed: list) -> bytearray:
+        """The frame of this index under `magic`, each read set encoded by
+        `encode_ids`, with the `(origin, read)` pairs `listed`. Built in one
+        buffer, which is returned without a copy."""
+        buf = bytearray(magic)
         buf += struct.pack("<IQQ", self.k, len(self.candidates), len(listed))
         for code in sorted(self.candidates):
             e = self.candidates[code]
-            nb = ids_to_bitmap(e.normal_ids)
-            tb = ids_to_bitmap(e.tumoral_ids)
+            nb = encode_ids(e.normal_ids)
+            tb = encode_ids(e.tumoral_ids)
             buf += struct.pack("<QIIII", code, e.n_count, e.t_count, len(nb), len(tb))
             buf += nb
             buf += tb
@@ -260,26 +300,31 @@ class CandidateIndex:
         return buf
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "CandidateIndex":
-        """The candidates of `to_bytes`' output; the reads section is checked
-        by the CRC, not decoded."""
-        if data[:8] != b"KFIDXv1\x00":
-            raise StageError("bad index magic")
+    def from_checkpoint(cls, data: bytes) -> "CandidateIndex":
+        """The index `to_checkpoint` wrote; StageError on another magic, a
+        CRC mismatch, a frame that ends early or holds more, or a bad gap."""
+        if data[:8] != b"KFIDXv2\x00" or len(data) < 12:
+            raise StageError("bad checkpoint magic or length")
         body = memoryview(data)[8:-4]
         (crc,) = struct.unpack_from("<I", data, len(data) - 4)
         if zlib.crc32(body) != crc:
-            raise StageError("index checksum mismatch")
-        k, n_cand, _ = struct.unpack_from("<IQQ", body)
-        idx = cls(k)
-        pos = struct.calcsize("<IQQ")
-        for _ in range(n_cand):
-            code, n, t, nb_len, tb_len = struct.unpack_from("<QIIII", body, pos)
-            pos += struct.calcsize("<QIIII")
-            nb = bitmap_ids(body[pos:pos + nb_len])
-            pos += nb_len
-            tb = bitmap_ids(body[pos:pos + tb_len])
-            pos += tb_len
-            idx.candidates[code] = CandidateEntry(n, t, nb, tb)
+            raise StageError("checkpoint checksum mismatch")
+        try:
+            k, n_cand, n_reads = struct.unpack_from("<IQQ", body)
+            idx = cls(k)
+            pos = struct.calcsize("<IQQ")
+            for _ in range(n_cand):
+                code, n, t, nb_len, tb_len = struct.unpack_from("<QIIII", body, pos)
+                pos += struct.calcsize("<QIIII")
+                nb = gap_ids(body[pos:pos + nb_len])
+                pos += nb_len
+                tb = gap_ids(body[pos:pos + tb_len])
+                pos += tb_len
+                idx.candidates[code] = CandidateEntry(n, t, nb, tb)
+        except struct.error as exc:
+            raise StageError(f"truncated checkpoint: {exc}") from exc
+        if n_reads or pos != len(body):
+            raise StageError("checkpoint frame does not end at its CRC")
         return idx
 
 

@@ -6,9 +6,11 @@ package's bit-packed structures, so the two sides can disagree.
 
 import math
 import struct
+import zlib
 from collections import Counter
 
 from kmerfab.kmers import Origin
+from kmerfab.stages import CandidateEntry, CandidateIndex, StageError
 
 _COMP = str.maketrans("ACGT", "TGCA")
 
@@ -136,6 +138,43 @@ def index_reads(data: bytes) -> list:
         pos += length
     assert pos == len(data) - 4, (pos, len(data))
     return reads
+
+
+def bitmap_ids(bitmap: bytes) -> list[int]:
+    """The set bits of a little-endian bitmap, ascending: the inverse of
+    `stages.ids_to_bitmap` on ascending ids, bit by bit."""
+    ids = []
+    for i, byte in enumerate(bitmap):
+        if byte:
+            base = i << 3
+            for bit in range(8):
+                if byte >> bit & 1:
+                    ids.append(base + bit)
+    return ids
+
+
+def index_from_bytes(data: bytes) -> CandidateIndex:
+    """The reference reader of index.bin (`KFIDXv1`): the candidates of
+    `CandidateIndex.to_bytes`' output, each read set decoded from its bitmap.
+    The reads section is checked by the CRC, not decoded (`index_reads` does)."""
+    if data[:8] != b"KFIDXv1\x00":
+        raise StageError("bad index magic")
+    body = memoryview(data)[8:-4]
+    (crc,) = struct.unpack_from("<I", data, len(data) - 4)
+    if zlib.crc32(body) != crc:
+        raise StageError("index checksum mismatch")
+    k, n_cand, _ = struct.unpack_from("<IQQ", body)
+    idx = CandidateIndex(k)
+    pos = struct.calcsize("<IQQ")
+    for _ in range(n_cand):
+        code, n, t, nb_len, tb_len = struct.unpack_from("<QIIII", body, pos)
+        pos += struct.calcsize("<QIIII")
+        nb = bitmap_ids(body[pos:pos + nb_len])
+        pos += nb_len
+        tb = bitmap_ids(body[pos:pos + tb_len])
+        pos += tb_len
+        idx.candidates[code] = CandidateEntry(n, t, nb, tb)
+    return idx
 
 
 def blocked_fp_reference(load: float, k: int) -> float:

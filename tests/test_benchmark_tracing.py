@@ -164,21 +164,22 @@ def load_benchmark_inputs():
 # sha256 of `kmerfab run`'s files on the benchmark's seed-101 input with 4 KiB
 # chunks, per workload's (partitions, capacity_limit). The shipped toy config
 # runs P = 2 at capacity 256 only; a change to them re-pins these and says why.
-# device0.dat and trace.csv were last re-pinned when prune stopped being
-# checkpointed: both workloads lose the 74,604-byte prune blob at address 0, so
-# pipeline_inmem's device holds filter.p0 alone
+# device0.dat and trace.csv were last re-pinned when filter.pN stored its read
+# sets as LEB128 gaps (KFIDXv2) where it stored bitmaps: pipeline_inmem's one
+# blob fell from 118,072 to 33,325 bytes, and pipeline_spill's device from
+# 1,187,384 to 1,102,637
 BENCHMARK_DIGESTS = {
     "pipeline_spill": ((4, 512), {
         "index.bin": "97a3c839e84f2c9934dc82716c4fa3fdc8c8ff4edb1f02dfef3cba6630922ffc",
         "groups.csv": "61f6bf9033ab610aa972963be2b435e0f490e629c09728484c4e10a264875b9c",
-        "device0.dat": "39e12c4dbea52665f1c007361f941c55be1badc7658a88c6f2c22a400133cdd3",
-        "trace.csv": "1c45cf460158f0462c67ad60b99443e335437ca2ba45ea025f579c6872fdd380",
+        "device0.dat": "051bbf181866cea749cd1e18150bcb6fd15561eb767a8f67a4b6bf64f1eada22",
+        "trace.csv": "833612e715b1654508c74bf81d3853cfdd89b36d83d751347872704dd58b8a31",
     }),
     "pipeline_inmem": ((1, 0), {
         "index.bin": "97a3c839e84f2c9934dc82716c4fa3fdc8c8ff4edb1f02dfef3cba6630922ffc",
         "groups.csv": "61f6bf9033ab610aa972963be2b435e0f490e629c09728484c4e10a264875b9c",
-        "device0.dat": "d8a2503ec858e3228aac8724b9879e749d6bea174a691e928905d1ce759d2c00",
-        "trace.csv": "23d1c8b8efe40d1744e3d660618181087da73232ad91b28567c470425a5ae898",
+        "device0.dat": "97023691a8a723788123bba5ea276afa3639dfd24bda1c7131ceeb641e27e3da",
+        "trace.csv": "4fe40649367ee16a644673089ebe73f72a5998f86f6f0aaf63e6a17c26f6e9aa",
     }),
 }
 

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from kmerfab import bloom
 from kmerfab.bloom import MAX_HASHES, BloomFilter, blocked_fp, optimal_bits
-from kmerfab.stages import PRUNE_FP, bitmap_ids, ids_to_bitmap
+from kmerfab.stages import PRUNE_FP, ids_to_bitmap
 from conftest import tandem_repeat_keys
-from oracle import blocked_fp_reference, mix64, patterns_reference
+from oracle import bitmap_ids, blocked_fp_reference, mix64, patterns_reference
 
 
 def test_bitmap_set_test_iterate():

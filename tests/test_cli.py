@@ -1,21 +1,25 @@
 """CLI subcommands, exit codes, artifact reproducibility."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
-import struct
+import shutil
 import time
 import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kmerfab import cli, pipeline
+from kmerfab import cli, pipeline, traceanalysis
 from kmerfab.cli import _load_scenario, main
-from kmerfab.fabric import FileBacking
+from kmerfab.fabric import FileBacking, Namespace, VirtualDevice
 from kmerfab.pipeline import Checkpoints
-from kmerfab.spill import HEADER_SIZE
+from kmerfab.spill import HEADER_SIZE, BlobHandle, SpillStore
 from kmerfab.stages import CandidateIndex
 from kmerfab.traceanalysis import parse_trace_csv
 from conftest import random_instance
@@ -336,6 +340,54 @@ def test_rerun_recomputes_checkpoint_that_does_not_decode(toy_inputs, capsys, st
         assert (out / name).read_bytes() == data
 
 
+@pytest.fixture(scope="module")
+def toy_first_run(tmp_path_factory):
+    """One run on the toy inputs: its config, output directory and OUTPUTS."""
+    inputs = tmp_path_factory.mktemp("toy")
+    normal, tumoral = random_instance(seed=77, n_reads=160)
+    write_fasta(inputs / "normal.fa", normal)
+    write_fasta(inputs / "tumoral.fa", tumoral)
+    cfg = run_config(inputs)
+    out = inputs / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    return cfg, out, {name: (out / name).read_bytes() for name in OUTPUTS}
+
+
+@settings(max_examples=12, deadline=None)
+@given(stage=st.sampled_from(["filter.p0", "filter.p1"]), data=st.data())
+def test_rerun_recomputes_a_filter_payload_that_does_not_decode(toy_first_run, tmp_path_factory,
+                                                               stage, data):
+    """The stage's blob is swapped for one whose payload is a strict prefix of
+    its own, its own plus one byte, its frame cut short behind an inner CRC it
+    passes, or 11 continuation bytes, behind a header whose CRC it passes: the
+    rerun recomputes that partition and exits 0."""
+    cfg, first_out, first = toy_first_run
+    out = tmp_path_factory.mktemp("rerun") / "out"
+    shutil.copytree(first_out, out)
+    manifest = out / "checkpoints.json"
+    doc = json.loads(manifest.read_text())
+    device = VirtualDevice(0, capacity=100_000_000, backing=FileBacking(out / "device0.dat"))
+    store = SpillStore(Namespace(device, 0, device.capacity))
+    payload = store.read_blob(BlobHandle(**doc["stages"][stage]))
+    body = payload[8:-4]
+    bad = data.draw(st.one_of(
+        st.integers(0, len(payload) - 1).map(lambda n: payload[:n]),
+        st.integers(0, 255).map(lambda byte: payload + bytes([byte])),
+        st.integers(0, len(body) - 1).map(
+            lambda n: payload[:8] + body[:n] + zlib.crc32(body[:n]).to_bytes(4, "little")),
+        st.just(b"\x80" * 11)))
+    store.append_cursor = (out / "device0.dat").stat().st_size
+    doc["stages"][stage] = vars(store.append_blob(bad))
+    manifest.write_text(json.dumps(doc))
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert not stage_lines(stdout.getvalue())[f"stage {stage}"].endswith("(checkpoint)")
+    for name, expected in first.items():
+        assert (out / name).read_bytes() == expected
+
+
 @pytest.mark.parametrize("partitions, dropped", [(2, 1), (3, 1), (3, 2)])
 def test_partial_rerun_recomputes_the_first_runs_prune_filter(toy_inputs, capsys, monkeypatch,
                                                               partitions, dropped):
@@ -634,7 +686,8 @@ def test_each_stage_output_written_once(toy_inputs, partitions):
     """A fresh run checkpoints each filter.pN, once, and nothing else
     (count's runs are not named, prune is recomputed by any run that counts,
     and group's output is read by no stage): no blob the manifest names
-    repeats another, and each filter.pN holds no read's bases."""
+    repeats another, and each filter.pN holds its candidates' checkpoint
+    encoding and nothing else, so no read's bases."""
     out = toy_inputs / "out"
     cfg = run_config(toy_inputs, partitions=partitions)
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
@@ -648,8 +701,8 @@ def test_each_stage_output_written_once(toy_inputs, partitions):
     assert len(set(payloads.values())) == len(payloads)
     for p in range(partitions):
         payload = payloads[f"filter.p{p}"]
-        assert CandidateIndex.from_bytes(payload).candidates
-        assert struct.unpack_from("<IQQ", payload, 8)[2] == 0  # n_reads
+        index = CandidateIndex.from_checkpoint(payload)
+        assert index.candidates and index.to_checkpoint() == payload
 
 
 class Killed(BaseException):
@@ -839,11 +892,11 @@ SHIPPED_DIGESTS = {
         "index.bin": "4fa8f0432e3c0a0e1b518b5355fc805cac6b41b5b6296bd8fdd69be80fc468c6",
         "groups.csv": "1b1fc42ea84ab57952e2f415d90be65356f64e0d1013a6e2e506643dc1b07f1d",
         # the on-device format: a change to it re-pins these and says why. Last
-        # re-pinned when prune stopped being checkpointed: its 13,700-byte blob
-        # at address 0 is gone from the device and from the trace, and every
-        # later blob starts that much earlier
-        "trace.csv": "2a8b5d0921b253ca09d0254e3e11fd3f8e7218e92f6356e907ce5001de3400cc",
-        "device0.dat": "d3b766593626c3838af72b1a59593584b2c82a5ffab5ad03b0fe5b98ed99e152",
+        # re-pinned when filter.pN stored its read sets as LEB128 gaps (KFIDXv2)
+        # where it stored bitmaps: the device fell from 112,582 to 112,387 bytes,
+        # and each blob after filter.p0 starts earlier
+        "trace.csv": "300aed05ad9cdf8583798082e4fd3ce8a6cc6b3592b425ae68c40dd536365c0a",
+        "device0.dat": "e80963c778b9e5d3a0f57a14352db631ef380ebdcdc90c7719a61bf549e3dd7e",
     },
 }
 
@@ -947,6 +1000,13 @@ def test_trace_subcommand_on_pipeline_trace(toy_inputs, capsys):
 def test_trace_missing_input(tmp_path, capsys):
     for path in (str(tmp_path / "nope.csv"), ""):
         assert main(["trace", "--input", path]) == 2
+
+
+def test_trace_stream_limit_default_is_the_classifiers(monkeypatch):
+    # one default: the parser reads the classifier's constant as it is built
+    monkeypatch.setattr(traceanalysis, "DEFAULT_STREAM_LIMIT", 5)
+    args = cli.build_parser().parse_args(["trace", "--input", "trace.csv"])
+    assert args.stream_limit == 5
 
 
 def test_scenario_unknown_key(tmp_path, capsys):

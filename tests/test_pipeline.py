@@ -207,7 +207,7 @@ def test_group_from_checkpoints_alone(tmp_path, small_instance):
     cp = Checkpoints(store, cfg.fingerprint(normal, tumoral), cfg.partitions, tmp_path / "m.json")
     result = run_pipeline(normal, tumoral, cfg, store, cp)
     assert result.groups
-    merged = reduce(merge_indexes, [cp.load(f"filter.p{p}", CandidateIndex.from_bytes)
+    merged = reduce(merge_indexes, [cp.load(f"filter.p{p}", CandidateIndex.from_checkpoint)
                                     for p in range(3)])
     assert group(merged, cfg.min_candidates) == result.groups
 

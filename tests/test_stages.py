@@ -4,6 +4,7 @@ import hashlib
 import random
 import struct
 import tracemalloc
+import zlib
 from array import array
 from itertools import islice
 
@@ -25,6 +26,7 @@ from kmerfab.stages import (
     StageError,
     count,
     filter_candidates,
+    gap_ids,
     group,
     is_imbalanced,
     merge_indexes,
@@ -44,6 +46,7 @@ from oracle import (
     code_of,
     exact_counts,
     expected_groups,
+    index_from_bytes,
     index_reads,
     kmer_of,
     read_store,
@@ -173,6 +176,11 @@ def test_prune_seen_multi_has_half_the_words():
 # passes and so the spill runs on the device
 PRUNE_BITMAP_DIGESTS = {
     "blocked-bloom-mum-prune": (
+        "6d4d6e15a6773edb7847f2d24369972e6c8765c6242c1ce5ff54a898bac2d8f0",
+        "c84b8202b8dfb373062bd3d76a8cdbc4927f67f82c7c5fa2d6142a1189fa8a10",
+    ),
+    # filter.pN's read sets became LEB128 gaps; prune is unchanged
+    "kfidxv2-leb128-gaps": (
         "6d4d6e15a6773edb7847f2d24369972e6c8765c6242c1ce5ff54a898bac2d8f0",
         "c84b8202b8dfb373062bd3d76a8cdbc4927f67f82c7c5fa2d6142a1189fa8a10",
     ),
@@ -413,15 +421,17 @@ def test_count_refuses_a_normal_span_a_32_bit_count_cannot_hold():
 
 def test_merge_keeps_a_t_count_past_32_bits():
     """Sums over runs never wrap: a t_count of 2**32 is kept whole, and the
-    index, whose u32 fields cannot hold it, refuses to serialize it."""
+    index.bin and filter.pN frames, whose u32 fields cannot hold it, refuse
+    to serialize it."""
     store = make_store()
     runs = [store.flush_table({7: (2**32 - 1) << 32}), store.flush_table({7: 3 + (1 << 32)})]
     table = merge_runs(runs, {}, store)
     assert table.entries == {7: (3, 2**32)}
     index = filter_candidates(table, ReadCodes([], [], K), 0, tau_t=4, tau_n=3)
     assert index.candidates[7].t_count == 2**32
-    with pytest.raises(struct.error):
-        index.to_bytes()
+    for serialize in (index.to_bytes, index.to_checkpoint):
+        with pytest.raises(struct.error):
+            serialize()
 
 
 # -- merge_runs ----------------------------------------------------------
@@ -567,12 +577,80 @@ def test_index_serialization_roundtrip():
     normal, tumoral = random_instance(seed=13, n_reads=150)
     idx = build_index(normal, tumoral)
     data = idx.to_bytes(normal, tumoral)
-    clone = CandidateIndex.from_bytes(data)
+    clone = index_from_bytes(data)
     assert clone.to_bytes(normal, tumoral) == data
     assert clone.k == idx.k
     assert clone.candidates == idx.candidates
     _, stored = candidate_view(normal, tumoral, K, 4, 1)
     assert index_reads(data) == read_store(normal, tumoral, stored)
+
+
+def checkpoint_frame(records, k=K):
+    """A `KFIDXv2` frame of `(code, n_count, t_count, normal section, tumoral
+    section)` records, built field by field, behind an inner CRC it passes."""
+    body = struct.pack("<IQQ", k, len(records), 0)
+    for code, n, t, nb, tb in records:
+        body += struct.pack("<QIIII", code, n, t, len(nb), len(tb)) + nb + tb
+    return b"KFIDXv2\x00" + body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_checkpoint_wire_format():
+    # index.bin's frame; each read set as LEB128 gaps id - previous - 1, the first previous -1
+    idx = CandidateIndex(K)
+    idx.candidates[300] = CandidateEntry(1, 4, [2], [3, 200])
+    idx.candidates[5] = CandidateEntry(0, 4, [], [1, 3])
+    assert idx.to_checkpoint() == checkpoint_frame([
+        (5, 0, 4, b"", bytes([1, 1])),
+        (300, 1, 4, bytes([2]), bytes([3, 0xC4, 1])),  # 196 = 0x44 + (1 << 7)
+    ])
+    assert gap_ids(bytes([0xFF] * 9 + [1])) == [2**64 - 1]  # a u64's 10 bytes decode
+
+
+@st.composite
+def candidate_indexes(draw):
+    """Indexes at every k: codes up to 2**64 - 1, counts up to 2**32 - 1, and
+    id lists from empty to ids near 10**6."""
+    index = CandidateIndex(draw(st.integers(1, 32)))
+    counts = st.integers(0, 2**32 - 1)
+    ids = st.lists(st.integers(0, 10**6), max_size=6, unique=True).map(sorted)
+    for code in draw(st.lists(st.integers(0, 2**64 - 1), max_size=5, unique=True)):
+        index.candidates[code] = CandidateEntry(draw(counts), draw(counts), draw(ids), draw(ids))
+    return index
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=candidate_indexes())
+def test_checkpoint_round_trips(index):
+    payload = index.to_checkpoint()
+    clone = CandidateIndex.from_checkpoint(payload)
+    assert (clone.k, clone.candidates) == (index.k, index.candidates)
+    assert clone.to_checkpoint() == payload
+
+
+@settings(max_examples=50, deadline=None)
+@given(index=candidate_indexes(), extra=st.integers(0, 255))
+def test_checkpoint_that_does_not_decode_raises_stage_error(index, extra):
+    """Every strict prefix of a payload and a trailing byte, as they stand or
+    behind an inner CRC they pass, raise StageError, never IndexError or
+    struct.error."""
+    payload = bytes(index.to_checkpoint())
+    body = payload[8:-4]
+
+    def framed(b):
+        return payload[:8] + b + struct.pack("<I", zlib.crc32(b))
+
+    bad = [payload[:n] for n in range(len(payload))] + [payload + bytes([extra])]
+    bad += [framed(body[:n]) for n in range(len(body))] + [framed(body + bytes([extra]))]
+    for data in bad:
+        with pytest.raises(StageError):
+            CandidateIndex.from_checkpoint(data)
+
+
+@pytest.mark.parametrize("section", [b"\x80" * 11, b"\x80" * 10 + b"\x01", b"\x85"],
+                         ids=["11_continuation_bytes", "11_byte_gap", "cut_gap"])
+def test_checkpoint_gap_that_does_not_decode_raises_stage_error(section):
+    with pytest.raises(StageError, match="gap"):
+        CandidateIndex.from_checkpoint(checkpoint_frame([(5, 0, 4, b"", section)]))
 
 
 def test_to_bytes_takes_read_i_from_position_i():
@@ -601,7 +679,7 @@ def test_to_bytes_holds_one_buffer():
         tracemalloc.stop()
     assert len(data) > 10_000_000
     assert peak <= 1.5 * len(data), peak / len(data)
-    assert CandidateIndex.from_bytes(data).candidates == idx.candidates
+    assert index_from_bytes(data).candidates == idx.candidates
     assert [key for key, _ in index_reads(data)] == [(Origin.TUMORAL, i) for i in sorted(tumoral)]
 
 
@@ -626,8 +704,14 @@ def test_filter_index_group_at_read_id_999_999():
     *_, nb_len, tb_len = struct.unpack_from("<QIIII", data, 8 + struct.calcsize("<IQQ"))
     assert (nb_len, tb_len) == (0, 125_000)
     assert index_reads(data) == [((Origin.TUMORAL, 0), kmer), ((Origin.TUMORAL, 999_999), kmer)]
-    clone = CandidateIndex.from_bytes(data)
-    assert clone.candidates[code_of(kmer)] == entry
+    assert index_from_bytes(data).candidates == idx.candidates
+    # the filter.pN payload stores the gaps 0 and 999_998 (1 + 3 bytes), not the bitmap
+    payload = idx.to_checkpoint()
+    *_, nb_len, tb_len = struct.unpack_from("<QIIII", payload, 8 + struct.calcsize("<IQQ"))
+    assert (nb_len, tb_len) == (0, 4)
+    assert len(payload) <= 64
+    clone = CandidateIndex.from_checkpoint(payload)
+    assert clone.candidates == idx.candidates
     groups = group(clone, min_candidates=1)
     assert [g.seed for g in groups] == [(Origin.TUMORAL, 0), (Origin.TUMORAL, 999_999)]
     for g in groups:
@@ -718,7 +802,7 @@ def test_group_at_bitmap_boundaries():
              999: "CCAACG", 1000: "CCAACGAT", 1001: "GATCCA"}
     index = hand_index(3, seeds, normal_sets)
     assert index.candidates[code_of("CCA")].tumoral_ids == [8, 999, 1000, 1001]
-    reloaded = CandidateIndex.from_bytes(index.to_bytes())
+    reloaded = CandidateIndex.from_checkpoint(index.to_checkpoint())
     for min_candidates in (1, 2, 3):
         want = reference_group(index, seeds, min_candidates)
         assert group(index, min_candidates) == group(reloaded, min_candidates) == want
