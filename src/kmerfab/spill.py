@@ -3,10 +3,15 @@
 Everything on the device is a blob: a 32-byte header (magic, version,
 reserved, payload length, CRC-32 of the payload) and its payload, appended
 to a namespace as large sequential chunk writes. A sorted frequency-table
-run is a blob whose payload is fixed-width little-endian records, coded as
-`array('Q')` words, and every pipeline checkpoint is a blob too, so
-`read_blob` is the one place a read is verified. Fixed layouts keep
-fixtures bit-exact across platforms.
+run is a blob whose payload is byte planes: a `<QH` header of the record
+count n and a 16-bit mask, then, for each byte j of the 16-byte
+little-endian record (u64 code, u64 n_count + (t_count << 32)) whose n
+bytes are not all zero, those n bytes in record order, by ascending j. The
+mask's bit j says that plane j is stored. Every count is small and most
+codes of a run come from one origin, so most planes are zero and are not
+written (null suppression over byte-transposed columns). Every pipeline
+checkpoint is a blob too, so `read_blob` is the one place a read is
+verified. Fixed layouts keep fixtures bit-exact across platforms.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ BLOB_MAGIC = b"KFBLOBv1"
 _HEADER = struct.Struct("<8sIIQQ")  # magic, version, reserved, payload length, checksum
 HEADER_SIZE = _HEADER.size
 RECORD_SIZE = 16  # `<QII` code, n_count, t_count: the u64s code, n_count + (t_count << 32)
+_RUN = struct.Struct("<QH")  # record count, mask of the byte planes stored
 
 
 class CorruptionError(Exception):
@@ -42,21 +48,40 @@ class BlobHandle:
 
 
 def encode_run(entries: dict[int, int]) -> bytes:
-    """Serialize code -> n_count + (t_count << 32) as records sorted by code."""
+    """Serialize code -> n_count + (t_count << 32), sorted by code, as its
+    non-zero byte planes behind a record count and a plane mask."""
     codes = sorted(entries)
     words = array("Q", [0]) * (2 * len(codes))
     words[0::2] = array("Q", codes)
     words[1::2] = array("Q", map(entries.__getitem__, codes))
     if sys.byteorder == "big":
         words.byteswap()
-    return words.tobytes()
+    raw = words.tobytes()
+    zero = bytes(len(codes))
+    mask, planes = 0, []
+    for j in range(RECORD_SIZE):
+        plane = raw[j::RECORD_SIZE]
+        if plane != zero:
+            mask |= 1 << j
+            planes.append(plane)
+    return _RUN.pack(len(codes), mask) + b"".join(planes)
 
 
 def decode_run(payload: bytes) -> tuple[array, array]:
     """A run's codes and their packed counts, as two `array('Q')`."""
-    if len(payload) % RECORD_SIZE:
-        raise CorruptionError("run payload is not a whole number of records")
-    words = array("Q", payload)
+    if len(payload) < _RUN.size:
+        raise CorruptionError("run payload is shorter than its header")
+    n, mask = _RUN.unpack_from(payload)
+    # a run's codes are distinct, so a run of two or more records stores a plane
+    if len(payload) != _RUN.size + mask.bit_count() * n or (not mask and n > 1):
+        raise CorruptionError("run payload length does not match its header")
+    raw = bytearray(RECORD_SIZE * n)
+    pos = _RUN.size
+    for j in range(RECORD_SIZE):
+        if mask >> j & 1:
+            raw[j::RECORD_SIZE] = payload[pos:pos + n]
+            pos += n
+    words = array("Q", raw)
     if sys.byteorder == "big":
         words.byteswap()
     return words[0::2], words[1::2]

@@ -131,7 +131,9 @@ def count(
         raise StageError(f"partition {partition_id}: {len(normal)} normal windows, not < 2**32")
     runs: list[BlobHandle] = []
     entries: dict[int, int] = {}
-    flushed: set[int] = set()  # the codes of earlier runs; empty while unbounded
+    # the codes of earlier runs; empty while unbounded. capacity_limit does not
+    # bound it: it grows to the partition's distinct codes spilled
+    flushed: set[int] = set()
     get = entries.get
     words, lo, hi = prune_filter._words, prune_filter._lo, prune_filter._hi
     n_words = len(words)

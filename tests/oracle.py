@@ -177,6 +177,18 @@ def index_from_bytes(data: bytes) -> CandidateIndex:
     return idx
 
 
+def run_payload(rows, record: str = "<QII") -> bytes:
+    """The reference spill-run payload of `rows`: one `struct.pack(record)`
+    per row, in sorted order, cut into its 16 byte planes (plane j holds
+    byte j of every record), the all-zero planes dropped, behind a `<QH`
+    header of the record count and the mask of the planes kept."""
+    records = [struct.pack(record, *row) for row in sorted(rows)]
+    planes = [bytes(rec[j] for rec in records) for j in range(16)]
+    kept = [j for j in range(16) if any(planes[j])]
+    return (struct.pack("<QH", len(records), sum(1 << j for j in kept))
+            + b"".join(planes[j] for j in kept))
+
+
 def blocked_fp_reference(load: float, k: int) -> float:
     """The blocked false-positive formula as one expression, computed from
     scratch on every call: what `bloom.blocked_fp` computes from its cached

@@ -5,7 +5,8 @@ and on the default simulation scenario with all three instances on one host,
 so that memory pressure adds spill writes to the flush writes. It also runs
 one untraced iteration of each pipeline workload of the benchmark, whose
 checks read the files the program writes, and pins the files `kmerfab run`
-writes on the benchmark's input under both pipeline workloads' settings."""
+writes on the benchmark's input under both pipeline workloads' settings, and
+bounds the payload of each run spilled under the spill setting."""
 
 import hashlib
 import importlib.util
@@ -164,16 +165,18 @@ def load_benchmark_inputs():
 # sha256 of `kmerfab run`'s files on the benchmark's seed-101 input with 4 KiB
 # chunks, per workload's (partitions, capacity_limit). The shipped toy config
 # runs P = 2 at capacity 256 only; a change to them re-pins these and says why.
-# device0.dat and trace.csv were last re-pinned when filter.pN stored its read
-# sets as LEB128 gaps (KFIDXv2) where it stored bitmaps: pipeline_inmem's one
-# blob fell from 118,072 to 33,325 bytes, and pipeline_spill's device from
-# 1,187,384 to 1,102,637
+# pipeline_spill's device0.dat and trace.csv were last re-pinned when spill
+# runs were stored as their non-zero byte planes where they were 16-byte
+# records: its device fell from 1,102,637 to 640,065 bytes. pipeline_inmem
+# spills no run; its were last re-pinned when filter.pN stored its read sets
+# as LEB128 gaps (KFIDXv2) where it stored bitmaps: its one blob fell from
+# 118,072 to 33,325 bytes
 BENCHMARK_DIGESTS = {
     "pipeline_spill": ((4, 512), {
         "index.bin": "97a3c839e84f2c9934dc82716c4fa3fdc8c8ff4edb1f02dfef3cba6630922ffc",
         "groups.csv": "61f6bf9033ab610aa972963be2b435e0f490e629c09728484c4e10a264875b9c",
-        "device0.dat": "051bbf181866cea749cd1e18150bcb6fd15561eb767a8f67a4b6bf64f1eada22",
-        "trace.csv": "833612e715b1654508c74bf81d3853cfdd89b36d83d751347872704dd58b8a31",
+        "device0.dat": "1596f5bb7754fe0604dc2ee19fea4cb0fee6d706349976d77ac6db7e718d2114",
+        "trace.csv": "488a8e41a947b62a67775f97ee57add5777fd85732abdc7a3b0d27457b569140",
     }),
     "pipeline_inmem": ((1, 0), {
         "index.bin": "97a3c839e84f2c9934dc82716c4fa3fdc8c8ff4edb1f02dfef3cba6630922ffc",
@@ -219,3 +222,24 @@ def test_benchmark_input_count_probes_are_pinned(tmp_path, workload):
     for p in range(partitions):
         count(codes, pf, p, capacity_limit or None, store)
     assert words.probes == BENCHMARK_COUNT_PROBES
+
+
+def test_benchmark_spill_runs_store_few_planes(tmp_path):
+    """Every count on the benchmark input is under 256 and runs are mostly of
+    one origin, so a spilled run stores its 8 code planes and at most one
+    plane of n_count and one of t_count: at most 10 + 10 n payload bytes for
+    n records, where 16-byte records took 16 n."""
+    inputs = load_benchmark_inputs()
+    inputs.write_inputs(101, tmp_path)
+    reads = [parse_reads((tmp_path / f"{origin.value}.fa").read_text().splitlines(), origin)
+             for origin in (Origin.NORMAL, Origin.TUMORAL)]
+    codes = ReadCodes(*reads, inputs.K, 4)
+    pf = prune(codes, inputs.RUN_SETTINGS["prune_fp"])
+    store = SpillStore(Namespace(VirtualDevice(0, capacity=1 << 30), 0, 1 << 30),
+                       chunk_size=4096)
+    runs = [h for p in range(4) for h in count(codes, pf, p, 512, store)[0]]
+    assert len(runs) == 130
+    for h in runs:
+        payload = store.read_blob(h)
+        n = len(store.read_run(h)[0])
+        assert n == 512 and len(payload) <= 10 + 10 * n, (h, len(payload))

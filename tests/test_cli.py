@@ -892,11 +892,11 @@ SHIPPED_DIGESTS = {
         "index.bin": "4fa8f0432e3c0a0e1b518b5355fc805cac6b41b5b6296bd8fdd69be80fc468c6",
         "groups.csv": "1b1fc42ea84ab57952e2f415d90be65356f64e0d1013a6e2e506643dc1b07f1d",
         # the on-device format: a change to it re-pins these and says why. Last
-        # re-pinned when filter.pN stored its read sets as LEB128 gaps (KFIDXv2)
-        # where it stored bitmaps: the device fell from 112,582 to 112,387 bytes,
-        # and each blob after filter.p0 starts earlier
-        "trace.csv": "300aed05ad9cdf8583798082e4fd3ce8a6cc6b3592b425ae68c40dd536365c0a",
-        "device0.dat": "e80963c778b9e5d3a0f57a14352db631ef380ebdcdc90c7719a61bf549e3dd7e",
+        # re-pinned when spill runs were stored as their non-zero byte planes
+        # where they were 16-byte records: the device fell from 112,387 to
+        # 37,137 bytes, and each blob after the first run starts earlier
+        "trace.csv": "3cb4b8b43aed9c311b6c5aaa49830299890682108f42ea56bee54baab0a1f171",
+        "device0.dat": "fefcfeaf5de0570a3b649408796a43be55e26530c8e00291bc8719fe38824b04",
     },
 }
 

@@ -18,6 +18,7 @@ from kmerfab.spill import (
     encode_run,
     HEADER_SIZE,
 )
+from oracle import run_payload
 
 
 def make_store(size=200 * 1024 * 1024, chunk=8 * 1024 * 1024):
@@ -48,10 +49,8 @@ def test_successive_flushes_append():
 
 def test_chunking_arithmetic():
     store = make_store(chunk=8 * 1024 * 1024)
-    # 20 MiB payload => requests of 8, 8, 4 MiB
-    n_entries = (20 * 1024 * 1024 - HEADER_SIZE) // 16
-    rows = [(i, 1, 1) for i in range(n_entries)]
-    store.flush_table(table(rows))
+    # a 20 MiB blob => requests of 8, 8, 4 MiB
+    store.append_blob(bytes(20 * 1024 * 1024 - HEADER_SIZE))
     sizes = [rec.length for rec in store.io_trace()]
     assert sizes == [8 * 1024 * 1024, 8 * 1024 * 1024, 20 * 1024 * 1024 - 16 * 1024 * 1024]
     starts = [rec.start for rec in store.io_trace()]
@@ -67,7 +66,8 @@ def test_roundtrip_random_table():
     )
     handle = store.flush_table(table(rows))
     assert rows_of(store.read_run(handle)) == rows
-    assert handle.length == HEADER_SIZE + 16 * len(rows)
+    # eight code planes, and two planes each for n_count and t_count (< 1000)
+    assert handle.length == HEADER_SIZE + 10 + 12 * len(rows)
 
 
 def test_flush_sorts_by_code():
@@ -162,7 +162,7 @@ def test_a_blob_may_fill_the_namespace_exactly():
 
 def test_capacity_error_keeps_directory_clean():
     store = make_store(size=1024, chunk=512)
-    rows = [(i, 1, 1) for i in range(200)]  # 3232 bytes > 1024
+    rows = [(i, 1, 1) for i in range(400)]  # 32 + 10 + 4 planes x 400 = 1642 bytes > 1024
     with pytest.raises(CapacityError):
         store.flush_table(table(rows))
     assert store.io_trace() == []
@@ -227,7 +227,9 @@ def test_run_encoding_is_bit_exact():
     rows = [(0, 0, 0), (1, 2, 3), (2 ** 60, 4, 5)]
     data = encode_run(table(rows))
     assert rows_of(decode_run(data)) == rows
-    assert len(data) == 16 * len(rows)
+    # planes 0 and 7 of the codes, 8 of n_count and 12 of t_count
+    assert data[:10] == struct.pack("<QH", 3, 0b0001_0001_1000_0001)
+    assert len(data) == 10 + 4 * len(rows)
     with pytest.raises(CorruptionError):
         decode_run(data[:-1])
     # fixed golden bytes of a one-record run on the device, so an independent
@@ -238,9 +240,11 @@ def test_run_encoding_is_bit_exact():
         "4b46424c4f427631"  # magic
         "01000000"          # version
         "00000000"          # reserved
-        "1000000000000000"  # payload length
-        "5772431200000000"  # crc32 of payload
-        "0100000000000000" "02000000" "03000000"
+        "0d00000000000000"  # payload length
+        "42dfdaad00000000"  # crc32 of payload
+        "0100000000000000"  # record count
+        "0111"              # plane mask: planes 0, 8 and 12
+        "01" "02" "03"      # code byte 0, n_count byte 0, t_count byte 0
     )
 
 
@@ -267,20 +271,39 @@ def sorted_rows(counts):
 @settings(max_examples=100, deadline=None)
 @given(counts=_COUNTS)
 @example(counts=_EDGES)
+@example(counts={0: (0, 0)})  # stores no plane: only the header's count says it holds a record
+@example(counts={})
 def test_run_codec_roundtrip(counts):
     rows = sorted_rows(counts)
     data = encode_run(table(rows))
-    assert len(data) == len(rows) * 16
+    n, mask = struct.unpack_from("<QH", data)
+    assert n == len(rows)
+    assert len(data) == 10 + mask.bit_count() * n
     assert rows_of(decode_run(data)) == rows
+
+
+@pytest.mark.parametrize("payload", [
+    b"", bytes(9),                                   # shorter than the header
+    struct.pack("<QH", 2, 0),                        # two records with no plane
+    struct.pack("<QH", 2**40, 0),                    # ... nor a huge count
+    struct.pack("<QH", 1, 1),                        # a plane short
+    struct.pack("<QH", 1, 1) + b"\x01\x02",          # a byte too many
+    struct.pack("<QH", 2, 0b11) + bytes(3),          # two planes of 2 bytes, 3 given
+    struct.pack("<QH", 0, 0) + b"\x00",              # an empty run with a byte
+])
+def test_run_payload_that_does_not_match_its_header_raises(payload):
+    with pytest.raises(CorruptionError):
+        decode_run(payload)
 
 
 @settings(max_examples=100, deadline=None)
 @given(counts=_COUNTS)
 @example(counts=_EDGES)
 def test_run_encoding_matches_struct_records(counts):
-    """Reference: one `<QII` record per row, packed by struct."""
+    """Reference: one `<QII` record per row, packed by struct, transposed
+    into byte planes with the zero planes dropped."""
     rows = sorted_rows(counts)
-    assert encode_run(table(rows)) == b"".join(struct.pack("<QII", *row) for row in rows)
+    assert encode_run(table(rows)) == run_payload(rows)
 
 
 def test_packed_count_past_64_bits_raises():
@@ -293,22 +316,19 @@ def test_packed_count_past_64_bits_raises():
     with pytest.raises(OverflowError):
         store.flush_table({7: 1 << 64})
     assert store.append_cursor == 0 and store.io_trace() == []
-    assert encode_run({7: (1 << 64) - 1}) == struct.pack("<QII", 7, 2**32 - 1, 2**32 - 1)
-
-
-def byteswapped_words(data):
-    """`data` with each 8-byte word reversed."""
-    return b"".join(data[i:i + 8][::-1] for i in range(0, len(data), 8))
+    assert encode_run({7: (1 << 64) - 1}) == run_payload([(7, 2**32 - 1, 2**32 - 1)])
 
 
 def test_run_codec_on_a_host_of_the_other_byte_order(monkeypatch):
     """The codec takes the host's word order from `sys.byteorder`: told the
-    other order, it swaps every word, on the way out and on the way in."""
+    other order, it swaps every word before it cuts the planes, and after it
+    joins them, so it writes and reads the planes of big-endian words."""
     rows = sorted_rows({2**64 - 1: (1, 2), 5: (2**32 - 1, 0), 2**40 + 3: (7, 2**32 - 1)})
-    little = encode_run(table(rows))
+    big = run_payload([(code, n + (t << 32)) for code, n, t in rows], ">QQ")
+    assert big != encode_run(table(rows))
     monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
-    assert encode_run(table(rows)) == byteswapped_words(little)
-    assert rows_of(decode_run(byteswapped_words(little))) == rows
+    assert encode_run(table(rows)) == big
+    assert rows_of(decode_run(big)) == rows
     assert rows_of(decode_run(encode_run(table(rows)))) == rows
 
 

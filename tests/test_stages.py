@@ -464,7 +464,7 @@ def test_merge_folds_runs_into_the_last_table_in_place():
 def test_merge_unreadable_run_named():
     store = make_store()
     h = store.flush_table({1: 1 + (1 << 32)})
-    store.namespace.write_data(h.start_address + 40, b"\x00\x01")
+    store.namespace.write_data(h.start_address + 33, b"\x00\x01")
     with pytest.raises(StageError, match=str(h.start_address)):
         merge_runs([h], {}, store)
 
