@@ -22,7 +22,7 @@ from .fabric import (
     Namespace,
     VirtualDevice,
 )
-from .kmers import MAX_K, Origin, ParseError, parse_reads
+from .kmers import MAX_K, ParseError, parse_reads
 from .orchestrator import (
     DEMAND_SLACK,
     REFERENCE_BW,
@@ -162,9 +162,9 @@ def cmd_run(args) -> int:
                                                   cfg.POSITIVE))
 
     with open(normal_path) as fh:
-        normal = parse_reads(fh, Origin.NORMAL)
+        normal = parse_reads(fh)
     with open(tumoral_path) as fh:
-        tumoral = parse_reads(fh, Origin.TUMORAL)
+        tumoral = parse_reads(fh)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -176,14 +176,10 @@ def cmd_run(args) -> int:
 
     (out / "index.bin").write_bytes(result.index.to_bytes(normal, tumoral))
     group_lines = ["seed_origin,seed_id,n_members,members,shared_kmers"]
-    for g in result.groups:
-        members = ";".join(
-            f"{'t' if o is Origin.TUMORAL else 'n'}{i}"
-            for o, i in sorted(g.members, key=lambda m: (m[0] is Origin.TUMORAL, m[1]))
-        )
+    for g in result.groups:  # a seed is a tumoral read
+        members = [*(f"n{i}" for i in g.normal_ids), *(f"t{i}" for i in g.tumoral_ids)]
         codes = ";".join(str(c) for c in sorted(g.shared_kmers))
-        o = "tumoral" if g.seed[0] is Origin.TUMORAL else "normal"
-        group_lines.append(f"{o},{g.seed[1]},{len(g.members)},{members},{codes}")
+        group_lines.append(f"tumoral,{g.seed},{len(members)},{';'.join(members)},{codes}")
     (out / "groups.csv").write_text("\n".join(group_lines) + "\n")
     (out / "trace.csv").write_text(store.trace_csv())
 

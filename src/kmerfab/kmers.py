@@ -1,13 +1,14 @@
 """Read parsing, 2-bit k-mer encoding, canonicalization and partitioning.
 
+A read is its bases, a `str`: its id is its position in its input, and its
+origin is which input holds it.
+
 Encoding: A=00, C=01, G=10, T=11, first base in the most significant pair,
 so integer order on codes equals alphabetical order on the strings.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 _FWD_DIGITS = str.maketrans("ACGT", "0123")  # a base's code as a base-4 digit
@@ -20,11 +21,6 @@ _HASH_MULT = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 
-class Origin(enum.Enum):
-    NORMAL = "normal"
-    TUMORAL = "tumoral"
-
-
 class ParseError(ValueError):
     """Malformed read input; carries the 1-based line number."""
 
@@ -33,23 +29,16 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class Read:
-    id: int
-    origin: Origin
-    bases: str
-
-
-def parse_reads(stream: TextIO | Iterable[str], origin: Origin) -> list[Read]:
-    """Parse FASTA-like input: '>' header line, then one sequence line.
+def parse_reads(stream: TextIO | Iterable[str]) -> list[str]:
+    """The bases of each read of FASTA-like input ('>' header line, then one
+    sequence line), in input order; headers are not kept.
 
     Bases are upper-cased; only A,C,G,T,N are accepted. Raises ParseError
     with the offending line number on malformed input.
     """
-    reads: list[Read] = []
+    reads: list[str] = []
     allowed = set("ACGTN")
     pending_header = False
-    line_no = 0
     for line_no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line:
@@ -65,7 +54,7 @@ def parse_reads(stream: TextIO | Iterable[str], origin: Origin) -> list[Read]:
         bad = set(bases) - allowed
         if bad:
             raise ParseError(line_no, f"illegal character {sorted(bad)[0]!r}")
-        reads.append(Read(id=len(reads), origin=origin, bases=bases))
+        reads.append(bases)
         pending_header = False
     if pending_header:
         raise ParseError(line_no, "header without sequence line")

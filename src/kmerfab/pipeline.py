@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields
 from functools import reduce
 from pathlib import Path
 
-from .kmers import Read
 # encode_run and decode_run go unused here, but perfbench/tracing.py wraps these names
 from .spill import BlobHandle, CorruptionError, SpillStore, decode_run, encode_run
 from .stages import (
@@ -62,9 +61,9 @@ class PipelineConfig:
     min_candidates: int = 3
     prune_fp: float = 0.01
 
-    def fingerprint(self, normal: list[Read], tumoral: list[Read]) -> str:
+    def fingerprint(self, normal: list[str], tumoral: list[str]) -> str:
         """The checkpoints' key: every setting a filter.pN depends on, and
-        the reads. `capacity_limit` is left out, as the merged table filter
+        the reads' bases. `capacity_limit` is left out, as the merged table filter
         reads is the same at any capacity; `min_candidates`, as only group
         reads it; and `prune_fp`, as prune drops only k-mers seen once, and a
         candidate is seen at least tau_t >= 2 times (`cli.cmd_run` enforces
@@ -73,8 +72,8 @@ class PipelineConfig:
         h.update(f"{self.k},{self.partitions},{self.tau_t},{self.tau_n}".encode())
         for reads in (normal, tumoral):
             h.update(str(len(reads)).encode())
-            for r in reads:
-                h.update(r.bases.encode())
+            for bases in reads:
+                h.update(bases.encode())
                 h.update(b"\n")
         return h.hexdigest()
 
@@ -108,7 +107,7 @@ class Checkpoints:
                                     and h.keys() == HANDLE_FIELDS
                                     and all(type(v) is int for v in h.values())}
             except (ValueError, KeyError, TypeError, AttributeError):
-                self._stages = {}
+                pass  # the stages are assigned last: an unreadable manifest leaves them empty
         self._place_cursor()
 
     def save(self, stage: str, payload: bytes) -> None:
@@ -152,8 +151,8 @@ class PipelineResult:
 
 
 def run_pipeline(
-    normal: list[Read],
-    tumoral: list[Read],
+    normal: list[str],
+    tumoral: list[str],
     config: PipelineConfig,
     store: SpillStore,
     checkpoints: Checkpoints | None = None,

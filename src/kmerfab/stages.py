@@ -4,9 +4,10 @@ Prune runs a seen-once/seen-multi bloom pair and keeps seen-multi, so
 multiplicity-1 k-mers are dropped early. Count accumulates bounded
 normal/tumoral counters, spilling sorted runs only when full. Filter keeps
 imbalanced k-mers and lists, per candidate and origin, the ascending ids of
-the reads that hold it. Merge unites per-partition indexes, whose candidates
-are disjoint, and Group inverts the merged index's tumoral id lists to expand
-candidate tumoral reads into related-read sets: it reads no bases.
+the reads that hold it, a read's id being its position in its input. Merge
+unites per-partition indexes, whose candidates are disjoint, and Group
+inverts the merged index's tumoral id lists to expand candidate tumoral
+reads into related-read sets: it reads no bases.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .bloom import _MUM, BloomFilter
-from .kmers import _MASK64, Origin, Read, canonical_codes, partition_of
+from .kmers import _MASK64, canonical_codes, partition_of
 from .spill import BlobHandle, CorruptionError, SpillStore
 
 
@@ -34,20 +35,20 @@ class ReadCodes:
     """Every read's canonical codes, extracted once per run, 8 bytes a window.
 
     Each code goes to bucket `partition_of(code, partitions)` as it is
-    extracted: `codes[p]` holds partition p's codes read by read, normal
-    reads first and then tumoral, each in input order; read i's slice of it
-    ends at `ends[p][i]`. `release` frees a bucket after its last pass.
+    extracted: `codes[p]` holds partition p's codes read by read, the normal
+    reads' bases first and then the tumoral, each in input order; the i-th
+    read's slice of it ends at `ends[p][i]`. `release` frees a bucket after
+    its last pass.
     """
 
-    def __init__(self, normal: list[Read], tumoral: list[Read], k: int, partitions: int = 1):
+    def __init__(self, normal: list[str], tumoral: list[str], k: int, partitions: int = 1):
         self.k = k
-        self.reads = [*normal, *tumoral]
         self.n_normal = len(normal)
         codes = self.codes = [array("Q") for _ in range(partitions)]
         ends = self.ends = [array("Q") for _ in range(partitions)]
         appends = [part.append for part in codes]
-        for read in self.reads:
-            read_codes = canonical_codes(read.bases, k)
+        for bases in (*normal, *tumoral):
+            read_codes = canonical_codes(bases, k)
             if partitions == 1:  # one bucket: no partition_of call per window
                 codes[0].extend(read_codes)
             else:
@@ -66,13 +67,16 @@ class ReadCodes:
         cut = self.ends[partition_id][self.n_normal - 1] if self.n_normal else 0
         return view[:cut], view[cut:]
 
-    def read_spans(self, partition_id: int) -> Iterator[tuple[Read, memoryview]]:
-        """Each read with its codes in partition `partition_id`."""
+    def read_spans(self, partition_id: int) -> Iterator[tuple[int, int, memoryview]]:
+        """Each read's origin (0 normal, 1 tumoral) and position in its input,
+        with its codes in partition `partition_id`."""
         view = memoryview(self.codes[partition_id])
+        ends = memoryview(self.ends[partition_id])  # sliced below without a copy
         start = 0
-        for read, end in zip(self.reads, self.ends[partition_id]):
-            yield read, view[start:end]
-            start = end
+        for origin, origin_ends in enumerate((ends[:self.n_normal], ends[self.n_normal:])):
+            for i, end in enumerate(origin_ends):
+                yield origin, i, view[start:end]
+                start = end
 
 
 # --------------------------------------------------------------------------
@@ -256,23 +260,17 @@ class CandidateIndex:
         self.k = k
         self.candidates: dict[int, CandidateEntry] = {}
 
-    def to_bytes(self, normal: list[Read] = (), tumoral: list[Read] = ()) -> bytearray:
-        """index.bin, canonical: equal indexes give equal bytes. Given the
-        parsed inputs, the reads section holds the bases of every read a
-        candidate lists, normal then tumoral, each by ascending id. A read's
-        id is its position in its input, as `parse_reads` numbers reads, so
-        normal read i is `normal[i]`; StageError if not. Without inputs it
-        holds no read."""
-        listed = []  # (origin, read) of every stored read, in stored order
-        if normal or tumoral:
-            for origin, reads, attr in ((Origin.NORMAL, normal, "normal_ids"),
-                                        (Origin.TUMORAL, tumoral, "tumoral_ids")):
-                for i in sorted(set().union(*(getattr(e, attr)
-                                              for e in self.candidates.values()))):
-                    read = reads[i]
-                    if read.id != i:
-                        raise StageError(f"{origin.value} read at position {i} has id {read.id}")
-                    listed.append((origin, read))
+    def to_bytes(self, normal: list[str] = (), tumoral: list[str] = ()) -> bytearray:
+        """index.bin, canonical: equal indexes give equal bytes. The reads
+        section holds every read a candidate lists, normal then tumoral, each
+        by ascending id, as its origin byte (0 normal, 1 tumoral), its id and
+        its bases: normal read i's are `normal[i]`. An index that lists no
+        read needs no inputs."""
+        listed = []  # (origin, id, bases) of every stored read, in stored order
+        for origin, (reads, attr) in enumerate(((normal, "normal_ids"),
+                                                (tumoral, "tumoral_ids"))):
+            for i in sorted(set().union(*(getattr(e, attr) for e in self.candidates.values()))):
+                listed.append((origin, i, reads[i]))
         return self._frame(b"KFIDXv1\x00", ids_to_bitmap, listed)
 
     def to_checkpoint(self) -> bytearray:
@@ -282,7 +280,7 @@ class CandidateIndex:
 
     def _frame(self, magic: bytes, encode_ids, listed: list) -> bytearray:
         """The frame of this index under `magic`, each read set encoded by
-        `encode_ids`, with the `(origin, read)` pairs `listed`. Built in one
+        `encode_ids`, with the `(origin, id, bases)` reads `listed`. Built in one
         buffer, which is returned without a copy."""
         buf = bytearray(magic)
         buf += struct.pack("<IQQ", self.k, len(self.candidates), len(listed))
@@ -293,9 +291,9 @@ class CandidateIndex:
             buf += struct.pack("<QIIII", code, e.n_count, e.t_count, len(nb), len(tb))
             buf += nb
             buf += tb
-        for origin, read in listed:
-            raw = read.bases.encode("ascii")
-            buf += struct.pack("<BQI", 1 if origin is Origin.TUMORAL else 0, read.id, len(raw))
+        for origin, i, bases in listed:
+            raw = bases.encode("ascii")
+            buf += struct.pack("<BQI", origin, i, len(raw))
             buf += raw
         crc = zlib.crc32(memoryview(buf)[8:])  # the view is gone before buf grows again
         buf += struct.pack("<I", crc)
@@ -353,13 +351,9 @@ def filter_candidates(
     ids = {code: ([], []) for code, (n, t) in entries.items() if is_imbalanced(n, t, tau_t, tau_n)}
     if not ids:
         return index
-    for read, span in codes.read_spans(partition_id):
-        hits = ids.keys() & span
-        if not hits:
-            continue
-        tumoral = read.origin is Origin.TUMORAL
-        for code in hits:
-            ids[code][tumoral].append(read.id)
+    for origin, i, span in codes.read_spans(partition_id):
+        for code in ids.keys() & span:
+            ids[code][origin].append(i)
     for code, (normal_ids, tumoral_ids) in ids.items():
         index.candidates[code] = CandidateEntry(*entries[code], normal_ids, tumoral_ids)
     return index
@@ -388,8 +382,13 @@ def merge_indexes(a: CandidateIndex, b: CandidateIndex) -> CandidateIndex:
 
 @dataclass
 class GroupResult:
-    seed: tuple[Origin, int]
-    members: set[tuple[Origin, int]]
+    """A group: its seed, a tumoral read's id; the ascending ids of its
+    normal and of its tumoral members, the seed among the latter; and the
+    candidate codes the seed holds."""
+
+    seed: int
+    normal_ids: list[int]
+    tumoral_ids: list[int]
     shared_kmers: set[int]
 
 
@@ -401,7 +400,7 @@ def group(index: CandidateIndex, min_candidates: int) -> list[GroupResult]:
     code lives in one partition), so inverting the tumoral id lists gives
     each seed's candidate k-mers. Per seed, the candidates' normal ids are
     united in one int set, and their tumoral ids, the seed's own among them,
-    in another; each member's (origin, id) is built once, from those sets."""
+    in another, each then sorted."""
     candidates = index.candidates
     held: dict[int, set[int]] = {}  # tumoral read id -> the candidates that list it
     for code, e in candidates.items():
@@ -416,7 +415,5 @@ def group(index: CandidateIndex, min_candidates: int) -> list[GroupResult]:
             e = candidates[code]
             normal.update(e.normal_ids)
             tumoral.update(e.tumoral_ids)
-        members = {(Origin.NORMAL, i) for i in normal}
-        members.update((Origin.TUMORAL, i) for i in tumoral)
-        results.append(GroupResult((Origin.TUMORAL, rid), members, codes))
+        results.append(GroupResult(rid, sorted(normal), sorted(tumoral), codes))
     return results

@@ -7,7 +7,7 @@ from array import array
 
 import pytest
 
-from kmerfab.kmers import Origin, Read, canonical_codes
+from kmerfab.kmers import canonical_codes
 
 
 def random_instance(seed, n_reads=None, read_len=(80, 120), k=15,
@@ -15,7 +15,8 @@ def random_instance(seed, n_reads=None, read_len=(80, 120), k=15,
     """Normal/tumoral read pair sampled from a shared genome so k-mers repeat
     across reads; the tumoral genome carries an inserted variant region so
     imbalanced k-mers exist. random_frac of the reads are uniform noise,
-    which supplies plenty of multiplicity-1 k-mers. Returns (normal, tumoral)."""
+    which supplies plenty of multiplicity-1 k-mers. Returns (normal, tumoral),
+    each a list of the reads' bases."""
     rng = random.Random(seed)
     total = n_reads if n_reads is not None else rng.randint(100, 500)
     n_normal = total // 2
@@ -25,9 +26,9 @@ def random_instance(seed, n_reads=None, read_len=(80, 120), k=15,
     variant = "".join(rng.choice("ACGT") for _ in range(rng.randint(k + 5, k + 40)))
     tumor_genome = genome[:cut] + variant + genome[cut:]
 
-    def sample(n, origin, source):
+    def sample(n, source):
         reads = []
-        for i in range(n):
+        for _ in range(n):
             length = rng.randint(*read_len)
             if rng.random() < random_frac:
                 bases = "".join(rng.choice("ACGT") for _ in range(length))
@@ -42,11 +43,11 @@ def random_instance(seed, n_reads=None, read_len=(80, 120), k=15,
                     if rng.random() < n_rate:
                         chars[j] = "N"
                 bases = "".join(chars)
-            reads.append(Read(i, origin, bases))
+            reads.append(bases)
         return reads
 
-    normal = sample(n_normal, Origin.NORMAL, genome)
-    tumoral = sample(n_tumoral, Origin.TUMORAL, tumor_genome)
+    normal = sample(n_normal, genome)
+    tumoral = sample(n_tumoral, tumor_genome)
     return normal, tumoral
 
 

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used as test oracles.
 
 Everything here works on plain strings and sets, independent of the
-package's bit-packed structures, so the two sides can disagree.
+package's bit-packed structures, so the two sides can disagree. A read is
+its bases, and its id its position in its list: `normal` or `tumoral`.
 """
 
 import math
@@ -9,10 +10,10 @@ import struct
 import zlib
 from collections import Counter
 
-from kmerfab.kmers import Origin
 from kmerfab.stages import CandidateEntry, CandidateIndex, StageError
 
 _COMP = str.maketrans("ACGT", "TGCA")
+NORMAL, TUMORAL = 0, 1  # a read's origin: the origin byte of index.bin's reads section
 
 
 def revcomp_str(s: str) -> str:
@@ -54,10 +55,10 @@ def exact_counts(normal, tumoral, k: int) -> dict[str, tuple[int, int]]:
     """Exact per-canonical-kmer (n_count, t_count) by direct enumeration."""
     n_counter: Counter = Counter()
     t_counter: Counter = Counter()
-    for read in normal:
-        n_counter.update(canonical_windows(read.bases, k))
-    for read in tumoral:
-        t_counter.update(canonical_windows(read.bases, k))
+    for bases in normal:
+        n_counter.update(canonical_windows(bases, k))
+    for bases in tumoral:
+        t_counter.update(canonical_windows(bases, k))
     out = {}
     for kmer in set(n_counter) | set(t_counter):
         out[kmer] = (n_counter.get(kmer, 0), t_counter.get(kmer, 0))
@@ -70,7 +71,7 @@ def candidate_kmers(counts: dict[str, tuple[int, int]], tau_t: int, tau_n: int) 
 
 def candidate_view(normal, tumoral, k, tau_t, tau_n):
     """Expected filter output: per-candidate counts and member-id sets plus
-    the set of stored reads."""
+    the set of stored reads, each as (origin, id)."""
     counts = exact_counts(normal, tumoral, k)
     cands = candidate_kmers(counts, tau_t, tau_n)
     per_kmer = {
@@ -78,45 +79,45 @@ def candidate_view(normal, tumoral, k, tau_t, tau_n):
         for s in cands
     }
     stored = set()
-    for read in list(normal) + list(tumoral):
-        hit = cands & set(canonical_windows(read.bases, k))
-        if not hit:
-            continue
-        stored.add((read.origin, read.id))
-        for s in hit:
-            key = "tumoral_ids" if read.origin is Origin.TUMORAL else "normal_ids"
-            per_kmer[s][key].add(read.id)
+    for origin, key, reads in ((NORMAL, "normal_ids", normal), (TUMORAL, "tumoral_ids", tumoral)):
+        for rid, bases in enumerate(reads):
+            hit = cands & set(canonical_windows(bases, k))
+            if not hit:
+                continue
+            stored.add((origin, rid))
+            for s in hit:
+                per_kmer[s][key].add(rid)
     return per_kmer, stored
 
 
 def expected_groups(normal, tumoral, k, tau_t, tau_n, min_candidates):
-    """Group results by direct pairwise k-mer-sharing scan."""
+    """Group results by direct pairwise k-mer-sharing scan: (seed id, normal
+    member ids, tumoral member ids, the seed's candidate k-mers) per group,
+    by ascending seed id, the member ids ascending."""
     per_kmer, stored = candidate_view(normal, tumoral, k, tau_t, tau_n)
     cands = set(per_kmer)
-    by_key = {(r.origin, r.id): r for r in list(normal) + list(tumoral)}
+    reads = (normal, tumoral)
     groups = []
-    for origin, rid in sorted(stored, key=lambda x: (x[0] is not Origin.TUMORAL, x[1])):
-        if origin is not Origin.TUMORAL:
+    for origin, rid in sorted(stored):
+        if origin != TUMORAL:
             continue
-        read = by_key[(origin, rid)]
-        seed_kmers = cands & set(canonical_windows(read.bases, k))
+        seed_kmers = cands & set(canonical_windows(tumoral[rid], k))
         if len(seed_kmers) < min_candidates:
             continue
-        members = {(Origin.TUMORAL, rid)}
-        for other_key in stored:
-            other = by_key[other_key]
-            if seed_kmers & set(canonical_windows(other.bases, k)):
-                members.add(other_key)
-        groups.append(((Origin.TUMORAL, rid), members, seed_kmers))
+        members = {(TUMORAL, rid)}
+        for other_origin, other_id in stored:
+            if seed_kmers & set(canonical_windows(reads[other_origin][other_id], k)):
+                members.add((other_origin, other_id))
+        groups.append((rid, sorted(i for o, i in members if o == NORMAL),
+                       sorted(i for o, i in members if o == TUMORAL), seed_kmers))
     return groups
 
 
 def read_store(normal, tumoral, stored):
     """What index.bin's reads section holds for the stored reads `stored`:
     ((origin, id), bases) per read, normal reads then tumoral, each by id."""
-    bases = {(r.origin, r.id): r.bases for r in [*normal, *tumoral]}
-    return [(key, bases[key])
-            for key in sorted(stored, key=lambda key: (key[0] is Origin.TUMORAL, key[1]))]
+    reads = (normal, tumoral)
+    return [((origin, rid), reads[origin][rid]) for origin, rid in sorted(stored)]
 
 
 def index_reads(data: bytes) -> list:
@@ -133,8 +134,7 @@ def index_reads(data: bytes) -> list:
     for _ in range(n_reads):
         origin, rid, length = struct.unpack_from("<BQI", data, pos)
         pos += 13
-        reads.append((((Origin.NORMAL, Origin.TUMORAL)[origin], rid),
-                      data[pos:pos + length].decode("ascii")))
+        reads.append(((origin, rid), data[pos:pos + length].decode("ascii")))
         pos += length
     assert pos == len(data) - 4, (pos, len(data))
     return reads

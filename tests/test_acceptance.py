@@ -20,7 +20,6 @@ from kmerfab.fabric import (
     VirtualDevice,
     partition_namespaces,
 )
-from kmerfab.kmers import Origin
 from kmerfab.orchestrator import (
     HostModel,
     PoolConfig,
@@ -111,9 +110,9 @@ def test_criterion_1_pipeline_oracle_equivalence(pipeline_batch):
                 mismatches += 1
                 continue
             want = expected_groups(normal, tumoral, K, TAU_T, TAU_N, MIN_CANDIDATES)
-            got_groups = [(g.seed, g.members, {kmer_of(c, K) for c in g.shared_kmers})
-                          for g in result.groups]
-            if got_groups != [(s, m, km) for s, m, km in want]:
+            got_groups = [(g.seed, g.normal_ids, g.tumoral_ids,
+                           {kmer_of(c, K) for c in g.shared_kmers}) for g in result.groups]
+            if got_groups != want:
                 mismatches += 1
     elapsed = build_s + (time.perf_counter() - t0)
     ok = mismatches == 0 and elapsed < 60.0

@@ -18,7 +18,7 @@ import pytest
 
 from kmerfab.cli import main
 from kmerfab.fabric import Namespace, VirtualDevice
-from kmerfab.kmers import Origin, parse_reads
+from kmerfab.kmers import parse_reads
 from kmerfab.spill import SpillStore
 from kmerfab.stages import ReadCodes, count, prune
 from conftest import CountingWords
@@ -212,8 +212,8 @@ def test_benchmark_input_count_probes_are_pinned(tmp_path, workload):
     (partitions, capacity_limit), _ = BENCHMARK_DIGESTS[workload]
     inputs = load_benchmark_inputs()
     inputs.write_inputs(101, tmp_path)
-    reads = [parse_reads((tmp_path / f"{origin.value}.fa").read_text().splitlines(), origin)
-             for origin in (Origin.NORMAL, Origin.TUMORAL)]
+    reads = [parse_reads((tmp_path / f"{origin}.fa").read_text().splitlines())
+             for origin in ("normal", "tumoral")]
     codes = ReadCodes(*reads, inputs.K, partitions)
     pf = prune(codes, inputs.RUN_SETTINGS["prune_fp"])
     pf._words = words = CountingWords("Q", pf._words)
@@ -231,8 +231,8 @@ def test_benchmark_spill_runs_store_few_planes(tmp_path):
     n records, where 16-byte records took 16 n."""
     inputs = load_benchmark_inputs()
     inputs.write_inputs(101, tmp_path)
-    reads = [parse_reads((tmp_path / f"{origin.value}.fa").read_text().splitlines(), origin)
-             for origin in (Origin.NORMAL, Origin.TUMORAL)]
+    reads = [parse_reads((tmp_path / f"{origin}.fa").read_text().splitlines())
+             for origin in ("normal", "tumoral")]
     codes = ReadCodes(*reads, inputs.K, 4)
     pf = prune(codes, inputs.RUN_SETTINGS["prune_fp"])
     store = SpillStore(Namespace(VirtualDevice(0, capacity=1 << 30), 0, 1 << 30),

@@ -29,8 +29,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def write_fasta(path, reads):
     with open(path, "w") as fh:
-        for r in reads:
-            fh.write(f">r{r.id}\n{r.bases}\n")
+        for i, bases in enumerate(reads):
+            fh.write(f">r{i}\n{bases}\n")
 
 
 @pytest.fixture
@@ -73,6 +73,14 @@ def scenario_config(tmp_path, **extra):
     path = tmp_path / "scenario.conf"
     path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
     return path
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "compare"])
+def test_out_is_made_with_its_parents_and_written_again(toy_inputs, command):
+    cfg = run_config(toy_inputs) if command == "run" else scenario_config(toy_inputs)
+    out = toy_inputs / "new" / "out"
+    for _ in range(2):  # the first call makes both directories; the second finds them
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
 
 
 def test_run_toy_dataset(toy_inputs, capsys):
@@ -897,6 +905,10 @@ SHIPPED_DIGESTS = {
         # 37,137 bytes, and each blob after the first run starts earlier
         "trace.csv": "3cb4b8b43aed9c311b6c5aaa49830299890682108f42ea56bee54baab0a1f171",
         "device0.dat": "fefcfeaf5de0570a3b649408796a43be55e26530c8e00291bc8719fe38824b04",
+        # the manifest: the checkpoints' fingerprint and the filter.pN handles. A
+        # fingerprint change silently turns every existing output directory into
+        # a full recompute, so it is pinned too
+        "checkpoints.json": "f5dc42fc3bf299370877ae7fbd3878119074cd9447d689bb36bc5b7e441ac9c4",
     },
 }
 

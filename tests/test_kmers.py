@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from kmerfab.kmers import (
-    Origin,
     ParseError,
     canonical_codes,
     parse_reads,
@@ -19,43 +18,43 @@ from oracle import canonical_str, canonical_windows, code_of, kmer_of, windows_s
 
 
 def test_parse_single_record():
-    reads = parse_reads(io.StringIO(">r0\nACGT\n"), Origin.NORMAL)
-    assert len(reads) == 1
-    assert reads[0].bases == "ACGT"
-    assert reads[0].id == 0
+    assert parse_reads(io.StringIO(">r0\nACGT\n")) == ["ACGT"]
 
 
 def test_parse_case_folding_and_ids():
-    reads = parse_reads(io.StringIO(">a\nacgtn\n>b\nTTTT\n"), Origin.TUMORAL)
-    assert [r.bases for r in reads] == ["ACGTN", "TTTT"]
-    assert [r.id for r in reads] == [0, 1]
-    assert all(r.origin is Origin.TUMORAL for r in reads)
+    # a read's id is its position: the list keeps input order, whatever the headers say
+    reads = parse_reads(io.StringIO(">b\nacgtn\n>a\nTTTT\n"))
+    assert reads == ["ACGTN", "TTTT"]
 
 
 def test_parse_strips_a_carriage_return():
     # newline="" keeps "\r\n" as a library caller's stream may: the CLI's text mode does not
-    reads = parse_reads(io.StringIO(">r\r\nACGT\r\n", newline=""), Origin.NORMAL)
-    assert [r.bases for r in reads] == ["ACGT"]
+    assert parse_reads(io.StringIO(">r\r\nACGT\r\n", newline="")) == ["ACGT"]
+
+
+def test_parse_skips_blank_lines():
+    assert parse_reads(io.StringIO("\n>a\n\nACGT\n\n>b\nTT\n\n")) == ["ACGT", "TT"]
+    assert parse_reads(io.StringIO("")) == []
 
 
 def test_parse_illegal_character_line_number():
     with pytest.raises(ParseError) as exc:
-        parse_reads(io.StringIO(">x\nAC1T\n"), Origin.NORMAL)
+        parse_reads(io.StringIO(">x\nAC1T\n"))
     assert exc.value.line_no == 2
     assert str(exc.value).startswith("line 2: ")
 
 
 def test_parse_sequence_before_header():
     with pytest.raises(ParseError) as exc:
-        parse_reads(io.StringIO("ACGT\n>x\nACGT\n"), Origin.NORMAL)
+        parse_reads(io.StringIO("ACGT\n>x\nACGT\n"))
     assert exc.value.line_no == 1
 
 
 def test_parse_header_without_sequence():
     with pytest.raises(ParseError):
-        parse_reads(io.StringIO(">x\n>y\nACGT\n"), Origin.NORMAL)
+        parse_reads(io.StringIO(">x\n>y\nACGT\n"))
     with pytest.raises(ParseError):
-        parse_reads(io.StringIO(">only\n"), Origin.NORMAL)
+        parse_reads(io.StringIO(">only\n"))
 
 
 def test_encode_decode_roundtrip():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from kmerfab import pipeline, stages
 from kmerfab.fabric import FileBacking, Namespace, VirtualDevice
-from kmerfab.kmers import Origin, Read, canonical_codes
+from kmerfab.kmers import canonical_codes
 from kmerfab.pipeline import Checkpoints, PipelineConfig, PipelineResult, run_pipeline
 from kmerfab.spill import SpillStore
 from kmerfab.stages import (
@@ -54,9 +54,7 @@ def test_matches_manual_stage_composition(small_instance):
     groups = group(idx, 3)
 
     assert result.index.to_bytes(normal, tumoral) == idx.to_bytes(normal, tumoral)
-    assert [(g.seed, g.members, g.shared_kmers) for g in result.groups] == [
-        (g.seed, g.members, g.shared_kmers) for g in groups
-    ]
+    assert result.groups == groups
 
 
 @pytest.mark.parametrize("partitions", [1, 2, 4])
@@ -65,7 +63,7 @@ def test_partition_and_spill_invariance(partitions, capacity, small_instance):
     normal, tumoral = small_instance
     baseline = run(normal, tumoral, partitions=1, capacity_limit=None)
     result = run(normal, tumoral, partitions=partitions, capacity_limit=capacity)
-    assert result.index.to_bytes() == baseline.index.to_bytes()
+    assert result.index.to_bytes(normal, tumoral) == baseline.index.to_bytes(normal, tumoral)
 
 
 def test_stage_times_recorded(small_instance):
@@ -139,7 +137,7 @@ def test_checkpoints_skip_stages(tmp_path, small_instance):
     assert second.skipped == {"filter.p0", "filter.p1"}
     # every skipped stage was loaded, so it was also timed
     assert second.skipped <= second.stage_seconds.keys()
-    assert second.index.to_bytes() == first.index.to_bytes()
+    assert second.index.to_bytes(normal, tumoral) == first.index.to_bytes(normal, tumoral)
     assert len(second.groups) == len(first.groups)
 
 
@@ -166,7 +164,7 @@ def test_manifest_survives_interrupted_persist(tmp_path, small_instance, monkeyp
     second = run_pipeline(normal, tumoral, cfg, store2,
                           Checkpoints(store2, fingerprint, cfg.partitions, manifest))
     assert second.skipped == {"filter.p0"}
-    assert second.index.to_bytes() == first.index.to_bytes()
+    assert second.index.to_bytes(normal, tumoral) == first.index.to_bytes(normal, tumoral)
 
 
 def test_each_window_extracted_once_per_run(tmp_path, small_instance, monkeypatch):
@@ -185,7 +183,7 @@ def test_each_window_extracted_once_per_run(tmp_path, small_instance, monkeypatc
     first = run_pipeline(normal, tumoral, cfg, store,
                          Checkpoints(store, fingerprint, cfg.partitions, tmp_path / "m.json"))
     # each read's codes once, in input order, and group extracts none
-    assert extracted == [len(canonical_codes(r.bases, K)) for r in [*normal, *tumoral]]
+    assert extracted == [len(canonical_codes(bases, K)) for bases in [*normal, *tumoral]]
     assert first.groups
 
     extracted.clear()
@@ -233,11 +231,7 @@ def test_fingerprint_mismatch_discards_checkpoints(tmp_path, small_instance):
     (["ACGT"], ["TACGT"]),  # a read moved to the other sample
 ])
 def test_fingerprint_covers_every_read(normal, tumoral):
-    def fingerprint(normal, tumoral):
-        return PipelineConfig(k=3).fingerprint(
-            [Read(i, Origin.NORMAL, bases) for i, bases in enumerate(normal)],
-            [Read(i, Origin.TUMORAL, bases) for i, bases in enumerate(tumoral)])
-
+    fingerprint = PipelineConfig(k=3).fingerprint
     assert fingerprint(normal, tumoral) != fingerprint(["ACGT", "TACGT"], [])
 
 
@@ -265,15 +259,13 @@ def instance(draw):
     k = draw(st.integers(1, 32))
     motif = draw(st.text("ACGT", min_size=1, max_size=12))
 
-    def reads(origin, runs, min_size):
+    def reads(runs, min_size):
         drawn = draw(st.lists(st.tuples(st.text("ACGTN", max_size=24), runs,
                                         st.text("ACGTN", max_size=8)),
                               min_size=min_size, max_size=8))
-        return [Read(i, origin, head + (motif * 64)[:max(0, run)] + tail)
-                for i, (head, run, tail) in enumerate(drawn)]
+        return [head + (motif * 64)[:max(0, run)] + tail for head, run, tail in drawn]
 
-    return (k, reads(Origin.NORMAL, st.integers(0, k + 2), 0),
-            reads(Origin.TUMORAL, st.integers(k - 2, k + 12), 1))
+    return (k, reads(st.integers(0, k + 2), 0), reads(st.integers(k - 2, k + 12), 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -300,6 +292,6 @@ def test_pipeline_matches_oracle_at_every_setting(case, partitions, capacity, ch
         assert entry.tumoral_ids == sorted(want["tumoral_ids"])
     assert index_reads(result.index.to_bytes(normal, tumoral)) == read_store(normal, tumoral,
                                                                              stored)
-    assert [(g.seed, g.members, {kmer_of(c, k) for c in g.shared_kmers})
+    assert [(g.seed, g.normal_ids, g.tumoral_ids, {kmer_of(c, k) for c in g.shared_kmers})
             for g in result.groups] == expected_groups(normal, tumoral, k, tau_t, tau_n,
                                                        min_candidates)

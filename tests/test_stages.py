@@ -7,6 +7,7 @@ import tracemalloc
 import zlib
 from array import array
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from kmerfab import pipeline
 from kmerfab.bloom import BloomFilter
 from kmerfab.fabric import Namespace, VirtualDevice
-from kmerfab.kmers import Origin, Read, canonical_codes, partition_of
+from kmerfab.kmers import canonical_codes, partition_of
 from kmerfab.spill import SpillStore
 from kmerfab.stages import (
     CandidateEntry,
@@ -41,6 +42,7 @@ from conftest import (
     word_bytes,
 )
 from oracle import (
+    TUMORAL,
     candidate_view,
     canonical_windows,
     code_of,
@@ -63,10 +65,10 @@ def make_store(chunk=1 << 20):
 def exact_table(normal, tumoral, k=K):
     """No-prune, no-partition frequency table for oracle comparisons."""
     entries = {}
-    for read in [*normal, *tumoral]:
-        idx = 1 if read.origin is Origin.TUMORAL else 0
-        for code in canonical_codes(read.bases, k):
-            entries.setdefault(code, [0, 0])[idx] += 1
+    for origin, reads in enumerate((normal, tumoral)):
+        for bases in reads:
+            for code in canonical_codes(bases, k):
+                entries.setdefault(code, [0, 0])[origin] += 1
     return FrequencyTable(entries)
 
 
@@ -85,19 +87,22 @@ def test_read_codes_split_keeps_each_reads_window_order(partitions):
     normal, tumoral = random_instance(seed=1, n_reads=60)
     codes = ReadCodes(normal, tumoral, K, partitions)
     for p in range(partitions):
-        expect = [(r, [c for c in canonical_codes(r.bases, K)
-                       if partition_of(c, partitions) == p]) for r in [*normal, *tumoral]]
-        assert [(r, list(span)) for r, span in codes.read_spans(p)] == expect
+        # each read's origin and position in its input, with its codes in p
+        expect = [(origin, i, [c for c in canonical_codes(bases, K)
+                               if partition_of(c, partitions) == p])
+                  for origin, reads in enumerate((normal, tumoral))
+                  for i, bases in enumerate(reads)]
+        assert [(o, i, list(span)) for o, i, span in codes.read_spans(p)] == expect
         normal_span, tumoral_span = codes.origin_spans(p)
-        assert list(normal_span) == [c for _, cs in expect[:len(normal)] for c in cs]
-        assert list(tumoral_span) == [c for _, cs in expect[len(normal):] for c in cs]
+        assert list(normal_span) == [c for *_, cs in expect[:len(normal)] for c in cs]
+        assert list(tumoral_span) == [c for *_, cs in expect[len(normal):] for c in cs]
 
 
 # -- prune ---------------------------------------------------------------
 
 
 def test_prune_single_occurrence_not_contained():
-    normal = [Read(0, Origin.NORMAL, "ACGTACGTACGTACGTAC")]
+    normal = ["ACGTACGTACGTACGTAC"]
     pf = prune(ReadCodes(normal, [], K), 0.01)
     # every window occurs once (shared prefix windows of this read are unique)
     counts = exact_counts(normal, [], K)
@@ -141,7 +146,7 @@ def test_prune_over_buckets_keeps_every_repeat():
 
 
 def test_prune_triple_occurrence_guaranteed():
-    reads = [Read(i, Origin.NORMAL, "ACGTACGTACGTACG") for i in range(3)]
+    reads = ["ACGTACGTACGTACG"] * 3
     pf = prune(ReadCodes(reads, [], K), 0.01)
     assert code_of("ACGTACGTACGTACG") in pf
 
@@ -274,7 +279,7 @@ def test_count_probes_prune_filter_only_in_own_partition():
     plain = prune(ReadCodes(normal, tumoral, K), 0.01)
     pf = BloomFilter(plain.n_bits, plain.n_hashes)
     pf._words = words = CountingWords("Q", plain._words)
-    windows = [c for r in [*normal, *tumoral] for c in canonical_codes(r.bases, K)]
+    windows = [c for bases in [*normal, *tumoral] for c in canonical_codes(bases, K)]
     codes = ReadCodes(normal, tumoral, K, 4)
     for p in range(4):
         own = [c for c in windows if partition_of(c, 4) == p]
@@ -491,7 +496,7 @@ def test_filter_matches_oracle():
         assert got[s].t_count == e["t"]
         assert got[s].normal_ids == sorted(e["normal_ids"])
         assert got[s].tumoral_ids == sorted(e["tumoral_ids"])
-    assert index_reads(idx.to_bytes()) == []  # a filter.pN checkpoint holds no read
+    assert index_reads(idx.to_checkpoint()) == []  # a filter.pN checkpoint holds no read
     assert {key for key, _ in index_reads(idx.to_bytes(normal, tumoral))} == stored
 
 
@@ -529,7 +534,7 @@ def test_merge_empty_identity():
     normal, tumoral = random_instance(seed=9, n_reads=100)
     idx = build_index(normal, tumoral)
     merged = merge_indexes(CandidateIndex(K), build_index(normal, tumoral))
-    assert merged.to_bytes() == idx.to_bytes()
+    assert merged.to_bytes(normal, tumoral) == idx.to_bytes(normal, tumoral)
 
 
 def test_merge_partitions_equals_whole():
@@ -539,7 +544,6 @@ def test_merge_partitions_equals_whole():
     merged = parts[0]
     for nxt in parts[1:]:
         merged = merge_indexes(merged, nxt)
-    assert merged.to_bytes() == whole.to_bytes()
     # index.bin holds the merged index and the bases of the reads it lists
     assert merged.to_bytes(normal, tumoral) == whole.to_bytes(normal, tumoral)
 
@@ -552,7 +556,7 @@ def test_merge_associative_and_commutative():
         acc = parts[order[0]]
         for i in order[1:]:
             acc = merge_indexes(acc, parts[i])
-        return acc.to_bytes()
+        return acc.to_bytes(normal, tumoral)
 
     assert fold([0, 1, 2]) == fold([2, 1, 0]) == fold([1, 0, 2])
 
@@ -654,13 +658,13 @@ def test_checkpoint_gap_that_does_not_decode_raises_stage_error(section):
 
 
 def test_to_bytes_takes_read_i_from_position_i():
+    # a read's id is its position: with every tumoral read moved one place
+    # on, each listed tumoral id i is stored with the bases now at position i
     normal, tumoral = random_instance(seed=13, n_reads=150)
     idx = build_index(normal, tumoral)
-    listed = min(i for e in idx.candidates.values() for i in e.tumoral_ids)
-    shifted = [Read(r.id + 1, r.origin, r.bases) for r in tumoral]
-    with pytest.raises(StageError, match=f"tumoral read at position {listed} has id "
-                                         f"{listed + 1}"):
-        idx.to_bytes(normal, shifted)
+    shifted = ["ACGT", *tumoral]
+    _, stored = candidate_view(normal, tumoral, K, 4, 1)
+    assert index_reads(idx.to_bytes(normal, shifted)) == read_store(normal, shifted, stored)
 
 
 def test_to_bytes_holds_one_buffer():
@@ -670,7 +674,7 @@ def test_to_bytes_holds_one_buffer():
     idx = CandidateIndex(K)
     for code in range(1000):
         idx.candidates[code] = CandidateEntry(0, 4, [], [code, 79_999])
-    tumoral = {i: Read(i, Origin.TUMORAL, "ACGT" * 25) for i in [*range(1000), 79_999]}
+    tumoral = {i: "ACGT" * 25 for i in [*range(1000), 79_999]}
     tracemalloc.start()
     try:
         data = idx.to_bytes([], tumoral)
@@ -680,16 +684,19 @@ def test_to_bytes_holds_one_buffer():
     assert len(data) > 10_000_000
     assert peak <= 1.5 * len(data), peak / len(data)
     assert index_from_bytes(data).candidates == idx.candidates
-    assert [key for key, _ in index_reads(data)] == [(Origin.TUMORAL, i) for i in sorted(tumoral)]
+    assert [key for key, _ in index_reads(data)] == [(TUMORAL, i) for i in sorted(tumoral)]
 
 
 def test_filter_index_group_at_read_id_999_999():
     # two tumoral reads, ids 0 and 999_999, share the one candidate: its
-    # tumoral bitmap spans 10^6 bits, past every 64-bit and byte edge below it
+    # tumoral bitmap spans 10^6 bits, past every 64-bit and byte edge below it.
+    # A read's id is its position, so the codes stand in for a ReadCodes of
+    # 10^6 tumoral reads, all but the two empty: filter sees only these spans
     kmer = "ACGTACGTACGTACG"
-    tumoral = [Read(0, Origin.TUMORAL, kmer), Read(999_999, Origin.TUMORAL, kmer)]
+    tumoral = {0: kmer, 999_999: kmer}  # a mapping stands in for the list
     table = FrequencyTable({code_of(kmer): (0, 2)})
-    codes = ReadCodes([], tumoral, K)
+    codes = SimpleNamespace(k=K, read_spans=lambda p: (
+        (TUMORAL, i, canonical_codes(bases, K)) for i, bases in tumoral.items()))
     tracemalloc.start()
     try:
         idx = filter_candidates(table, codes, 0, 2, 0)
@@ -699,11 +706,10 @@ def test_filter_index_group_at_read_id_999_999():
     assert held < 10_000  # the id list, not a 125 KB int as wide as the largest id
     entry = idx.candidates[code_of(kmer)]
     assert (entry.normal_ids, entry.tumoral_ids) == ([], [0, 999_999])
-    # read i sits at position i of its input: a mapping stands in for the list
-    data = idx.to_bytes([], {0: tumoral[0], 999_999: tumoral[1]})
+    data = idx.to_bytes([], tumoral)
     *_, nb_len, tb_len = struct.unpack_from("<QIIII", data, 8 + struct.calcsize("<IQQ"))
     assert (nb_len, tb_len) == (0, 125_000)
-    assert index_reads(data) == [((Origin.TUMORAL, 0), kmer), ((Origin.TUMORAL, 999_999), kmer)]
+    assert index_reads(data) == [((TUMORAL, 0), kmer), ((TUMORAL, 999_999), kmer)]
     assert index_from_bytes(data).candidates == idx.candidates
     # the filter.pN payload stores the gaps 0 and 999_998 (1 + 3 bytes), not the bitmap
     payload = idx.to_checkpoint()
@@ -713,9 +719,9 @@ def test_filter_index_group_at_read_id_999_999():
     clone = CandidateIndex.from_checkpoint(payload)
     assert clone.candidates == idx.candidates
     groups = group(clone, min_candidates=1)
-    assert [g.seed for g in groups] == [(Origin.TUMORAL, 0), (Origin.TUMORAL, 999_999)]
+    assert [g.seed for g in groups] == [0, 999_999]
     for g in groups:
-        assert g.members == {(Origin.TUMORAL, 0), (Origin.TUMORAL, 999_999)}
+        assert (g.normal_ids, g.tumoral_ids) == ([], [0, 999_999])
 
 
 # -- group ----------------------------------------------------------------
@@ -724,15 +730,14 @@ def test_filter_index_group_at_read_id_999_999():
 def test_group_single_shared_kmer():
     # one candidate k-mer contained in tumoral read 0 and normal read 3
     kmer = "ACGTACGTACGTACG"
-    normal = [Read(i, Origin.NORMAL, "T" * 20) for i in range(3)]
-    normal.append(Read(3, Origin.NORMAL, kmer))
-    tumoral = [Read(0, Origin.TUMORAL, kmer + "T") for _ in range(1)]
+    normal = ["T" * 20] * 3 + [kmer]
+    tumoral = [kmer + "T"]
     table = FrequencyTable({code_of(kmer): (1, 1)})
     idx = filter_candidates(table, ReadCodes(normal, tumoral, K), 0, 1, 1)
     groups = group(idx, min_candidates=1)
     assert len(groups) == 1
-    assert groups[0].seed == (Origin.TUMORAL, 0)
-    assert groups[0].members == {(Origin.TUMORAL, 0), (Origin.NORMAL, 3)}
+    assert groups[0].seed == 0
+    assert (groups[0].normal_ids, groups[0].tumoral_ids) == ([3], [0])
     assert groups[0].shared_kmers == {code_of(kmer)}
 
 
@@ -753,27 +758,26 @@ def test_group_matches_oracle():
         got = group(idx, min_candidates=2)
         expect = expected_groups(normal, tumoral, K, 4, 1, min_candidates=2)
         assert len(got) == len(expect)
-        for g, (seed_key, members, kmers) in zip(got, expect):
-            assert g.seed == seed_key
-            assert g.members == members
+        for g, (seed_id, normal_ids, tumoral_ids, kmers) in zip(got, expect):
+            assert (g.seed, g.normal_ids, g.tumoral_ids) == (seed_id, normal_ids, tumoral_ids)
             assert {kmer_of(c, K) for c in g.shared_kmers} == kmers
 
 
 def reference_group(index, seeds, min_candidates):
     """Reference group: each seed, by ascending id, extracts its codes from
     its bases `seeds[id]` and adds every candidate id list of each code to its
-    member set, id by id."""
+    member sets, one per origin."""
     results = []
     for rid, bases in sorted(seeds.items()):
         codes = {c for c in canonical_codes(bases, index.k) if c in index.candidates}
         if len(codes) < min_candidates:
             continue
-        members = {(Origin.TUMORAL, rid)}
+        normal, tumoral = set(), {rid}
         for code in codes:
             entry = index.candidates[code]
-            members.update((Origin.NORMAL, i) for i in entry.normal_ids)
-            members.update((Origin.TUMORAL, i) for i in entry.tumoral_ids)
-        results.append(GroupResult((Origin.TUMORAL, rid), members, codes))
+            normal.update(entry.normal_ids)
+            tumoral.update(entry.tumoral_ids)
+        results.append(GroupResult(rid, sorted(normal), sorted(tumoral), codes))
     return results
 
 
@@ -806,11 +810,11 @@ def test_group_at_bitmap_boundaries():
     for min_candidates in (1, 2, 3):
         want = reference_group(index, seeds, min_candidates)
         assert group(index, min_candidates) == group(reloaded, min_candidates) == want
-    got = {g.seed[1]: g for g in group(index, 1)}
+    got = {g.seed: g for g in group(index, 1)}
     assert set(got) == {0, 8, 63, 64, 65, 999, 1000, 1001}
     assert got[1000].shared_kmers == {code_of(s) for s in kmers}
-    assert {(Origin.NORMAL, 0), (Origin.TUMORAL, 1001)} <= got[1000].members
-    assert {g.seed[1] for g in group(index, 3)} == {64, 999, 1000}
+    assert 0 in got[1000].normal_ids and 1001 in got[1000].tumoral_ids
+    assert {g.seed for g in group(index, 3)} == {64, 999, 1000}
 
 
 @settings(max_examples=100, deadline=None)
